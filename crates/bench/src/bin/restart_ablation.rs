@@ -6,8 +6,8 @@
 //! the default is deliberately larger than the paper-table driver's,
 //! because the measured quantity is wall-clock of the restart itself, not
 //! simulator output. Also prints the full [`rmdb_restart::RestartReport`]
-//! of one representative K=4 restart, and a serial-vs-K=4 speedup line
-//! (the acceptance check for parallel redo).
+//! of one representative K=4 restart, and a full-replay-vs-K=4 speedup
+//! line (the acceptance check for bounded parallel redo).
 //!
 //! `--replay-json PATH` runs the adaptive-logging × replay-scheduler
 //! sweep instead and writes its JSON there: per-policy log bytes under
@@ -95,7 +95,7 @@ fn main() {
     }
 
     // One representative run, end to end: fine checkpoints, K=4, with the
-    // full report and the serial-replay comparison. Mirrors the
+    // full report and the full-replay comparison. Mirrors the
     // `restart_time` workload: 256-byte fragments over 1600 pages, an
     // interval that leaves a redo remainder after the last checkpoint.
     let ckpt_every = (txns as u64 / 16 + 1).max(2);
@@ -118,9 +118,11 @@ fn main() {
         db.commit(t).expect("commit");
     }
 
+    let image = db.crash_image();
     let t0 = Instant::now();
-    let (_, serial) = WalDb::recover(db.crash_image(), cfg()).expect("serial recover");
-    let serial_elapsed = t0.elapsed();
+    let (_, full) =
+        WalDb::recover_from_archive(image.data, image.logs, cfg()).expect("full replay");
+    let full_elapsed = t0.elapsed();
 
     let rcfg = RestartConfig::default();
     let (_, report) = restart(db.crash_image(), cfg(), &rcfg).expect("restart");
@@ -128,12 +130,12 @@ fn main() {
     println!();
     println!("{report}");
     println!(
-        "serial full-log replay: {:?} ({} records); K={} bounded restart: {:?} ({:.2}x)",
-        serial_elapsed,
-        serial.records_scanned,
+        "full replay: {:?} ({} records); K={} bounded restart: {:?} ({:.2}x)",
+        full_elapsed,
+        full.records_scanned,
         report.workers,
         report.timings.total,
-        serial_elapsed.as_secs_f64() / report.timings.total.as_secs_f64().max(1e-9),
+        full_elapsed.as_secs_f64() / report.timings.total.as_secs_f64().max(1e-9),
     );
 }
 

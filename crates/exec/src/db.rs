@@ -14,8 +14,8 @@
 //! * **supervisor** — a health-check thread ([`crate::supervisor`])
 //!   probing each log processor and quarantining failed ones.
 //!
-//! The monolithic engine mutex of `rmdb_wal::SharedWal` is decomposed
-//! into fine-grained locks: the scheduler mutex (lock table only), a
+//! Instead of one engine-wide mutex around a `WalDb`, the engine uses
+//! fine-grained locks: the scheduler mutex (lock table only), a
 //! sharded buffer pool (page content + per-page log tickets, one mutex
 //! per shard), one data-disk mutex (flush serialisation), and one tiny
 //! sender mutex per log stream (ticket issue). No lock is held across a

@@ -12,62 +12,22 @@
 //! the shared page slots; the coordinator collects the final images (and
 //! the quarantine set) after the scope joins.
 
-use crate::{apply_item, build_dag, load_redo_page, LogicalMeta, PageLoad, RedoBody, RedoItem};
+use crate::{apply_item, build_dag, load_redo_page, PageLoad, RedoBody};
 use rmdb_storage::{Disk, Page, PageId, StorageError};
-use rmdb_wal::TxnId;
+use rmdb_wal::recovery::{RedoOutcome, RedoWork, ReplaySummary, WorkerStats};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// What one replay worker did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplayWorkerStats {
-    /// Worker index (0..K).
-    pub worker: usize,
-    /// DAG nodes (transactions) this worker replayed.
-    pub nodes: u64,
-    /// Items applied (installs + re-executed ops).
-    pub redone: u64,
-    /// Of `redone`: physical fragments installed.
-    pub installed: u64,
-    /// Of `redone`: logical ops re-executed.
-    pub reexec_ops: u64,
-    /// Items skipped by the per-page idempotence check.
-    pub skipped_idempotent: u64,
-    /// Wall-clock this worker spent replaying.
-    pub busy: Duration,
-}
-
-/// What a dependency-aware replay produced. Every field except
-/// `per_worker` is byte-for-byte identical across worker counts.
-pub struct ReplayOutcome {
-    /// Rebuilt page images, ready for the coordinator to write home.
-    pub pages: BTreeMap<PageId, Page>,
-    /// Pages that were corrupt and unrebuildable.
-    pub quarantined: BTreeSet<PageId>,
-    /// Items applied (installs + ops; matches serial `redone_updates`).
-    pub redone: u64,
-    /// Items skipped by the idempotence check.
-    pub skipped_idempotent: u64,
-    /// Physical fragments installed.
-    pub pages_installed: u64,
-    /// Logical ops re-executed.
-    pub reexecuted_ops: u64,
-    /// Command-logged transactions re-executed (DAG nodes with ops).
-    pub txns_reexecuted: u64,
-    pub torn_repaired: u64,
-    pub retried_ios: u64,
-    pub dag_nodes: u64,
-    pub dag_edges: u64,
-    /// Σ measured per-node replay time — the DAG's total work.
-    pub work_us: u64,
-    /// The DAG's critical path under those same per-node times. With
-    /// `work_us` this bounds how replay scales with cores (Brent:
-    /// `T_k ≈ span + work/k`); measure at K=1 for uninflated node times.
-    pub span_us: u64,
-    pub per_worker: Vec<ReplayWorkerStats>,
+/// What one replay worker did: its histogram bucket, plus the split of
+/// its applied items into installs and re-executed ops.
+#[derive(Default)]
+struct Tally {
+    stats: WorkerStats,
+    installed: u64,
+    reexec_ops: u64,
 }
 
 enum Slot {
@@ -110,18 +70,13 @@ struct Shared<'a> {
     node_us: Vec<AtomicU64>,
 }
 
-/// Build the DAG and replay it with `workers` threads. The outcome's
-/// logical fields (everything but `per_worker`) and the page images are
-/// identical for every K.
-pub fn replay_dag(
-    data: &Disk,
-    doublewrite: &HashMap<PageId, Page>,
-    redo: BTreeMap<PageId, Vec<RedoItem>>,
-    logical: &HashMap<TxnId, LogicalMeta>,
-    workers: usize,
-) -> Result<ReplayOutcome, StorageError> {
-    let k = workers.max(1);
-    let dag = build_dag(redo, logical);
+/// The dependency-aware scheduler in the recovery engine's redo slot:
+/// build the DAG and replay it with `work.workers` threads. The outcome's
+/// logical fields (everything but `per_worker` and the timings in the
+/// [`ReplaySummary`]) and the page images are identical for every K.
+pub fn replay_dag(work: RedoWork<'_>) -> Result<RedoOutcome, StorageError> {
+    let k = work.workers.max(1);
+    let dag = build_dag(work.redo, work.logical);
     let slots: HashMap<PageId, SlotBox> = dag
         .full_image
         .iter()
@@ -148,8 +103,8 @@ pub fn replay_dag(
         }
     }
     let shared = Shared {
-        data,
-        doublewrite,
+        data: work.data,
+        doublewrite: work.doublewrite,
         nodes: &dag.nodes,
         succ: &dag.succ,
         slots: &slots,
@@ -163,7 +118,7 @@ pub fn replay_dag(
         node_us: (0..dag.nodes.len()).map(|_| AtomicU64::new(0)).collect(),
     };
 
-    let per_worker: Vec<ReplayWorkerStats> = if k == 1 {
+    let tallies: Vec<Tally> = if k == 1 {
         vec![worker_loop(&shared, 0)]
     } else {
         std::thread::scope(|scope| {
@@ -195,54 +150,37 @@ pub fn replay_dag(
     // higher key (2PL: a successor's page touches postdate its
     // predecessor's commit point) — so one forward pass finds the
     // critical path.
-    let mut work_us = 0u64;
-    let mut span_us = 0u64;
+    let mut summary = ReplaySummary {
+        dag_nodes: dag.nodes.len() as u64,
+        dag_edges: dag.edges,
+        txns_reexecuted: dag.nodes.iter().filter(|n| n.reexec).count() as u64,
+        ..ReplaySummary::default()
+    };
     let mut dist: Vec<u64> = vec![0; dag.nodes.len()];
     for i in 0..dag.nodes.len() {
         let us = shared.node_us[i].load(Ordering::Relaxed);
-        work_us += us;
+        summary.work_us += us;
         let finish = dist[i] + us;
-        span_us = span_us.max(finish);
+        summary.span_us = summary.span_us.max(finish);
         for &s in &dag.succ[i] {
             dist[s as usize] = dist[s as usize].max(finish);
         }
     }
 
-    let mut out = ReplayOutcome {
-        pages: BTreeMap::new(),
-        quarantined: BTreeSet::new(),
-        redone: 0,
-        skipped_idempotent: 0,
-        pages_installed: 0,
-        reexecuted_ops: 0,
-        txns_reexecuted: 0,
-        torn_repaired: 0,
-        retried_ios: 0,
-        dag_nodes: dag.nodes.len() as u64,
-        dag_edges: dag.edges,
-        work_us,
-        span_us,
-        per_worker,
-    };
     // Every per-item and per-slot decision is fixed by per-page order, so
     // these sums are identical for every K; only the per-worker split of
     // them varies with the schedule.
-    for w in &out.per_worker {
-        out.redone += w.redone;
-        out.skipped_idempotent += w.skipped_idempotent;
-        out.pages_installed += w.installed;
-        out.reexecuted_ops += w.reexec_ops;
+    let mut out = RedoOutcome::default();
+    for t in tallies {
+        out.redone += t.stats.redone;
+        out.reexecuted_ops += t.reexec_ops;
+        summary.pages_installed += t.installed;
+        out.per_worker.push(t.stats);
     }
-    for node in &dag.nodes {
-        if node.reexec {
-            out.txns_reexecuted += 1;
-        }
-    }
+    out.replay = Some(summary);
     for (page, sbox) in &slots {
         let state = sbox.take_state();
-        if state.torn_repaired {
-            out.torn_repaired += 1;
-        }
+        out.torn_repaired += u64::from(state.torn_repaired);
         out.retried_ios += state.retried;
         match state.slot {
             Slot::Ready(p) => {
@@ -276,12 +214,10 @@ impl SlotBox {
     }
 }
 
-fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
+fn worker_loop(shared: &Shared<'_>, worker: usize) -> Tally {
     let start = Instant::now();
-    let mut stats = ReplayWorkerStats {
-        worker,
-        ..ReplayWorkerStats::default()
-    };
+    let mut tally = Tally::default();
+    tally.stats.shard = worker;
     // One sched-lock critical section per node: completing a node and
     // claiming the next ready one happen under the same acquisition, and
     // peers are woken only when that pop leaves more ready work behind —
@@ -305,8 +241,8 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
             }
             loop {
                 if s.failed.is_some() || s.remaining == 0 {
-                    stats.busy = start.elapsed();
-                    return stats;
+                    tally.stats.busy = start.elapsed();
+                    return tally;
                 }
                 if let Some(Reverse((_, idx))) = s.heap.pop() {
                     if !s.heap.is_empty() {
@@ -318,7 +254,7 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
             }
         };
         let t_node = Instant::now();
-        let replayed = replay_node(shared, node_idx, &mut stats);
+        let replayed = replay_node(shared, node_idx, &mut tally);
         shared.node_us[node_idx].store(t_node.elapsed().as_micros() as u64, Ordering::Relaxed);
         match replayed {
             Ok(()) => done = Some(node_idx),
@@ -326,11 +262,11 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
                 let mut s = shared.sched.lock().unwrap_or_else(|p| p.into_inner());
                 s.failed = Some(e);
                 shared.cv.notify_all();
-                stats.busy = start.elapsed();
-                return stats;
+                tally.stats.busy = start.elapsed();
+                return tally;
             }
         }
-        stats.nodes += 1;
+        tally.stats.pages += 1;
     }
 }
 
@@ -340,7 +276,7 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
 fn replay_node(
     shared: &Shared<'_>,
     node_idx: usize,
-    stats: &mut ReplayWorkerStats,
+    tally: &mut Tally,
 ) -> Result<(), StorageError> {
     let node = &shared.nodes[node_idx];
     for (page_id, items) in &node.pages {
@@ -368,13 +304,13 @@ fn replay_node(
             Slot::Ready(page) => {
                 for item in items {
                     if apply_item(page, item)? {
-                        stats.redone += 1;
+                        tally.stats.redone += 1;
                         match &item.body {
-                            RedoBody::Install { .. } => stats.installed += 1,
-                            RedoBody::Op(_) => stats.reexec_ops += 1,
+                            RedoBody::Install { .. } => tally.installed += 1,
+                            RedoBody::Op(_) => tally.reexec_ops += 1,
                         }
                     } else {
-                        stats.skipped_idempotent += 1;
+                        tally.stats.skipped_idempotent += 1;
                     }
                 }
             }

@@ -1,6 +1,6 @@
 //! Dependency-aware parallel replay for mixed command/physical logs.
 //!
-//! Page-sharded redo (rmdb-restart's original scheduler) parallelises by
+//! Page-sharded redo (the recovery engine's built-in scheduler) parallelises by
 //! hashing pages into K shards, so its speedup is bounded by the page-set
 //! skew and its unit of work is the page. This crate implements the
 //! alternative studied for main-memory recovery on multicores: treat the
@@ -33,215 +33,17 @@
 //! LSN order, so the recovered bytes are identical to serial replay for
 //! every K — the equivalence suites pin this.
 //!
-//! The crate also owns the redo-unit vocabulary ([`RedoItem`],
-//! [`RedoBody`]) and the torn-page load/repair helpers shared with
-//! rmdb-restart's page-sharded scheduler, so both schedulers apply records
-//! through literally the same code.
+//! The redo-unit vocabulary ([`RedoItem`], [`RedoBody`]) and the torn-page
+//! load/repair helpers live in `rmdb_wal::recovery`, the one recovery
+//! engine, and are re-exported here: this scheduler and the engine's
+//! page-sharded one apply records through literally the same code.
 
 mod dag;
 mod exec;
 
 pub use dag::{build_dag, Dag, DagNode};
-pub use exec::{replay_dag, ReplayOutcome, ReplayWorkerStats};
+pub use exec::replay_dag;
 
-use rmdb_storage::{Disk, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE};
-use rmdb_wal::{LogicalOp, TxnId};
-use std::collections::HashMap;
-
-/// One redo unit: either a physical fragment install or a logical op
-/// re-execution, applied iff the page is older than `new_lsn`.
-#[derive(Debug, Clone)]
-pub struct RedoItem {
-    /// The page LSN this unit produced when first executed.
-    pub new_lsn: Lsn,
-    /// The transaction that produced it (DAG node grouping key).
-    pub txn: TxnId,
-    pub body: RedoBody,
-}
-
-/// The two replay paths: install bytes, or re-execute a command.
-#[derive(Debug, Clone)]
-pub enum RedoBody {
-    /// Physical after-image: write `data` at `offset`.
-    Install { offset: u32, data: Vec<u8> },
-    /// Command record: re-execute the operation against recovered state.
-    Op(LogicalOp),
-}
-
-impl RedoItem {
-    /// Whether this install carries a full page image (physical logging's
-    /// from-scratch rebuild guarantee for torn pages).
-    pub fn is_full_image(&self) -> bool {
-        matches!(&self.body, RedoBody::Install { offset: 0, data } if data.len() == PAYLOAD_SIZE)
-    }
-}
-
-/// Apply one redo unit with the per-page idempotence check. Returns whether
-/// the unit was applied (`false`: the image already reflected it). Mirrors
-/// serial recovery exactly: installs bounds-check before the LSN check,
-/// ops bounds-check inside [`LogicalOp::apply`].
-pub fn apply_item(page: &mut Page, item: &RedoItem) -> Result<bool, StorageError> {
-    match &item.body {
-        RedoBody::Install { offset, data } => {
-            if *offset as usize + data.len() > PAYLOAD_SIZE {
-                // a fragment that was never writable; refuse rather than panic
-                return Err(StorageError::Protocol("log fragment exceeds page payload"));
-            }
-            if page.lsn < item.new_lsn {
-                page.write_at(*offset as usize, data);
-                page.lsn = item.new_lsn;
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        }
-        RedoBody::Op(op) => {
-            if page.lsn < item.new_lsn {
-                op.apply(page)?;
-                page.lsn = item.new_lsn;
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        }
-    }
-}
-
-/// What the analysis pass knows about one command-logged transaction:
-/// its commit LSN (the DAG ordering key) and the pages it read.
-#[derive(Debug, Clone)]
-pub struct LogicalMeta {
-    pub commit_lsn: u64,
-    pub reads: Vec<PageId>,
-}
-
-/// Result of loading a page's home image for replay.
-pub enum PageLoad {
-    /// A usable image (freshly allocated, read clean, or repaired; the
-    /// flag says a torn frame was repaired).
-    Ready(Page, bool),
-    /// Corrupt and unrebuildable: leave the torn frame so reads yield a
-    /// typed error instead of invented contents.
-    Quarantined,
-}
-
-/// Load the home image of `page_id` for replay, repairing a torn frame
-/// from the doublewrite buffer or — when `rebuild_from_log` says the
-/// earliest retained item is a full-image install — from scratch. Both
-/// replay schedulers and serial recovery share this decision tree.
-pub fn load_redo_page(
-    data: &Disk,
-    doublewrite: &HashMap<PageId, Page>,
-    page_id: PageId,
-    rebuild_from_log: bool,
-    retried: &mut u64,
-) -> Result<PageLoad, StorageError> {
-    if !data.is_allocated(page_id.0) {
-        return Ok(PageLoad::Ready(Page::new(page_id), false));
-    }
-    match read_data_retry(data, page_id.0, retried) {
-        Ok(p) => Ok(PageLoad::Ready(p, false)),
-        Err(StorageError::Corrupt { .. }) => {
-            if let Some(copy) = doublewrite.get(&page_id) {
-                // torn home write: the doublewrite buffer holds a verified
-                // full image written just before it
-                Ok(PageLoad::Ready(copy.clone(), true))
-            } else if rebuild_from_log {
-                // the earliest retained fragment is a full image, so replay
-                // rebuilds the page from scratch
-                Ok(PageLoad::Ready(Page::new(page_id), true))
-            } else {
-                Ok(PageLoad::Quarantined)
-            }
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Bounded retry for data-disk reads: transient faults are retried,
-/// persistent corruption surfaces as the final typed error for the
-/// caller's repair/quarantine logic.
-pub fn read_data_retry(disk: &Disk, addr: u64, retried: &mut u64) -> Result<Page, StorageError> {
-    const ATTEMPTS: u32 = 4;
-    let mut last = StorageError::Io { addr };
-    for attempt in 0..ATTEMPTS {
-        match disk.read_page(addr) {
-            Err(e @ (StorageError::Io { .. } | StorageError::Corrupt { .. }))
-                if attempt + 1 < ATTEMPTS =>
-            {
-                *retried += 1;
-                last = e;
-            }
-            other => return other,
-        }
-    }
-    Err(last)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn install(txn: TxnId, lsn: u64, offset: u32, data: &[u8]) -> RedoItem {
-        RedoItem {
-            new_lsn: Lsn(lsn),
-            txn,
-            body: RedoBody::Install {
-                offset,
-                data: data.to_vec(),
-            },
-        }
-    }
-
-    #[test]
-    fn apply_install_respects_lsn() {
-        let mut page = Page::new(PageId(1));
-        let item = install(1, 5, 0, b"abc");
-        assert!(apply_item(&mut page, &item).unwrap());
-        assert_eq!(page.read_at(0, 3), b"abc");
-        assert_eq!(page.lsn, Lsn(5));
-        // replaying the same item is a no-op
-        let again = install(1, 5, 0, b"xyz");
-        assert!(!apply_item(&mut page, &again).unwrap());
-        assert_eq!(page.read_at(0, 3), b"abc");
-    }
-
-    #[test]
-    fn apply_op_reexecutes_once() {
-        let mut page = Page::new(PageId(2));
-        page.write_at(0, &7u64.to_le_bytes());
-        let op = LogicalOp::AddU64 {
-            page: PageId(2),
-            lsn: Lsn(9),
-            offset: 0,
-            delta: 5,
-        };
-        let item = RedoItem {
-            new_lsn: Lsn(9),
-            txn: 3,
-            body: RedoBody::Op(op.clone()),
-        };
-        assert!(apply_item(&mut page, &item).unwrap());
-        assert_eq!(page.read_at(0, 8), 12u64.to_le_bytes());
-        // idempotent: the LSN gate stops double-execution
-        assert!(!apply_item(&mut page, &item).unwrap());
-        assert_eq!(page.read_at(0, 8), 12u64.to_le_bytes());
-    }
-
-    #[test]
-    fn oversized_install_is_refused() {
-        let mut page = Page::new(PageId(3));
-        let item = install(1, 5, (PAYLOAD_SIZE - 1) as u32, b"toolong");
-        assert!(matches!(
-            apply_item(&mut page, &item),
-            Err(StorageError::Protocol(_))
-        ));
-    }
-
-    #[test]
-    fn full_image_detection() {
-        assert!(install(1, 2, 0, &vec![0u8; PAYLOAD_SIZE]).is_full_image());
-        assert!(!install(1, 2, 1, &vec![0u8; PAYLOAD_SIZE - 1]).is_full_image());
-        assert!(!install(1, 2, 0, b"short").is_full_image());
-    }
-}
+pub use rmdb_wal::recovery::{
+    apply_item, load_redo_page, read_data_retry, LogicalMeta, PageLoad, RedoBody, RedoItem,
+};

@@ -1,19 +1,19 @@
 //! Checkpoint-bounded parallel restart for the parallel-logging engine.
 //!
-//! Serial recovery ([`rmdb_wal::recovery`]) replays every durable record on
-//! every stream from its truncation point, one page at a time. This crate
-//! is the restart engine the paper's multiprocessor setting calls for:
+//! The restart engine is `rmdb_wal::recovery`'s one recovery engine, which
+//! [`WalDb::recover`] also runs at one worker. This crate maps a
+//! [`RestartConfig`] onto it:
 //!
-//! 1. **Checkpoint-bounded analysis** ([`analysis`]) — each stream's scan
-//!    is bounded by its last complete `CheckpointBegin`/`CheckpointEnd`
-//!    pair: a durable `CheckpointEnd` proves the fuzzy checkpoint's flush
-//!    finished, so updates logged before its `CheckpointBegin` need no
-//!    redo. Commits, compensation provenance, and the LSN/txn high-water
-//!    marks are still gathered from the full scan.
-//! 2. **Partitioned parallel redo** ([`parallel`]) — pages are hashed into
-//!    K shards and replayed by K worker threads against the shared data
-//!    disk, each with its own per-page idempotence checks. Per-page LSN
-//!    ordering is the only order redo needs, so shards never coordinate.
+//! 1. **Checkpoint-bounded analysis** — each stream's scan is bounded by
+//!    its last complete `CheckpointBegin`/`CheckpointEnd` pair: a durable
+//!    `CheckpointEnd` proves the fuzzy checkpoint's flush finished, so
+//!    updates logged before its `CheckpointBegin` need no redo. Commits,
+//!    compensation provenance, and the LSN/txn high-water marks are still
+//!    gathered from the full scan.
+//! 2. **Parallel redo** on K workers, with the [`RedoScheduler`] choosing
+//!    how: pages hashed into K shards, or a transaction-precedence DAG
+//!    ([`rmdb_replay`]). Per-page LSN ordering is the only order redo
+//!    needs, so workers never coordinate on bytes.
 //! 3. **Backward undo of losers** — serial, in the coordinator, reading
 //!    any page the bounded redo map does not cover straight from the data
 //!    disk (with doublewrite repair), and logging compensations so the
@@ -23,12 +23,9 @@
 //! bound, so the next restart scans even less.
 //!
 //! The recovered state is **byte-identical for every worker count K**,
-//! including on images produced under fault injection: the shard hash is
-//! deterministic, shards own disjoint page sets, and everything
-//! order-sensitive (undo, doublewrite harvest, log appends, truncation)
-//! stays in the serial coordinator. A [`RestartReport`] extends the WAL
-//! crate's [`RecoveryReport`](rmdb_wal::RecoveryReport) with bound
-//! accounting, per-phase wall-clock, and a per-worker histogram.
+//! including on images produced under fault injection. A [`RestartReport`]
+//! extends the WAL crate's [`RecoveryReport`](rmdb_wal::RecoveryReport)
+//! with bound accounting, per-phase wall-clock, and a per-worker histogram.
 //!
 //! # Example
 //!
@@ -48,19 +45,17 @@
 //! assert_eq!(report.workers, 4);
 //! ```
 
-mod analysis;
-mod parallel;
-pub mod report;
+/// Restart observability, re-exported from the recovery engine.
+pub mod report {
+    pub use rmdb_wal::recovery::{PhaseTimings, ReplaySummary, RestartReport, WorkerStats};
+}
 
 pub use report::{PhaseTimings, ReplaySummary, RestartReport, WorkerStats};
 
-use analysis::{analyze, harvest_doublewrite, read_data_retry};
-use parallel::run_redo;
-use rmdb_obs::{EventKind, Registry};
-use rmdb_storage::{write_page_verified, Disk, Lsn, Page, PageId, StorageError};
-use rmdb_wal::{CrashImage, LogRecord, ParallelLogManager, WalConfig, WalDb, WalError};
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, HashMap};
-use std::time::Instant;
+use rmdb_obs::Registry;
+use rmdb_storage::StorageError;
+use rmdb_wal::recovery::{run_engine, shard_redo, EngineRun, RedoOutcome, RedoWork};
+use rmdb_wal::{CrashImage, WalConfig, WalDb, WalError};
 
 /// Which parallel redo scheduler the restart engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,8 +99,7 @@ impl Default for RestartConfig {
 /// reopened engine and a [`RestartReport`].
 ///
 /// Accepts the same crash images as [`WalDb::recover`] and recovers the
-/// same committed state; the two differ only in how much log they replay
-/// and in redo parallelism.
+/// same state; the two differ only in redo parallelism.
 pub fn restart(
     image: CrashImage,
     cfg: WalConfig,
@@ -114,266 +108,37 @@ pub fn restart(
     restart_observed(image, cfg, rcfg, &Registry::new())
 }
 
-/// [`restart`] with an observability registry: per-phase wall-clock
-/// histograms (`restart.{analysis,redo,undo,flush,total}_us`), accounting
-/// counters (`restart.records_scanned`, `restart.records_skipped`,
-/// `restart.pages_replayed`, `restart.undone_updates`,
-/// `restart.pages_written`) and one [`EventKind::RecoveryPhase`] event per
+/// [`restart`] with an observability registry: the engine's `restart.*`
+/// counters (each equal to its [`RestartReport`] field), per-phase
+/// wall-clock histograms (`restart.{analysis,redo,undo,flush,total}_us`)
+/// and one [`EventKind::RecoveryPhase`](rmdb_obs::EventKind) event per
 /// phase (stream field 0–3 in phase order, payload = µs elapsed). The
-/// counters are published from the same sites that build the
-/// [`RestartReport`], so snapshot values and report fields must agree.
+/// transaction-DAG scheduler adds `replay.*` counters, per-worker
+/// histograms and a `ReplayPhase` event.
 pub fn restart_observed(
     image: CrashImage,
     cfg: WalConfig,
     rcfg: &RestartConfig,
     obs: &Registry,
 ) -> Result<(WalDb, RestartReport), WalError> {
-    let t_start = Instant::now();
-    let workers = rcfg.workers.max(1);
-    let CrashImage { data, logs } = image;
-    let mut data: Disk = data;
-    let mut log = ParallelLogManager::open(logs, cfg.policy, cfg.seed)?;
-
-    // ---- Phase 1: checkpoint-bounded analysis ----
-    let scans = log.scan_all_indexed();
-    let a = analyze(&scans);
-    drop(scans);
-    let mut report = RestartReport {
-        workers,
-        records_skipped: a.records_skipped,
-        checkpoints_found: a.checkpoints_found,
-        bounded_streams: a.bounded_streams(),
-        ..RestartReport::default()
+    let run = EngineRun {
+        workers: rcfg.workers,
+        bounded: true,
+        truncate: rcfg.truncate_behind_bound,
+        metrics: "restart",
     };
-    report.base.streams_scanned = a.bounds.len();
-    report.base.records_scanned = a.records_scanned;
-    report.base.quarantined_log_pages = a.quarantined_log_pages;
-    report.base.salvaged_records = a.salvaged_records;
-    report.base.duplicate_fragments = a.duplicates;
-    report.base.retried_ios = a.retried_ios;
-    report.base.logical_commits = a.logical_commits;
-    report.base.committed_txns = a.committed.iter().copied().collect();
-    report.base.committed_txns.sort_unstable();
-    let doublewrite = harvest_doublewrite(&data, &cfg, &mut report.base.retried_ios);
-    report.timings.analysis = t_start.elapsed();
-    obs.counter("restart.records_scanned")
-        .add(report.base.records_scanned as u64);
-    obs.counter("restart.records_skipped")
-        .add(report.records_skipped);
-    obs.counter("restart.duplicate_fragments")
-        .add(report.base.duplicate_fragments);
-    let us = report.timings.analysis.as_micros() as u64;
-    obs.histogram("restart.analysis_us").record(us);
-    obs.emit(EventKind::RecoveryPhase, 0, 0, 0, us);
-
-    // ---- Phase 2: parallel redo (page-sharded or transaction-DAG) ----
-    let t_redo = Instant::now();
-    let mut pages: BTreeMap<PageId, Page> = BTreeMap::new();
-    let mut quarantined: BTreeSet<PageId> = BTreeSet::new();
-    match rcfg.scheduler {
-        RedoScheduler::PageSharded => {
-            let outcomes = run_redo(&data, &doublewrite, a.redo, workers)?;
-            for out in outcomes {
-                report.base.redone_updates += out.redone;
-                report.base.reexecuted_ops += out.reexecuted_ops;
-                report.base.torn_pages_repaired += out.torn_repaired;
-                report.base.quarantined_data_pages += out.quarantined.len() as u64;
-                report.base.retried_ios += out.retried_ios;
-                report.per_worker.push(WorkerStats {
-                    shard: out.shard,
-                    pages: out.pages.len() as u64 + out.quarantined.len() as u64,
-                    redone: out.redone,
-                    skipped_idempotent: out.skipped_idempotent,
-                    busy: out.busy,
-                });
-                quarantined.extend(out.quarantined);
-                pages.extend(out.pages);
-            }
-        }
-        RedoScheduler::TxnDag => {
-            let out = rmdb_replay::replay_dag(&data, &doublewrite, a.redo, &a.logical, workers)?;
-            report.base.redone_updates = out.redone;
-            report.base.reexecuted_ops = out.reexecuted_ops;
-            report.base.torn_pages_repaired += out.torn_repaired;
-            report.base.quarantined_data_pages += out.quarantined.len() as u64;
-            report.base.retried_ios += out.retried_ios;
-            report.replay = Some(ReplaySummary {
-                dag_nodes: out.dag_nodes,
-                dag_edges: out.dag_edges,
-                txns_reexecuted: out.txns_reexecuted,
-                pages_installed: out.pages_installed,
-                work_us: out.work_us,
-                span_us: out.span_us,
-            });
-            for w in &out.per_worker {
-                report.per_worker.push(WorkerStats {
-                    shard: w.worker,
-                    pages: w.nodes,
-                    redone: w.redone,
-                    skipped_idempotent: w.skipped_idempotent,
-                    busy: w.busy,
-                });
-                obs.histogram("replay.worker_nodes").record(w.nodes);
-                obs.histogram("replay.worker_busy_us")
-                    .record(w.busy.as_micros() as u64);
-            }
-            quarantined.extend(out.quarantined);
-            pages.extend(out.pages);
-            let r = report.replay.as_ref().expect("just set");
-            obs.counter("replay.dag_nodes").add(r.dag_nodes);
-            obs.counter("replay.dag_edges").add(r.dag_edges);
-            obs.counter("replay.txns_reexecuted").add(r.txns_reexecuted);
-            obs.counter("replay.pages_installed").add(r.pages_installed);
-            obs.emit(
-                EventKind::ReplayPhase,
-                0,
-                workers as u64,
-                r.dag_nodes,
-                t_redo.elapsed().as_micros() as u64,
-            );
-        }
-    }
-    report.timings.redo = t_redo.elapsed();
-    obs.counter("restart.pages_replayed")
-        .add(pages.len() as u64);
-    obs.counter("restart.redone_updates")
-        .add(report.base.redone_updates);
-    obs.counter("restart.reexecuted_ops")
-        .add(report.base.reexecuted_ops);
-    let us = report.timings.redo.as_micros() as u64;
-    obs.histogram("restart.redo_us").record(us);
-    obs.emit(EventKind::RecoveryPhase, 0, 1, 0, us);
-
-    // ---- Phase 3: backward undo of losers (serial) ----
-    let t_undo = Instant::now();
-    let mut updates_by_txn = a.updates_by_txn;
-    let mut losers: Vec<_> = updates_by_txn
-        .keys()
-        .copied()
-        .filter(|t| !a.committed.contains(t))
-        .collect();
-    losers.sort_unstable();
-    report.base.loser_txns = losers.clone();
-
-    let mut next_lsn = a.max_lsn + 1;
-    for &loser in &losers {
-        let mut cands = updates_by_txn.remove(&loser).expect("loser has updates");
-        cands.retain(|c| !a.compensated.contains(&c.new_lsn.0));
-        cands.sort_by_key(|c| std::cmp::Reverse(c.new_lsn));
-        let mut last_stream = None;
-        for cand in &cands {
-            if quarantined.contains(&cand.page) {
-                // unreadable either way; undoing onto a fresh frame would
-                // invent contents for the untouched bytes
-                continue;
-            }
-            if cand.offset as usize + cand.before.len() > rmdb_storage::PAYLOAD_SIZE {
-                return Err(WalError::Storage(StorageError::Protocol(
-                    "log fragment exceeds page payload",
-                )));
-            }
-            // A candidate from behind the checkpoint bound may touch a page
-            // the bounded redo map never loaded — fetch its current image
-            // from the data disk rather than starting from a blank frame.
-            let page = match pages.entry(cand.page) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(slot) => {
-                    match fetch_undo_page(&data, &doublewrite, cand.page, &mut report)? {
-                        Some(p) => slot.insert(p),
-                        None => {
-                            quarantined.insert(cand.page);
-                            continue;
-                        }
-                    }
-                }
-            };
-            let new_lsn = Lsn(next_lsn);
-            next_lsn += 1;
-            page.write_at(cand.offset as usize, &cand.before);
-            page.lsn = new_lsn;
-            report.base.undone_updates += 1;
-            log.append_to(
-                cand.stream,
-                &LogRecord::Compensation {
-                    txn: loser,
-                    page: cand.page,
-                    undoes: cand.new_lsn,
-                    new_lsn,
-                    offset: cand.offset,
-                    data: cand.before.clone(),
-                },
-            )?;
-            last_stream = Some(cand.stream);
-        }
-        log.append_to(last_stream.unwrap_or(0), &LogRecord::Abort { txn: loser })?;
-    }
-    report.timings.undo = t_undo.elapsed();
-    obs.counter("restart.undone_updates")
-        .add(report.base.undone_updates);
-    let us = report.timings.undo.as_micros() as u64;
-    obs.histogram("restart.undo_us").record(us);
-    obs.emit(EventKind::RecoveryPhase, 0, 2, 0, us);
-
-    // ---- Phase 4: make it durable (log first, then data), then truncate
-    // each stream behind its checkpoint bound ----
-    let t_flush = Instant::now();
-    log.force_all()?;
-    for (id, page) in &pages {
-        write_page_verified(&mut data, id.0, page, 4)?;
-        report.base.pages_written += 1;
-    }
-    if rcfg.truncate_behind_bound {
-        for (stream, bound) in a.bounds.iter().enumerate() {
-            if let Some(frame) = bound {
-                log.truncate_stream_to(stream, *frame)?;
-                report.truncated_streams += 1;
-            }
-        }
-    }
-    report.timings.flush = t_flush.elapsed();
-    report.timings.total = t_start.elapsed();
-    obs.counter("restart.pages_written")
-        .add(report.base.pages_written);
-    let us = report.timings.flush.as_micros() as u64;
-    obs.histogram("restart.flush_us").record(us);
-    obs.emit(EventKind::RecoveryPhase, 0, 3, 0, us);
-    obs.histogram("restart.total_us")
-        .record(report.timings.total.as_micros() as u64);
-
-    let db = WalDb::from_parts(cfg, data, log, a.max_txn + 1, next_lsn);
-    Ok((db, report))
-}
-
-/// Load the current image of a page touched only behind the checkpoint
-/// bound, for undo: read the home frame, repairing a torn one from the
-/// doublewrite buffer; `None` means the page had to be quarantined.
-fn fetch_undo_page(
-    data: &Disk,
-    doublewrite: &HashMap<PageId, Page>,
-    id: PageId,
-    report: &mut RestartReport,
-) -> Result<Option<Page>, WalError> {
-    if !data.is_allocated(id.0) {
-        return Ok(Some(Page::new(id)));
-    }
-    match read_data_retry(data, id.0, &mut report.base.retried_ios) {
-        Ok(p) => Ok(Some(p)),
-        Err(StorageError::Corrupt { .. }) => {
-            if let Some(copy) = doublewrite.get(&id) {
-                report.base.torn_pages_repaired += 1;
-                Ok(Some(copy.clone()))
-            } else {
-                report.base.quarantined_data_pages += 1;
-                Ok(None)
-            }
-        }
-        Err(e) => Err(e.into()),
-    }
+    let schedule: fn(RedoWork<'_>) -> Result<RedoOutcome, StorageError> = match rcfg.scheduler {
+        RedoScheduler::PageSharded => shard_redo,
+        RedoScheduler::TxnDag => rmdb_replay::replay_dag,
+    };
+    run_engine(image, cfg, run, obs, schedule)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmdb_obs::EventKind;
+    use rmdb_storage::Disk;
     use rmdb_wal::SelectionPolicy;
 
     fn cfg(streams: usize) -> WalConfig {
@@ -560,12 +325,14 @@ mod tests {
             policy: SelectionPolicy::Cyclic,
             ..WalConfig::default()
         };
-        let (serial_db, _) = WalDb::recover(db.crash_image(), mk()).unwrap();
+        // unbounded full replay: the bound may skip only work already home
+        let image = db.crash_image();
+        let (full_db, _) = WalDb::recover_from_archive(image.data, image.logs, mk()).unwrap();
         let (restart_db, report) = restart(db.crash_image(), mk(), &rcfg(4)).unwrap();
         assert!(report.records_skipped > 0);
-        let a = serial_db.crash_image().data;
+        let a = full_db.crash_image().data;
         let b = restart_db.crash_image().data;
-        assert_disks_identical(&a, &b, "serial vs restart data");
+        assert_disks_identical(&a, &b, "full replay vs bounded restart data");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::error::StorageError;
 use crate::page::{Page, PageId};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Which replacement policy the pool runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +58,10 @@ pub struct BufferPool {
     capacity: usize,
     policy: EvictPolicy,
     slots: HashMap<PageId, Slot>,
+    /// LRU policy: `(tick, id)` for every use, oldest first. An entry is
+    /// live while `id` is resident with that `last_use`; stale entries are
+    /// dropped lazily, so a victim is found without scanning the pool.
+    lru: VecDeque<(u64, PageId)>,
     /// Clock hand: iteration order for the clock policy (ids in insertion
     /// order; stable across lookups).
     order: Vec<PageId>,
@@ -77,7 +81,8 @@ impl BufferPool {
             capacity,
             policy,
             slots: HashMap::with_capacity(capacity),
-            order: Vec::with_capacity(capacity),
+            lru: VecDeque::new(),
+            order: Vec::new(),
             hand: 0,
             tick: 0,
             hits: 0,
@@ -138,12 +143,16 @@ impl BufferPool {
 
     /// Look up a resident page, updating recency. Records a hit or miss.
     pub fn get(&mut self, id: PageId) -> Option<&Page> {
+        self.trim_lru();
         self.lookups += 1;
         self.tick += 1;
         let tick = self.tick;
         match self.slots.get_mut(&id) {
             Some(slot) => {
                 Self::touch(slot, tick);
+                if self.policy == EvictPolicy::Lru {
+                    self.lru.push_back((tick, id));
+                }
                 self.hits += 1;
                 Some(&slot.page)
             }
@@ -156,12 +165,16 @@ impl BufferPool {
 
     /// Mutable lookup; marks the page dirty.
     pub fn get_mut(&mut self, id: PageId) -> Option<&mut Page> {
+        self.trim_lru();
         self.lookups += 1;
         self.tick += 1;
         let tick = self.tick;
         match self.slots.get_mut(&id) {
             Some(slot) => {
                 Self::touch(slot, tick);
+                if self.policy == EvictPolicy::Lru {
+                    self.lru.push_back((tick, id));
+                }
                 slot.dirty = true;
                 self.hits += 1;
                 Some(&mut slot.page)
@@ -192,6 +205,7 @@ impl BufferPool {
             !self.slots.contains_key(&id),
             "page {id} inserted while already resident"
         );
+        self.trim_lru();
         let evicted = if self.slots.len() >= self.capacity {
             Some(self.evict()?)
         } else {
@@ -208,7 +222,10 @@ impl BufferPool {
                 referenced: true,
             },
         );
-        self.order.push(id);
+        match self.policy {
+            EvictPolicy::Lru => self.lru.push_back((self.tick, id)),
+            EvictPolicy::Clock => self.order.push(id),
+        }
         Ok(evicted)
     }
 
@@ -247,7 +264,7 @@ impl BufferPool {
     /// pages). Returns it if it was resident.
     pub fn remove(&mut self, id: PageId) -> Option<Evicted> {
         self.slots.remove(&id).map(|slot| {
-            self.order.retain(|&o| o != id);
+            self.unclock(id);
             Evicted {
                 page: slot.page,
                 dirty: slot.dirty,
@@ -280,22 +297,51 @@ impl BufferPool {
         .ok_or(StorageError::PoolExhausted)?;
         self.evictions += 1;
         let slot = self.slots.remove(&victim).expect("victim resident");
-        self.order.retain(|&o| o != victim);
-        if self.hand >= self.order.len() && !self.order.is_empty() {
-            self.hand %= self.order.len();
-        }
+        self.unclock(victim);
         Ok(Evicted {
             page: slot.page,
             dirty: slot.dirty,
         })
     }
 
-    fn pick_lru(&self) -> Option<PageId> {
-        self.slots
+    /// Take a departing page out of the clock order (LRU entries go stale
+    /// on their own).
+    fn unclock(&mut self, id: PageId) {
+        if self.policy == EvictPolicy::Clock {
+            self.order.retain(|&o| o != id);
+            if self.hand >= self.order.len() && !self.order.is_empty() {
+                self.hand %= self.order.len();
+            }
+        }
+    }
+
+    /// Whether LRU entry `(tick, id)` is the page's latest use.
+    fn live(slots: &HashMap<PageId, Slot>, &(tick, id): &(u64, PageId)) -> bool {
+        slots.get(&id).is_some_and(|s| s.last_use == tick)
+    }
+
+    /// Drop stale LRU entries once they outnumber the frames several times
+    /// over, so the queue stays proportional to the pool.
+    fn trim_lru(&mut self) {
+        if self.lru.len() > 4 * self.capacity {
+            let slots = &self.slots;
+            self.lru.retain(|e| Self::live(slots, e));
+        }
+    }
+
+    /// The least recently used unpinned page: the first live entry in use
+    /// order whose page is unpinned.
+    fn pick_lru(&mut self) -> Option<PageId> {
+        while let Some(e) = self.lru.front() {
+            if Self::live(&self.slots, e) {
+                break;
+            }
+            self.lru.pop_front();
+        }
+        self.lru
             .iter()
-            .filter(|(_, s)| s.pins == 0)
-            .min_by_key(|(_, s)| s.last_use)
-            .map(|(&id, _)| id)
+            .find(|e| Self::live(&self.slots, e) && self.slots[&e.1].pins == 0)
+            .map(|e| e.1)
     }
 
     fn pick_clock(&mut self) -> Option<PageId> {
@@ -482,6 +528,38 @@ mod tests {
         assert_eq!(ev.page.id, PageId(2));
         assert!(pool.contains(PageId(1)));
         assert!(pool.contains(PageId(3)));
+    }
+
+    #[test]
+    fn lru_victim_is_oldest_unpinned_use() {
+        // many hits push the use queue past its trim threshold; the victim
+        // must still be the unpinned page with the oldest last use
+        let mut pool = BufferPool::new(4, EvictPolicy::Lru);
+        for n in 1..=4 {
+            pool.insert(PageId(n), page(n), false).unwrap();
+        }
+        for round in 0..50u64 {
+            for n in [4, 2, 1, 3] {
+                if round % 7 != 1 || n != 1 {
+                    pool.get(PageId(n));
+                }
+            }
+        }
+        // last uses, oldest first: 4, 2, 1, 3; pin 4
+        pool.pin(PageId(4));
+        let ev = pool.insert(PageId(5), page(5), false).unwrap().unwrap();
+        assert_eq!(ev.page.id, PageId(2));
+        let ev = pool.insert(PageId(6), page(6), false).unwrap().unwrap();
+        assert_eq!(ev.page.id, PageId(1));
+        pool.unpin(PageId(4));
+        let ev = pool.insert(PageId(7), page(7), false).unwrap().unwrap();
+        assert_eq!(ev.page.id, PageId(4));
+        // a removed page's queued uses are stale, not victims
+        pool.remove(PageId(3));
+        pool.get_mut(PageId(5));
+        pool.insert(PageId(8), page(8), false).unwrap();
+        let ev = pool.insert(PageId(9), page(9), false).unwrap().unwrap();
+        assert_eq!(ev.page.id, PageId(6));
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::manager::{LogPos, ParallelLogManager};
 use crate::record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
 use crate::recovery;
 use crate::select::SelectionPolicy;
+use rmdb_obs::Registry;
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
     read_page_retry, write_page_verified, BackendKind, BufferPool, Disk, EvictPolicy, Lsn, Page,
@@ -289,9 +290,8 @@ impl WalDb {
 
     /// Construct an engine from recovered parts: the repaired data disk,
     /// the reopened log manager, and the next transaction/LSN counters.
-    /// Used by [`WalDb::recover`] and by external restart engines (the
-    /// `rmdb-restart` crate's checkpoint-bounded parallel restart).
-    pub fn from_parts(
+    /// Used by the recovery engine.
+    pub(crate) fn from_parts(
         cfg: WalConfig,
         data: Disk,
         log: ParallelLogManager,
@@ -305,7 +305,9 @@ impl WalDb {
     }
 
     /// Recover a database from a crash image: scans all log streams (never
-    /// merging them into one physical log), redoes history, undoes losers.
+    /// merging them into one physical log), redoes history ahead of each
+    /// stream's checkpoint bound, undoes losers, and truncates the streams
+    /// behind their bounds. This is the recovery engine at one redo worker.
     pub fn recover(
         image: CrashImage,
         cfg: WalConfig,
@@ -1037,18 +1039,27 @@ impl WalDb {
     /// [`WalDb::archive`] copy plus the surviving log disks. Redo replays
     /// everything logged since the archive (per-page LSNs skip what the
     /// archive already contains); losers are rolled back as usual.
+    ///
+    /// This is the recovery engine with the checkpoint bound turned off: a
+    /// `CheckpointEnd` logged after the archive proves pages reached the
+    /// destroyed disk, not the archive, so no record may be skipped.
     pub fn recover_from_archive(
         archive: Disk,
         logs: Vec<Disk>,
         cfg: WalConfig,
     ) -> Result<(WalDb, recovery::RecoveryReport), WalError> {
-        recovery::recover(
-            CrashImage {
-                data: archive,
-                logs,
-            },
-            cfg,
-        )
+        let image = CrashImage {
+            data: archive,
+            logs,
+        };
+        let run = recovery::EngineRun {
+            bounded: false,
+            truncate: false,
+            ..recovery::EngineRun::RECOVER
+        };
+        let (db, report) =
+            recovery::run_engine(image, cfg, run, &Registry::new(), recovery::shard_redo)?;
+        Ok((db, report.base))
     }
 
     /// Capture the durable state — what a crash at this instant preserves.
@@ -1418,6 +1429,41 @@ mod tests {
         assert_eq!(db2.read(q, 2, 0, 12).unwrap(), b"post-archive");
         assert_eq!(db2.read(q, 3, 0, 9).unwrap(), vec![0; 9]);
         assert!(report.committed_txns.len() >= 2);
+    }
+
+    #[test]
+    fn media_recovery_ignores_checkpoints_after_archive() {
+        // A checkpoint taken after the archive proves its pages reached the
+        // destroyed disk, not the archive: archive recovery must replay
+        // through it rather than skip what it bounds.
+        let mut db = WalDb::new(tiny());
+        let drone = db.begin();
+        db.write(drone, 7, 0, b"drone").unwrap();
+        let archive = db.archive().unwrap();
+        for page in 1..4 {
+            let t = db.begin();
+            db.write(t, page, 0, b"before-ckpt").unwrap();
+            db.commit(t).unwrap();
+        }
+        // fuzzy: the open drone keeps the streams from truncating
+        db.checkpoint().unwrap();
+        for page in 4..6 {
+            let t = db.begin();
+            db.write(t, page, 0, b"after-ckpt!").unwrap();
+            db.commit(t).unwrap();
+        }
+        let logs = db.crash_image().logs;
+        let (mut db2, report) = WalDb::recover_from_archive(archive, logs, tiny()).unwrap();
+        let q = db2.begin();
+        for page in 1..4 {
+            assert_eq!(db2.read(q, page, 0, 11).unwrap(), b"before-ckpt");
+        }
+        for page in 4..6 {
+            assert_eq!(db2.read(q, page, 0, 11).unwrap(), b"after-ckpt!");
+        }
+        // the drone's stolen write reached the archive; undo removes it
+        assert_eq!(db2.read(q, 7, 0, 5).unwrap(), vec![0; 5]);
+        assert_eq!(report.loser_txns, vec![drone]);
     }
 
     #[test]

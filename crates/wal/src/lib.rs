@@ -25,8 +25,10 @@
 //!   back-end controller scheduler uses;
 //! * [`db`] — [`WalDb`], the user-facing engine: begin/read/write/commit/
 //!   abort/checkpoint plus crash images;
-//! * [`recovery`] — distributed-log analysis, repeat-history redo and
-//!   compensated undo.
+//! * [`recovery`] — the one recovery engine: checkpoint-bounded analysis
+//!   over the distributed logs, repeat-history redo through a pluggable
+//!   scheduler (page-sharded K-worker redo built in), compensated undo,
+//!   and a durable finish that truncates behind the bound.
 //!
 //! # Example
 //!
@@ -47,7 +49,6 @@
 //! ```
 
 pub mod backoff;
-pub mod concurrent;
 pub mod db;
 pub mod lock;
 pub mod manager;
@@ -58,7 +59,6 @@ pub mod select;
 pub mod stream;
 
 pub use backoff::Backoff;
-pub use concurrent::{RetryStats, SharedWal, TxnCtx};
 pub use db::{CrashImage, LogMode, LoggingPolicy, Savepoint, TxnId, WalConfig, WalDb, WalError};
 pub use lock::{LockMode, LockTable};
 pub use manager::ParallelLogManager;

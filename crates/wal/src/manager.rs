@@ -131,14 +131,9 @@ impl ParallelLogManager {
         self.streams.iter().map(|s| s.scan()).collect()
     }
 
-    /// [`ParallelLogManager::scan_all`] with per-stream salvage stats.
-    pub fn scan_all_with_stats(&self) -> Vec<(Vec<LogRecord>, ScanStats)> {
-        self.streams.iter().map(|s| s.scan_with_stats()).collect()
-    }
-
-    /// [`ParallelLogManager::scan_all_with_stats`] with each record tagged
-    /// by the log-disk frame holding its first byte — the input to
-    /// checkpoint-bounded restart analysis.
+    /// [`ParallelLogManager::scan_all`] with per-stream salvage stats and
+    /// each record tagged by the log-disk frame holding its first byte —
+    /// the input to checkpoint-bounded recovery analysis.
     pub fn scan_all_indexed(&self) -> Vec<(Vec<IndexedRecord>, ScanStats)> {
         self.streams.iter().map(|s| s.scan_indexed()).collect()
     }

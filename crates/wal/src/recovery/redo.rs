@@ -1,0 +1,342 @@
+//! The redo vocabulary and the page-sharded redo scheduler.
+//!
+//! Redo units come in two kinds: physical fragments install bytes, command
+//! records re-execute their logical op. Every scheduler applies them through
+//! [`apply_item`] and loads home images through [`load_redo_page`], so the
+//! schedulers cannot drift apart.
+//!
+//! Page-sharded redo is embarrassingly parallel across pages: per-page LSN
+//! ordering is the only order recovery needs (the whole point of the
+//! unmerged-log architecture), and no two pages share state. Pages are
+//! hashed into K shards; each shard is replayed by one worker thread reading
+//! the shared data disk through `&Disk` (its I/O counters are atomics, so
+//! the disk is `Sync`). Workers never write the disk — each returns its
+//! rebuilt page images, and the serial coordinator writes them home.
+//!
+//! Determinism: the shard hash depends only on the page id, each worker
+//! replays its pages in ascending page order with items in LSN order, and
+//! shard outcomes are merged over disjoint page sets — so the recovered
+//! state is byte-identical for every worker count K. K=1 replays the redo
+//! map in place, without spawning a thread.
+
+use super::report::{ReplaySummary, WorkerStats};
+use crate::db::TxnId;
+use crate::record::LogicalOp;
+use rmdb_storage::{Disk, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::Instant;
+
+/// One redo unit: either a physical fragment install or a logical op
+/// re-execution, applied iff the page is older than `new_lsn`.
+#[derive(Debug, Clone)]
+pub struct RedoItem {
+    /// The page LSN this unit produced when first executed.
+    pub new_lsn: Lsn,
+    /// The transaction that produced it (DAG node grouping key).
+    pub txn: TxnId,
+    pub body: RedoBody,
+}
+
+/// The two replay paths: install bytes, or re-execute a command.
+#[derive(Debug, Clone)]
+pub enum RedoBody {
+    /// Physical after-image: write `data` at `offset`.
+    Install { offset: u32, data: Vec<u8> },
+    /// Command record: re-execute the operation against recovered state.
+    Op(LogicalOp),
+}
+
+impl RedoItem {
+    /// Whether this install carries a full page image (physical logging's
+    /// from-scratch rebuild guarantee for torn pages).
+    pub fn is_full_image(&self) -> bool {
+        matches!(&self.body, RedoBody::Install { offset: 0, data } if data.len() == PAYLOAD_SIZE)
+    }
+}
+
+/// Apply one redo unit with the per-page idempotence check. Returns whether
+/// the unit was applied (`false`: the image already reflected it). Installs
+/// bounds-check before the LSN check, ops bounds-check inside
+/// [`LogicalOp::apply`].
+pub fn apply_item(page: &mut Page, item: &RedoItem) -> Result<bool, StorageError> {
+    if let RedoBody::Install { offset, data } = &item.body {
+        if *offset as usize + data.len() > PAYLOAD_SIZE {
+            // a fragment that was never writable; refuse rather than panic
+            return Err(StorageError::Protocol("log fragment exceeds page payload"));
+        }
+    }
+    if page.lsn >= item.new_lsn {
+        return Ok(false);
+    }
+    match &item.body {
+        RedoBody::Install { offset, data } => page.write_at(*offset as usize, data),
+        RedoBody::Op(op) => op.apply(page)?,
+    }
+    page.lsn = item.new_lsn;
+    Ok(true)
+}
+
+/// What the analysis pass knows about one command-logged transaction:
+/// its commit LSN (the DAG ordering key) and the pages it read.
+#[derive(Debug, Clone)]
+pub struct LogicalMeta {
+    pub commit_lsn: u64,
+    pub reads: Vec<PageId>,
+}
+
+/// Result of loading a page's home image for replay.
+pub enum PageLoad {
+    /// A usable image (freshly allocated, read clean, or repaired; the
+    /// flag says a torn frame was repaired).
+    Ready(Page, bool),
+    /// Corrupt and unrebuildable: leave the torn frame so reads yield a
+    /// typed error instead of invented contents.
+    Quarantined,
+}
+
+/// Load the home image of `page_id`, repairing a torn frame from the
+/// doublewrite buffer or — when `rebuild_from_log` says the earliest
+/// retained item is a full-image install — from scratch. Redo and undo in
+/// every scheduler share this decision tree.
+pub fn load_redo_page(
+    data: &Disk,
+    doublewrite: &HashMap<PageId, Page>,
+    page_id: PageId,
+    rebuild_from_log: bool,
+    retried: &mut u64,
+) -> Result<PageLoad, StorageError> {
+    if !data.is_allocated(page_id.0) {
+        return Ok(PageLoad::Ready(Page::new(page_id), false));
+    }
+    match read_data_retry(data, page_id.0, retried) {
+        Ok(p) => Ok(PageLoad::Ready(p, false)),
+        Err(StorageError::Corrupt { .. }) => {
+            if let Some(copy) = doublewrite.get(&page_id) {
+                // torn home write: the doublewrite buffer holds a verified
+                // full image written just before it
+                Ok(PageLoad::Ready(copy.clone(), true))
+            } else if rebuild_from_log {
+                // the earliest retained fragment is a full image, so replay
+                // rebuilds the page from scratch
+                Ok(PageLoad::Ready(Page::new(page_id), true))
+            } else {
+                Ok(PageLoad::Quarantined)
+            }
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// Bounded retry for data-disk reads: transient faults and one-off read bit
+/// flips are retried; persistent corruption surfaces as the final typed
+/// error for the caller's repair/quarantine logic.
+pub fn read_data_retry(disk: &Disk, addr: u64, retried: &mut u64) -> Result<Page, StorageError> {
+    const ATTEMPTS: u32 = 4;
+    let mut last = StorageError::Io { addr };
+    for attempt in 0..ATTEMPTS {
+        match disk.read_page(addr) {
+            Err(e @ (StorageError::Io { .. } | StorageError::Corrupt { .. }))
+                if attempt + 1 < ATTEMPTS =>
+            {
+                *retried += 1;
+                last = e;
+            }
+            other => return other,
+        }
+    }
+    Err(last)
+}
+
+/// What a redo scheduler is handed: the data disk to read home images
+/// from, the doublewrite harvest, the per-page work list, the command
+/// records' metadata, and the worker count.
+pub struct RedoWork<'a> {
+    pub data: &'a Disk,
+    pub doublewrite: &'a HashMap<PageId, Page>,
+    /// Per-page redo items, pages ascending, items in scan order.
+    pub redo: BTreeMap<PageId, Vec<RedoItem>>,
+    /// Command-logged transactions ahead of the bound.
+    pub logical: &'a HashMap<TxnId, LogicalMeta>,
+    pub workers: usize,
+}
+
+/// What a redo scheduler hands back to the engine.
+#[derive(Default)]
+pub struct RedoOutcome {
+    /// Rebuilt page images, ready for the coordinator to write home.
+    pub pages: BTreeMap<PageId, Page>,
+    /// Pages that were corrupt and unrebuildable.
+    pub quarantined: BTreeSet<PageId>,
+    /// Items applied (installs + re-executed ops).
+    pub redone: u64,
+    /// Of `redone`: logical ops re-executed.
+    pub reexecuted_ops: u64,
+    pub torn_repaired: u64,
+    pub retried_ios: u64,
+    /// One entry per worker.
+    pub per_worker: Vec<WorkerStats>,
+    /// Set by the dependency-aware scheduler only.
+    pub replay: Option<ReplaySummary>,
+}
+
+/// Shard a page id into `0..k` (Fibonacci hashing on the high bits, so
+/// consecutive page ids spread instead of clustering).
+fn shard_of(page: PageId, k: usize) -> usize {
+    ((page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % k as u64) as usize
+}
+
+/// The page-sharded scheduler: replay the redo map across `work.workers`
+/// threads, one shard each.
+pub fn shard_redo(work: RedoWork<'_>) -> Result<RedoOutcome, StorageError> {
+    let (data, doublewrite) = (work.data, work.doublewrite);
+    let k = work.workers.max(1);
+    if k == 1 {
+        return replay_shard(data, doublewrite, 0, work.redo);
+    }
+    let mut plans: Vec<Vec<(PageId, Vec<RedoItem>)>> = (0..k).map(|_| Vec::new()).collect();
+    for (page, items) in work.redo {
+        plans[shard_of(page, k)].push((page, items));
+    }
+    let shards = std::thread::scope(|scope| {
+        let handles: Vec<_> = plans
+            .into_iter()
+            .enumerate()
+            .map(|(i, plan)| scope.spawn(move || replay_shard(data, doublewrite, i, plan)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .map_err(|_| StorageError::Protocol("redo worker panicked"))?
+            })
+            .collect::<Result<Vec<_>, _>>()
+    })?;
+    let mut out = RedoOutcome::default();
+    for mut shard in shards {
+        out.redone += shard.redone;
+        out.reexecuted_ops += shard.reexecuted_ops;
+        out.torn_repaired += shard.torn_repaired;
+        out.retried_ios += shard.retried_ios;
+        out.per_worker.append(&mut shard.per_worker);
+        out.pages.append(&mut shard.pages);
+        out.quarantined.append(&mut shard.quarantined);
+    }
+    Ok(out)
+}
+
+/// Replay one shard: for each page, load the home image (repairing torn
+/// frames from the doublewrite buffer or a full-image fragment, else
+/// quarantining), then apply its items in LSN order with the idempotence
+/// check.
+fn replay_shard(
+    data: &Disk,
+    doublewrite: &HashMap<PageId, Page>,
+    shard: usize,
+    plan: impl IntoIterator<Item = (PageId, Vec<RedoItem>)>,
+) -> Result<RedoOutcome, StorageError> {
+    let start = Instant::now();
+    let mut out = RedoOutcome::default();
+    let mut stats = WorkerStats {
+        shard,
+        ..WorkerStats::default()
+    };
+    for (page_id, mut items) in plan {
+        items.sort_by_key(|i| i.new_lsn);
+        let rebuild = items.first().is_some_and(RedoItem::is_full_image);
+        stats.pages += 1;
+        let mut page =
+            match load_redo_page(data, doublewrite, page_id, rebuild, &mut out.retried_ios)? {
+                PageLoad::Ready(p, torn) => {
+                    out.torn_repaired += u64::from(torn);
+                    p
+                }
+                PageLoad::Quarantined => {
+                    out.quarantined.insert(page_id);
+                    continue;
+                }
+            };
+        for item in &items {
+            if apply_item(&mut page, item)? {
+                out.redone += 1;
+                if matches!(item.body, RedoBody::Op(_)) {
+                    out.reexecuted_ops += 1;
+                }
+            } else {
+                stats.skipped_idempotent += 1;
+            }
+        }
+        out.pages.insert(page_id, page);
+    }
+    stats.redone = out.redone;
+    stats.busy = start.elapsed();
+    out.per_worker.push(stats);
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn install(txn: TxnId, lsn: u64, offset: u32, data: &[u8]) -> RedoItem {
+        RedoItem {
+            new_lsn: Lsn(lsn),
+            txn,
+            body: RedoBody::Install {
+                offset,
+                data: data.to_vec(),
+            },
+        }
+    }
+
+    #[test]
+    fn apply_install_respects_lsn() {
+        let mut page = Page::new(PageId(1));
+        let item = install(1, 5, 0, b"abc");
+        assert!(apply_item(&mut page, &item).unwrap());
+        assert_eq!(page.read_at(0, 3), b"abc");
+        assert_eq!(page.lsn, Lsn(5));
+        // replaying the same item is a no-op
+        let again = install(1, 5, 0, b"xyz");
+        assert!(!apply_item(&mut page, &again).unwrap());
+        assert_eq!(page.read_at(0, 3), b"abc");
+    }
+
+    #[test]
+    fn apply_op_reexecutes_once() {
+        let mut page = Page::new(PageId(2));
+        page.write_at(0, &7u64.to_le_bytes());
+        let op = LogicalOp::AddU64 {
+            page: PageId(2),
+            lsn: Lsn(9),
+            offset: 0,
+            delta: 5,
+        };
+        let item = RedoItem {
+            new_lsn: Lsn(9),
+            txn: 3,
+            body: RedoBody::Op(op.clone()),
+        };
+        assert!(apply_item(&mut page, &item).unwrap());
+        assert_eq!(page.read_at(0, 8), 12u64.to_le_bytes());
+        // idempotent: the LSN gate stops double-execution
+        assert!(!apply_item(&mut page, &item).unwrap());
+        assert_eq!(page.read_at(0, 8), 12u64.to_le_bytes());
+    }
+
+    #[test]
+    fn oversized_install_is_refused() {
+        let mut page = Page::new(PageId(3));
+        let item = install(1, 5, (PAYLOAD_SIZE - 1) as u32, b"toolong");
+        assert!(matches!(
+            apply_item(&mut page, &item),
+            Err(StorageError::Protocol(_))
+        ));
+    }
+
+    #[test]
+    fn full_image_detection() {
+        assert!(install(1, 2, 0, &vec![0u8; PAYLOAD_SIZE]).is_full_image());
+        assert!(!install(1, 2, 1, &vec![0u8; PAYLOAD_SIZE - 1]).is_full_image());
+        assert!(!install(1, 2, 0, b"short").is_full_image());
+    }
+}

@@ -1,6 +1,6 @@
 //! Crash a busy WAL engine mid-flight and bring it back with the
-//! checkpoint-bounded parallel restart engine, comparing serial full-log
-//! replay against K-way sharded redo.
+//! checkpoint-bounded parallel restart engine, comparing redo on one
+//! worker against K-way sharded redo.
 //!
 //! Run with: `cargo run --example restart_demo`
 

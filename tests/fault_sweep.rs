@@ -793,17 +793,20 @@ fn torn_logical_frame_is_salvaged_and_quarantined() {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery accounting: the observability counters recovery publishes are
-// incremented at the same logical sites as the RecoveryReport fields. On
-// every faulted crash image in the sweep the two books must agree exactly —
-// a divergence means either the report or the metrics lies about what
-// recovery replayed.
+// Recovery accounting: the observability counters the recovery engine
+// publishes carry the same totals as the report fields. On every faulted
+// crash image in the sweep, and through both entry points (`recovery.*`
+// from WalDb::recover against its RecoveryReport, `restart.*` from the
+// parallel restart against RestartReport.base), the two books must agree
+// exactly — a divergence means either the report or the metrics lies about
+// what recovery replayed.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn recovery_obs_counters_match_report_at_every_crashpoint() {
     use recovery_machines::obs::{EventKind, Registry};
-    use recovery_machines::wal::recover_observed;
+    use recovery_machines::restart::{restart_observed, RestartConfig};
+    use recovery_machines::wal::{recover_observed, RecoveryReport};
 
     let mut crash_hits = 0usize;
     for seed in SEEDS {
@@ -827,78 +830,61 @@ fn recovery_obs_counters_match_report_at_every_crashpoint() {
             assert!(errored, "{ctx}: storm ran dry without an error");
             crash_hits += usize::from(handle.lock().crashed());
 
-            let obs = Registry::new();
-            let (_recovered, report) =
-                recover_observed(db.crash_image(), cfg, &obs).expect("recover");
-            let snap = obs.snapshot();
-            let c = |name: &str| snap.counter(name).unwrap_or(0);
-            assert_eq!(
-                c("recovery.records_scanned"),
-                report.records_scanned as u64,
-                "{ctx}: records_scanned"
-            );
-            assert_eq!(
-                c("recovery.redone_updates"),
-                report.redone_updates,
-                "{ctx}: redone_updates"
-            );
-            assert_eq!(
-                c("recovery.undone_updates"),
-                report.undone_updates,
-                "{ctx}: undone_updates"
-            );
-            assert_eq!(
-                c("recovery.quarantined_log_pages"),
-                report.quarantined_log_pages,
-                "{ctx}: quarantined_log_pages"
-            );
-            assert_eq!(
-                c("recovery.quarantined_data_pages"),
-                report.quarantined_data_pages,
-                "{ctx}: quarantined_data_pages"
-            );
-            assert_eq!(
-                c("recovery.torn_pages_repaired"),
-                report.torn_pages_repaired,
-                "{ctx}: torn_pages_repaired"
-            );
-            assert_eq!(
-                c("recovery.salvaged_records"),
-                report.salvaged_records,
-                "{ctx}: salvaged_records"
-            );
-            assert_eq!(
-                c("recovery.pages_written"),
-                report.pages_written,
-                "{ctx}: pages_written"
-            );
-            assert_eq!(
-                c("recovery.retried_ios"),
-                report.retried_ios,
-                "{ctx}: retried_ios"
-            );
-            // phase structure: exactly one RecoveryPhase event per phase,
-            // in phase order, and every phase histogram saw one sample
-            let phases: Vec<_> = obs
-                .recent_events()
-                .into_iter()
-                .filter(|e| e.kind == EventKind::RecoveryPhase)
-                .collect();
-            assert_eq!(phases.len(), 4, "{ctx}: phase event count");
-            for (i, ev) in phases.iter().enumerate() {
-                assert_eq!(ev.stream, i as u64, "{ctx}: phase order");
-            }
-            for h in [
-                "recovery.analysis_us",
-                "recovery.redo_us",
-                "recovery.undo_us",
-                "recovery.flush_us",
-            ] {
-                assert_eq!(
-                    snap.histogram(h).map(|h| h.count),
-                    Some(1),
-                    "{ctx}: histogram {h}"
-                );
+            let rcfg = RestartConfig {
+                workers: 2,
+                ..RestartConfig::default()
+            };
+            for prefix in ["recovery", "restart"] {
+                let obs = Registry::new();
+                let image = db.crash_image();
+                let report: RecoveryReport = if prefix == "recovery" {
+                    recover_observed(image, cfg.clone(), &obs)
+                        .expect("recover")
+                        .1
+                } else {
+                    restart_observed(image, cfg.clone(), &rcfg, &obs)
+                        .expect("restart")
+                        .1
+                        .base
+                };
+                let ctx = format!("{ctx} {prefix}");
+                let snap = obs.snapshot();
+                let c = |name: &str| snap.counter(&format!("{prefix}.{name}")).unwrap_or(0);
+                for (name, want) in [
+                    ("records_scanned", report.records_scanned as u64),
+                    ("redone_updates", report.redone_updates),
+                    ("undone_updates", report.undone_updates),
+                    ("quarantined_log_pages", report.quarantined_log_pages),
+                    ("quarantined_data_pages", report.quarantined_data_pages),
+                    ("torn_pages_repaired", report.torn_pages_repaired),
+                    ("salvaged_records", report.salvaged_records),
+                    ("pages_written", report.pages_written),
+                    ("retried_ios", report.retried_ios),
+                    ("duplicate_fragments", report.duplicate_fragments),
+                    ("logical_commits", report.logical_commits),
+                    ("reexecuted_ops", report.reexecuted_ops),
+                ] {
+                    assert_eq!(c(name), want, "{ctx}: {name}");
+                }
+                // phase structure: exactly one RecoveryPhase event per phase,
+                // in phase order, and every phase histogram saw one sample
+                let phases: Vec<_> = obs
+                    .recent_events()
+                    .into_iter()
+                    .filter(|e| e.kind == EventKind::RecoveryPhase)
+                    .collect();
+                assert_eq!(phases.len(), 4, "{ctx}: phase event count");
+                for (i, ev) in phases.iter().enumerate() {
+                    assert_eq!(ev.stream, i as u64, "{ctx}: phase order");
+                }
+                for phase in ["analysis", "redo", "undo", "flush"] {
+                    let h = format!("{prefix}.{phase}_us");
+                    assert_eq!(
+                        snap.histogram(&h).map(|h| h.count),
+                        Some(1),
+                        "{ctx}: histogram {h}"
+                    );
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Restart-engine equivalence: the checkpoint-bounded parallel restart
 //! must produce **byte-identical** recovered state for every redo worker
 //! count K — data disk *and* log disks — and the same data-disk state as
-//! serial [`WalDb::recover`] full-log replay.
+//! unbounded full-log replay ([`WalDb::recover_from_archive`]).
 //!
 //! The workloads here exercise the interesting structure: fuzzy
 //! auto-checkpoints held open by a long-lived drone transaction (so the
@@ -109,21 +109,26 @@ fn smoke_k1_vs_k4() {
     assert_k_equivalence(&db, 3, 11, &[1, 4]);
 }
 
-/// The restart engine's data-disk state must match serial full-log replay
-/// exactly, checkpoints and all: bounding the scan may skip redo work only
-/// when the skipped updates are already home.
+/// The bounded engine at K=4 must leave exactly the data-disk state of
+/// unbounded full-log replay, checkpoints and all: bounding the scan may
+/// skip redo work only when the skipped updates are already home.
 #[test]
 fn restart_matches_serial_recovery() {
     for (streams, ckpt_every, txns) in [(1, 0, 60), (2, 9, 120), (4, 17, 200)] {
         let db = build_crashed(streams, ckpt_every, txns);
-        let (serial_db, _) =
-            WalDb::recover(db.crash_image(), cfg(streams, ckpt_every)).expect("serial recover");
-        let rcfg = RestartConfig::default();
+        let image = db.crash_image();
+        let (full_db, _) =
+            WalDb::recover_from_archive(image.data, image.logs, cfg(streams, ckpt_every))
+                .expect("full replay");
+        let rcfg = RestartConfig {
+            workers: 4,
+            ..RestartConfig::default()
+        };
         let (restart_db, report) =
             restart(db.crash_image(), cfg(streams, ckpt_every), &rcfg).expect("restart");
         let what = format!("streams={streams} ckpt_every={ckpt_every}");
         assert_disks_identical(
-            &serial_db.crash_image().data,
+            &full_db.crash_image().data,
             &restart_db.crash_image().data,
             &what,
         );
