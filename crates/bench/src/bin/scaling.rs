@@ -102,7 +102,10 @@ struct Cell {
     group_commits: u64,
     max_group: u64,
     conflict_retries: u64,
-    wal_forces: u64,
+    /// Log forces the WAL rule triggered by evicting a dirty page.
+    eviction_forces: u64,
+    /// Every log force the cell's streams performed.
+    log_forces: u64,
     conservation_reads: u64,
     conservation_violations: u64,
 }
@@ -112,8 +115,8 @@ impl Cell {
         format!(
             "{{\"backend\":\"{}\",\"workers\":{},\"streams\":{},\"txns\":{},\
 \"secs\":{:.3},\"txns_per_sec\":{:.1},\"commit_p50_us\":{},\"commit_p99_us\":{},\
-\"group_commits\":{},\"max_group\":{},\"conflict_retries\":{},\"wal_forces\":{},\
-\"conservation_reads\":{},\"conservation_violations\":{}}}",
+\"group_commits\":{},\"max_group\":{},\"conflict_retries\":{},\"eviction_forces\":{},\
+\"log_forces\":{},\"conservation_reads\":{},\"conservation_violations\":{}}}",
             self.backend,
             self.workers,
             self.streams,
@@ -125,7 +128,8 @@ impl Cell {
             self.group_commits,
             self.max_group,
             self.conflict_retries,
-            self.wal_forces,
+            self.eviction_forces,
+            self.log_forces,
             self.conservation_reads,
             self.conservation_violations,
         )
@@ -281,7 +285,9 @@ fn run_cell(backend: Backend, workers: usize, streams: usize, secs: f64) -> Cell
         group_commits: stats.group_commits,
         max_group: stats.max_group_size,
         conflict_retries: stats.conflict_retries,
-        wal_forces: stats.wal_forces,
+        eviction_forces: stats.wal_forces,
+        // the cell's registry is its own, so the family is this cell's
+        log_forces: obs.snapshot().counter_family("wal.forces.s"),
         conservation_reads: cons_reads.load(Ordering::Relaxed),
         conservation_violations: violations.load(Ordering::Relaxed),
     }

@@ -77,21 +77,26 @@ use rmdb_mvcc::{Mvcc, Snapshot};
 use rmdb_obs::{Counter, EventKind, Histogram, MetricsSnapshot, Registry};
 use rmdb_storage::Lsn;
 use rmdb_storage::{
-    read_page_retry, write_page_verified, Disk, FaultHandle, FaultInjector, FaultPlan, Page,
-    PageId, ShardedPool, StorageError, PAYLOAD_SIZE,
+    Disk, FaultHandle, FaultInjector, FaultPlan, Page, PageId, PoolShard, ShardGuard, ShardedPool,
+    StorageError,
 };
-use rmdb_wal::db::{LogMode, LoggingPolicy, WalConfig};
+use rmdb_wal::capture::{self, Deferred, Doublewrite, UndoEntry};
+use rmdb_wal::db::{LoggingPolicy, WalConfig};
 use rmdb_wal::lock::LockMode;
-use rmdb_wal::record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
+use rmdb_wal::record::LogRecord;
 use rmdb_wal::scheduler::{Decision, Scheduler, WaitStats};
 use rmdb_wal::select::Selector;
-use rmdb_wal::stream::{LogStream, IO_RETRIES};
+use rmdb_wal::stream::LogStream;
 use rmdb_wal::{Backoff, CrashImage, WalError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// A pool shard's WAL-rule table: page → `(stream, ticket)` of its latest
+/// fragment.
+type PageMeta = HashMap<PageId, (usize, u64)>;
 
 /// Retries before a transaction is declared starved.
 const MAX_RETRIES: usize = 1000;
@@ -298,16 +303,6 @@ impl WaitTable {
     }
 }
 
-/// An undone-able update. Travels with the transaction: worker-local
-/// while the body runs, handed to the group-commit daemon at submit so a
-/// commit that fails mid-batch can be rolled back daemon-side.
-pub(crate) struct UndoEntry {
-    page: PageId,
-    offset: u32,
-    before: Vec<u8>,
-    new_lsn: Lsn,
-}
-
 /// One not-yet-committed fragment, retained so failover can re-append it
 /// to a surviving stream if its original stream dies. Fragments at or
 /// below the dead stream's durable high-water ticket never move — their
@@ -319,29 +314,6 @@ struct PendingFrag {
     rec: LogRecord,
 }
 
-/// Deferred-capture state for a transaction running under
-/// [`LoggingPolicy::Command`] or [`LoggingPolicy::Adaptive`]: nothing is
-/// appended while the body runs. The fragments each write *would* have
-/// appended are retained for a possible commit-time spill, the logical
-/// ops for the command record, and every written page is pinned in the
-/// pool so the steal-policy flusher can never put un-logged bytes on the
-/// data disk. Deferred losers log nothing at all.
-#[derive(Default)]
-struct ExecDeferred {
-    /// Retained after-image fragments, in write order (the spill path).
-    frags: Vec<(PageId, LogRecord)>,
-    /// Logical ops, in execution order (the command-record path).
-    ops: Vec<LogicalOp>,
-    /// Distinct written pages, each holding one pool pin.
-    pages: BTreeSet<PageId>,
-    /// Pages read under shared locks — the command record's read set,
-    /// which the replay DAG turns into write→read precedence edges.
-    reads: BTreeSet<PageId>,
-    /// Encoded bytes the retained fragments would cost: the physical
-    /// side of the commit-time cost comparison.
-    phys_bytes: usize,
-}
-
 /// An in-flight transaction, owned by the worker driving it.
 pub struct Txn {
     id: u64,
@@ -349,12 +321,15 @@ pub struct Txn {
     home: usize,
     /// Per-stream high-water fragment tickets.
     tickets: HashMap<usize, u64>,
+    /// The undo chain. Travels with the transaction: worker-local while
+    /// the body runs, handed to the group-commit daemon at submit so a
+    /// commit that fails mid-batch can be rolled back daemon-side.
     undo: Vec<UndoEntry>,
     /// Volatile fragments, kept for failover rerouting.
     pending: Vec<PendingFrag>,
     /// Deferred-capture state; `Some` exactly while the logging policy
     /// is still deciding (a spill resets it to `None` for good).
-    deferred: Option<ExecDeferred>,
+    deferred: Option<Deferred>,
 }
 
 impl Txn {
@@ -366,6 +341,25 @@ impl Txn {
     /// Current home stream (may change if the original home dies).
     pub fn home(&self) -> usize {
         self.home
+    }
+
+    /// The highest ticket among this transaction's fragments on `stream`.
+    fn pending_high(&self, stream: usize) -> Option<u64> {
+        let on_stream = self.pending.iter().filter(|f| f.stream == stream);
+        on_stream.map(|f| f.seq).max()
+    }
+
+    /// Note a fragment appended at `(stream, seq)`: raise the stream's
+    /// ticket high-water mark and keep the fragment for rerouting.
+    fn note_frag(&mut self, stream: usize, seq: u64, page: PageId, rec: LogRecord) {
+        let high = self.tickets.entry(stream).or_insert(0);
+        *high = (*high).max(seq);
+        self.pending.push(PendingFrag {
+            stream,
+            seq,
+            page,
+            rec,
+        });
     }
 }
 
@@ -393,10 +387,10 @@ pub struct RejoinReport {
     pub catchup_us: u64,
 }
 
-/// Data disk plus the doublewrite cursor it protects.
+/// Data disk plus the doublewrite slots every flush goes through.
 struct DataState {
     disk: Disk,
-    dw_cursor: u64,
+    dw: Doublewrite,
 }
 
 /// The appender fleet with replaceable membership: one slot per stream,
@@ -444,7 +438,9 @@ pub(crate) struct Inner {
     /// Page cache, sharded; shard meta maps page → `(stream, ticket)` of
     /// its latest fragment (the WAL rule's "which log holds this page's
     /// fragment" table from the paper's back-end controller).
-    shards: ShardedPool<HashMap<PageId, (usize, u64)>>,
+    shards: ShardedPool<PageMeta>,
+    /// Frames per pool shard: the deferred-capture pin budget's base.
+    shard_frames: usize,
     data: Mutex<DataState>,
     pub(crate) appenders: Fleet,
     selector: Mutex<Selector>,
@@ -650,22 +646,16 @@ impl Inner {
     /// exist, be quarantined (selector-dead), and not merely parked.
     fn check_rejoinable(&self, stream: usize) -> Result<(), ExecError> {
         if stream >= self.appenders.len() {
-            return Err(ExecError::Rejoin {
-                stream,
-                reason: "no such stream".into(),
-            });
+            return Err(ExecError::rejoin(stream, "no such stream"));
         }
         if !self.is_stream_dead(stream) {
-            return Err(ExecError::Rejoin {
-                stream,
-                reason: "stream is live".into(),
-            });
+            return Err(ExecError::rejoin(stream, "stream is live"));
         }
         if self.is_parked(stream) {
-            return Err(ExecError::Rejoin {
+            return Err(ExecError::rejoin(
                 stream,
-                reason: "stream is parked, not quarantined (unpark it)".into(),
-            });
+                "stream is parked, not quarantined (unpark it)",
+            ));
         }
         Ok(())
     }
@@ -710,19 +700,14 @@ impl Inner {
         self.check_rejoinable(stream)?;
         let t0 = Instant::now();
         let old = self.appenders.get(stream);
-        old.retire().map_err(|e| ExecError::Rejoin {
-            stream,
-            reason: format!("retire: {e}"),
-        })?;
-        old.probe_vaulted_device().map_err(|e| ExecError::Rejoin {
-            stream,
-            reason: format!("device probe: {e}"),
-        })?;
+        old.retire()
+            .map_err(|e| ExecError::rejoin(stream, format!("retire: {e}")))?;
+        old.probe_vaulted_device()
+            .map_err(|e| ExecError::rejoin(stream, format!("device probe: {e}")))?;
         let inherit = Self::inheritance_from(&old);
-        let recovered = old.take_vaulted().map_err(|e| ExecError::Rejoin {
-            stream,
-            reason: format!("vault hand-off: {e}"),
-        })?;
+        let recovered = old
+            .take_vaulted()
+            .map_err(|e| ExecError::rejoin(stream, format!("vault hand-off: {e}")))?;
         let mut disk = recovered.into_disk();
         let faults = disk.detach_faults();
         let mut reopened = match LogStream::open(disk) {
@@ -731,10 +716,10 @@ impl Inner {
             // injector-free here), but if it ever fires the device is
             // gone for good: report it — replace_stream is the way out.
             Err(e) => {
-                return Err(ExecError::Rejoin {
+                return Err(ExecError::rejoin(
                     stream,
-                    reason: format!("durable-prefix validation failed: {e}"),
-                })
+                    format!("durable-prefix validation failed: {e}"),
+                ))
             }
         };
         let (records, stats) = reopened.scan_with_stats();
@@ -768,15 +753,12 @@ impl Inner {
         self.check_rejoinable(stream)?;
         let t0 = Instant::now();
         let old = self.appenders.get(stream);
-        old.retire().map_err(|e| ExecError::Rejoin {
-            stream,
-            reason: format!("retire: {e}"),
-        })?;
+        old.retire()
+            .map_err(|e| ExecError::rejoin(stream, format!("retire: {e}")))?;
         let inherit = Self::inheritance_from(&old);
-        let recovered = old.take_vaulted().map_err(|e| ExecError::Rejoin {
-            stream,
-            reason: format!("vault hand-off: {e}"),
-        })?;
+        let recovered = old
+            .take_vaulted()
+            .map_err(|e| ExecError::rejoin(stream, format!("vault hand-off: {e}")))?;
         let archived = recovered.into_disk().snapshot();
         lock_ok(&self.archived_logs).push(archived);
         let orphaned_tickets = inherit.orphans.iter().map(|&(lo, hi)| hi - lo).sum();
@@ -786,9 +768,8 @@ impl Inner {
             .backend
             .provision(self.cfg.wal.log_frames)
             .and_then(LogStream::create_on)
-            .map_err(|e| ExecError::Rejoin {
-                stream,
-                reason: format!("provision replacement platter: {e}"),
+            .map_err(|e| {
+                ExecError::rejoin(stream, format!("provision replacement platter: {e}"))
             })?;
         let successor = self.spawn_successor(stream, fresh, inherit);
         let (live, catchup_us) = self.readmit(stream, successor, t0);
@@ -810,25 +791,22 @@ impl Inner {
     pub(crate) fn park_stream(&self, stream: usize) -> Result<usize, ExecError> {
         let _membership = lock_ok(&self.membership);
         if stream >= self.appenders.len() {
-            return Err(ExecError::Rejoin {
-                stream,
-                reason: "no such stream".into(),
-            });
+            return Err(ExecError::rejoin(stream, "no such stream"));
         }
         let floor = self.cfg.min_live_streams.max(1);
         let live = {
             let mut sel = lock_ok(&self.selector);
             if sel.is_dead(stream) {
-                return Err(ExecError::Rejoin {
+                return Err(ExecError::rejoin(
                     stream,
-                    reason: "stream is not serving (quarantined or already parked)".into(),
-                });
+                    "stream is not serving (quarantined or already parked)",
+                ));
             }
             if sel.live_count() <= floor {
-                return Err(ExecError::Rejoin {
+                return Err(ExecError::rejoin(
                     stream,
-                    reason: format!("serving fleet is at its floor ({floor})"),
-                });
+                    format!("serving fleet is at its floor ({floor})"),
+                ));
             }
             self.parked[stream].store(true, Ordering::Release);
             sel.mark_dead(stream);
@@ -853,10 +831,7 @@ impl Inner {
     pub(crate) fn unpark_stream(&self, stream: usize) -> Result<usize, ExecError> {
         let _membership = lock_ok(&self.membership);
         if stream >= self.appenders.len() || !self.is_parked(stream) {
-            return Err(ExecError::Rejoin {
-                stream,
-                reason: "stream is not parked".into(),
-            });
+            return Err(ExecError::rejoin(stream, "stream is not parked"));
         }
         self.parked[stream].store(false, Ordering::Release);
         let live = {
@@ -876,10 +851,10 @@ impl Inner {
         };
         if let Some(error) = sick {
             self.quarantine_stream(stream, &error);
-            return Err(ExecError::Rejoin {
+            return Err(ExecError::rejoin(
                 stream,
-                reason: format!("unparked straight into quarantine: {error}"),
-            });
+                format!("unparked straight into quarantine: {error}"),
+            ));
         }
         self.obs.counter("fleet.unparks").inc();
         self.obs
@@ -915,22 +890,21 @@ impl Inner {
         Ok(images)
     }
 
-    /// Point `pages`' WAL-rule meta entries at `(stream, seq)` — the
-    /// just-appended logical commit record that now covers their deferred
-    /// writes. Called by the daemon before the home force; the pages are
-    /// still pinned, so no eviction can race the re-pin.
-    pub(crate) fn cover_deferred(&self, pages: &[PageId], stream: usize, seq: u64) {
+    /// Point `pages`' WAL-rule meta entries at `(stream, seq)`, the
+    /// record that now covers their deferred writes: a spilled fragment,
+    /// or the logical commit record (the daemon calls this before the
+    /// home force). The pages are still pinned, so no eviction can race
+    /// the re-pin.
+    pub(crate) fn cover_pages(&self, pages: &[PageId], stream: usize, seq: u64) {
         for &id in pages {
-            let mut shard = self.shards.lock(id);
-            shard.meta.insert(id, (stream, seq));
+            self.shards.lock(id).meta.insert(id, (stream, seq));
         }
     }
 
     /// Drop the deferred-capture pins on `pages` (one pin per page).
     pub(crate) fn unpin_pages(&self, pages: &[PageId]) {
         for &id in pages {
-            let mut shard = self.shards.lock(id);
-            shard.pool.unpin(id);
+            self.shards.lock(id).pool.unpin(id);
         }
     }
 
@@ -938,20 +912,13 @@ impl Inner {
     /// victim under the WAL rule. Caller holds the shard lock via `shard`.
     fn ensure_resident(
         &self,
-        shard: &mut rmdb_storage::PoolShard<HashMap<PageId, (usize, u64)>>,
+        shard: &mut PoolShard<PageMeta>,
         id: PageId,
     ) -> Result<(), ExecError> {
         if shard.pool.contains(id) {
             return Ok(());
         }
-        let page = {
-            let data = lock_ok(&self.data);
-            if data.disk.is_allocated(id.0) {
-                read_page_retry(&data.disk, id.0, IO_RETRIES).map_err(ExecError::from)?
-            } else {
-                Page::new(id)
-            }
-        };
+        let page = capture::home_page(&lock_ok(&self.data).disk, id)?;
         if let Some(evicted) = shard
             .pool
             .insert(id, page, false)
@@ -980,11 +947,7 @@ impl Inner {
 
     /// WAL-rule flush: force the page's latest fragment if not yet
     /// durable, then doublewrite + verified home write.
-    fn flush_page(
-        &self,
-        shard: &mut rmdb_storage::PoolShard<HashMap<PageId, (usize, u64)>>,
-        page: &Page,
-    ) -> Result<(), ExecError> {
+    fn flush_page(&self, shard: &mut PoolShard<PageMeta>, page: &Page) -> Result<(), ExecError> {
         if let Some(&(stream, seq)) = shard.meta.get(&page.id) {
             let appender = self.appenders.get(stream);
             if !appender.is_forced(seq) {
@@ -999,16 +962,8 @@ impl Inner {
                 self.stats.wal_forces.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let mut data = lock_ok(&self.data);
-        let wal = &self.cfg.wal;
-        if wal.dw_slots > 0 {
-            let slot = wal.data_pages + data.dw_cursor % wal.dw_slots;
-            data.dw_cursor += 1;
-            write_page_verified(&mut data.disk, slot, page, IO_RETRIES).map_err(ExecError::from)?;
-        }
-        write_page_verified(&mut data.disk, page.id.0, page, IO_RETRIES)
-            .map_err(ExecError::from)?;
-        Ok(())
+        let data = &mut *lock_ok(&self.data);
+        data.dw.flush(&mut data.disk, page).map_err(ExecError::from)
     }
 
     /// Move `txn` off any quarantined stream: re-pick its home and
@@ -1062,7 +1017,6 @@ impl Inner {
         };
         let t0 = Instant::now();
         txn.home = new_home;
-        let rerouted = self.obs.counter("failover.rerouted_fragments");
         // Pass 1 — orphans, before the dead-stream pass: a rejoined
         // incarnation's forced watermark sweeps past the orphan range as
         // soon as it forces new work, so the `seq > forced` partition
@@ -1073,47 +1027,15 @@ impl Inner {
             let app = self.appenders.get(s);
             let target = self.appenders.get(new_home);
             for frag in txn.pending.iter_mut().filter(|f| f.stream == s) {
-                if !app.orphaned(frag.seq) {
-                    continue;
-                }
-                let new_seq = target.append(frag.rec.clone())?;
-                let mut shard = self.shards.lock(frag.page);
-                if shard.meta.get(&frag.page) == Some(&(s, frag.seq)) {
-                    shard.meta.insert(frag.page, (new_home, new_seq));
-                }
-                drop(shard);
-                self.obs.emit(
-                    EventKind::FragmentRerouted,
-                    txn.id,
-                    new_home as u64,
-                    frag.page.0,
-                    s as u64,
-                );
-                rerouted.inc();
-                frag.stream = new_home;
-                frag.seq = new_seq;
-            }
-            match txn
-                .pending
-                .iter()
-                .filter(|f| f.stream == s)
-                .map(|f| f.seq)
-                .max()
-            {
-                Some(high) => {
-                    txn.tickets.insert(s, high);
-                }
-                None => {
-                    txn.tickets.remove(&s);
+                if app.orphaned(frag.seq) {
+                    self.move_frag(txn.id, frag, &target, new_home)?;
                 }
             }
-            if let Some(high) = txn
-                .pending
-                .iter()
-                .filter(|f| f.stream == new_home)
-                .map(|f| f.seq)
-                .max()
-            {
+            match txn.pending_high(s) {
+                Some(high) => txn.tickets.insert(s, high),
+                None => txn.tickets.remove(&s),
+            };
+            if let Some(high) = txn.pending_high(new_home) {
                 let t = txn.tickets.entry(new_home).or_insert(0);
                 *t = (*t).max(high);
             }
@@ -1128,27 +1050,9 @@ impl Inner {
                 .iter_mut()
                 .filter(|f| f.stream == s && f.seq > forced)
             {
-                let new_seq = target.append(frag.rec.clone())?;
-                // Re-pin the page's WAL-rule entry — but only if it still
-                // names the fragment we just moved; a newer fragment (or
-                // a CLR) may have superseded it.
-                let mut shard = self.shards.lock(frag.page);
-                if shard.meta.get(&frag.page) == Some(&(s, frag.seq)) {
-                    shard.meta.insert(frag.page, (new_home, new_seq));
-                }
-                drop(shard);
+                self.move_frag(txn.id, frag, &target, new_home)?;
                 let high = txn.tickets.entry(new_home).or_insert(0);
-                *high = (*high).max(new_seq);
-                self.obs.emit(
-                    EventKind::FragmentRerouted,
-                    txn.id,
-                    new_home as u64,
-                    frag.page.0,
-                    s as u64,
-                );
-                rerouted.inc();
-                frag.stream = new_home;
-                frag.seq = new_seq;
+                *high = (*high).max(frag.seq);
             }
             // The durable prefix is already forced: clamp the ticket so
             // the commit-time force against the dead stream resolves via
@@ -1164,6 +1068,37 @@ impl Inner {
         self.obs
             .histogram("failover.reroute_us")
             .record(t0.elapsed().as_micros() as u64);
+        Ok(())
+    }
+
+    /// Re-append `frag` through `target` (now serving stream `to`) and
+    /// re-pin its page's WAL-rule entry — but only if the entry still
+    /// names the fragment being moved; a newer fragment (or a CLR) may
+    /// have superseded it.
+    fn move_frag(
+        &self,
+        txn: u64,
+        frag: &mut PendingFrag,
+        target: &LogAppender,
+        to: usize,
+    ) -> Result<(), ExecError> {
+        let new_seq = target.append(frag.rec.clone())?;
+        let mut shard = self.shards.lock(frag.page);
+        if shard.meta.get(&frag.page) == Some(&(frag.stream, frag.seq)) {
+            shard.meta.insert(frag.page, (to, new_seq));
+        }
+        drop(shard);
+        let from = frag.stream as u64;
+        self.obs.emit(
+            EventKind::FragmentRerouted,
+            txn,
+            to as u64,
+            frag.page.0,
+            from,
+        );
+        self.obs.counter("failover.rerouted_fragments").inc();
+        frag.stream = to;
+        frag.seq = new_seq;
         Ok(())
     }
 
@@ -1191,14 +1126,7 @@ impl Inner {
         };
         for entry in undo.drain(..).rev() {
             let clr_lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::Relaxed));
-            let rec = LogRecord::Compensation {
-                txn: txn_id,
-                page: entry.page,
-                undoes: entry.new_lsn,
-                new_lsn: clr_lsn,
-                offset: entry.offset,
-                data: entry.before.clone(),
-            };
+            let rec = entry.compensation(txn_id, clr_lsn);
             let mut appended: Option<(usize, u64)> = None;
             while let Some(s) = clr_stream {
                 match self.appenders.get(s).append(rec.clone()) {
@@ -1224,7 +1152,7 @@ impl Inner {
                 shard.meta.insert(entry.page, (s, seq));
             }
             if let Some(p) = shard.pool.get_mut(entry.page) {
-                p.write_at(entry.offset as usize, &entry.before);
+                entry.revert(p);
                 if appended.is_some() {
                     p.lsn = clr_lsn;
                 }
@@ -1267,16 +1195,13 @@ impl ExecDb {
         let force_delay = Duration::from_micros(cfg.force_delay_us);
         let append_wait = Duration::from_millis(cfg.append_wait_ms.max(1));
         let obs = cfg.obs.clone();
-        let provision = |frames| {
-            wal.backend
-                .provision(frames)
-                .expect("provisioning a disk on the configured backend")
-        };
         let appenders = (0..wal.log_streams)
             .map(|idx| {
                 LogAppender::spawn_observed(
-                    LogStream::create_on(provision(wal.log_frames))
-                        .expect("fresh log disk has room for a header"),
+                    wal.backend
+                        .provision(wal.log_frames)
+                        .and_then(LogStream::create_on)
+                        .expect("provisioning a log disk on the configured backend"),
                     cfg.appender_queue,
                     force_delay,
                     &obs,
@@ -1287,18 +1212,18 @@ impl ExecDb {
             .collect();
         obs.gauge("failover.live_streams")
             .set(wal.log_streams as u64);
+        let shards =
+            ShardedPool::with_meta(cfg.pool_shards, wal.pool_frames, wal.evict, HashMap::new);
+        let shard_frames = shards.lock_shard(0).pool.capacity();
         let inner = Arc::new(Inner {
             sched: Mutex::new(Scheduler::new()),
             waits: WaitTable::default(),
-            shards: ShardedPool::with_meta(
-                cfg.pool_shards,
-                wal.pool_frames,
-                wal.evict,
-                HashMap::new,
-            ),
+            shards,
+            shard_frames,
             data: Mutex::new(DataState {
-                disk: provision(wal.data_pages + wal.dw_slots),
-                dw_cursor: 0,
+                disk: Doublewrite::provision(wal)
+                    .expect("provisioning the data disk on the configured backend"),
+                dw: Doublewrite::new(wal),
             }),
             appenders: Fleet::new(appenders),
             selector: Mutex::new(Selector::new(wal.policy, wal.log_streams, wal.seed)),
@@ -1426,28 +1351,13 @@ impl ExecDb {
     pub fn begin(&self, qp: usize) -> Txn {
         let id = self.inner.next_txn.fetch_add(1, Ordering::Relaxed);
         let home = lock_ok(&self.inner.selector).pick(qp, id);
-        // Command/Adaptive arm deferred capture: the logging decision
-        // moves from each write to the commit point.
-        let deferred = if self.inner.cfg.wal.logging == LoggingPolicy::Fragments {
-            None
-        } else {
-            Some(ExecDeferred::default())
-        };
         Txn {
             id,
             home,
             tickets: HashMap::new(),
             undo: Vec::new(),
             pending: Vec::new(),
-            deferred,
-        }
-    }
-
-    fn check_bounds(&self, page: u64, offset: usize, len: usize) -> Result<(), ExecError> {
-        if page >= self.inner.cfg.wal.data_pages || offset + len > PAYLOAD_SIZE {
-            Err(ExecError::Wal(WalError::OutOfBounds { page, offset, len }))
-        } else {
-            Ok(())
+            deferred: Deferred::arm(self.inner.cfg.wal.logging, self.inner.shard_frames),
         }
     }
 
@@ -1521,28 +1431,38 @@ impl ExecDb {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, ExecError> {
-        self.check_bounds(page, offset, len)?;
+        self.inner.cfg.wal.check_bounds(page, offset, len)?;
         let id = PageId(page);
         self.lock_page(txn.id, id, LockMode::Shared)?;
         if let Some(d) = txn.deferred.as_mut() {
-            d.reads.insert(id);
+            d.note_read(id);
         }
+        let mut shard = self.resident_shard(txn, id)?;
+        let p = shard.pool.get(id).expect("resident page");
+        Ok(p.read_at(offset, len).to_vec())
+    }
+
+    /// Lock `id`'s shard with the page resident. When this transaction's
+    /// own deferred pins may be what starved the shard, spill them
+    /// (logging the retained fragments, dropping the pins) and retry the
+    /// residency once.
+    fn resident_shard(
+        &self,
+        txn: &mut Txn,
+        id: PageId,
+    ) -> Result<ShardGuard<'_, PageMeta>, ExecError> {
         let mut shard = self.inner.shards.lock(id);
         if let Err(e) = self.inner.ensure_resident(&mut shard, id) {
-            let self_pinned = txn.deferred.as_ref().is_some_and(|d| !d.pages.is_empty());
+            let self_pinned = txn.deferred.as_ref().is_some_and(|d| !d.is_empty());
             if !is_pool_exhausted(&e) || !self_pinned {
                 return Err(e);
             }
-            // our own deferred pins may be what starved the shard: spill
-            // them (logging the retained fragments, dropping the pins)
-            // and retry the residency once
             drop(shard);
             self.spill_deferred(txn)?;
             shard = self.inner.shards.lock(id);
             self.inner.ensure_resident(&mut shard, id)?;
         }
-        let p = shard.pool.get(id).expect("resident page");
-        Ok(p.read_at(offset, len).to_vec())
+        Ok(shard)
     }
 
     /// Write `data` at `offset` of `page`: X-lock, log a fragment to this
@@ -1563,21 +1483,18 @@ impl ExecDb {
         offset: usize,
         data: &[u8],
     ) -> Result<(), ExecError> {
-        self.check_bounds(page, offset, data.len())?;
+        self.inner.cfg.wal.check_bounds(page, offset, data.len())?;
         let id = PageId(page);
         self.lock_page(txn.id, id, LockMode::Exclusive)?;
-        if txn.deferred.is_some() && self.write_deferred(txn, id, offset, data, None)? {
-            return Ok(());
-        }
-        self.write_physical(txn, id, offset, data)
+        self.write_op(txn, id, offset, data, None)
     }
 
     /// Add `delta` (wrapping) to the little-endian u64 at `offset` of
     /// `page` under an exclusive lock. Under deferred capture the
-    /// increment is recorded as a [`LogicalOp::AddU64`] — 29 bytes on the
-    /// command record no matter how large the page — making hot-counter
-    /// transactions the textbook win for command logging; otherwise it is
-    /// an ordinary read-modify-write fragment.
+    /// increment is recorded as a [`rmdb_wal::LogicalOp::AddU64`] — 29
+    /// bytes on the command record no matter how large the page — making
+    /// hot-counter transactions the textbook win for command logging;
+    /// otherwise it is an ordinary read-modify-write fragment.
     pub fn add_u64(
         &self,
         txn: &mut Txn,
@@ -1585,120 +1502,58 @@ impl ExecDb {
         offset: usize,
         delta: u64,
     ) -> Result<(), ExecError> {
-        self.check_bounds(page, offset, 8)?;
+        self.inner.cfg.wal.check_bounds(page, offset, 8)?;
         let id = PageId(page);
         self.lock_page(txn.id, id, LockMode::Exclusive)?;
         let next = {
-            let mut shard = self.inner.shards.lock(id);
-            self.inner.ensure_resident(&mut shard, id)?;
+            let mut shard = self.resident_shard(txn, id)?;
             let p = shard.pool.get(id).expect("resident page");
-            let mut cur = [0u8; 8];
-            cur.copy_from_slice(p.read_at(offset, 8));
+            let cur: [u8; 8] = p.read_at(offset, 8).try_into().expect("8 bytes");
             u64::from_le_bytes(cur).wrapping_add(delta)
         };
-        let data = next.to_le_bytes();
-        if txn.deferred.is_some() && self.write_deferred(txn, id, offset, &data, Some(delta))? {
-            return Ok(());
-        }
-        self.write_physical(txn, id, offset, &data)
+        self.write_op(txn, id, offset, &next.to_le_bytes(), Some(delta))
     }
 
-    /// Deferred-capture write: no append — retain the fragment the
-    /// immediate path would have logged, record the logical op, pin the
-    /// page on first touch, and apply the bytes. Returns `Ok(false)` when
-    /// the capture was abandoned instead (pin budget or pool pressure →
-    /// the transaction spilled to fragments); the caller then writes
-    /// through the immediate path.
-    fn write_deferred(
+    /// The write path under [`ExecDb::write`] and [`ExecDb::add_u64`]
+    /// (`add` is an add's delta, which deferred capture records as such).
+    /// The fragment is built under the shard lock but appended with it
+    /// released: appender backpressure blocks.
+    fn write_op(
         &self,
         txn: &mut Txn,
         id: PageId,
         offset: usize,
         data: &[u8],
-        delta: Option<u64>,
-    ) -> Result<bool, ExecError> {
-        // Pin budget: a deferred transaction must never pin a whole pool
-        // shard solid, or its own next page could find nothing to evict.
-        // Conservative (all pins could hash to one shard), like the
-        // deferred engine's frame guard.
-        let per_shard = (self.inner.cfg.wal.pool_frames / self.inner.cfg.pool_shards.max(1)).max(1);
-        let budget = per_shard.saturating_sub(1).max(1);
-        {
-            let d = txn.deferred.as_ref().expect("deferred capture armed");
-            if !d.pages.contains(&id) && d.pages.len() + 1 > budget {
-                self.spill_deferred(txn)?;
-                return Ok(false);
-            }
-        }
-        let mut shard = self.inner.shards.lock(id);
-        if let Err(e) = self.inner.ensure_resident(&mut shard, id) {
-            if !is_pool_exhausted(&e) {
-                return Err(e);
-            }
-            // shard starved (possibly by our own pins): spill and let the
-            // immediate path — which can now evict — take this write
-            drop(shard);
+        add: Option<u64>,
+    ) -> Result<(), ExecError> {
+        // a deferred transaction must never pin a pool shard solid, or its
+        // own next page could find nothing to evict
+        if txn.deferred.as_ref().is_some_and(|d| !d.admits(id)) {
             self.spill_deferred(txn)?;
-            return Ok(false);
         }
-        let p = shard.pool.get(id).expect("resident page");
-        let prev_lsn = p.lsn;
+        let mut shard = self.resident_shard(txn, id)?;
         let new_lsn = Lsn(self.inner.next_lsn.fetch_add(1, Ordering::Relaxed));
-        let (frag_offset, before, after) = match self.inner.cfg.wal.log_mode {
-            LogMode::Logical => (
-                offset as u32,
-                p.read_at(offset, data.len()).to_vec(),
-                data.to_vec(),
-            ),
-            LogMode::Physical => {
-                let before = p.payload().to_vec();
-                let mut after = before.clone();
-                after[offset..offset + data.len()].copy_from_slice(data);
-                (0, before, after)
+        let mode = self.inner.cfg.wal.log_mode;
+        let p = shard.pool.get(id).expect("resident page");
+        let (rec, undo) = capture::update_fragment(txn.id, p, offset, data, mode, new_lsn);
+        if let Some(d) = txn.deferred.as_mut() {
+            if d.capture(0, rec, capture::logical_op(id, new_lsn, offset, data, add)) {
+                shard.pool.pin(id);
             }
-        };
-        let rec = LogRecord::Update {
-            txn: txn.id,
-            page: id,
-            prev_lsn,
-            new_lsn,
-            offset: frag_offset,
-            before: before.clone(),
-            after,
-        };
-        let op = match delta {
-            Some(dv) => LogicalOp::AddU64 {
-                page: id,
-                lsn: new_lsn,
-                offset: offset as u32,
-                delta: dv,
-            },
-            None => LogicalOp::Put {
-                page: id,
-                lsn: new_lsn,
-                offset: offset as u32,
-                data: data.to_vec(),
-            },
-        };
-        let d = txn.deferred.as_mut().expect("deferred capture armed");
-        if d.pages.insert(id) {
-            // first touch: pin, so the steal-policy flusher can never
-            // evict a page whose only log coverage is transaction-local
-            shard.pool.pin(id);
+            txn.undo.push(undo);
+        } else {
+            drop(shard);
+            let (stream, seq) = self.append_routed(txn, &rec)?;
+            txn.note_frag(stream, seq, id, rec);
+            txn.undo.push(undo);
+            shard = self.inner.shards.lock(id);
+            self.inner.ensure_resident(&mut shard, id)?;
+            shard.meta.insert(id, (stream, seq));
         }
-        d.phys_bytes += rec.encoded_len();
-        d.frags.push((id, rec));
-        d.ops.push(op);
-        txn.undo.push(UndoEntry {
-            page: id,
-            offset: frag_offset,
-            before,
-            new_lsn,
-        });
-        let page = shard.pool.get_mut(id).expect("resident page");
-        page.write_at(offset, data);
-        page.lsn = new_lsn;
-        Ok(true)
+        let p = shard.pool.get_mut(id).expect("resident page");
+        p.write_at(offset, data);
+        p.lsn = new_lsn;
+        Ok(())
     }
 
     /// Append `rec` to the transaction's home stream, routing around
@@ -1732,147 +1587,26 @@ impl ExecDb {
         }
     }
 
-    /// Spill a deferred transaction to ordinary fragments: append every
-    /// retained fragment (routing around dead streams), publish tickets,
-    /// pending entries, and WAL-rule meta, then drop the pins. After this
-    /// the transaction is a plain fragments transaction for the rest of
-    /// its life. If a mid-spill append fails, the un-appended suffix is
-    /// reverted in memory and its undo entries forgotten — the appended
-    /// prefix keeps its undo chain for the caller's rollback.
+    /// Spill a deferred transaction to ordinary fragments
+    /// ([`Deferred::spill`]), appending through the routed path and
+    /// publishing tickets, pending entries and WAL-rule meta. After this
+    /// the transaction is a plain fragments transaction for good.
     fn spill_deferred(&self, txn: &mut Txn) -> Result<(), ExecError> {
         let Some(d) = txn.deferred.take() else {
             return Ok(());
         };
-        debug_assert_eq!(
-            txn.undo.len(),
-            d.frags.len(),
-            "one undo entry per deferred write"
-        );
-        if !d.frags.is_empty() {
+        if !d.is_empty() {
             self.inner.obs.counter("wal.deferred_spills").inc();
         }
-        let mut out = Ok(());
-        for (i, (id, rec)) in d.frags.into_iter().enumerate() {
-            match self.append_routed(txn, &rec) {
-                Ok((stream, seq)) => {
-                    let high = txn.tickets.entry(stream).or_insert(0);
-                    *high = (*high).max(seq);
-                    txn.pending.push(PendingFrag {
-                        stream,
-                        seq,
-                        page: id,
-                        rec,
-                    });
-                    let mut shard = self.inner.shards.lock(id);
-                    shard.meta.insert(id, (stream, seq));
-                }
-                Err(e) => {
-                    // nothing from this write on reached a log: revert
-                    // those writes in memory (reverse order) and forget
-                    // their undo entries, so rollback never compensates
-                    // an update no log stream has heard of
-                    let tail = txn.undo.split_off(i);
-                    for entry in tail.iter().rev() {
-                        let mut shard = self.inner.shards.lock(entry.page);
-                        if let Some(p) = shard.pool.get_mut(entry.page) {
-                            p.write_at(entry.offset as usize, &entry.before);
-                        }
-                    }
-                    out = Err(e);
-                    break;
-                }
-            }
-        }
-        let pages: Vec<PageId> = d.pages.into_iter().collect();
-        self.inner.unpin_pages(&pages);
-        out
-    }
-
-    /// The immediate (fragments) write path: log the after-image
-    /// fragment, then apply in the buffer pool.
-    fn write_physical(
-        &self,
-        txn: &mut Txn,
-        id: PageId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), ExecError> {
-        // pre-image under the shard lock (X lock pins the content)
-        let (rec, undo_entry, new_lsn) = {
-            let mut shard = self.inner.shards.lock(id);
-            self.inner.ensure_resident(&mut shard, id)?;
-            let p = shard.pool.get(id).expect("resident page");
-            let prev_lsn = p.lsn;
-            let new_lsn = Lsn(self.inner.next_lsn.fetch_add(1, Ordering::Relaxed));
-            match self.inner.cfg.wal.log_mode {
-                LogMode::Logical => {
-                    let before = p.read_at(offset, data.len()).to_vec();
-                    (
-                        LogRecord::Update {
-                            txn: txn.id,
-                            page: id,
-                            prev_lsn,
-                            new_lsn,
-                            offset: offset as u32,
-                            before: before.clone(),
-                            after: data.to_vec(),
-                        },
-                        UndoEntry {
-                            page: id,
-                            offset: offset as u32,
-                            before,
-                            new_lsn,
-                        },
-                        new_lsn,
-                    )
-                }
-                LogMode::Physical => {
-                    let before = p.payload().to_vec();
-                    let mut after = before.clone();
-                    after[offset..offset + data.len()].copy_from_slice(data);
-                    (
-                        LogRecord::Update {
-                            txn: txn.id,
-                            page: id,
-                            prev_lsn,
-                            new_lsn,
-                            offset: 0,
-                            before: before.clone(),
-                            after,
-                        },
-                        UndoEntry {
-                            page: id,
-                            offset: 0,
-                            before,
-                            new_lsn,
-                        },
-                        new_lsn,
-                    )
-                }
-            }
-        };
-
-        // ship the fragment to this txn's home log processor, routing
-        // around streams that die mid-transaction
-        let (stream, seq) = self.append_routed(txn, &rec)?;
-        let high = txn.tickets.entry(stream).or_insert(0);
-        *high = (*high).max(seq);
-        txn.undo.push(undo_entry);
-        txn.pending.push(PendingFrag {
-            stream,
-            seq,
-            page: id,
-            rec,
+        let mut undo = std::mem::take(&mut txn.undo);
+        let out = d.spill(&mut undo, &self.inner.shards, |_, page, rec| {
+            let (stream, seq) = self.append_routed(txn, &rec)?;
+            txn.note_frag(stream, seq, page, rec);
+            self.inner.cover_pages(&[page], stream, seq);
+            Ok(())
         });
-
-        // apply + publish the ticket atomically w.r.t. the flusher
-        let mut shard = self.inner.shards.lock(id);
-        self.inner.ensure_resident(&mut shard, id)?;
-        shard.meta.insert(id, (stream, seq));
-        let p = shard.pool.get_mut(id).expect("resident page");
-        p.write_at(offset, data);
-        p.lsn = new_lsn;
-        Ok(())
+        txn.undo = undo;
+        out
     }
 
     /// Commit: submit to the group-commit daemon and return a handle the
@@ -1885,7 +1619,7 @@ impl ExecDb {
     pub fn commit(&self, mut txn: Txn) -> Result<CommitHandle, ExecError> {
         let timeout = Duration::from_millis(self.inner.cfg.commit_timeout_ms.max(1));
         let (reply, rx) = sync_channel(1);
-        if txn.tickets.is_empty() && txn.deferred.as_ref().is_none_or(|d| d.ops.is_empty()) {
+        if txn.tickets.is_empty() && txn.deferred.as_ref().is_none_or(Deferred::is_empty) {
             // read-only fast path: nothing to force — and no ack counter,
             // so `txn.commits_acked` stays paired with the daemon's
             // `group.completions`
@@ -1897,13 +1631,24 @@ impl ExecDb {
         // The logging decision: one Logical record for a deferred txn the
         // cost policy keeps (it doubles as the commit record), or a spill
         // to fragments plus the plain Commit record.
-        let (commit_rec, unpin, bytes_saved) = match self.decide_commit(&mut txn) {
-            Ok(v) => v,
-            Err(e) => {
-                // the spill failed; it already reverted the un-appended
-                // suffix and dropped the pins — roll back what was logged
-                self.inner.undo_and_release(txn.id, txn.home, txn.undo);
-                return Err(e);
+        let next_lsn = &self.inner.next_lsn;
+        let logical = txn.deferred.as_ref().and_then(|d| {
+            d.command_record(txn.id, || Lsn(next_lsn.fetch_add(1, Ordering::Relaxed)))
+        });
+        let (commit_rec, unpin, bytes_saved) = match logical {
+            Some(rec) => {
+                let d = txn.deferred.take().expect("command-logged txn is deferred");
+                let saved = (d.phys_bytes() as u64).saturating_sub(rec.encoded_len() as u64);
+                (rec, d.pinned().collect(), saved)
+            }
+            None => {
+                if let Err(e) = self.spill_deferred(&mut txn) {
+                    // the spill already reverted the un-appended suffix
+                    // and dropped the pins — roll back what was logged
+                    self.inner.undo_and_release(txn.id, txn.home, txn.undo);
+                    return Err(e);
+                }
+                (LogRecord::Commit { txn: txn.id }, Vec::new(), 0)
             }
         };
         if let Err(e) = self.inner.reroute_if_needed(&mut txn) {
@@ -1950,60 +1695,6 @@ impl ExecDb {
         ))
     }
 
-    /// Run the commit-time logging policy. For a deferred transaction:
-    /// command-log (return its [`LogRecord::Logical`] — the commit record
-    /// — plus the pages to unpin once it is durable and the log bytes
-    /// saved), or spill the retained fragments and commit physically.
-    /// Everything else commits with the plain `Commit` record. The
-    /// per-transaction decision is recorded in the frame
-    /// (`DECISION_FORCED` / `DECISION_COST`), so recovery needs no policy
-    /// configuration to replay.
-    fn decide_commit(&self, txn: &mut Txn) -> Result<(LogRecord, Vec<PageId>, u64), ExecError> {
-        let commit = LogRecord::Commit { txn: txn.id };
-        let Some(d) = txn.deferred.as_ref() else {
-            return Ok((commit, Vec::new(), 0));
-        };
-        if d.ops.is_empty() {
-            let d = txn.deferred.take().expect("checked deferred");
-            return Ok((commit, d.pages.into_iter().collect(), 0));
-        }
-        let threshold = match self.inner.cfg.wal.logging {
-            LoggingPolicy::Command => None, // always command-log
-            LoggingPolicy::Adaptive { threshold_pct } => Some(threshold_pct),
-            LoggingPolicy::Fragments => {
-                // unreachable in practice — deferred capture is only
-                // armed under Command/Adaptive — but spilling is the
-                // correct fallback either way
-                self.spill_deferred(txn)?;
-                return Ok((commit, Vec::new(), 0));
-            }
-        };
-        let mut rec = LogRecord::Logical {
-            txn: txn.id,
-            commit_lsn: Lsn(0), // sized first; allocated only if kept
-            decision: if threshold.is_some() {
-                DECISION_COST
-            } else {
-                DECISION_FORCED
-            },
-            reads: d.reads.iter().copied().collect(),
-            ops: d.ops.clone(),
-        };
-        if let Some(pct) = threshold {
-            if rec.encoded_len() as u128 * 100 > u128::from(pct) * d.phys_bytes as u128 {
-                // the fragments are cheaper: spill and commit physically
-                self.spill_deferred(txn)?;
-                return Ok((commit, Vec::new(), 0));
-            }
-        }
-        let d = txn.deferred.take().expect("checked deferred");
-        if let LogRecord::Logical { commit_lsn, .. } = &mut rec {
-            *commit_lsn = Lsn(self.inner.next_lsn.fetch_add(1, Ordering::Relaxed));
-        }
-        let bytes_saved = (d.phys_bytes as u64).saturating_sub(rec.encoded_len() as u64);
-        Ok((rec, d.pages.into_iter().collect(), bytes_saved))
-    }
-
     /// Abort: walk the undo chain backwards, logging a compensation per
     /// undone update, append the `Abort` record (no force needed), then
     /// release locks. Compensations route around quarantined streams. A
@@ -2012,24 +1703,14 @@ impl ExecDb {
     /// its bytes are reverted in memory, its pins dropped, and no log
     /// stream hears of it at all.
     pub fn abort(&self, txn: Txn) -> Result<(), ExecError> {
-        if let Some(d) = txn.deferred {
-            for entry in txn.undo.iter().rev() {
-                let mut shard = self.inner.shards.lock(entry.page);
-                if let Some(p) = shard.pool.get_mut(entry.page) {
-                    // bytes only; the page LSN stays where the deferred
-                    // writes left it, matching the no-CLR undo rule —
-                    // advancing past it is safe because every later
-                    // durable record allocates a higher LSN
-                    p.write_at(entry.offset as usize, &entry.before);
-                }
+        match txn.deferred {
+            Some(d) => {
+                d.discard(&txn.undo, &self.inner.shards);
+                self.inner.release_locks(txn.id);
+                self.inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
             }
-            let pages: Vec<PageId> = d.pages.into_iter().collect();
-            self.inner.unpin_pages(&pages);
-            self.inner.release_locks(txn.id);
-            self.inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
+            None => self.inner.undo_and_release(txn.id, txn.home, txn.undo),
         }
-        self.inner.undo_and_release(txn.id, txn.home, txn.undo);
         Ok(())
     }
 
@@ -2424,7 +2105,7 @@ impl SnapshotCtx<'_> {
     /// locks, no waiting. A page with no committed version at or below
     /// the snapshot LSN reads as zeroes (see [`ExecDb::run_ro_txn`]).
     pub fn read(&self, page: u64, offset: usize, len: usize) -> Result<Vec<u8>, ExecError> {
-        self.db.check_bounds(page, offset, len)?;
+        self.db.inner.cfg.wal.check_bounds(page, offset, len)?;
         Ok(match self.db.inner.mvcc.read_at(PageId(page), &self.snap) {
             Some(p) => p.read_at(offset, len).to_vec(),
             None => vec![0u8; len],

@@ -121,6 +121,15 @@ pub enum ExecError {
 }
 
 impl ExecError {
+    /// A refused membership change (rejoin, replace, park, unpark) of
+    /// `stream`.
+    pub(crate) fn rejoin(stream: usize, reason: impl Into<String>) -> Self {
+        ExecError::Rejoin {
+            stream,
+            reason: reason.into(),
+        }
+    }
+
     /// Whether [`crate::ExecDb::run_txn`] should abort, back off, and try
     /// again: lock conflicts and appender failures are retryable (a
     /// failed stream is quarantined and the retry routes around it);

@@ -27,11 +27,12 @@
 //! daemon. Each failure is also reported to the failover machinery,
 //! which quarantines the stream so retries route around it.
 
-use crate::db::{Inner, UndoEntry};
+use crate::db::Inner;
 use crate::error::ExecError;
 use crate::sync::lock_ok;
 use rmdb_obs::{Counter, EventKind};
 use rmdb_storage::PageId;
+use rmdb_wal::capture::UndoEntry;
 use rmdb_wal::record::LogRecord;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -266,7 +267,7 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
                 // a command-logged member's deferred pages now answer to
                 // this record: re-pin their WAL-rule meta before any
                 // unpin can expose them to the evicting flusher
-                inner.cover_deferred(&req.unpin, req.home, seq);
+                inner.cover_pages(&req.unpin, req.home, seq);
                 let high = home_high.entry(req.home).or_insert(0);
                 *high = (*high).max(seq);
             }

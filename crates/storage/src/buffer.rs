@@ -253,6 +253,11 @@ impl BufferPool {
         slot.pins -= 1;
     }
 
+    /// Pins held on `id` (0 when it is not resident).
+    pub fn pin_count(&self, id: PageId) -> u32 {
+        self.slots.get(&id).map_or(0, |slot| slot.pins)
+    }
+
     /// Mark a resident page clean (caller just wrote it to disk).
     pub fn mark_clean(&mut self, id: PageId) {
         if let Some(slot) = self.slots.get_mut(&id) {
@@ -367,6 +372,9 @@ impl BufferPool {
     }
 }
 
+/// A locked [`PoolShard`], as [`ShardedPool::lock`] returns it.
+pub type ShardGuard<'a, M> = MutexGuard<'a, PoolShard<M>>;
+
 /// One independently lockable slice of a [`ShardedPool`]: a
 /// [`BufferPool`] over the shard's pages plus caller-defined metadata
 /// that must stay consistent with the pool's contents (e.g. a WAL
@@ -442,12 +450,12 @@ impl<M> ShardedPool<M> {
     }
 
     /// Lock the shard owning `id`.
-    pub fn lock(&self, id: PageId) -> MutexGuard<'_, PoolShard<M>> {
+    pub fn lock(&self, id: PageId) -> ShardGuard<'_, M> {
         self.shards[self.shard_of(id)].lock()
     }
 
     /// Lock shard `i` directly (flush-all style sweeps).
-    pub fn lock_shard(&self, i: usize) -> MutexGuard<'_, PoolShard<M>> {
+    pub fn lock_shard(&self, i: usize) -> ShardGuard<'_, M> {
         self.shards[i].lock()
     }
 

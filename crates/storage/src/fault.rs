@@ -1,4 +1,4 @@
-//! Deterministic, replayable fault injection for [`MemDisk`].
+//! Deterministic, replayable fault injection for [`MemDisk`](crate::MemDisk).
 //!
 //! A [`FaultPlan`] is a schedule keyed by the injector's *global* operation
 //! counters: "on the k-th frame write, tear it at byte c", "on the j-th

@@ -32,7 +32,9 @@ pub mod memdisk;
 pub mod nvmedisk;
 pub mod page;
 
-pub use buffer::{BufferPool, EvictPolicy, Evicted, PoolShard, ShardStats, ShardedPool};
+pub use buffer::{
+    BufferPool, EvictPolicy, Evicted, PoolShard, ShardGuard, ShardStats, ShardedPool,
+};
 pub use device::{BackendKind, BlockDevice, Disk};
 pub use error::StorageError;
 pub use fault::{

@@ -14,16 +14,16 @@
 //! Buffer management is STEAL/NO-FORCE (the general case): dirty pages may
 //! reach the data disk before commit, and need not reach it at commit.
 
+use crate::capture::{self, Deferred, Doublewrite, UndoEntry};
 use crate::lock::{LockMode, LockTable};
 use crate::manager::{LogPos, ParallelLogManager};
-use crate::record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
+use crate::record::LogRecord;
 use crate::recovery;
 use crate::select::SelectionPolicy;
 use rmdb_obs::Registry;
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
-    read_page_retry, write_page_verified, BackendKind, BufferPool, Disk, EvictPolicy, Lsn, Page,
-    PageId, StorageError, PAYLOAD_SIZE,
+    BackendKind, BufferPool, Disk, EvictPolicy, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -45,13 +45,10 @@ pub enum LogMode {
 /// (logical) records, or a per-commit cost-based choice between the two.
 ///
 /// Under [`Command`](LoggingPolicy::Command) and
-/// [`Adaptive`](LoggingPolicy::Adaptive), writes are *deferred-captured*:
-/// nothing is appended while the transaction runs — its dirty pages are
-/// pinned in the pool (so STEAL cannot leak un-logged data to disk) and its
-/// fragments + logical ops are retained transaction-locally. At commit the
-/// engine either appends one [`LogRecord::Logical`] record (which doubles as
-/// the commit record) or *spills* the retained fragments and commits
-/// physically. Deferred transactions that abort log nothing at all.
+/// [`Adaptive`](LoggingPolicy::Adaptive), writes are *deferred-captured*
+/// ([`crate::capture::Deferred`]): nothing is appended while the
+/// transaction runs, and at commit it either appends one
+/// [`LogRecord::Logical`] record or spills its fragments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoggingPolicy {
     /// Always log physical after-image fragments as writes happen (the
@@ -103,6 +100,18 @@ pub struct WalConfig {
     /// Which block-device backend the engine provisions its disks on —
     /// data disk, doublewrite slots, and every log platter alike.
     pub backend: BackendKind,
+}
+
+impl WalConfig {
+    /// Reject an access of `len` bytes at `offset` of `page` that falls
+    /// outside the database.
+    pub fn check_bounds(&self, page: u64, offset: usize, len: usize) -> Result<(), WalError> {
+        if page >= self.data_pages || offset + len > PAYLOAD_SIZE {
+            Err(WalError::OutOfBounds { page, offset, len })
+        } else {
+            Ok(())
+        }
+    }
 }
 
 impl Default for WalConfig {
@@ -190,30 +199,6 @@ pub struct Savepoint {
 }
 
 #[derive(Debug)]
-struct UndoEntry {
-    page: PageId,
-    offset: u32,
-    before: Vec<u8>,
-    new_lsn: Lsn,
-}
-
-/// Deferred capture for a [`LoggingPolicy::Command`]/`Adaptive` transaction:
-/// the fragments it *would* have appended (kept for a physical spill), the
-/// logical ops mirroring them one-to-one, and the pages it read. Each
-/// retained fragment holds one pin on its page in the buffer pool.
-#[derive(Debug, Default)]
-struct Deferred {
-    /// `(qp, fragment)` per write, in execution order — parallel to `undo`.
-    frags: Vec<(usize, LogRecord)>,
-    /// Logical op per write, in execution order — parallel to `frags`.
-    ops: Vec<LogicalOp>,
-    /// Pages read under shared locks (for replay-DAG edges).
-    reads: BTreeSet<PageId>,
-    /// Total encoded size of `frags` (the physical cost side).
-    phys_bytes: usize,
-}
-
-#[derive(Debug)]
 struct TxnState {
     home: usize,
     streams: BTreeSet<usize>,
@@ -239,8 +224,8 @@ pub struct WalDb {
     committed: u64,
     aborted: u64,
     wal_forces: u64,
-    /// Round-robin cursor over the doublewrite slots.
-    dw_cursor: u64,
+    /// The doublewrite slots every data-page flush goes through.
+    dw: Doublewrite,
 }
 
 impl WalDb {
@@ -254,30 +239,9 @@ impl WalDb {
             &cfg.backend,
         )
         .expect("provisioning log disks on the configured backend");
-        let data = cfg
-            .backend
-            .provision(cfg.data_pages + cfg.dw_slots)
+        let data = Doublewrite::provision(&cfg)
             .expect("provisioning the data disk on the configured backend");
-        WalDb::assemble(cfg, log, data)
-    }
-
-    fn assemble(cfg: WalConfig, log: ParallelLogManager, data: Disk) -> Self {
-        let pool = BufferPool::new(cfg.pool_frames, cfg.evict);
-        WalDb {
-            data,
-            pool,
-            log,
-            locks: LockTable::new(),
-            active: HashMap::new(),
-            page_last_log: HashMap::new(),
-            next_txn: 1,
-            next_lsn: 1,
-            committed: 0,
-            aborted: 0,
-            wal_forces: 0,
-            dw_cursor: 0,
-            cfg,
-        }
+        WalDb::from_parts(cfg, data, log, 1, 1)
     }
 
     /// Attach one shared fault injector to the data disk and every log
@@ -288,9 +252,9 @@ impl WalDb {
         self.log.attach_faults(handle);
     }
 
-    /// Construct an engine from recovered parts: the repaired data disk,
-    /// the reopened log manager, and the next transaction/LSN counters.
-    /// Used by the recovery engine.
+    /// Construct an engine from its parts: the data disk, the log
+    /// manager, and the next transaction/LSN counters. The recovery
+    /// engine passes the repaired disk and the reopened logs.
     pub(crate) fn from_parts(
         cfg: WalConfig,
         data: Disk,
@@ -298,10 +262,21 @@ impl WalDb {
         next_txn: TxnId,
         next_lsn: u64,
     ) -> Self {
-        let mut db = WalDb::assemble(cfg, log, data);
-        db.next_txn = next_txn;
-        db.next_lsn = next_lsn;
-        db
+        WalDb {
+            data,
+            pool: BufferPool::new(cfg.pool_frames, cfg.evict),
+            log,
+            locks: LockTable::new(),
+            active: HashMap::new(),
+            page_last_log: HashMap::new(),
+            next_txn,
+            next_lsn,
+            committed: 0,
+            aborted: 0,
+            wal_forces: 0,
+            dw: Doublewrite::new(&cfg),
+            cfg,
+        }
     }
 
     /// Recover a database from a crash image: scans all log streams (never
@@ -325,17 +300,13 @@ impl WalDb {
         let txn = self.next_txn;
         self.next_txn += 1;
         let home = self.log.pick_home(0, txn);
-        let deferred = match self.cfg.logging {
-            LoggingPolicy::Fragments => None,
-            LoggingPolicy::Command | LoggingPolicy::Adaptive { .. } => Some(Deferred::default()),
-        };
         self.active.insert(
             txn,
             TxnState {
                 home,
                 streams: BTreeSet::new(),
                 undo: Vec::new(),
-                deferred,
+                deferred: Deferred::arm(self.cfg.logging, self.cfg.pool_frames),
             },
         );
         txn
@@ -373,12 +344,28 @@ impl WalDb {
         &self.pool
     }
 
-    fn check_bounds(&self, page: u64, offset: usize, len: usize) -> Result<(), WalError> {
-        if page >= self.cfg.data_pages || offset + len > PAYLOAD_SIZE {
-            Err(WalError::OutOfBounds { page, offset, len })
-        } else {
-            Ok(())
+    /// Check an access of `len` bytes at `offset` of `page` by `txn`, then
+    /// lock the page in `mode`.
+    fn lock_access(
+        &mut self,
+        txn: TxnId,
+        page: u64,
+        offset: usize,
+        len: usize,
+        mode: LockMode,
+    ) -> Result<PageId, WalError> {
+        self.cfg.check_bounds(page, offset, len)?;
+        if !self.active.contains_key(&txn) {
+            return Err(WalError::UnknownTxn(txn));
         }
+        let id = PageId(page);
+        self.locks
+            .acquire(txn, id, mode)
+            .map_err(|c| WalError::LockConflict {
+                page: c.page,
+                holder: c.holder,
+            })?;
+        Ok(id)
     }
 
     /// Ensure `page` is resident; applies the WAL rule to any evicted
@@ -387,13 +374,7 @@ impl WalDb {
         if self.pool.contains(id) {
             return Ok(());
         }
-        let page = if self.data.is_allocated(id.0) {
-            // bounded retry rides transient faults and read bit flips;
-            // persistent corruption surfaces as a typed error
-            read_page_retry(&self.data, id.0, crate::stream::IO_RETRIES)?
-        } else {
-            Page::new(id)
-        };
+        let page = capture::home_page(&self.data, id)?;
         if let Some(evicted) = self.pool.insert(id, page, false)? {
             if evicted.dirty {
                 self.flush_page(&evicted.page)?;
@@ -416,12 +397,7 @@ impl WalDb {
                 self.wal_forces += 1;
             }
         }
-        if self.cfg.dw_slots > 0 {
-            let slot = self.cfg.data_pages + self.dw_cursor % self.cfg.dw_slots;
-            self.dw_cursor += 1;
-            write_page_verified(&mut self.data, slot, page, crate::stream::IO_RETRIES)?;
-        }
-        write_page_verified(&mut self.data, page.id.0, page, crate::stream::IO_RETRIES)?;
+        self.dw.flush(&mut self.data, page)?;
         Ok(())
     }
 
@@ -433,20 +409,10 @@ impl WalDb {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, WalError> {
-        self.check_bounds(page, offset, len)?;
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        let id = PageId(page);
-        self.locks
-            .acquire(txn, id, LockMode::Shared)
-            .map_err(|c| WalError::LockConflict {
-                page: c.page,
-                holder: c.holder,
-            })?;
+        let id = self.lock_access(txn, page, offset, len, LockMode::Shared)?;
         self.fetch_spilling(id)?;
         if let Some(d) = self.active.get_mut(&txn).and_then(|s| s.deferred.as_mut()) {
-            d.reads.insert(id);
+            d.note_read(id);
         }
         let p = self.pool.get(id).expect("fetched page resident");
         Ok(p.read_at(offset, len).to_vec())
@@ -467,7 +433,7 @@ impl WalDb {
 
     /// Add `delta` (wrapping) to the little-endian u64 at `offset` of
     /// `page`, returning the new value. Physically this is a plain 8-byte
-    /// write; under deferred capture it is logged as a [`LogicalOp::AddU64`]
+    /// write; under deferred capture it is logged as a [`crate::LogicalOp::AddU64`]
     /// — the canonical case where a command record (8-byte delta) beats an
     /// after-image fragment (before + after images).
     pub fn add_u64(
@@ -477,25 +443,10 @@ impl WalDb {
         offset: usize,
         delta: u64,
     ) -> Result<u64, WalError> {
-        self.check_bounds(page, offset, 8)?;
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        let id = PageId(page);
-        self.locks
-            .acquire(txn, id, LockMode::Exclusive)
-            .map_err(|c| WalError::LockConflict {
-                page: c.page,
-                holder: c.holder,
-            })?;
+        let id = self.lock_access(txn, page, offset, 8, LockMode::Exclusive)?;
         self.fetch_spilling(id)?;
-        let mut cur = [0u8; 8];
-        cur.copy_from_slice(
-            self.pool
-                .get(id)
-                .expect("fetched page resident")
-                .read_at(offset, 8),
-        );
+        let p = self.pool.get(id).expect("fetched page resident");
+        let cur: [u8; 8] = p.read_at(offset, 8).try_into().expect("8 bytes");
         let next = u64::from_le_bytes(cur).wrapping_add(delta);
         self.write_op(0, txn, page, offset, &next.to_le_bytes(), Some(delta))?;
         Ok(next)
@@ -513,116 +464,39 @@ impl WalDb {
         data: &[u8],
         add_delta: Option<u64>,
     ) -> Result<(), WalError> {
-        self.check_bounds(page, offset, data.len())?;
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        let id = PageId(page);
-        self.locks
-            .acquire(txn, id, LockMode::Exclusive)
-            .map_err(|c| WalError::LockConflict {
-                page: c.page,
-                holder: c.holder,
-            })?;
+        let id = self.lock_access(txn, page, offset, data.len(), LockMode::Exclusive)?;
         // a deferred txn pinning the whole pool would wedge every fetch —
         // convert it to fragment mode before its pins fill the last frame
-        let pins = self
-            .active
-            .get(&txn)
-            .and_then(|s| s.deferred.as_ref())
-            .map(|d| d.ops.len())
-            .unwrap_or(0);
-        if pins + 1 > self.cfg.pool_frames.saturating_sub(1).max(1) {
-            self.spill_deferred(txn)?;
+        if let Some(d) = self.active.get(&txn).and_then(|s| s.deferred.as_ref()) {
+            if !d.admits(id) {
+                self.spill_deferred(txn)?;
+            }
         }
         self.fetch_spilling(id)?;
 
         let new_lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
-
-        // Build the fragment from the page's pre-image.
-        let (rec, undo_entry) = {
-            let p = self.pool.get(id).expect("fetched page resident");
-            let prev_lsn = p.lsn;
-            match self.cfg.log_mode {
-                LogMode::Logical => {
-                    let before = p.read_at(offset, data.len()).to_vec();
-                    (
-                        LogRecord::Update {
-                            txn,
-                            page: id,
-                            prev_lsn,
-                            new_lsn,
-                            offset: offset as u32,
-                            before: before.clone(),
-                            after: data.to_vec(),
-                        },
-                        UndoEntry {
-                            page: id,
-                            offset: offset as u32,
-                            before,
-                            new_lsn,
-                        },
-                    )
-                }
-                LogMode::Physical => {
-                    let before = p.payload().to_vec();
-                    let mut after = before.clone();
-                    after[offset..offset + data.len()].copy_from_slice(data);
-                    (
-                        LogRecord::Update {
-                            txn,
-                            page: id,
-                            prev_lsn,
-                            new_lsn,
-                            offset: 0,
-                            before: before.clone(),
-                            after,
-                        },
-                        UndoEntry {
-                            page: id,
-                            offset: 0,
-                            before,
-                            new_lsn,
-                        },
-                    )
-                }
-            }
-        };
+        let p = self.pool.get(id).expect("fetched page resident");
+        let (rec, undo) =
+            capture::update_fragment(txn, p, offset, data, self.cfg.log_mode, new_lsn);
 
         let state = self.active.get_mut(&txn).expect("txn checked active");
         if let Some(d) = state.deferred.as_mut() {
-            // Deferred capture: retain the fragment instead of appending it,
-            // pin the page (once per write) so STEAL can never put un-logged
-            // bytes on disk, and mirror the write as a logical op. The LSN
-            // sequence is identical to fragment mode, so per-page ordering —
-            // and therefore replay equivalence — is policy-independent.
-            let op = match add_delta {
-                Some(delta) => LogicalOp::AddU64 {
-                    page: id,
-                    lsn: new_lsn,
-                    offset: offset as u32,
-                    delta,
-                },
-                None => LogicalOp::Put {
-                    page: id,
-                    lsn: new_lsn,
-                    offset: offset as u32,
-                    data: data.to_vec(),
-                },
-            };
-            d.phys_bytes += rec.encoded_len();
-            d.frags.push((qp, rec));
-            d.ops.push(op);
-            state.undo.push(undo_entry);
-            self.pool.pin(id);
+            // Deferred capture: retain the fragment instead of appending it
+            // and pin the page on first touch, so STEAL can never put
+            // un-logged bytes on disk. The LSN sequence is identical to
+            // fragment mode, so per-page ordering — and therefore replay
+            // equivalence — is policy-independent.
+            let op = capture::logical_op(id, new_lsn, offset, data, add_delta);
+            if d.capture(qp, rec, op) {
+                self.pool.pin(id);
+            }
         } else {
             let pos = self.log.append_routed(qp, txn, &rec)?;
-            let state = self.active.get_mut(&txn).expect("txn checked active");
             state.streams.insert(pos.stream);
-            state.undo.push(undo_entry);
             self.page_last_log.insert(id, pos);
         }
+        state.undo.push(undo);
 
         let p = self.pool.get_mut(id).expect("fetched page resident");
         p.write_at(offset, data);
@@ -654,47 +528,18 @@ impl WalDb {
         let Some(d) = state.deferred.take() else {
             return Ok(());
         };
-        for (i, (qp, rec)) in d.frags.iter().enumerate() {
-            match self.log.append_routed(*qp, txn, rec) {
-                Ok(pos) => {
-                    let state = self.active.get_mut(&txn).expect("spilling active txn");
-                    state.streams.insert(pos.stream);
-                    self.page_last_log.insert(d.ops[i].page(), pos);
-                    self.pool.unpin(d.ops[i].page());
-                }
-                Err(e) => {
-                    // The un-appended tail would sit in the pool as
-                    // un-logged dirty bytes — a STEAL hazard once unpinned.
-                    // Revert it in memory (before-images, reverse order)
-                    // and forget it, leaving the txn consistent with the
-                    // appended prefix. Then release every remaining pin.
-                    let state = self.active.get_mut(&txn).expect("spilling active txn");
-                    let tail: Vec<UndoEntry> = state.undo.split_off(i);
-                    for entry in tail.iter().rev() {
-                        if let Some(p) = self.pool.get_mut(entry.page) {
-                            p.write_at(entry.offset as usize, &entry.before);
-                        }
-                    }
-                    for op in &d.ops[i..] {
-                        self.pool.unpin(op.page());
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(())
+        d.spill(&mut state.undo, &mut self.pool, |qp, page, rec| {
+            let pos = self.log.append_routed(qp, txn, &rec)?;
+            state.streams.insert(pos.stream);
+            self.page_last_log.insert(page, pos);
+            Ok::<_, WalError>(())
+        })
     }
 
     /// Spill every deferred transaction (checkpoint/flush prelude and the
     /// pool-exhaustion escape hatch).
     fn spill_all_deferred(&mut self) -> Result<(), WalError> {
-        let deferred: Vec<TxnId> = self
-            .active
-            .iter()
-            .filter(|(_, s)| s.deferred.is_some())
-            .map(|(t, _)| *t)
-            .collect();
-        for txn in deferred {
+        for txn in self.active_txns() {
             self.spill_deferred(txn)?;
         }
         Ok(())
@@ -720,27 +565,23 @@ impl WalDb {
     /// when the policy picks command logging, or a spill to fragments plus
     /// the normal commit protocol otherwise.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), WalError> {
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        if let Some(rec) = self.build_logical_commit(txn) {
+        let state = self.active.get(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        let next_lsn = &mut self.next_lsn;
+        let logical = state.deferred.as_ref().and_then(|d| {
+            d.command_record(txn, || {
+                *next_lsn += 1;
+                Lsn(*next_lsn - 1)
+            })
+        });
+        if let Some(rec) = logical {
             let state = self.active.remove(&txn).expect("checked active");
-            let d = state.deferred.expect("logical commit is deferred");
-            self.next_lsn += 1; // the commit_lsn baked into `rec`
-            let append = self.log.append_to(state.home, &rec);
-            let pos = match append {
+            let d = state.deferred.expect("command-logged txn is deferred");
+            let pos = match self.log.append_to(state.home, &rec) {
                 Ok(pos) => pos,
                 Err(e) => {
-                    // nothing was logged: revert in memory and unpin, as a
-                    // deferred abort would
-                    for entry in state.undo.iter().rev() {
-                        if let Some(p) = self.pool.get_mut(entry.page) {
-                            p.write_at(entry.offset as usize, &entry.before);
-                        }
-                    }
-                    for op in &d.ops {
-                        self.pool.unpin(op.page());
-                    }
+                    // nothing was logged: revert and unpin, as a deferred
+                    // abort would
+                    d.discard(&state.undo, &mut self.pool);
                     self.locks.release_all(txn);
                     self.aborted += 1;
                     return Err(e.into());
@@ -749,66 +590,28 @@ impl WalDb {
             // pins drop before the force: page_last_log now names the
             // logical record, so a later eviction re-forces under the WAL
             // rule even if this force fails
-            for op in &d.ops {
-                self.page_last_log.insert(op.page(), pos);
-                self.pool.unpin(op.page());
+            for page in d.pinned() {
+                self.page_last_log.insert(page, pos);
+                self.pool.unpin(page);
             }
             self.log.force(state.home)?;
             self.locks.release_all(txn);
-            self.committed += 1;
-            return self.maybe_auto_checkpoint();
+            return self.count_commits(1);
         }
-        self.spill_deferred(txn)?;
-        let state = self.active.remove(&txn).ok_or(WalError::UnknownTxn(txn))?;
-        for &s in &state.streams {
-            self.log.force(s)?;
-        }
-        self.log.append_to(state.home, &LogRecord::Commit { txn })?;
-        self.log.force(state.home)?;
-        self.locks.release_all(txn);
-        self.committed += 1;
-        self.maybe_auto_checkpoint()
+        // the physical protocol is a group commit of one
+        self.commit_group(&[txn])
     }
 
-    /// Run the cost-based policy for a deferred transaction about to
-    /// commit. `Some(record)` means command-log it (the record carries the
-    /// next LSN as its commit LSN — the caller consumes that LSN);
-    /// `None` means spill to fragments (or the txn was never deferred).
-    fn build_logical_commit(&mut self, txn: TxnId) -> Option<LogRecord> {
-        let state = self.active.get(&txn)?;
-        let d = state.deferred.as_ref()?;
-        if d.ops.is_empty() {
-            // read-only: the plain Commit record path is already minimal
-            return None;
-        }
-        let decision = match self.cfg.logging {
-            LoggingPolicy::Command => DECISION_FORCED,
-            LoggingPolicy::Adaptive { .. } => DECISION_COST,
-            LoggingPolicy::Fragments => return None,
-        };
-        let rec = LogRecord::Logical {
-            txn,
-            commit_lsn: Lsn(self.next_lsn),
-            decision,
-            reads: d.reads.iter().copied().collect(),
-            ops: d.ops.clone(),
-        };
-        if let LoggingPolicy::Adaptive { threshold_pct } = self.cfg.logging {
-            let logical = rec.encoded_len() as u128;
-            if logical * 100 > u128::from(threshold_pct) * d.phys_bytes as u128 {
-                return None;
-            }
-        }
-        Some(rec)
-    }
-
-    /// Honour [`WalConfig::ckpt_every_commits`]: fuzzy-checkpoint when the
-    /// commit counter crosses the knob. An error here surfaces from the
-    /// committing call, but the commit record is already durable — exactly
-    /// the "ambiguous commit" a crash mid-checkpoint produces.
-    fn maybe_auto_checkpoint(&mut self) -> Result<(), WalError> {
-        let n = self.cfg.ckpt_every_commits;
-        if n > 0 && self.committed.is_multiple_of(n) {
+    /// Count `n` new commits and honour [`WalConfig::ckpt_every_commits`]:
+    /// fuzzy-checkpoint when the commit counter reaches or steps over a
+    /// multiple of the knob. An error here surfaces from the committing
+    /// call, but the commit records are already durable — exactly the
+    /// "ambiguous commit" a crash mid-checkpoint produces.
+    fn count_commits(&mut self, n: u64) -> Result<(), WalError> {
+        let before = self.committed;
+        self.committed += n;
+        let every = self.cfg.ckpt_every_commits;
+        if every > 0 && self.committed / every > before / every {
             self.checkpoint()?;
         }
         Ok(())
@@ -856,9 +659,8 @@ impl WalDb {
         }
         for (txn, _) in &states {
             self.locks.release_all(*txn);
-            self.committed += 1;
         }
-        self.maybe_auto_checkpoint()
+        self.count_commits(states.len() as u64)
     }
 
     /// Abort: undo the transaction's updates in reverse order, logging a
@@ -871,42 +673,34 @@ impl WalDb {
             // Deferred abort: nothing was ever logged, so there is nothing
             // to compensate — restore the before-images in memory, release
             // the pins, and vanish without a trace in the log.
-            for entry in state.undo.iter().rev() {
-                if let Some(p) = self.pool.get_mut(entry.page) {
-                    p.write_at(entry.offset as usize, &entry.before);
-                }
-            }
-            for op in &d.ops {
-                self.pool.unpin(op.page());
-            }
-            self.locks.release_all(txn);
-            self.aborted += 1;
-            return Ok(());
+            d.discard(&state.undo, &mut self.pool);
+        } else {
+            self.compensate(txn, state.home, &state.undo)?;
+            self.log.append_to(state.home, &LogRecord::Abort { txn })?;
         }
-        for entry in state.undo.iter().rev() {
+        self.locks.release_all(txn);
+        self.aborted += 1;
+        Ok(())
+    }
+
+    /// Logged undo: revert `undo` newest-first, logging a compensation on
+    /// `home` for each entry so the rollback itself is crash-safe.
+    fn compensate(&mut self, txn: TxnId, home: usize, undo: &[UndoEntry]) -> Result<(), WalError> {
+        for entry in undo.iter().rev() {
             self.fetch(entry.page)?;
             let new_lsn = Lsn(self.next_lsn);
             self.next_lsn += 1;
-            let rec = LogRecord::Compensation {
-                txn,
-                page: entry.page,
-                undoes: entry.new_lsn,
-                new_lsn,
-                offset: entry.offset,
-                data: entry.before.clone(),
-            };
-            let pos = self.log.append_to(state.home, &rec)?;
+            let pos = self
+                .log
+                .append_to(home, &entry.compensation(txn, new_lsn))?;
             self.page_last_log.insert(entry.page, pos);
             let p = self
                 .pool
                 .get_mut(entry.page)
                 .expect("fetched page resident");
-            p.write_at(entry.offset as usize, &entry.before);
+            entry.revert(p);
             p.lsn = new_lsn;
         }
-        self.log.append_to(state.home, &LogRecord::Abort { txn })?;
-        self.locks.release_all(txn);
-        self.aborted += 1;
         Ok(())
     }
 
@@ -938,11 +732,7 @@ impl WalDb {
         for s in 0..self.log.n_streams() {
             self.log.append_to(s, &begin)?;
         }
-        for id in self.pool.dirty_ids() {
-            let page = self.pool.peek(id).expect("dirty page resident").clone();
-            self.flush_page(&page)?;
-            self.pool.mark_clean(id);
-        }
+        self.flush_all()?;
         for s in 0..self.log.n_streams() {
             self.log.append_to(s, &LogRecord::CheckpointEnd)?;
         }
@@ -977,52 +767,14 @@ impl WalDb {
             )));
         }
         let home = state.home;
-        if state.deferred.is_some() {
+        let state = self.active.get_mut(&txn).expect("checked active");
+        if let Some(d) = state.deferred.as_mut() {
             // Deferred partial rollback: the undone suffix was never logged
-            // (frags/ops/undo grow in lockstep, so `undo_len` indexes all
-            // three) — revert it in memory and drop the captured tail.
-            let state = self.active.get_mut(&txn).expect("checked active");
-            let d = state.deferred.as_mut().expect("checked deferred");
-            let dropped_ops = d.ops.split_off(sp.undo_len);
-            d.frags.truncate(sp.undo_len);
-            d.phys_bytes = d.frags.iter().map(|(_, r)| r.encoded_len()).sum();
-            let to_undo: Vec<UndoEntry> = state.undo.split_off(sp.undo_len);
-            for entry in to_undo.iter().rev() {
-                if let Some(p) = self.pool.get_mut(entry.page) {
-                    p.write_at(entry.offset as usize, &entry.before);
-                }
-            }
-            for op in &dropped_ops {
-                self.pool.unpin(op.page());
-            }
+            d.rollback_to(sp.undo_len, &mut state.undo, &mut self.pool);
             return Ok(());
         }
-        let to_undo: Vec<UndoEntry> = {
-            let state = self.active.get_mut(&txn).expect("checked active");
-            state.undo.split_off(sp.undo_len)
-        };
-        for entry in to_undo.iter().rev() {
-            self.fetch(entry.page)?;
-            let new_lsn = Lsn(self.next_lsn);
-            self.next_lsn += 1;
-            let rec = LogRecord::Compensation {
-                txn,
-                page: entry.page,
-                undoes: entry.new_lsn,
-                new_lsn,
-                offset: entry.offset,
-                data: entry.before.clone(),
-            };
-            let pos = self.log.append_to(home, &rec)?;
-            self.page_last_log.insert(entry.page, pos);
-            let p = self
-                .pool
-                .get_mut(entry.page)
-                .expect("fetched page resident");
-            p.write_at(entry.offset as usize, &entry.before);
-            p.lsn = new_lsn;
-        }
-        Ok(())
+        let to_undo = state.undo.split_off(sp.undo_len);
+        self.compensate(txn, home, &to_undo)
     }
 
     /// Take an archive copy of the database for media recovery: flushes
@@ -1587,7 +1339,26 @@ mod tests {
         db.rollback_to(sp).unwrap();
         assert_eq!(db.read(t, 1, 0, 4).unwrap(), b"AAAA");
         assert_eq!(db.read(t, 2, 0, 4).unwrap(), vec![0u8; 4]);
+        // page 1 is still captured before the savepoint, so only page 2
+        // gave its pin back
+        let pins = |db: &WalDb, p| db.pool().pin_count(PageId(p));
+        assert_eq!((pins(&db, 1), pins(&db, 2)), (1, 0));
+        // a savepoint whose suffix only rewrites already-pinned pages
+        // takes no pin and must give none back
+        db.write(t, 2, 0, b"DDDD").unwrap();
+        let sp2 = db.savepoint(t).unwrap();
+        db.write(t, 1, 0, b"EEEE").unwrap();
+        db.add_u64(t, 2, 8, 7).unwrap();
+        assert_eq!((pins(&db, 1), pins(&db, 2)), (1, 1));
+        db.rollback_to(sp2).unwrap();
+        assert_eq!((pins(&db, 1), pins(&db, 2)), (1, 1));
+        assert_eq!(db.read(t, 1, 0, 4).unwrap(), b"AAAA");
+        assert_eq!(
+            db.read(t, 2, 0, 16).unwrap(),
+            b"DDDD\0\0\0\0\0\0\0\0\0\0\0\0"
+        );
         db.abort(t).unwrap();
+        assert_eq!((pins(&db, 1), pins(&db, 2)), (0, 0));
         let q = db.begin();
         assert_eq!(db.read(q, 1, 0, 4).unwrap(), b"base");
         db.commit(q).unwrap();
@@ -1605,6 +1376,57 @@ mod tests {
             db.write(t2, p, 0, b"turn").unwrap();
         }
         db.commit(t2).unwrap();
+    }
+
+    #[test]
+    fn deferred_rewrites_of_one_page_pin_one_frame() {
+        // one pin per distinct page: a counter bumped more times than the
+        // pool has frames still fits the pin budget and command-logs
+        let mut db = WalDb::new(command_cfg());
+        assert_eq!(db.config().pool_frames, 4);
+        let t = db.begin();
+        for _ in 0..6 {
+            db.add_u64(t, 1, 0, 1).unwrap();
+        }
+        assert_eq!(db.pool().pin_count(PageId(1)), 1);
+        db.commit(t).unwrap();
+        assert_eq!(db.pool().pin_count(PageId(1)), 0);
+        assert_eq!(
+            count_recs(&db, |r| matches!(r, LogRecord::Logical { .. })),
+            1
+        );
+        assert_eq!(
+            count_recs(&db, |r| matches!(r, LogRecord::Update { .. })),
+            0
+        );
+        let (mut db2, _) = WalDb::recover(db.crash_image(), command_cfg()).unwrap();
+        let q = db2.begin();
+        assert_eq!(db2.read(q, 1, 0, 8).unwrap(), 6u64.to_le_bytes());
+    }
+
+    #[test]
+    fn group_commit_honours_ckpt_every_commits() {
+        // groups of two step over the multiples of three: the group that
+        // crosses one must checkpoint (flushing every dirty page)
+        let mut db = WalDb::new(WalConfig {
+            data_pages: 16,
+            pool_frames: 16,
+            ckpt_every_commits: 3,
+            ..WalConfig::default()
+        });
+        let mut dirty = Vec::new();
+        for g in 0..4u64 {
+            let txns: Vec<TxnId> = (0..2)
+                .map(|i| {
+                    let t = db.begin();
+                    db.write(t, g * 2 + i, 0, b"grp").unwrap();
+                    t
+                })
+                .collect();
+            db.commit_group(&txns).unwrap();
+            dirty.push((db.committed(), db.pool().dirty_ids().len()));
+        }
+        assert_eq!(dirty, vec![(2, 2), (4, 0), (6, 0), (8, 2)]);
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //! * [`manager`] — the bank of N streams plus routing;
 //! * [`lock`] — the page-level strict two-phase lock table the paper's
 //!   back-end controller scheduler uses;
+//! * [`capture`] — the write-side vocabulary both engines share: the
+//!   `Update` fragment builder, undo entries, deferred capture (one pool
+//!   pin per distinct page, budget from the pool or shard size) with the
+//!   commit-time logging decision, and the doublewrite slot layout;
 //! * [`db`] — [`WalDb`], the user-facing engine: begin/read/write/commit/
 //!   abort/checkpoint plus crash images;
 //! * [`recovery`] — the one recovery engine: checkpoint-bounded analysis
@@ -49,6 +53,7 @@
 //! ```
 
 pub mod backoff;
+pub mod capture;
 pub mod db;
 pub mod lock;
 pub mod manager;

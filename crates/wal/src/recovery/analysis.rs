@@ -29,22 +29,14 @@
 //! compensations precede the bound in the same stream and are therefore
 //! durable and scanned).
 
-use super::redo::{read_data_retry, LogicalMeta, RedoBody, RedoItem};
+use super::redo::{LogicalMeta, RedoBody, RedoItem};
 use super::report::RestartReport;
-use crate::db::{TxnId, WalConfig};
+use crate::capture::UndoEntry;
+use crate::db::TxnId;
 use crate::record::LogRecord;
 use crate::stream::{IndexedRecord, ScanStats};
-use rmdb_storage::{Disk, Lsn, Page, PageId};
+use rmdb_storage::PageId;
 use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// One not-yet-ruled-out undo unit of a potential loser.
-pub(super) struct UndoCand {
-    pub page: PageId,
-    pub new_lsn: Lsn,
-    pub offset: u32,
-    pub before: Vec<u8>,
-    pub stream: usize,
-}
 
 /// Everything the redo/undo phases need.
 #[derive(Default)]
@@ -52,8 +44,9 @@ pub(super) struct Analysis {
     /// Per-page redo work, pages in deterministic order; items in stream
     /// append order (sorted by LSN before replay).
     pub redo: BTreeMap<PageId, Vec<RedoItem>>,
-    /// Per-transaction undo candidates.
-    pub updates_by_txn: HashMap<TxnId, Vec<UndoCand>>,
+    /// Per-transaction undo candidates, each with the stream it was
+    /// logged on (its compensation goes to the same stream).
+    pub updates_by_txn: HashMap<TxnId, Vec<(usize, UndoEntry)>>,
     /// Transactions with a durable commit record on any stream.
     pub committed: HashSet<TxnId>,
     /// Command-logged transactions whose record sits ahead of the bound:
@@ -154,13 +147,16 @@ pub(super) fn analyze(
                             },
                         });
                     }
-                    a.updates_by_txn.entry(*txn).or_default().push(UndoCand {
+                    let undo = UndoEntry {
                         page: *page,
-                        new_lsn: *new_lsn,
                         offset: *offset,
                         before: before.clone(),
-                        stream: stream_idx,
-                    });
+                        new_lsn: *new_lsn,
+                    };
+                    a.updates_by_txn
+                        .entry(*txn)
+                        .or_default()
+                        .push((stream_idx, undo));
                 }
                 LogRecord::Compensation {
                     txn,
@@ -271,30 +267,4 @@ fn last_complete_checkpoint<'r>(
         }
     }
     bound
-}
-
-/// Harvest the doublewrite buffer: the latest valid full image per page,
-/// used to rebuild home frames torn by the crash. A corrupt slot means the
-/// crash hit the doublewrite write itself — the home frame is then still
-/// intact, so the slot is simply ignored.
-pub(super) fn harvest_doublewrite(
-    data: &Disk,
-    cfg: &WalConfig,
-    retried: &mut u64,
-) -> HashMap<PageId, Page> {
-    let mut doublewrite: HashMap<PageId, Page> = HashMap::new();
-    for slot in cfg.data_pages..data.capacity() {
-        if !data.is_allocated(slot) {
-            continue;
-        }
-        if let Ok(p) = read_data_retry(data, slot, retried) {
-            match doublewrite.get(&p.id) {
-                Some(have) if have.lsn >= p.lsn => {}
-                _ => {
-                    doublewrite.insert(p.id, p);
-                }
-            }
-        }
-    }
-    doublewrite
 }

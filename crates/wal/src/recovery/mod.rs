@@ -47,10 +47,11 @@ pub use redo::{
 };
 pub use report::{PhaseTimings, RecoveryReport, ReplaySummary, RestartReport, WorkerStats};
 
+use crate::capture::Doublewrite;
 use crate::db::{CrashImage, WalConfig, WalDb, WalError};
 use crate::manager::ParallelLogManager;
 use crate::record::LogRecord;
-use analysis::{analyze, harvest_doublewrite};
+use analysis::analyze;
 use rmdb_obs::{EventKind, Registry};
 use rmdb_storage::{write_page_verified, Disk, Lsn, StorageError};
 use std::collections::btree_map::Entry;
@@ -145,7 +146,7 @@ where
         workers,
         ..RestartReport::default()
     };
-    let doublewrite = harvest_doublewrite(&data, &cfg, &mut report.base.retried_ios);
+    let doublewrite = Doublewrite::harvest(&data, &cfg, &mut report.base.retried_ios);
     let a = analyze(&scans, run.bounded, &mut report);
     report.timings.analysis = t_start.elapsed();
     let base = &report.base;
@@ -208,10 +209,10 @@ where
     let mut next_lsn = a.max_lsn + 1;
     for &loser in &losers {
         let mut cands = updates_by_txn.remove(&loser).expect("loser has updates");
-        cands.retain(|c| !a.compensated.contains(&c.new_lsn.0));
-        cands.sort_by_key(|c| std::cmp::Reverse(c.new_lsn));
+        cands.retain(|(_, c)| !a.compensated.contains(&c.new_lsn.0));
+        cands.sort_by_key(|(_, c)| std::cmp::Reverse(c.new_lsn));
         let mut last_stream = None;
-        for cand in &cands {
+        for (stream, cand) in &cands {
             if quarantined.contains(&cand.page) {
                 // the page is unreadable either way; undoing onto a fresh
                 // frame would invent contents for the untouched bytes
@@ -249,21 +250,11 @@ where
             };
             let new_lsn = Lsn(next_lsn);
             next_lsn += 1;
-            page.write_at(cand.offset as usize, &cand.before);
+            cand.revert(page);
             page.lsn = new_lsn;
             report.base.undone_updates += 1;
-            log.append_to(
-                cand.stream,
-                &LogRecord::Compensation {
-                    txn: loser,
-                    page: cand.page,
-                    undoes: cand.new_lsn,
-                    new_lsn,
-                    offset: cand.offset,
-                    data: cand.before.clone(),
-                },
-            )?;
-            last_stream = Some(cand.stream);
+            log.append_to(*stream, &cand.compensation(loser, new_lsn))?;
+            last_stream = Some(*stream);
         }
         log.append_to(last_stream.unwrap_or(0), &LogRecord::Abort { txn: loser })?;
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, build, every test in the workspace,
-# a warning-free clippy pass, a restart-engine equivalence smoke run
+# a warning-free clippy pass, a docs build with no broken intra-doc links,
+# a restart-engine equivalence smoke run
 # (K=1 vs K=4 must recover byte-identical state), the concurrent-pipeline
 # stress tests, the observability property/conservation suites, and a
 # throughput smoke with --obs that must show >= 2x txns/sec at 4 workers
@@ -41,6 +42,9 @@ cargo build --release -p rmdb-bench --bin lsm
 cargo test -q
 cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
+# every intra-doc link must resolve: a rename or deletion that leaves a
+# dangling [`Item`] behind fails here, not in a reader's browser
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
 # compile every criterion bench without running it: bench targets are not
 # covered by `cargo test`/`cargo build`, so struct-literal drift in a bench
 # otherwise ships silently and breaks the next perf investigation

@@ -5,7 +5,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recovery_machines::exec::{ExecConfig, ExecDb, Executor};
-use recovery_machines::wal::{WalConfig, WalDb};
+use recovery_machines::storage::PAYLOAD_SIZE;
+use recovery_machines::wal::{
+    CrashImage, LogMode, LogRecord, LoggingPolicy, ParallelLogManager, SelectionPolicy, WalConfig,
+    WalDb,
+};
 use std::sync::Arc;
 
 const ACCOUNTS: u64 = 16;
@@ -341,4 +345,162 @@ fn executor_backpressure_loses_nothing() {
     }
     pool.join();
     assert_eq!(db.stats().committed, 200);
+}
+
+/// One step of a serial script: a write, a counter bump, or a read.
+enum Step {
+    Write(u64, usize, Vec<u8>),
+    Add(u64, usize, u64),
+    Read(u64, usize),
+}
+
+/// A seeded serial script: transactions of 1–4 steps over 12 pages, about
+/// a fifth of them aborted, then one loser left open with two writes.
+fn serial_script(seed: u64) -> (Vec<(Vec<Step>, bool)>, Vec<Step>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let step = |rng: &mut StdRng| match rng.gen_range(0..3) {
+        0 => {
+            let len = rng.gen_range(1..24);
+            let data = (0..len).map(|_| rng.gen()).collect();
+            Step::Write(rng.gen_range(0..12), rng.gen_range(0..200), data)
+        }
+        1 => Step::Add(
+            rng.gen_range(0..12),
+            8 * rng.gen_range(0..4usize),
+            rng.gen(),
+        ),
+        _ => Step::Read(rng.gen_range(0..12), rng.gen_range(0..200)),
+    };
+    let txns = (0..40)
+        .map(|_| {
+            let steps = (0..rng.gen_range(1..5)).map(|_| step(&mut rng)).collect();
+            (steps, rng.gen_range(0..5) != 0)
+        })
+        .collect();
+    let loser = vec![
+        Step::Write(3, 40, b"in-flight".to_vec()),
+        Step::Add(5, 0, 99),
+    ];
+    (txns, loser)
+}
+
+/// `(Update, Logical, Compensation)` records durable in `image`'s logs.
+fn record_counts(image: &CrashImage) -> (usize, usize, usize) {
+    let logs = image.logs.iter().map(|d| d.snapshot()).collect();
+    let logs = ParallelLogManager::open(logs, SelectionPolicy::Cyclic, 0).expect("reopen logs");
+    let mut counts = (0, 0, 0);
+    for rec in logs.scan_all().iter().flatten() {
+        match rec {
+            LogRecord::Update { .. } => counts.0 += 1,
+            LogRecord::Logical { .. } => counts.1 += 1,
+            LogRecord::Compensation { .. } => counts.2 += 1,
+            _ => {}
+        }
+    }
+    counts
+}
+
+/// Every page's payload after recovering `image` with `WalDb::recover`.
+fn recovered_payloads(image: CrashImage, cfg: &WalConfig) -> Vec<Vec<u8>> {
+    let (mut db, _) = WalDb::recover(image, cfg.clone()).expect("recover");
+    let q = db.begin();
+    (0..cfg.data_pages)
+        .map(|p| db.read(q, p, 0, PAYLOAD_SIZE).expect("read page"))
+        .collect()
+}
+
+#[test]
+fn serial_script_matches_waldb_under_every_policy() {
+    let (txns, loser) = serial_script(0x5E71A1);
+    let policies = [
+        LoggingPolicy::Fragments,
+        LoggingPolicy::Command,
+        LoggingPolicy::Adaptive { threshold_pct: 100 },
+    ];
+    for logging in policies {
+        for log_mode in [LogMode::Logical, LogMode::Physical] {
+            // one log stream, so both engines force the same record
+            // sequence; a pool that holds every page, so neither spills
+            let cfg = WalConfig {
+                data_pages: 16,
+                pool_frames: 32,
+                log_streams: 1,
+                log_frames: 4096,
+                log_mode,
+                logging,
+                ..WalConfig::default()
+            };
+            let mut wal = WalDb::new(cfg.clone());
+            let exec = ExecDb::new(ExecConfig {
+                wal: cfg.clone(),
+                pool_shards: 1,
+                ..ExecConfig::default()
+            });
+            let wal_run = |db: &mut WalDb, t, steps: &[Step]| {
+                for s in steps {
+                    match s {
+                        Step::Write(p, o, d) => db.write(t, *p, *o, d).map(drop),
+                        Step::Add(p, o, v) => db.add_u64(t, *p, *o, *v).map(drop),
+                        Step::Read(p, o) => db.read(t, *p, *o, 8).map(drop),
+                    }
+                    .expect("WalDb step");
+                }
+            };
+            let exec_run = |t: &mut _, steps: &[Step]| {
+                for s in steps {
+                    match s {
+                        Step::Write(p, o, d) => exec.write(t, *p, *o, d),
+                        Step::Add(p, o, v) => exec.add_u64(t, *p, *o, *v),
+                        Step::Read(p, o) => exec.read(t, *p, *o, 8).map(drop),
+                    }
+                    .expect("ExecDb step");
+                }
+            };
+            for (steps, commit) in &txns {
+                let t = wal.begin();
+                wal_run(&mut wal, t, steps);
+                let mut x = exec.begin(0);
+                exec_run(&mut x, steps);
+                if *commit {
+                    wal.commit(t).expect("WalDb commit");
+                    exec.commit(x)
+                        .and_then(|h| h.wait())
+                        .expect("ExecDb commit");
+                } else {
+                    wal.abort(t).expect("WalDb abort");
+                    exec.abort(x).expect("ExecDb abort");
+                }
+            }
+            let t = wal.begin();
+            wal_run(&mut wal, t, &loser);
+            let mut x = exec.begin(0);
+            exec_run(&mut x, &loser);
+
+            let case = format!("{logging:?} x {log_mode:?}");
+            let (wal_image, exec_image) = (wal.crash_image(), exec.crash_image().unwrap());
+            let counts = record_counts(&wal_image);
+            assert_eq!(
+                counts,
+                record_counts(&exec_image),
+                "{case}: (Update, Logical, Compensation) record counts differ"
+            );
+            // the script exercises the policy: fragments with compensated
+            // aborts, or command records with deferred aborts logging nothing
+            match logging {
+                LoggingPolicy::Fragments => {
+                    assert!(counts.0 > 0 && counts.1 == 0 && counts.2 > 0, "{case}")
+                }
+                // no update fragment at all: neither engine spilled
+                LoggingPolicy::Command => {
+                    assert!(counts.0 == 0 && counts.1 > 0 && counts.2 == 0, "{case}")
+                }
+                LoggingPolicy::Adaptive { .. } => assert!(counts.1 > 0, "{case}"),
+            }
+            assert!(
+                recovered_payloads(wal_image, &cfg) == recovered_payloads(exec_image, &cfg),
+                "{case}: recovered page payloads differ"
+            );
+            exec.abort(x).expect("ExecDb loser abort");
+        }
+    }
 }
