@@ -918,6 +918,10 @@ impl Inner {
         if shard.pool.contains(id) {
             return Ok(());
         }
+        // a cold read: book it as a pool lookup that misses, so the
+        // pool's `hits + misses == lookups` keeps tiling (the caller's
+        // access after the insert is the hit)
+        let _ = shard.pool.get(id);
         let page = capture::home_page(&lock_ok(&self.data).disk, id)?;
         if let Some(evicted) = shard
             .pool
@@ -2174,6 +2178,21 @@ mod tests {
         let t = recovered.begin();
         assert_eq!(recovered.read(t, 2, 0, 4).unwrap(), b"keep");
         assert_eq!(recovered.read(t, 5, 0, 4).unwrap(), vec![0u8; 4]);
+    }
+
+    #[test]
+    fn cold_read_counts_a_pool_miss() {
+        let db = ExecDb::new(small_cfg());
+        let mut t = db.begin(0);
+        db.read(&mut t, 7, 0, 8).unwrap(); // cold: loaded from disk
+        db.read(&mut t, 7, 0, 8).unwrap(); // resident
+        db.commit(t).unwrap().wait().unwrap();
+        let (hits, misses) = db.pool_hit_miss();
+        assert_eq!(misses, 1, "the cold read is a miss");
+        assert_eq!(hits, 2, "the load's own access and the warm read hit");
+        let snap = db.metrics();
+        let g = |name: &str| snap.gauge(name).unwrap_or(0);
+        assert_eq!(g("pool.hits") + g("pool.misses"), g("pool.lookups"));
     }
 
     #[test]

@@ -262,9 +262,11 @@ mod tests {
         let mut db = WalDb::new(cfg(2));
         let drone = db.begin();
         db.write(drone, 31, 0, b"drone").unwrap();
-        for i in 0..8 {
+        // enough bulk to fill log pages on every stream: truncation drops
+        // whole pages, and forced commits pack into the same page
+        for i in 0..400 {
             let t = db.begin();
-            db.write(t, i, 0, b"bulk").unwrap();
+            db.write(t, i % 8, 0, b"bulk").unwrap();
             db.commit(t).unwrap();
         }
         db.checkpoint().unwrap();

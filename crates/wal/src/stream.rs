@@ -2,25 +2,59 @@
 //!
 //! Records are appended as a byte stream framed into 4 KB checksummed log
 //! pages (records may span pages — physical fragments always do). Exactly
-//! like the paper's log processor, a **full** log page is written to the
-//! log disk immediately, while the current partial page stays in the log
-//! processor's memory until a [`LogStream::force`] — so a crash loses
-//! precisely the un-forced tail.
+//! like the paper's log processor, the current partial page stays in the
+//! log processor's memory and keeps packing later records: a
+//! [`LogStream::force`] makes it durable by *rewriting* it, not by giving
+//! up its free room, and a page is written to its home frame only once it
+//! is full. A crash loses precisely the un-forced tail.
 //!
-//! Two subtleties make reopen after a crash sound:
+//! # Frame layout
 //!
-//! * a record spanning pages can be *cut* by the crash (its head pages
-//!   durable, its tail lost). [`LogStream::open`] locates the end of the
-//!   last complete record and rewrites the page containing it so the cut
-//!   bytes are physically dropped — otherwise later appends would splice
-//!   onto the dead prefix and desynchronize decoding;
-//! * pages beyond the reopen frontier may hold *stale* content from before
-//!   an earlier crash. Every page carries the stream's **epoch**
-//!   (incremented on each reopen); a scan stops at the first page whose
-//!   epoch decreases, which is exactly the stale frontier.
+//! | frame | contents |
+//! |-------|----------|
+//! | 0     | header: truncation point, current epoch, epoch floor |
+//! | 1, 2  | the two **tail slots** |
+//! | 3 ..  | **home** frames: full log pages in stream order |
 //!
-//! Frame 0 of the log disk is a durable header holding the *truncation
-//! point* (the first log page recovery must scan) and the current epoch.
+//! Every log page, home or slot, is stamped with the home frame of the
+//! logical page it holds (its page id), the stream's **epoch** at write
+//! time, its used byte count, and the offset of the first record that
+//! begins in it — so a scan can start at any page a record begins in,
+//! skipping the tail of a record that spans in from the page before.
+//! Each reopen and each truncation bumps the epoch; a truncation also
+//! raises the floor to it.
+//!
+//! # Slot rule
+//!
+//! A force rewrites the whole partial page into one of the two tail slots,
+//! alternating between them — the same ping-pong the shadow master and
+//! the commit lists use. The slot written is never the one holding the
+//! newest acked bytes, so a torn rewrite leaves the previous copy intact.
+//! When appends fill the page it goes to its home frame, where the last
+//! slot copy covers a torn write. So no write ever lands on the only
+//! durable copy of an acked byte. A force is one verified page write; a
+//! home write costs one more per page of records.
+//!
+//! # Scan rule
+//!
+//! A scan walks home frames from the truncation point while each holds a
+//! full page of its own frame whose epoch is at least the previous page's
+//! (the floor, for the first) and at most the current one. At the first
+//! frame past that run it takes the newest valid slot copy stamped with
+//! that frame and an epoch the chain accepts, and stops. Slots left from
+//! earlier epochs or from before a truncation fail that test and are
+//! never read as live. A slot copy with a *newer* epoch than the home
+//! page of the same frame supersedes it: that is how a reopen replaces a
+//! full page whose tail the crash cut.
+//!
+//! # Reopen
+//!
+//! A record spanning pages can be *cut* by a crash (its head pages
+//! durable, its tail lost). [`LogStream::open`] finds the end of the last
+//! complete record and resumes packing the page holding it from there, so
+//! later appends never splice onto the dead bytes. If that prefix is not
+//! already exactly a slot copy, it gets one (with the new epoch) before
+//! anything can rewrite its home frame.
 
 use crate::record::LogRecord;
 use rmdb_storage::fault::FaultHandle;
@@ -29,38 +63,48 @@ use rmdb_storage::{write_page_verified, Disk, MemDisk, Page, PageId, StorageErro
 /// Bounded retry budget for riding through transient device faults.
 pub const IO_RETRIES: u32 = 4;
 
-/// Per-page header inside the payload: `used: u32` + `epoch: u64`.
-const PAGE_HDR: usize = 12;
+/// Per-page header inside the payload: `used: u32` + `epoch: u64` +
+/// `first: u16` (offset of the first record beginning in the page).
+const PAGE_HDR: usize = 14;
+/// `first` of a page no record begins in.
+const NO_START: u16 = u16::MAX;
 /// Usable record bytes per log page.
 pub const USABLE: usize = PAYLOAD_SIZE - PAGE_HDR;
 
 /// Reserved page id marking the header frame.
 const HEADER_ID: PageId = PageId(u64::MAX);
+/// The two tail-slot frames.
+const SLOTS: [u64; 2] = [1, 2];
+/// First home frame.
+const FIRST_HOME: u64 = 3;
 
 /// Salvage accounting from a [`LogStream::scan_with_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Corrupt (torn) log pages quarantined; the scan stops at the first.
+    /// Corrupt (torn) log frames quarantined, home or slot; the scan stops
+    /// at the first corrupt home frame.
     pub corrupt_pages: u64,
     /// Transient read faults ridden through by bounded retry.
     pub retried_reads: u64,
 }
 
-/// One decoded record plus the log-disk frame holding its first byte.
+/// One decoded record plus the home frame of the log page holding its
+/// first byte.
 ///
 /// The frame is what lets a checkpoint-bounded restart engine turn "skip
 /// everything before this record" into a durable [`LogStream::truncate_to`]
-/// of the stream's scan prefix.
+/// of the stream's scan prefix. It is the page's home frame even while
+/// that page is still the partial tail held in a slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexedRecord {
     /// The decoded record.
     pub rec: LogRecord,
-    /// Log-disk frame containing the record's first byte.
+    /// Home frame of the log page containing the record's first byte.
     pub frame: u64,
-    /// Whether the record's first byte is the first data byte of `frame`,
-    /// i.e. a scan starting at `frame` decodes from this record. Restart
-    /// uses this to pick a record-aligned truncation frame from the scan
-    /// it already did, instead of re-reading the log to find one.
+    /// Whether this is the first record beginning in `frame`, i.e. a scan
+    /// starting at `frame` decodes from this record. Restart uses this to
+    /// pick a truncation frame from the scan it already did, instead of
+    /// re-reading the log to find one.
     pub frame_start: bool,
 }
 
@@ -82,22 +126,250 @@ fn read_retry(disk: &Disk, addr: u64, retried: &mut u64) -> Result<Page, Storage
     Err(last)
 }
 
+/// A log page image for home frame `home`, whose first record begins at
+/// `first` (none does if `first >= data.len()`).
+fn log_page(home: u64, epoch: u64, first: usize, data: &[u8]) -> Page {
+    debug_assert!(data.len() <= USABLE);
+    let first = if first < data.len() {
+        first as u16
+    } else {
+        NO_START
+    };
+    let mut p = Page::new(PageId(home));
+    p.write_at(0, &(data.len() as u32).to_le_bytes());
+    p.write_at(4, &epoch.to_le_bytes());
+    p.write_at(12, &first.to_le_bytes());
+    p.write_at(PAGE_HDR, data);
+    p
+}
+
+/// A decoded log page.
+struct LogPage<'a> {
+    epoch: u64,
+    /// Offset of the first record beginning in the page.
+    first: Option<usize>,
+    data: &'a [u8],
+}
+
+/// Decode a log page, or `None` for garbage.
+fn decode_page(p: &Page) -> Option<LogPage<'_>> {
+    let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
+    let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
+    let first = u16::from_le_bytes(p.read_at(12, 2).try_into().unwrap());
+    let first = (first != NO_START).then_some(first as usize);
+    (used <= USABLE && first.is_none_or(|f| f < used)).then(|| LogPage {
+        epoch,
+        first,
+        data: p.read_at(PAGE_HDR, used),
+    })
+}
+
+/// A decodable tail-slot copy.
+struct SlotCopy {
+    home: u64,
+    epoch: u64,
+    first: Option<usize>,
+    data: Vec<u8>,
+}
+
+impl SlotCopy {
+    /// Newer copies sort higher: a later epoch, then (same epoch, same
+    /// page) more packed bytes.
+    fn age(&self) -> (u64, u64, usize) {
+        (self.epoch, self.home, self.data.len())
+    }
+}
+
+/// Where one log page's bytes sit in a [`Chain`].
+#[derive(Clone, Copy)]
+struct Extent {
+    /// Offset of the page's first byte in the chain.
+    off: usize,
+    /// The page's home frame.
+    frame: u64,
+    /// Offset of its first record start within the page.
+    first: Option<usize>,
+}
+
+/// The durable byte stream of one log disk, read by the scan rule (see
+/// the module docs).
+struct Chain {
+    /// Each log page read, in order.
+    extents: Vec<Extent>,
+    /// The pages' record bytes, concatenated.
+    bytes: Vec<u8>,
+    /// Full pages read from home frames; the tail, if any, follows them.
+    homes: u64,
+    /// Slot the tail page was read from.
+    tail_slot: Option<usize>,
+    /// Slot the next rewrite may use: never the one holding the tail.
+    spare_slot: usize,
+    /// Highest epoch stamped on any page read, slots included.
+    max_epoch: u64,
+    stats: ScanStats,
+}
+
+impl Chain {
+    /// Read the chain from `start`, accepting epochs from `floor` up to
+    /// `max_epoch`.
+    fn read(disk: &Disk, start: u64, floor: u64, max_epoch: u64) -> Chain {
+        let mut stats = ScanStats::default();
+        let slots = SLOTS.map(
+            |addr| match read_retry(disk, addr, &mut stats.retried_reads) {
+                Ok(p) if (FIRST_HOME..HEADER_ID.0).contains(&p.id.0) => {
+                    decode_page(&p).map(|lp| SlotCopy {
+                        home: p.id.0,
+                        epoch: lp.epoch,
+                        first: lp.first,
+                        data: lp.data.to_vec(),
+                    })
+                }
+                Err(StorageError::Corrupt { .. }) => {
+                    stats.corrupt_pages += 1;
+                    None
+                }
+                _ => None,
+            },
+        );
+        let mut chain = Chain {
+            extents: Vec::new(),
+            bytes: Vec::new(),
+            homes: 0,
+            tail_slot: None,
+            spare_slot: 0,
+            max_epoch: 0,
+            stats,
+        };
+        let mut prev = floor;
+        let mut frame = start;
+        loop {
+            let accepts = |epoch: u64| (prev..=max_epoch).contains(&epoch);
+            let slot = (0..2)
+                .filter(|&i| {
+                    slots[i]
+                        .as_ref()
+                        .is_some_and(|s| s.home == frame && accepts(s.epoch))
+                })
+                .max_by_key(|&i| slots[i].as_ref().map(SlotCopy::age));
+            let slot_epoch = slot.and_then(|i| slots[i].as_ref()).map(|s| s.epoch);
+            let home = if frame < disk.capacity() {
+                match read_retry(disk, frame, &mut chain.stats.retried_reads) {
+                    Ok(p) if p.id == PageId(frame) => Some(p),
+                    Err(StorageError::Corrupt { .. }) => {
+                        chain.stats.corrupt_pages += 1;
+                        None
+                    }
+                    _ => None,
+                }
+            } else {
+                None
+            };
+            let full = home.as_ref().and_then(decode_page).filter(|lp| {
+                lp.data.len() == USABLE
+                    && accepts(lp.epoch)
+                    && slot_epoch.is_none_or(|s| s <= lp.epoch)
+            });
+            if let Some(lp) = full {
+                chain.push(frame, lp.first, lp.data);
+                chain.homes += 1;
+                prev = lp.epoch;
+                frame += 1;
+                continue;
+            }
+            if let Some(i) = slot {
+                let s = slots[i].as_ref().expect("filtered to a valid slot");
+                chain.push(frame, s.first, &s.data);
+                chain.tail_slot = Some(i);
+            }
+            break;
+        }
+        chain.max_epoch = slots.iter().flatten().map(|s| s.epoch).fold(prev, u64::max);
+        chain.spare_slot = match chain.tail_slot {
+            Some(i) => 1 - i,
+            // no live tail: reuse the invalid or the older copy
+            None => usize::from(
+                slots[0].as_ref().map(SlotCopy::age) > slots[1].as_ref().map(SlotCopy::age),
+            ),
+        };
+        chain
+    }
+
+    fn push(&mut self, frame: u64, first: Option<usize>, data: &[u8]) {
+        self.extents.push(Extent {
+            off: self.bytes.len(),
+            frame,
+            first,
+        });
+        self.bytes.extend_from_slice(data);
+    }
+
+    /// Decode the chain's complete records from the first record start,
+    /// each with its offset in the chain, and the end of the last one.
+    /// Bytes before the first start are the tail of a record that began
+    /// before the truncation point.
+    fn decode(&self) -> (Vec<(usize, LogRecord)>, usize) {
+        let lead = self
+            .extents
+            .iter()
+            .find_map(|e| e.first.map(|f| e.off + f))
+            .unwrap_or(self.bytes.len());
+        let mut records = Vec::new();
+        let mut cursor = &self.bytes[lead..];
+        loop {
+            let start = self.bytes.len() - cursor.len();
+            match LogRecord::decode(&mut cursor) {
+                Some(rec) => records.push((start, rec)),
+                None => return (records, start),
+            }
+        }
+    }
+
+    /// Decode the chain's records, each tagged with its page's home frame.
+    fn records(&self) -> Vec<IndexedRecord> {
+        let mut prev_page = usize::MAX;
+        let (records, _) = self.decode();
+        records
+            .into_iter()
+            .map(|(start, rec)| {
+                // the page holding `start`: the last one beginning at or before it
+                let i = self.extents.partition_point(|e| e.off <= start) - 1;
+                let frame_start = i != prev_page;
+                prev_page = i;
+                IndexedRecord {
+                    rec,
+                    frame: self.extents[i].frame,
+                    frame_start,
+                }
+            })
+            .collect()
+    }
+}
+
 /// A single sequential log on its own disk.
 pub struct LogStream {
     disk: Disk,
-    /// Next frame to write (header is frame 0; log pages start at 1).
-    next_page: u64,
-    /// Bytes appended but not yet on disk (current partial log page).
-    buf: Vec<u8>,
+    /// Home frame of the page being packed.
+    home: u64,
+    /// That page's record bytes, forced or not (at most one page, except
+    /// after a failed home write, which leaves a full page buffered).
+    page: Vec<u8>,
+    /// Offset in `page` of the first record beginning in it; `page.len()`
+    /// until one does.
+    first: usize,
+    /// Index into [`SLOTS`] of the next tail rewrite; the other slot holds
+    /// the newest acked tail.
+    slot: usize,
     /// First log page recovery must scan (durable, in the header).
     start_page: u64,
+    /// Lowest epoch a live page may carry (durable, in the header).
+    floor: u64,
     /// Reopen generation; stamped into every page written.
     epoch: u64,
     /// Total bytes ever appended (volatile position).
     appended: u64,
-    /// Total bytes durably framed into written pages.
+    /// Total bytes on stable storage.
     durable: u64,
-    /// Log pages written.
+    /// Log pages written, home and slot.
     pages_written: u64,
     /// Forces issued (commit/WAL-rule flushes).
     forces: u64,
@@ -115,9 +387,12 @@ impl LogStream {
     pub fn create_on(disk: Disk) -> Result<Self, StorageError> {
         let mut s = LogStream {
             disk,
-            next_page: 1,
-            buf: Vec::new(),
-            start_page: 1,
+            home: FIRST_HOME,
+            page: Vec::new(),
+            first: 0,
+            slot: 0,
+            start_page: FIRST_HOME,
+            floor: 1,
             epoch: 1,
             appended: 0,
             durable: 0,
@@ -130,79 +405,53 @@ impl LogStream {
 
     /// Re-open a stream from a (possibly crash-cut) log disk.
     ///
-    /// Finds the valid prefix (see module docs), drops any record cut by
-    /// the crash, rewrites the cut page, and bumps the epoch so stale
-    /// pages beyond the frontier can never be mistaken for live ones.
+    /// Reads the chain (see module docs), drops any record cut by the
+    /// crash, and resumes packing the page holding the last complete
+    /// record. Bumps the epoch so nothing stale on the disk can be
+    /// mistaken for what this incarnation writes.
     pub fn open(disk: impl Into<Disk>) -> Result<Self, StorageError> {
         let disk = disk.into();
-        let (start_page, old_epoch) = match read_retry(&disk, 0, &mut 0) {
-            Ok(h) if h.id == HEADER_ID => (
-                u64::from_le_bytes(h.read_at(0, 8).try_into().unwrap()),
-                u64::from_le_bytes(h.read_at(8, 8).try_into().unwrap()),
-            ),
-            // No (or torn) header: a brand-new disk.
-            _ => (1, 0),
-        };
-
-        // collect the valid page run: allocated, decodable, id matches,
-        // epochs never decrease
-        let mut pages: Vec<(u64, Vec<u8>)> = Vec::new(); // (frame, data bytes)
-        let mut prev_epoch = 0u64;
-        let mut frame = start_page;
-        while frame < disk.capacity() {
-            // a corrupt (torn) log page is the durability frontier: the
-            // decodable prefix before it is salvaged, everything at and
-            // beyond it was in flight when the crash hit
-            match read_retry(&disk, frame, &mut 0) {
-                Ok(p) if p.id == PageId(frame) => {
-                    let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
-                    let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
-                    if used > USABLE || epoch < prev_epoch {
-                        break; // stale frontier (or garbage)
-                    }
-                    prev_epoch = epoch;
-                    pages.push((frame, p.read_at(PAGE_HDR, used).to_vec()));
-                    frame += 1;
-                }
-                _ => break,
+        let (start_page, old_epoch, floor) = match read_retry(&disk, 0, &mut 0) {
+            Ok(h) if h.id == HEADER_ID => {
+                let field = |at| u64::from_le_bytes(h.read_at(at, 8).try_into().unwrap());
+                (field(0).max(FIRST_HOME), field(8), field(16))
             }
-        }
+            // No (or torn) header: a brand-new disk.
+            _ => (FIRST_HOME, 0, 0),
+        };
+        let chain = Chain::read(&disk, start_page, floor, u64::MAX);
 
         // find the end of the last complete record
-        let bytes: Vec<u8> = pages.iter().flat_map(|(_, b)| b.iter().copied()).collect();
-        let mut cursor = bytes.as_slice();
-        while LogRecord::decode(&mut cursor).is_some() {}
-        let valid = bytes.len() - cursor.len();
+        let (records, valid) = chain.decode();
 
-        let epoch = old_epoch.max(prev_epoch) + 1;
+        // resume the page holding that end: a home page the cut ran
+        // through, or the tail
+        let pages = (valid / USABLE).min(chain.homes as usize);
+        let base = pages * USABLE;
+        let page = chain.bytes[base..valid].to_vec();
+        let first = records
+            .iter()
+            .find(|(start, _)| *start >= base)
+            .map_or(page.len(), |(start, _)| start - base);
+        let tail_intact = chain.tail_slot.is_some() && valid == chain.bytes.len();
         let mut s = LogStream {
             disk,
-            next_page: start_page,
-            buf: Vec::new(),
+            home: start_page + pages as u64,
+            page,
+            first,
+            slot: chain.spare_slot,
             start_page,
-            epoch,
+            floor,
+            epoch: old_epoch.max(chain.max_epoch).saturating_add(1),
             appended: valid as u64,
             durable: valid as u64,
             pages_written: 0,
             forces: 0,
         };
-
-        // rewrite/locate the frontier: keep whole pages fully inside the
-        // valid prefix; the page containing the cut is rewritten shorter
-        let mut remaining = valid;
-        for (frame, data) in &pages {
-            if remaining >= data.len() {
-                remaining -= data.len();
-                s.next_page = frame + 1;
-                if remaining == 0 {
-                    break;
-                }
-            } else {
-                // cut inside this page: rewrite it with only the valid bytes
-                s.next_page = *frame;
-                s.write_log_page(&data[..remaining])?;
-                break;
-            }
+        // the surviving prefix must have a slot copy before any write can
+        // land on its home frame
+        if !s.page.is_empty() && !tail_intact {
+            s.write_tail()?;
         }
         s.write_header()?;
         Ok(s)
@@ -240,54 +489,74 @@ impl LogStream {
         let mut h = Page::new(HEADER_ID);
         h.write_at(0, &self.start_page.to_le_bytes());
         h.write_at(8, &self.epoch.to_le_bytes());
+        h.write_at(16, &self.floor.to_le_bytes());
         write_page_verified(&mut self.disk, 0, &h, IO_RETRIES)
     }
 
-    /// Write one log page, read-back verified: a silently lost or torn log
+    /// Write one log frame, read-back verified: a silently lost or torn log
     /// page write would otherwise lose committed records that `force`
     /// already promised were durable.
-    fn write_log_page(&mut self, data: &[u8]) -> Result<(), StorageError> {
-        debug_assert!(data.len() <= USABLE);
-        let mut p = Page::new(PageId(self.next_page));
-        p.write_at(0, &(data.len() as u32).to_le_bytes());
-        p.write_at(4, &self.epoch.to_le_bytes());
-        p.write_at(PAGE_HDR, data);
-        write_page_verified(&mut self.disk, self.next_page, &p, IO_RETRIES)?;
-        self.next_page += 1;
+    fn write_frame(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
+        write_page_verified(&mut self.disk, addr, page, IO_RETRIES)?;
         self.pages_written += 1;
         Ok(())
     }
 
-    /// Append a record. Full log pages are written to disk immediately;
-    /// the partial tail stays volatile until [`LogStream::force`].
+    /// Rewrite the partial page into the spare tail slot.
+    fn write_tail(&mut self) -> Result<(), StorageError> {
+        let p = log_page(self.home, self.epoch, self.first, &self.page);
+        self.write_frame(SLOTS[self.slot], &p)?;
+        self.slot ^= 1;
+        Ok(())
+    }
+
+    /// Write every full page to its home frame. If a write fails
+    /// (transient fault budget exhausted, device offline) the bytes stay
+    /// buffered, keeping the volatile stream position consistent for a
+    /// later retry.
+    fn write_full_pages(&mut self) -> Result<(), StorageError> {
+        while self.page.len() >= USABLE {
+            let p = log_page(self.home, self.epoch, self.first, &self.page[..USABLE]);
+            self.write_frame(self.home, &p)?;
+            // the next page's first record start: walk the buffered
+            // records from this page's first to past the boundary
+            let mut next = self.first;
+            while next < USABLE {
+                next += LogRecord::peek_len(&self.page[next..]).unwrap_or(self.page.len() - next);
+            }
+            self.first = next - USABLE;
+            self.page.drain(..USABLE);
+            self.home += 1;
+            // the page is durable at home, forced or not
+            self.durable = self.durable.max(self.appended - self.page.len() as u64);
+        }
+        Ok(())
+    }
+
+    /// Append a record. Full log pages are written to their home frames
+    /// immediately; the rest of the partial page stays volatile until
+    /// [`LogStream::force`].
     ///
     /// Returns the record's **end position** in the stream's byte order:
     /// the record is durable once [`LogStream::durable_position`] reaches
     /// this value.
     pub fn append(&mut self, rec: &LogRecord) -> Result<u64, StorageError> {
-        rec.encode(&mut self.buf);
-        self.appended = self.durable + self.buf.len() as u64;
-        while self.buf.len() >= USABLE {
-            // copy-then-drain: if the write fails (transient fault budget
-            // exhausted, device offline) the bytes stay buffered, keeping
-            // the volatile stream position consistent for a later retry
-            let page: Vec<u8> = self.buf[..USABLE].to_vec();
-            self.write_log_page(&page)?;
-            self.buf.drain(..USABLE);
-            self.durable += page.len() as u64;
-        }
+        let before = self.page.len();
+        rec.encode(&mut self.page);
+        self.appended += (self.page.len() - before) as u64;
+        self.write_full_pages()?;
         Ok(self.appended)
     }
 
-    /// Flush the partial log page and force the device, making every
-    /// appended record durable (on a file backend this is the fdatasync).
+    /// Make every appended record durable and force the device (on a file
+    /// backend this is the fdatasync). The partial page is rewritten into
+    /// a tail slot and stays in memory, so later appends keep packing it.
     pub fn force(&mut self) -> Result<(), StorageError> {
         self.forces += 1;
-        if !self.buf.is_empty() {
-            let page = self.buf.clone();
-            self.write_log_page(&page)?;
-            self.buf.clear();
-            self.durable += page.len() as u64;
+        self.write_full_pages()?;
+        if self.durable < self.appended {
+            self.write_tail()?;
+            self.durable = self.appended;
         }
         self.disk.force()
     }
@@ -307,7 +576,8 @@ impl LogStream {
         pos <= self.durable
     }
 
-    /// Log pages written since creation/open.
+    /// Log pages written since creation/open: home pages and tail-slot
+    /// rewrites.
     pub fn pages_written(&self) -> u64 {
         self.pages_written
     }
@@ -326,66 +596,24 @@ impl LogStream {
     }
 
     /// [`LogStream::scan`] plus salvage accounting: how many corrupt log
-    /// pages were quarantined (the scan stops at the first, salvaging the
-    /// decodable prefix) and how many transient read faults were retried.
+    /// frames were quarantined (the scan stops at the first corrupt home
+    /// frame, salvaging the decodable prefix) and how many transient read
+    /// faults were retried.
     pub fn scan_with_stats(&self) -> (Vec<LogRecord>, ScanStats) {
         let (indexed, stats) = self.scan_indexed();
         (indexed.into_iter().map(|r| r.rec).collect(), stats)
     }
 
-    /// Collect the durable byte stream: per-page `(start offset, frame)`
-    /// extents, the concatenated record bytes, and salvage stats.
-    fn collect_pages(&self) -> (Vec<(usize, u64)>, Vec<u8>, ScanStats) {
-        let mut stats = ScanStats::default();
-        let mut bytes = Vec::new();
-        let mut extents: Vec<(usize, u64)> = Vec::new();
-        let mut prev_epoch = 0u64;
-        let mut page = self.start_page;
-        while page < self.disk.capacity() {
-            match read_retry(&self.disk, page, &mut stats.retried_reads) {
-                Ok(p) if p.id == PageId(page) => {
-                    let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
-                    let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
-                    if used > USABLE || epoch < prev_epoch || epoch > self.epoch {
-                        break;
-                    }
-                    prev_epoch = epoch;
-                    extents.push((bytes.len(), page));
-                    bytes.extend_from_slice(p.read_at(PAGE_HDR, used));
-                    page += 1;
-                }
-                Err(StorageError::Corrupt { .. }) => {
-                    stats.corrupt_pages += 1;
-                    break;
-                }
-                _ => break,
-            }
-        }
-        (extents, bytes, stats)
+    fn chain(&self) -> Chain {
+        Chain::read(&self.disk, self.start_page, self.floor, self.epoch)
     }
 
-    /// [`LogStream::scan_with_stats`] with each record tagged by the frame
-    /// holding its first byte — the input to checkpoint-bounded restart
-    /// analysis (see [`IndexedRecord`]).
+    /// [`LogStream::scan_with_stats`] with each record tagged by the home
+    /// frame of the page holding its first byte — the input to
+    /// checkpoint-bounded restart analysis (see [`IndexedRecord`]).
     pub fn scan_indexed(&self) -> (Vec<IndexedRecord>, ScanStats) {
-        let (extents, bytes, stats) = self.collect_pages();
-        let mut records = Vec::new();
-        let mut cursor = bytes.as_slice();
-        loop {
-            let start = bytes.len() - cursor.len();
-            let Some(rec) = LogRecord::decode(&mut cursor) else {
-                break;
-            };
-            // extent covering `start`: the last one whose offset is ≤ start
-            let i = extents.partition_point(|&(off, _)| off <= start);
-            let (ext_off, frame) = extents[i - 1];
-            records.push(IndexedRecord {
-                rec,
-                frame,
-                frame_start: ext_off == start,
-            });
-        }
-        (records, stats)
+        let chain = self.chain();
+        (chain.records(), chain.stats)
     }
 
     /// Advance the durable truncation point past everything written so far.
@@ -395,9 +623,13 @@ impl LogStream {
     /// live transaction may need undo from it.
     pub fn truncate(&mut self) -> Result<(), StorageError> {
         self.force()?;
-        self.start_page = self.next_page;
-        // bump the epoch so anything beyond the new start is stale
+        // the partial page is dropped too: its frame is packed afresh, and
+        // the raised floor makes its slot copies stale
+        self.page.clear();
+        self.first = 0;
+        self.start_page = self.home;
         self.epoch += 1;
+        self.floor = self.epoch;
         self.write_header()
     }
 
@@ -406,16 +638,16 @@ impl LogStream {
     ///
     /// Used by checkpoint-bounded restart: once recovery establishes that
     /// no record before the bounding checkpoint is needed, the stream's
-    /// scan prefix can be dropped durably. Because records may span log
-    /// pages, `frame` **must begin a record** — i.e. be the `frame` of an
-    /// [`IndexedRecord`] whose `frame_start` is set — or the shortened
-    /// scan would decode from mid-record garbage. The caller has this
+    /// scan prefix can be dropped durably. `frame` **must hold a record
+    /// start** — be the `frame` of an [`IndexedRecord`] whose
+    /// `frame_start` is set — or the shortened scan would have no record
+    /// to begin decoding at. The caller has this
     /// information from the scan it already did, which is what makes
     /// truncation a pure header write instead of a second pass over the
     /// log (debug builds re-verify alignment). Requests at or before the
     /// current truncation point are no-ops.
     pub fn truncate_to(&mut self, frame: u64) -> Result<(), StorageError> {
-        let target = frame.min(self.next_page);
+        let target = frame.min(self.home);
         if target <= self.start_page {
             return Ok(());
         }
@@ -425,25 +657,16 @@ impl LogStream {
         self.write_header()
     }
 
-    /// Debug-build guard for [`LogStream::truncate_to`]: re-derives record
-    /// boundaries the expensive way and checks `target` begins one.
+    /// Debug-build guard for [`LogStream::truncate_to`]: re-scans the log
+    /// and checks a record begins in `target`.
     #[cfg(debug_assertions)]
     fn assert_record_aligned(&self, target: u64) {
-        let (extents, bytes, _) = self.collect_pages();
-        let mut starts = std::collections::BTreeSet::new();
-        let mut off = 0usize;
-        loop {
-            starts.insert(off);
-            match LogRecord::peek_len(&bytes[off..]) {
-                Some(len) => off += len,
-                None => break,
-            }
-        }
         assert!(
-            extents
+            self.chain()
+                .records()
                 .iter()
-                .any(|(off, f)| *f == target && starts.contains(off)),
-            "truncate_to({target}): frame does not begin a record"
+                .any(|r| r.frame == target && r.frame_start),
+            "truncate_to({target}): no record begins in frame {target}"
         );
     }
 
@@ -456,7 +679,8 @@ impl LogStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmdb_storage::Lsn;
+    use rmdb_storage::fault::{FaultInjector, FaultPlan};
+    use rmdb_storage::{Lsn, FRAME_SIZE};
 
     fn commit(txn: u64) -> LogRecord {
         LogRecord::Commit { txn }
@@ -630,7 +854,7 @@ mod tests {
 
     #[test]
     fn log_full_surfaces_error() {
-        let mut s = LogStream::create(3); // header + 2 pages
+        let mut s = LogStream::create(5); // header, 2 tail slots, 2 home frames
         let r = big_update(1, USABLE);
         let mut failed = false;
         for _ in 0..4 {
@@ -640,6 +864,183 @@ mod tests {
             }
         }
         assert!(failed, "filling the log must error, not panic");
+    }
+
+    /// Frames ever written on a log disk.
+    fn frames_used(d: &Disk) -> u64 {
+        (0..d.capacity()).filter(|&a| d.is_allocated(a)).count() as u64
+    }
+
+    fn encoded_len(r: &LogRecord) -> usize {
+        let mut buf = Vec::new();
+        r.encode(&mut buf);
+        buf.len()
+    }
+
+    /// Tear the stream's next write at byte `cut` and crash the device.
+    fn tear_next_write(s: &mut LogStream, cut: usize) {
+        s.attach_faults(FaultInjector::handle(
+            FaultPlan::new().tear_write(0, cut).crash_after_write(0),
+        ));
+    }
+
+    #[test]
+    fn forced_partial_page_keeps_packing() {
+        // a force per record rewrites the partial page instead of burning
+        // a frame: only the pages the bytes fill reach a home frame
+        let mut s = LogStream::create(64);
+        let recs: Vec<LogRecord> = (0..300).map(|i| big_update(i, 20)).collect();
+        for r in &recs {
+            s.append(r).unwrap();
+            s.force().unwrap();
+        }
+        let bytes: usize = recs.iter().map(encoded_len).sum();
+        let full_pages = (bytes / USABLE) as u64;
+        assert!(full_pages >= 2, "the test must fill pages");
+        let image = s.disk_snapshot();
+        assert_eq!(frames_used(&image), FIRST_HOME + full_pages);
+        // one slot rewrite per force, one home write per full page
+        assert_eq!(s.pages_written(), 300 + full_pages);
+        assert_eq!(LogStream::open(image).unwrap().scan(), recs);
+    }
+
+    #[test]
+    fn torn_slot_rewrite_keeps_the_acked_tail() {
+        for cut in [1, 30, 100, FRAME_SIZE / 2, FRAME_SIZE - 1] {
+            let mut s = LogStream::create(64);
+            s.append(&commit(1)).unwrap();
+            s.force().unwrap();
+            s.append(&commit(2)).unwrap();
+            s.force().unwrap();
+            s.append(&commit(3)).unwrap();
+            tear_next_write(&mut s, cut);
+            assert!(s.force().is_err(), "cut {cut}: the crash must surface");
+            let got = LogStream::open(s.disk_snapshot()).unwrap().scan();
+            // the unacked commit may or may not have landed whole
+            assert_eq!(got[..2], [commit(1), commit(2)], "cut {cut}");
+            assert!(got.len() <= 3, "cut {cut}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn torn_home_write_is_covered_by_the_last_slot_copy() {
+        let mut s = LogStream::create(64);
+        let r = big_update(0, 200);
+        let mut acked = Vec::new();
+        while s.position() as usize + encoded_len(&r) < USABLE {
+            s.append(&r).unwrap();
+            s.force().unwrap();
+            acked.push(r.clone());
+        }
+        tear_next_write(&mut s, FRAME_SIZE / 3);
+        assert!(s.append(&r).is_err(), "the filling append writes home");
+        let mut s2 = LogStream::open(s.disk_snapshot()).unwrap();
+        let (got, stats) = s2.scan_with_stats();
+        assert_eq!(got, acked);
+        assert_eq!(stats.corrupt_pages, 1, "the torn home frame is counted");
+        // the next incarnation refills the same page and moves on
+        for _ in 0..40 {
+            s2.append(&r).unwrap();
+            s2.force().unwrap();
+            acked.push(r.clone());
+        }
+        let (got, stats) = LogStream::open(s2.disk_snapshot())
+            .unwrap()
+            .scan_with_stats();
+        assert_eq!(got, acked);
+        assert_eq!(stats.corrupt_pages, 0, "the refill rewrote the torn frame");
+    }
+
+    #[test]
+    fn reopen_copies_a_cut_home_page_before_reusing_it() {
+        // commit 9 is durable only inside a full home page, whose last
+        // record the crash cut: reopen resumes packing that page, so it
+        // must first give the prefix a slot copy — a torn refill of the
+        // home frame would otherwise destroy the only copy
+        let mut s = LogStream::create(64);
+        let pos = s.append(&commit(9)).unwrap();
+        s.append(&big_update(1, 2 * USABLE)).unwrap();
+        assert!(s.is_durable(pos), "the full page went home");
+        let mut s2 = LogStream::open(s.disk_snapshot()).unwrap();
+        assert_eq!(s2.scan(), vec![commit(9)]);
+        assert_eq!(s2.pages_written(), 1, "reopen wrote the slot copy");
+        tear_next_write(&mut s2, FRAME_SIZE / 2);
+        assert!(s2.append(&big_update(2, USABLE)).is_err());
+        let s3 = LogStream::open(s2.disk_snapshot()).unwrap();
+        assert_eq!(s3.scan(), vec![commit(9)]);
+    }
+
+    #[test]
+    fn stale_slots_are_never_live_after_truncate() {
+        let mut s = LogStream::create(64);
+        s.append(&commit(1)).unwrap();
+        s.force().unwrap();
+        s.append(&commit(2)).unwrap();
+        s.force().unwrap(); // both slots now hold copies of frame 3
+        s.truncate().unwrap();
+        assert!(s.scan().is_empty());
+        assert!(LogStream::open(s.disk_snapshot())
+            .unwrap()
+            .scan()
+            .is_empty());
+        // a torn first rewrite after the truncate leaves only stale copies
+        s.append(&commit(3)).unwrap();
+        tear_next_write(&mut s, 1);
+        assert!(s.force().is_err());
+        assert!(LogStream::open(s.disk_snapshot())
+            .unwrap()
+            .scan()
+            .is_empty());
+    }
+
+    #[test]
+    fn records_in_the_tail_carry_their_home_frame() {
+        // fill frame 3 exactly (one update padded with commits), then
+        // leave three forced commits in the tail page
+        let c = encoded_len(&commit(0));
+        let update = (USABLE / 2 - 64..)
+            .map(|n| big_update(0, n))
+            .find(|r| (USABLE - encoded_len(r)) % c == 0)
+            .unwrap();
+        let pad = (USABLE - encoded_len(&update)) / c;
+        let mut s = LogStream::create(64);
+        s.append(&update).unwrap();
+        for i in 0..pad + 3 {
+            s.append(&commit(i as u64)).unwrap();
+            s.force().unwrap();
+        }
+        let (recs, _) = s.scan_indexed();
+        assert_eq!(recs.len(), 1 + pad + 3);
+        let tail: Vec<_> = recs.iter().filter(|x| x.frame == FIRST_HOME + 1).collect();
+        assert_eq!(tail.len(), 3);
+        assert!(tail[0].frame_start && !tail[1].frame_start);
+        // truncating to the tail page keeps exactly its records
+        s.truncate_to(FIRST_HOME + 1).unwrap();
+        assert_eq!(s.scan().len(), 3);
+        let reopened = LogStream::open(s.disk_snapshot()).unwrap();
+        assert_eq!(reopened.scan().len(), 3);
+    }
+
+    #[test]
+    fn truncate_to_skips_the_tail_of_a_record_spanning_in() {
+        let mut s = LogStream::create(64);
+        let recs: Vec<LogRecord> = (0..12).map(|i| big_update(i, 700)).collect();
+        for r in &recs {
+            s.append(r).unwrap();
+            s.force().unwrap();
+        }
+        let (indexed, _) = s.scan_indexed();
+        let starts: Vec<usize> = (0..indexed.len())
+            .filter(|&i| indexed[i].frame_start)
+            .collect();
+        assert!(starts.len() >= 3, "every page holds a record start");
+        let i = starts[2];
+        let frame = indexed[i].frame;
+        assert_eq!(frame, FIRST_HOME + 2);
+        s.truncate_to(frame).unwrap();
+        assert_eq!(s.scan(), recs[i..]);
+        let reopened = LogStream::open(s.disk_snapshot()).unwrap();
+        assert_eq!(reopened.scan(), recs[i..]);
     }
 
     #[test]

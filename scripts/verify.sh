@@ -26,8 +26,13 @@
 # basic/optimal strategy-equivalence properties in release, and an LSM
 # smoke whose JSON gate requires zero basic/optimal equivalence
 # violations, a compaction count above zero, and a finite write
-# amplification figure (results/BENCH_lsm.json). Run from anywhere
-# inside the repo.
+# amplification figure (results/BENCH_lsm.json), and the packed log-tail
+# gate in release: the crashpoint sweep that tears every log write of a
+# force-per-commit run through several page fills (tail-slot rewrites and
+# home-page writes, MemDisk and FileDisk) without losing an acked commit,
+# and the wal property suite, whose LogStream property checks that a scan
+# is exactly the durable prefix under appends, forces, truncations,
+# crashes and torn writes. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,6 +78,10 @@ cargo test -q --release --test fault_sweep filedisk
 # basic/optimal strategy-equivalence properties over multi-level stores
 cargo test -q --release --test fault_sweep lsm_
 cargo test -q --release --test lsm_properties
+# packed log tail: a forced partial log page is rewritten through two
+# ping-pong tail slots; no torn write may cost an acked record
+cargo test -q --release --test fault_sweep log_tail_
+cargo test -q --release --test wal_properties
 
 mkdir -p results
 ./target/release/throughput --smoke --obs --json > results/BENCH_throughput.json

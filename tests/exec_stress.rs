@@ -132,6 +132,45 @@ fn quiesced_concurrent_run_recovers_byte_identical() {
     }
 }
 
+/// A small log holds a long serial run: 2 streams × 64 log frames take
+/// 2,500 single-page commits with no failure and no quarantine, because a
+/// forced commit rewrites the stream's partial log page instead of burning
+/// a frame. The run then recovers byte-identical.
+#[test]
+fn small_log_holds_packed_commits() {
+    let cfg = ExecConfig {
+        wal: WalConfig {
+            data_pages: 64,
+            pool_frames: 24,
+            log_streams: 2,
+            log_frames: 64,
+            seed: 0x10C,
+            ..WalConfig::default()
+        },
+        pool_shards: 4,
+        ..ExecConfig::default()
+    };
+    let db = ExecDb::new(cfg.clone());
+    for i in 0..2_500u64 {
+        let mut t = db.begin(0);
+        db.write(&mut t, i % 64, 0, &i.to_le_bytes())
+            .unwrap_or_else(|e| panic!("txn {i}: write: {e}"));
+        db.commit(t)
+            .and_then(|h| h.wait())
+            .unwrap_or_else(|e| panic!("txn {i}: commit: {e}"));
+    }
+    let snap = db.metrics();
+    assert_eq!(snap.counter("failover.quarantined").unwrap_or(0), 0);
+
+    let image = db.crash_image().expect("crash image");
+    let (mut recovered, _) = WalDb::recover(image, cfg.wal).expect("recover");
+    let t = recovered.begin();
+    for page in 0..64u64 {
+        let last = (0..2_500u64).rev().find(|i| i % 64 == page).unwrap();
+        assert_eq!(recovered.read(t, page, 0, 8).unwrap(), last.to_le_bytes());
+    }
+}
+
 /// A crash image taken *mid-run* (workers still transferring) recovers to
 /// a state that still conserves the total balance: group commit never
 /// exposes a half-applied transfer.

@@ -424,6 +424,101 @@ fn difffile_survives_fault_sweep_on_filedisk() {
 }
 
 // ---------------------------------------------------------------------------
+// The log tail under every crashpoint: one small transaction per commit,
+// each forced, packs many commits into one log page that is rewritten
+// through the two tail slots and goes home once full. Crashing after the
+// k-th log write — every k, through several page fills — with that write
+// torn at a seeded cut must never lose an acked commit, and must never
+// surface a transaction that did not commit, bar the one in flight.
+// ---------------------------------------------------------------------------
+
+/// Commits in the log-tail sweep: enough single-page transactions to fill
+/// at least three log pages.
+const TAIL_TXNS: u64 = 150;
+
+fn tail_cfg(backend: BackendKind) -> WalConfig {
+    WalConfig {
+        data_pages: PAGES,
+        pool_frames: PAGES as usize, // no evictions: every write is a log write
+        log_streams: 1,
+        backend,
+        ..WalConfig::default()
+    }
+}
+
+/// Run the single-page transactions until one errors. Returns the
+/// oracle and whether the run stopped on an error.
+fn tail_run(db: &mut WalDb) -> (Oracle, bool) {
+    let mut oracle = Oracle::new();
+    for i in 0..TAIL_TXNS {
+        let page = i % PAGES;
+        let data = vec![(i % 251) as u8 + 1; SLOT];
+        let t = db.begin();
+        if db.write(t, page, 0, &data).is_err() {
+            // never committed: its update must not survive
+            return (oracle, true);
+        }
+        if db.commit(t).is_err() {
+            // in flight: old and new are both legal
+            oracle.entry(page).or_insert_with(zeros).push(data);
+            return (oracle, true);
+        }
+        oracle.insert(page, vec![data]);
+    }
+    (oracle, false)
+}
+
+fn log_tail_sweep(backend: BackendKind) {
+    // a clean run counts the log writes to sweep over
+    let mut db = WalDb::new(tail_cfg(backend.clone()));
+    let counter = FaultInjector::handle(FaultPlan::new());
+    db.attach_faults(&counter);
+    let (_, errored) = tail_run(&mut db);
+    assert!(!errored, "clean run errored");
+    let writes = counter.lock().writes();
+    let image = db.crash_image();
+    let log = &image.logs[0];
+    let frames = (0..log.capacity()).filter(|&a| log.is_allocated(a)).count();
+    // header + both slots + at least three filled pages
+    assert!(
+        frames >= 6,
+        "only {frames} log frames used: the sweep must fill pages"
+    );
+    assert!(
+        writes > TAIL_TXNS,
+        "{writes} writes: one forced slot rewrite per commit plus home writes"
+    );
+
+    for k in 0..writes {
+        let cut = StdRng::seed_from_u64(k).gen_range(1..FRAME_SIZE);
+        let mut db = WalDb::new(tail_cfg(backend.clone()));
+        let plan = FaultPlan::new().tear_write(k, cut).crash_after_write(k);
+        let handle = FaultInjector::handle(plan);
+        db.attach_faults(&handle);
+        let (mut oracle, errored) = tail_run(&mut db);
+        assert!(errored, "crash after write {k} never surfaced");
+        assert!(handle.lock().crashed());
+        let (mut recovered, _) = WalDb::recover(db.crash_image(), tail_cfg(backend.clone()))
+            .unwrap_or_else(|e| panic!("write {k} torn at {cut}: recover: {e}"));
+        verify_and_pin(
+            &mut recovered,
+            &mut oracle,
+            &format!("log write {k} torn at {cut}"),
+        );
+    }
+}
+
+#[test]
+fn log_tail_rewrite_never_loses_acked_records() {
+    log_tail_sweep(BackendKind::Mem);
+}
+
+#[test]
+fn log_tail_rewrite_never_loses_acked_records_on_filedisk() {
+    log_tail_sweep(BackendKind::file());
+}
+
+// ---------------------------------------------------------------------------
 // Restart engine under the same storm, with fuzzy checkpoints running every
 // few commits so the scheduled crash regularly lands *inside* an in-flight
 // checkpoint — after its Begin records but before its End, or mid-flush.
