@@ -1,9 +1,10 @@
 //! Microbenchmarks of the differential-file engine: the basic-vs-optimal
-//! scan strategies, parallel scans (the machine's query processors), and
-//! the merge operation — §3.3's costs in isolation.
+//! scan strategies, parallel scans (the machine's query processors), the
+//! merge operation — §3.3's costs in isolation — and fence-indexed point
+//! gets and narrow range scans on a multi-level leveled store.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rmdb_difffile::{DiffConfig, DiffDb, ScanStrategy, Tuple};
+use rmdb_difffile::{DiffConfig, DiffDb, LsmConfig, LsmStore, ScanStrategy, Tuple};
 use std::hint::black_box;
 
 fn populated(base_tuples: u64, diff_ops: u64) -> DiffDb {
@@ -79,10 +80,58 @@ fn bench_merge(c: &mut Criterion) {
     });
 }
 
+/// A leveled store holding `keys` 64-byte values, maintained after every
+/// commit so the keys spread over L0 and several compacted levels.
+fn leveled(keys: u64) -> LsmStore {
+    let store = LsmStore::new(LsmConfig {
+        arena_frames: 2048,
+        ..LsmConfig::default()
+    })
+    .unwrap();
+    for base in (0..keys).step_by(16) {
+        let t = store.begin();
+        for k in base..(base + 16).min(keys) {
+            store.put(t, k, &[(k % 251) as u8; 64]).unwrap();
+        }
+        store.commit(t).unwrap();
+        store.maintain().unwrap();
+    }
+    store
+}
+
+fn bench_lsm_get(c: &mut Criterion) {
+    let store = leveled(4096);
+    let mut key = 0u64;
+    c.bench_function("difffile/lsm_get", |b| {
+        b.iter(|| {
+            key = (key + 997) % 4096;
+            black_box(store.get(key).unwrap())
+        })
+    });
+}
+
+fn bench_lsm_range(c: &mut Criterion) {
+    let store = leveled(4096);
+    let mut lo = 0u64;
+    c.bench_function("difffile/lsm_range", |b| {
+        b.iter(|| {
+            lo = (lo + 997) % (4096 - 64);
+            black_box(
+                store
+                    .range(lo, lo + 63, ScanStrategy::Optimal)
+                    .unwrap()
+                    .len(),
+            )
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_scan_strategies,
     bench_parallel_scan,
-    bench_merge
+    bench_merge,
+    bench_lsm_get,
+    bench_lsm_range
 );
 criterion_main!(benches);

@@ -14,18 +14,25 @@
 //!   (newest-first priority walk), over narrow and wide key ranges;
 //! * **equivalence** — every measured scan is cross-checked basic vs
 //!   optimal; any divergence is counted and fails the process, because a
-//!   store that answers faster by answering differently is not faster.
+//!   store that answers faster by answering differently is not faster;
+//! * **read fan-in** — device frames read per optimal point get over
+//!   every key (`frames_per_get`) and per optimal range scan over
+//!   eighth-of-the-keyspace windows (`frames_per_range`), from
+//!   `LsmStore::disk_reads` deltas. The fence index bounds a get to one
+//!   frame per live run.
 //!
 //! ```text
 //! lsm [--smoke] [--json]
 //! ```
 //!
-//! * `--smoke` — CI-sized single cell
+//! * `--smoke` — CI-sized cells: the narrow hot cell and a wide one whose
+//!   runs span several frames
 //! * `--json`  — machine-readable output only
 //!
 //! Emits `results/BENCH_lsm.json`; `scripts/verify.sh` gates on zero
-//! equivalence violations and a compaction count above zero (a run that
-//! never compacted measured nothing).
+//! equivalence violations, a compaction count above zero (a run that
+//! never compacted measured nothing), and `frames_per_get` within
+//! `l0_limit + max_levels` (one frame per run the hierarchy can hold).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,6 +65,9 @@ struct CellResult {
     basic_scans_per_sec: f64,
     optimal_scans_per_sec: f64,
     equivalence_violations: u64,
+    live_run_frames: u64,
+    frames_per_get: f64,
+    frames_per_range: f64,
 }
 
 impl CellResult {
@@ -67,7 +77,8 @@ impl CellResult {
              \"frames_written\":{},\"journal_frames\":{},\"run_frames\":{},\
              \"flushes\":{},\"compactions\":{},\"write_amplification\":{:.3},\
              \"levels_live\":{},\"l0_runs\":{},\"basic_scans_per_sec\":{:.1},\
-             \"optimal_scans_per_sec\":{:.1},\"equivalence_violations\":{}}}",
+             \"optimal_scans_per_sec\":{:.1},\"equivalence_violations\":{},\
+             \"live_run_frames\":{},\"frames_per_get\":{:.3},\"frames_per_range\":{:.3}}}",
             self.name,
             self.committed_txns,
             self.user_bytes,
@@ -82,6 +93,9 @@ impl CellResult {
             self.basic_scans_per_sec,
             self.optimal_scans_per_sec,
             self.equivalence_violations,
+            self.live_run_frames,
+            self.frames_per_get,
+            self.frames_per_range,
         )
     }
 }
@@ -168,6 +182,22 @@ fn run_cell(cell: Cell, scan_rounds: u32) -> CellResult {
         .filter(|(b, o)| b != o)
         .count() as u64;
 
+    // read fan-in: device frames per optimal get / narrow range scan
+    let before = store.disk_reads();
+    for key in 0..cell.keys {
+        store.get(key).expect("get");
+    }
+    let frames_per_get = (store.disk_reads() - before) as f64 / cell.keys as f64;
+    let width = (cell.keys / 8).max(1);
+    let windows: Vec<u64> = (0..cell.keys).step_by(width as usize).collect();
+    let before = store.disk_reads();
+    for &lo in &windows {
+        store
+            .range(lo, lo + width - 1, ScanStrategy::Optimal)
+            .expect("range");
+    }
+    let frames_per_range = (store.disk_reads() - before) as f64 / windows.len() as f64;
+
     CellResult {
         name: cell.name,
         committed_txns: stats.commits,
@@ -183,6 +213,14 @@ fn run_cell(cell: Cell, scan_rounds: u32) -> CellResult {
         basic_scans_per_sec: basic_rate,
         optimal_scans_per_sec: optimal_rate,
         equivalence_violations,
+        live_run_frames: manifest
+            .l0
+            .iter()
+            .chain(manifest.levels.iter().flatten())
+            .map(|d| d.frames)
+            .sum(),
+        frames_per_get,
+        frames_per_range,
     }
 }
 
@@ -201,12 +239,21 @@ fn main() {
     }
 
     let cells: &[Cell] = if smoke {
-        &[Cell {
-            name: "smoke",
-            keys: 64,
-            txns: 400,
-            value_len: 24,
-        }]
+        &[
+            Cell {
+                name: "smoke",
+                keys: 64,
+                txns: 400,
+                value_len: 24,
+            },
+            // runs of several frames, so the read fan-in gate bites
+            Cell {
+                name: "smoke-wide",
+                keys: 512,
+                txns: 400,
+                value_len: 160,
+            },
+        ]
     } else {
         &[
             Cell {
@@ -234,9 +281,13 @@ fn main() {
     let results: Vec<CellResult> = cells.iter().map(|&c| run_cell(c, scan_rounds)).collect();
     let violations: u64 = results.iter().map(|r| r.equivalence_violations).sum();
 
+    let cfg = cfg();
     let report = format!(
         "{{\"bench\":\"lsm\",\"smoke\":{smoke},\"frame_size\":{FRAME_SIZE},\
+         \"l0_limit\":{},\"max_levels\":{},\
          \"equivalence_violations\":{violations},\"cells\":[{}]}}",
+        cfg.l0_limit,
+        cfg.max_levels,
         results
             .iter()
             .map(CellResult::json)
@@ -252,7 +303,8 @@ fn main() {
         for r in &results {
             println!(
                 "{:>14}: WA {:.2} ({} frames / {} user bytes), {} flushes, \
-                 {} compactions, L0 {} + {} levels, basic {:.0}/s vs optimal {:.0}/s",
+                 {} compactions, L0 {} + {} levels, basic {:.0}/s vs optimal {:.0}/s, \
+                 {:.2} frames/get, {:.2} frames/range of {} live",
                 r.name,
                 r.write_amplification,
                 r.frames_written,
@@ -263,6 +315,9 @@ fn main() {
                 r.levels_live,
                 r.basic_scans_per_sec,
                 r.optimal_scans_per_sec,
+                r.frames_per_get,
+                r.frames_per_range,
+                r.live_run_frames,
             );
         }
         println!("wrote results/BENCH_lsm.json");

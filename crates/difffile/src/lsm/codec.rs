@@ -134,6 +134,17 @@ pub(crate) fn decode_chunk(bytes: &[u8]) -> Option<Vec<LsmEntry>> {
     Some(out)
 }
 
+/// Key of the first entry of an encoded chunk — the frame's fence.
+/// `None` for an empty or truncated chunk.
+pub(crate) fn first_key(chunk: &[u8]) -> Option<u64> {
+    let mut off = 0usize;
+    if get_u32(chunk, &mut off)? == 0 {
+        return None;
+    }
+    off += 16; // seq, txn
+    get_u64(chunk, &mut off)
+}
+
 /// Greedily split `entries` into encoded chunks of at most `room`
 /// bytes each (including the count header). `None` if a single entry
 /// cannot fit on its own.
@@ -209,6 +220,17 @@ mod tests {
             .flat_map(|c| decode_chunk(c).unwrap())
             .collect();
         assert_eq!(decoded, entries);
+    }
+
+    #[test]
+    fn first_key_reads_the_chunk_fence() {
+        let entries = vec![
+            entry(5, 42, LsmOp::Delete),
+            entry(6, 43, LsmOp::Put(vec![1])),
+        ];
+        assert_eq!(first_key(&encode_chunk(&entries)), Some(42));
+        assert_eq!(first_key(&encode_chunk(&[])), None);
+        assert_eq!(first_key(&encode_chunk(&entries)[..20]), None);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!    removed, their extents in `retired`, `pending` cleared);
 //! 4. reclaim the input extents in the in-memory free map.
 //!
+//! The install step also records the output run's fences (first key of
+//! each frame) in the in-memory [`super::run::FenceCache`] and drops the
+//! retired inputs' fences, so reads never have to rediscover them.
+//!
 //! A crash anywhere leaves one of exactly two durable states: the old
 //! hierarchy (with at worst an orphaned `pending` extent that recovery
 //! GCs by derivation and never reads) or the new hierarchy (with
@@ -298,7 +302,9 @@ fn flush_attempt(
     st.manifest.pending.clear();
     st.manifest.journal_gen += 1;
     st.manifest.next_seq = st.next_seq;
-    publish(st).map_err(|e| (written, e))
+    publish(st).map_err(|e| (written, e))?;
+    st.fences.install(&st.manifest, Some((desc.run_id, chunks)));
+    Ok(())
 }
 
 /// Merge runs down one level. `CompactL0` folds every L0 run plus L1
@@ -365,6 +371,7 @@ fn compact_locked(st: &mut LsmState, job: Job) -> Result<(), LsmError> {
                 .emit(EventKind::CompactionAborted, 0, target_level, 0, 0);
             return Err(e);
         }
+        st.fences.install(&st.manifest, None);
         let post = trip(st, CrashSite::PostPublishPreGc);
         if post.is_ok() {
             for d in &inputs {
@@ -477,5 +484,7 @@ fn compact_attempt(
     remove_inputs(st, job, out_idx, Some(desc));
     st.manifest.pending.clear();
     st.manifest.retired = inputs.iter().map(RunDesc::extent).collect();
-    publish(st).map_err(|e| (written, e))
+    publish(st).map_err(|e| (written, e))?;
+    st.fences.install(&st.manifest, Some((desc.run_id, chunks)));
+    Ok(())
 }

@@ -48,8 +48,9 @@ pub struct Extent {
 /// Descriptor of one sorted run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunDesc {
-    /// Monotonic id; never reused, so a stale cached run can never be
-    /// confused with a new one occupying the same extent.
+    /// Monotonic id; never reused. The store's in-memory fence index
+    /// (first key of each frame) is keyed by it, so a cached entry can
+    /// never describe a newer run that reuses the same extent.
     pub run_id: u64,
     /// Level the run lives on (0 = freshest).
     pub level: u32,

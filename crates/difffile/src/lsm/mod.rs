@@ -27,6 +27,16 @@
 //! into the memtable. Because nothing is written, double recovery is
 //! byte-identical to single recovery by construction.
 //!
+//! Reads keep an in-memory **fence index**: for each live run, the
+//! first key of each of its frames, keyed by [`RunDesc::run_id`]. It is
+//! derived and never stored. Flush and compaction fill it at install
+//! from the chunks they just wrote (and drop the runs they retire); a
+//! run adopted by recovery gets its fences on the first read that
+//! touches it, so recovery still reads no run frame. With it an
+//! optimal point get reads at most one frame per run, and an optimal
+//! range scan only the frames that overlap the range. Every frame read
+//! is still checksum-verified and strictly decoded.
+//!
 //! All I/O — foreground commits and background maintenance alike —
 //! goes through the one [`rmdb_storage::Disk`] with whatever
 //! [`rmdb_storage::FaultHandle`] the caller attached, so torn writes,

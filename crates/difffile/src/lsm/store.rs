@@ -13,7 +13,8 @@ use super::codec::{self, get_u32, get_u64, put_u32, put_u64, LsmEntry, LsmOp};
 use super::io::IoCounters;
 use super::maintenance;
 use super::manifest::{self, Extent, Manifest, RunDesc};
-use super::{io, run, CrashSite, LsmConfig, LsmError, LsmStats};
+use super::run::{self, FenceCache};
+use super::{io, CrashSite, LsmConfig, LsmError, LsmStats};
 use crate::ScanStrategy;
 
 /// Journal frame header: `[gen u64][batch u64][idx u32][total u32]`.
@@ -84,6 +85,9 @@ pub(crate) struct LsmState {
     next_txn: u64,
     /// Arena free-space map (derived, never stored).
     pub(crate) free: Vec<Extent>,
+    /// First key of each frame of each live run (derived, never
+    /// stored).
+    pub(crate) fences: FenceCache,
     txns: HashMap<u64, TxnBuf>,
     locks: HashMap<u64, u64>,
     pub(crate) faults: Option<FaultHandle>,
@@ -196,6 +200,7 @@ impl LsmStore {
             next_seq: 1,
             next_txn: 1,
             free,
+            fences: FenceCache::default(),
             txns: HashMap::new(),
             locks: HashMap::new(),
             faults: None,
@@ -427,7 +432,8 @@ impl LsmStore {
     /// Point lookup under an explicit paper-§3 strategy.
     ///
     /// * `Optimal` walks sources newest-first and stops at the first
-    ///   entry for the key (relies on the level-recency invariant).
+    ///   entry for the key (relies on the level-recency invariant). The
+    ///   fence index picks the one frame per run that could hold it.
     /// * `Basic` materializes the full set-union of Put entries and
     ///   set-difference against Delete entries, exactly R = (B∪A)−D.
     pub fn get_with(&self, key: u64, strategy: ScanStrategy) -> Result<Option<Vec<u8>>, LsmError> {
@@ -439,7 +445,9 @@ impl LsmStore {
                     return Ok(value_of(e));
                 }
                 for desc in st.manifest.live_runs() {
-                    if let Some(e) = run::lookup_run(&st.disk, &mut st.ctrs, &desc, key)? {
+                    if let Some(e) =
+                        run::lookup_run(&st.disk, &mut st.ctrs, &mut st.fences, &desc, key)?
+                    {
                         return Ok(value_of(&e));
                     }
                 }
@@ -501,6 +509,12 @@ impl LsmStore {
     /// Raw device write count (write-amplification numerator).
     pub fn disk_writes(&self) -> u64 {
         self.lock().disk.writes()
+    }
+
+    /// Raw device frame-read count (read fan-in numerator; write
+    /// verification reads count too).
+    pub fn disk_reads(&self) -> u64 {
+        self.lock().disk.reads()
     }
 
     /// Crash-consistent copy of the device, faults detached — the
@@ -650,6 +664,7 @@ impl LsmStore {
             manifest: mf,
             mem,
             free,
+            fences: FenceCache::default(),
             disk,
             cfg,
             txns: HashMap::new(),
@@ -819,14 +834,15 @@ fn basic_range(st: &mut LsmState, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)
 /// Optimal plan: walk sources newest-first; the first source holding a
 /// key decides it (no sequence comparison — this leans on the
 /// level-recency invariant, which is exactly what the equivalence
-/// proptest checks against the basic plan).
+/// proptest checks against the basic plan). Each run contributes only
+/// the frames its fences say overlap `lo..=hi`.
 fn optimal_range(st: &mut LsmState, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>, LsmError> {
     let mut chosen: BTreeMap<u64, LsmEntry> = BTreeMap::new();
     for (k, e) in st.mem.range(lo..=hi) {
         chosen.entry(*k).or_insert_with(|| e.clone());
     }
     for desc in st.manifest.live_runs() {
-        for e in run::read_run(&st.disk, &mut st.ctrs, &desc)? {
+        for e in run::read_span(&st.disk, &mut st.ctrs, &mut st.fences, &desc, lo, hi)? {
             if e.key < lo || e.key > hi {
                 continue;
             }
@@ -945,6 +961,123 @@ mod tests {
         assert_eq!(dump0, image1.dump(), "recovery wrote to the disk");
         let (rec2, _) = LsmStore::recover(image1, small_cfg()).unwrap();
         assert_eq!(dump0, rec2.crash_image().dump());
+    }
+
+    /// A store with two L0 runs, an L1 run and an L2 run, each spanning
+    /// several frames (400-byte values: nine entries a frame), and an
+    /// empty memtable.
+    fn multi_frame_store() -> (LsmStore, LsmConfig) {
+        let cfg = LsmConfig {
+            journal_frames: 128,
+            arena_frames: 512,
+            memtable_limit: 10_000,
+            l0_limit: 2,
+            level_base_frames: 8,
+            fanout: 8,
+            max_levels: 3,
+            ..LsmConfig::default()
+        };
+        let db = LsmStore::new(cfg.clone()).unwrap();
+        let write = |keys: Vec<u64>| {
+            for batch in keys.chunks(8) {
+                let t = db.begin();
+                for &k in batch {
+                    db.put(t, k, &[k as u8; 400]).unwrap();
+                }
+                db.commit(t).unwrap();
+            }
+            db.flush_now().unwrap();
+        };
+        // Three L0 runs compact into L1, which overflows into L2.
+        write((0..300).collect());
+        write((300..310).collect());
+        write((310..320).collect());
+        db.maintain().unwrap();
+        // Three more fold into a new L1 that fits its budget.
+        let l1: Vec<u64> = (0..320).step_by(8).collect();
+        for part in l1.chunks(14) {
+            write(part.to_vec());
+        }
+        db.maintain().unwrap();
+        // Two stay in L0.
+        write((3..320).step_by(16).collect());
+        write((5..320).step_by(16).collect());
+        db.maintain().unwrap();
+        (db, cfg)
+    }
+
+    #[test]
+    fn fences_bound_the_frames_a_read_touches() {
+        let (db, cfg) = multi_frame_store();
+        let m = db.manifest();
+        let live = m.live_runs();
+        assert_eq!(m.l0.len(), 2, "{m:?}");
+        assert!(m.levels[0].is_some() && m.levels[1].is_some(), "{m:?}");
+        assert!(live.iter().all(|d| d.frames >= 2), "{live:?}");
+        assert_eq!(db.memtable_len(), 0);
+        // Installs filled the cache and retired runs left it.
+        let ids: std::collections::BTreeSet<u64> = live.iter().map(|d| d.run_id).collect();
+        assert_eq!(db.lock().fences.run_ids(), ids);
+
+        // An optimal get reads at most one frame per live run, including
+        // keys below every fence, on a fence, and past the last frame.
+        for key in (0..330).chain([u64::MAX]) {
+            let before = db.disk_reads();
+            let got = db.get(key).unwrap();
+            let reads = db.disk_reads() - before;
+            assert!(reads <= live.len() as u64, "get({key}) read {reads} frames");
+            assert_eq!(
+                got,
+                db.get_with(key, ScanStrategy::Basic).unwrap(),
+                "key {key}"
+            );
+        }
+
+        // A narrow range reads only the frames it overlaps.
+        let total: u64 = live.iter().map(|d| d.frames).sum();
+        let before = db.disk_reads();
+        let rows = db.range(100, 110, ScanStrategy::Optimal).unwrap();
+        let reads = db.disk_reads() - before;
+        assert!(reads < total, "range read {reads} of {total} frames");
+        assert!(reads <= 2 * live.len() as u64, "range read {reads} frames");
+        assert_eq!(rows, db.range(100, 110, ScanStrategy::Basic).unwrap());
+        assert_eq!(
+            db.scan(ScanStrategy::Optimal).unwrap(),
+            db.scan(ScanStrategy::Basic).unwrap()
+        );
+
+        // Recovery reads no arena frame: it succeeds, with the same report
+        // and read count, on an image whose whole arena is garbage.
+        let (rec, report) = LsmStore::recover(db.crash_image(), cfg.clone()).unwrap();
+        let mut scrambled = db.crash_image();
+        for addr in cfg.arena_start()..cfg.arena_start() + cfg.arena_frames {
+            scrambled
+                .disk
+                .write_frame(addr, &[0xEE; rmdb_storage::FRAME_SIZE])
+                .unwrap();
+        }
+        let scrambled_writes = scrambled.disk.writes();
+        let (blind, blind_report) = LsmStore::recover(scrambled, cfg).unwrap();
+        assert_eq!(report, blind_report);
+        assert_eq!(rec.disk_reads(), blind.disk_reads());
+        assert_eq!(blind.disk_writes(), scrambled_writes, "recovery wrote");
+        assert!(rec.lock().fences.run_ids().is_empty());
+        assert!(matches!(
+            blind.get(100),
+            Err(LsmError::Storage(StorageError::Corrupt { .. }))
+        ));
+
+        // The first touch reads each run whole and caches its fences; from
+        // then on gets are bounded again.
+        assert_eq!(rec.get(100).unwrap(), db.get(100).unwrap());
+        assert!(!rec.lock().fences.run_ids().is_empty());
+        rec.scan(ScanStrategy::Optimal).unwrap();
+        assert_eq!(rec.lock().fences.run_ids(), ids);
+        for key in [0, 101, 250, 319, 5000] {
+            let before = rec.disk_reads();
+            assert_eq!(rec.get(key).unwrap(), db.get(key).unwrap(), "key {key}");
+            assert!(rec.disk_reads() - before <= live.len() as u64);
+        }
     }
 
     #[test]

@@ -23,10 +23,13 @@
 # differential-store gate: a `cargo bench --no-run` compile pass over
 # every criterion bench (so bench rot fails CI, not the next person to
 # run benches), the LSM named-crash-site + seeded-storm sweeps and the
-# basic/optimal strategy-equivalence properties in release, and an LSM
-# smoke whose JSON gate requires zero basic/optimal equivalence
-# violations, a compaction count above zero, and a finite write
-# amplification figure (results/BENCH_lsm.json), and the packed log-tail
+# basic/optimal strategy-equivalence properties (including the
+# frame-boundary fence-read property) in release, and an LSM smoke whose
+# JSON gate requires zero basic/optimal equivalence violations, a
+# compaction count above zero, a finite write amplification figure, and
+# a bounded read fan-in: optimal frames read per point get at most
+# l0_limit + max_levels, one frame per run the hierarchy can hold
+# (results/BENCH_lsm.json), and the packed log-tail
 # gate in release: the crashpoint sweep that tears every log write of a
 # force-per-commit run through several page fills (tail-slot rewrites and
 # home-page writes, MemDisk and FileDisk) without losing an acked commit,
@@ -259,7 +262,8 @@ EOF
 # to flush AND compact, then gate on the emitted JSON: zero basic/optimal
 # equivalence violations (the binary also exits non-zero on any), every
 # cell must have actually compacted (a run that never compacted measured
-# nothing), and write amplification must be present and sane.
+# nothing), write amplification must be present and sane, and the fence
+# index must hold an optimal get to one frame per live run.
 ./target/release/lsm --smoke --json > /dev/null
 python3 - <<'EOF'
 import json
@@ -279,12 +283,20 @@ for c in doc["cells"]:
         f"lsm smoke: cell {name} write amplification {wa} not a finite positive"
     assert c["basic_scans_per_sec"] > 0 and c["optimal_scans_per_sec"] > 0, \
         f"lsm smoke: cell {name} scan rates empty"
+    fan_in = doc["l0_limit"] + doc["max_levels"]
+    assert 0 < c["frames_per_get"] <= fan_in, \
+        f"lsm smoke: cell {name} reads {c['frames_per_get']} frames per get, " \
+        f"bound {fan_in}"
+    assert c["frames_per_range"] <= c["live_run_frames"], \
+        f"lsm smoke: cell {name} range reads exceed the live run frames"
 c = doc["cells"][0]
 print(f"lsm smoke: WA {c['write_amplification']:.2f} "
       f"({c['frames_written']} frames / {c['user_bytes']} user bytes), "
       f"{c['flushes']} flushes, {c['compactions']} compactions, "
       f"L0 {c['l0_runs']} + {c['levels_live']} levels, "
       f"basic {c['basic_scans_per_sec']:.0f}/s vs optimal "
-      f"{c['optimal_scans_per_sec']:.0f}/s, 0 equivalence violations")
+      f"{c['optimal_scans_per_sec']:.0f}/s, 0 equivalence violations; "
+      + ", ".join(f"{c['name']} {c['frames_per_get']:.2f} frames/get"
+                  for c in doc["cells"]))
 EOF
 echo "verify: OK"
