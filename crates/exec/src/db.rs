@@ -10,7 +10,8 @@
 //! * **back-end controller scheduler** — a [`Scheduler`] behind its own
 //!   mutex, with waiting workers parked on per-transaction condvar slots;
 //! * **back-end controller commit path** — the group-commit daemon
-//!   ([`crate::group`]), batching commit forces across streams;
+//!   ([`crate::group`]), batching commit forces across streams — a batch
+//!   is whatever queued while the previous one forced, with no timer;
 //! * **supervisor** — a health-check thread ([`crate::supervisor`])
 //!   probing each log processor and quarantining failed ones.
 //!
@@ -118,11 +119,6 @@ pub struct ExecConfig {
     pub commit_queue: usize,
     /// Max transactions the daemon folds into one group commit.
     pub max_group: usize,
-    /// Group-commit dwell: after the first commit of a batch arrives,
-    /// the daemon lingers up to this long for stragglers before forcing.
-    /// Trades a little single-transaction latency for batch depth under
-    /// load (the paper's group-commit knob, expressed as a window).
-    pub group_dwell_us: u64,
     /// Modeled log-device service time per force, in microseconds. The
     /// paper's log disks are rotational — a force is never free; this is
     /// what makes sharing forces (group commit) worth anything. Zero
@@ -174,7 +170,6 @@ impl Default for ExecConfig {
             appender_queue: 1024,
             commit_queue: 1024,
             max_group: 64,
-            group_dwell_us: 40,
             force_delay_us: 0,
             min_live_streams: 1,
             health_interval_us: 1_000,
@@ -234,6 +229,43 @@ enum Outcome {
     Granted,
     /// The waiter was cancelled as a deadlock victim; it must abort.
     Victim,
+}
+
+/// Why a lock request ended in a conflict retry. Each cause has a
+/// `lock.conflicts.<name>` counter, and its code is the payload of the
+/// retry's [`EventKind::TxnConflictRetry`] event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConflictCause {
+    /// The requester held S on the page it asked X for, and its wait
+    /// would close a cycle: the read-then-write conversion deadlock.
+    Conversion = 1,
+    /// The requester's wait would close any other waits-for cycle.
+    Cycle = 2,
+    /// Another transaction's wait closed a cycle and cancelled this
+    /// transaction's wait as the youngest member.
+    Victim = 3,
+    /// The wait ran past the lock-wait safety timeout.
+    Timeout = 4,
+}
+
+impl ConflictCause {
+    /// Every cause, in code order.
+    const ALL: [ConflictCause; 4] = [
+        ConflictCause::Conversion,
+        ConflictCause::Cycle,
+        ConflictCause::Victim,
+        ConflictCause::Timeout,
+    ];
+
+    /// The counter suffix: `lock.conflicts.<name>`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ConflictCause::Conversion => "conversion",
+            ConflictCause::Cycle => "cycle",
+            ConflictCause::Victim => "victim",
+            ConflictCause::Timeout => "timeout",
+        }
+    }
 }
 
 /// One parked worker's wake-up slot.
@@ -330,6 +362,8 @@ pub struct Txn {
     /// Deferred-capture state; `Some` exactly while the logging policy
     /// is still deciding (a spill resets it to `None` for good).
     deferred: Option<Deferred>,
+    /// Why the last lock request failed, for the retry's tag.
+    conflict: Option<ConflictCause>,
 }
 
 impl Txn {
@@ -481,6 +515,8 @@ pub(crate) struct Inner {
     ro_txns: Counter,
     /// End-to-end `run_ro_txn` latency, µs.
     ro_us: Histogram,
+    /// `lock.conflicts.<cause>`, indexed by code − 1.
+    conflicts: [Counter; 4],
 }
 
 impl Inner {
@@ -1246,16 +1282,17 @@ impl ExecDb {
             mvcc: Mvcc::new(wal.data_pages as usize, &obs),
             ro_txns: obs.counter("mvcc.ro_txns"),
             ro_us: obs.histogram("mvcc.read_us"),
+            conflicts: ConflictCause::ALL
+                .map(|c| obs.counter(&format!("lock.conflicts.{}", c.name()))),
             obs,
             cfg: cfg.clone(),
         });
         let (commit_tx, commit_rx) = sync_channel(cfg.commit_queue.max(1));
         let daemon_inner = Arc::clone(&inner);
         let max_group = cfg.max_group;
-        let dwell = Duration::from_micros(cfg.group_dwell_us);
         let daemon = std::thread::Builder::new()
             .name("rmdb-group-commit".into())
-            .spawn(move || run_daemon(daemon_inner, commit_rx, max_group, dwell))
+            .spawn(move || run_daemon(daemon_inner, commit_rx, max_group))
             .expect("spawn group-commit daemon");
         let sup_stop = Arc::new(AtomicBool::new(false));
         let sup_inner = Arc::clone(&inner);
@@ -1362,21 +1399,25 @@ impl ExecDb {
             undo: Vec::new(),
             pending: Vec::new(),
             deferred: Deferred::arm(self.inner.cfg.wal.logging, self.inner.shard_frames),
+            conflict: None,
         }
     }
 
     /// Acquire `mode` on `page` for `txn`, parking on the wait table if
     /// the scheduler queues us. Deadlock victims (us or others) surface
-    /// as a lock-conflict error, the retryable kind. The scheduler mutex
-    /// guards the multi-step waits-for graph, so poisoning there is NOT
-    /// repaired — it surfaces as [`ExecError::Poisoned`].
-    fn lock_page(&self, txn: u64, page: PageId, mode: LockMode) -> Result<(), ExecError> {
+    /// as a lock-conflict error, the retryable kind, with the cause left
+    /// in `txn.conflict`. The scheduler mutex guards the multi-step
+    /// waits-for graph, so poisoning there is NOT repaired — it surfaces
+    /// as [`ExecError::Poisoned`].
+    fn lock_page(&self, txn: &mut Txn, page: PageId, mode: LockMode) -> Result<(), ExecError> {
         const POISONED: ExecError = ExecError::Poisoned {
             what: "scheduler lock table",
         };
-        let decision = {
+        let (decision, converting) = {
             let mut sched = self.inner.sched.lock().map_err(|_| POISONED)?;
-            let decision = sched.request(txn, page, mode);
+            let converting = mode == LockMode::Exclusive
+                && sched.locks().held(txn.id, page) == Some(LockMode::Shared);
+            let decision = sched.request(txn.id, page, mode);
             // signal victims while still holding the scheduler mutex so
             // victim/grant deliveries are serialised
             match &decision {
@@ -1391,37 +1432,43 @@ impl ExecDb {
                 }
                 Decision::Granted => {}
             }
-            decision
+            (decision, converting)
         };
-        let conflict = |holder: u64| ExecError::Wal(WalError::LockConflict { page, holder });
-        match decision {
-            Decision::Granted => Ok(()),
+        let (holder, cause) = match decision {
+            Decision::Granted => return Ok(()),
             Decision::Deadlock { cycle, .. } => {
                 self.inner
                     .stats
                     .deadlock_victims
                     .fetch_add(1, Ordering::Relaxed);
-                Err(conflict(cycle.get(1).copied().unwrap_or(0)))
+                let cause = if converting {
+                    ConflictCause::Conversion
+                } else {
+                    ConflictCause::Cycle
+                };
+                (cycle.get(1).copied().unwrap_or(0), cause)
             }
-            Decision::Waiting { .. } => match self.inner.waits.wait(txn) {
-                Some(Outcome::Granted) => Ok(()),
-                Some(Outcome::Victim) => Err(conflict(0)),
+            Decision::Waiting { .. } => match self.inner.waits.wait(txn.id) {
+                Some(Outcome::Granted) => return Ok(()),
+                Some(Outcome::Victim) => (0, ConflictCause::Victim),
                 None => {
                     // timed out: resolve the race under the scheduler
                     // mutex — either a signal landed after the timeout,
                     // or we withdraw the wait
                     let mut sched = self.inner.sched.lock().map_err(|_| POISONED)?;
-                    match self.inner.waits.take(txn) {
-                        Some(Outcome::Granted) => Ok(()),
-                        Some(Outcome::Victim) => Err(conflict(0)),
+                    match self.inner.waits.take(txn.id) {
+                        Some(Outcome::Granted) => return Ok(()),
+                        Some(Outcome::Victim) => (0, ConflictCause::Victim),
                         None => {
-                            sched.cancel_wait(txn);
-                            Err(conflict(0))
+                            sched.cancel_wait(txn.id);
+                            (0, ConflictCause::Timeout)
                         }
                     }
                 }
             },
-        }
+        };
+        txn.conflict = Some(cause);
+        Err(ExecError::Wal(WalError::LockConflict { page, holder }))
     }
 
     /// Read `len` bytes at `offset` of `page` under a shared lock. Under
@@ -1437,7 +1484,7 @@ impl ExecDb {
     ) -> Result<Vec<u8>, ExecError> {
         self.inner.cfg.wal.check_bounds(page, offset, len)?;
         let id = PageId(page);
-        self.lock_page(txn.id, id, LockMode::Shared)?;
+        self.lock_page(txn, id, LockMode::Shared)?;
         if let Some(d) = txn.deferred.as_mut() {
             d.note_read(id);
         }
@@ -1489,7 +1536,7 @@ impl ExecDb {
     ) -> Result<(), ExecError> {
         self.inner.cfg.wal.check_bounds(page, offset, data.len())?;
         let id = PageId(page);
-        self.lock_page(txn.id, id, LockMode::Exclusive)?;
+        self.lock_page(txn, id, LockMode::Exclusive)?;
         self.write_op(txn, id, offset, data, None)
     }
 
@@ -1508,7 +1555,7 @@ impl ExecDb {
     ) -> Result<(), ExecError> {
         self.inner.cfg.wal.check_bounds(page, offset, 8)?;
         let id = PageId(page);
-        self.lock_page(txn.id, id, LockMode::Exclusive)?;
+        self.lock_page(txn, id, LockMode::Exclusive)?;
         let next = {
             let mut shard = self.resident_shard(txn, id)?;
             let p = shard.pool.get(id).expect("resident page");
@@ -1681,6 +1728,7 @@ impl ExecDb {
             commit_rec,
             unpin,
             bytes_saved,
+            submitted: Instant::now(),
             reply,
         };
         let tx = self.commit_tx.as_ref().expect("pipeline running");
@@ -1748,14 +1796,13 @@ impl ExecDb {
         let seed = self.inner.cfg.wal.seed ^ (qp as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut backoff = Backoff::with_bounds(seed, 10, 1_000);
         let t_start = Instant::now();
-        fn pause(backoff: &mut Backoff) -> Duration {
+        fn pause(backoff: &mut Backoff) {
             let delay = backoff.next_delay();
             if delay.is_zero() {
                 std::thread::yield_now();
             } else {
                 std::thread::sleep(delay);
             }
-            delay
         }
         for _ in 0..MAX_RETRIES {
             // degraded gate, checked per attempt: shed load instead of
@@ -1806,18 +1853,23 @@ impl ExecDb {
                             ExecError::Wal(WalError::LockConflict { page, .. }) => page.0,
                             _ => 0,
                         };
+                        // a conflict the body raised without the lock
+                        // path has no recorded cause; count it as a cycle
+                        // so the family still tiles `conflict_retries`
+                        let cause = txn.conflict.unwrap_or(ConflictCause::Cycle);
                         self.abort(txn)?;
                         self.inner
                             .stats
                             .conflict_retries
                             .fetch_add(1, Ordering::Relaxed);
-                        let delay = pause(&mut backoff);
+                        self.inner.conflicts[cause as usize - 1].inc();
+                        pause(&mut backoff);
                         self.inner.obs.emit(
                             EventKind::TxnConflictRetry,
                             txn_id,
                             qp as u64,
                             page,
-                            delay.as_micros() as u64,
+                            cause as u64,
                         );
                     } else if self.retryable(&e) {
                         // appender failure inside the body: the stream is
@@ -1973,7 +2025,8 @@ impl ExecDb {
     /// The observability registry the pipeline publishes into (same
     /// registry as [`ExecConfig::obs`]). Counters/histograms of note:
     /// `txn.commits_acked`, `txn.commit_us`, `group.completions`,
-    /// `group.batch_size`, `group.dwell_us`, per-stream
+    /// `group.batch_size`, `group.dwell_us` (oldest member's queue wait),
+    /// `lock.conflicts.<cause>` (see [`ConflictCause`]), per-stream
     /// `wal.fragments_enqueued.s{i}` / `wal.fragments_appended.s{i}` /
     /// `wal.forces.s{i}` / `wal.force_us.s{i}`, the per-stream
     /// `appender.health.s{i}` gauges, and the failover family:
@@ -2262,6 +2315,65 @@ mod tests {
         })
         .unwrap();
         assert_eq!(db.stats().committed, 40);
+    }
+
+    /// Write `page` in `t`: commit on success, abort on a conflict and
+    /// return its cause.
+    fn write_or_abort(db: &ExecDb, mut t: Txn, page: u64) -> Option<ConflictCause> {
+        match db.write(&mut t, page, 0, b"x") {
+            Ok(()) => {
+                db.commit(t).unwrap().wait().unwrap();
+                None
+            }
+            Err(e) => {
+                assert!(e.lock_conflict().is_some(), "{e:?}");
+                let cause = t.conflict;
+                db.abort(t).unwrap();
+                cause
+            }
+        }
+    }
+
+    /// `parked` writes `pp` on a thread and must block; once it waits,
+    /// `other` writes `po`. Returns each side's conflict cause.
+    fn collide(
+        db: &ExecDb,
+        (parked, pp): (Txn, u64),
+        (other, po): (Txn, u64),
+    ) -> (Option<ConflictCause>, Option<ConflictCause>) {
+        std::thread::scope(|s| {
+            let h = s.spawn(|| write_or_abort(db, parked, pp));
+            while db.wait_stats().waiting_txns == 0 {
+                std::thread::yield_now();
+            }
+            let theirs = write_or_abort(db, other, po);
+            (h.join().unwrap(), theirs)
+        })
+    }
+
+    #[test]
+    fn lock_conflicts_are_tagged_with_their_cause() {
+        let db = ExecDb::new(small_cfg());
+        // both read page 5, then both want X: the younger closes the
+        // cycle while holding S on the page it converts
+        let (mut old, mut young) = (db.begin(0), db.begin(1));
+        db.read(&mut old, 5, 0, 8).unwrap();
+        db.read(&mut young, 5, 0, 8).unwrap();
+        let got = collide(&db, (old, 5), (young, 5));
+        assert_eq!(got, (None, Some(ConflictCause::Conversion)));
+        // same shape, but the younger parks first: the older's request
+        // closes the cycle and cancels the younger's wait
+        let (mut old, mut young) = (db.begin(0), db.begin(1));
+        db.read(&mut old, 5, 0, 8).unwrap();
+        db.read(&mut young, 5, 0, 8).unwrap();
+        let got = collide(&db, (young, 5), (old, 5));
+        assert_eq!(got, (Some(ConflictCause::Victim), None));
+        // X-X crossover on two pages: a cycle with no conversion in it
+        let (mut old, mut young) = (db.begin(0), db.begin(1));
+        db.write(&mut old, 7, 0, b"o").unwrap();
+        db.write(&mut young, 9, 0, b"y").unwrap();
+        let got = collide(&db, (old, 9), (young, 7));
+        assert_eq!(got, (None, Some(ConflictCause::Cycle)));
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! log-processor bank.
 //!
 //! Workers submit [`CommitReq`]s over a bounded channel and park on a
-//! [`CommitHandle`]. The daemon drains a batch, forces every stream
-//! holding any batch member's fragments (one force per stream, not one
-//! per transaction), then — under the commit gate — appends and forces
-//! each member's `Commit` record on its home stream. Locks are released
-//! only after the commit record is durable, preserving strict 2PL.
+//! [`CommitHandle`]. The daemon is timerless: it blocks for the first
+//! request, takes whatever else is already queued, and commits at once —
+//! a batch is the commits that queued while the previous batch forced,
+//! so groups grow with load and an idle system never waits on a window.
+//! For each batch it forces every stream holding any member's fragments
+//! (one force per stream, not one per transaction), then — under the
+//! commit gate — appends and forces each member's `Commit` record on its
+//! home stream. Locks are released only after the commit record is
+//! durable, preserving strict 2PL.
 //!
 //! The commit gate (`Inner::gate`) is the crash-image linchpin: because
 //! every commit-record append + home force happens inside the gate, a
@@ -70,6 +74,9 @@ pub(crate) struct CommitReq {
     /// Log bytes command logging saved vs the retained fragments
     /// (`wal.bytes_saved`; 0 for physical commits).
     pub bytes_saved: u64,
+    /// When the worker submitted; `group.dwell_us` measures the oldest
+    /// member's queue wait from here to batch close.
+    pub submitted: Instant,
     /// Completion channel the worker parks on.
     pub reply: SyncSender<Result<(), ExecError>>,
 }
@@ -122,38 +129,22 @@ impl CommitHandle {
     }
 }
 
-/// Daemon main loop. Exits when every commit sender is dropped.
-pub(crate) fn run_daemon(
-    inner: Arc<Inner>,
-    rx: Receiver<CommitReq>,
-    max_group: usize,
-    dwell: Duration,
-) {
+/// Daemon main loop (timerless, see module docs). Exits when every
+/// commit sender is dropped.
+pub(crate) fn run_daemon(inner: Arc<Inner>, rx: Receiver<CommitReq>, max_group: usize) {
     let max_group = max_group.max(1);
     let obs = inner.obs.clone();
     let completions = obs.counter("group.completions");
     let batch_size = obs.histogram("group.batch_size");
-    let dwell_us = obs.histogram("group.dwell_us");
+    let queue_us = obs.histogram("group.dwell_us");
     let logical_records = obs.counter("wal.logical_records");
     let bytes_saved = obs.counter("wal.bytes_saved");
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
-        // dwell: linger briefly for stragglers so the force is shared
-        let t_arrive = Instant::now();
-        let deadline = t_arrive + dwell;
-        while batch.len() < max_group {
-            match rx.try_recv() {
-                Ok(req) => batch.push(req),
-                Err(_) => {
-                    if Instant::now() >= deadline {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        // how long the dwell window actually held the batch open
-        dwell_us.record(t_arrive.elapsed().as_micros() as u64);
+        batch.extend(rx.try_iter().take(max_group - 1));
+        // the commit-queue stage: the first member (the channel is FIFO,
+        // so the oldest) waited from submit to batch close
+        queue_us.record(batch[0].submitted.elapsed().as_micros() as u64);
         batch_size.record(batch.len() as u64);
         obs.emit(EventKind::GroupCommitBatch, 0, 0, 0, batch.len() as u64);
         let results = commit_batch(&inner, &batch);
@@ -301,4 +292,49 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
         }
     }
     results
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ExecConfig, ExecDb};
+    use rmdb_wal::db::WalConfig;
+
+    #[test]
+    fn groups_form_without_a_timer() {
+        // a 2 ms modeled force: with no dwell window, the commits that
+        // queue while one batch forces must share the next force
+        let db = ExecDb::new(ExecConfig {
+            wal: WalConfig {
+                data_pages: 64,
+                log_streams: 2,
+                seed: 16,
+                ..WalConfig::default()
+            },
+            force_delay_us: 2_000,
+            ..ExecConfig::default()
+        });
+        std::thread::scope(|s| {
+            for w in 0..4u64 {
+                let db = &db;
+                s.spawn(move || {
+                    for i in 0..25u64 {
+                        db.run_txn(w as usize, |ctx| ctx.write(w, 0, &i.to_le_bytes()))
+                            .expect("commit");
+                    }
+                });
+            }
+        });
+        let stats = db.stats();
+        assert_eq!(stats.committed, 100);
+        assert_eq!(
+            (stats.aborted, stats.starved, stats.conflict_retries),
+            (0, 0, 0)
+        );
+        let per_group = stats.commits_grouped as f64 / stats.group_commits as f64;
+        assert!(per_group > 1.5, "{per_group:.2} commits per group");
+        let snap = db.metrics();
+        let c = |name: &str| snap.counter(name).unwrap_or(0);
+        assert_eq!(c("txn.commits_acked"), c("group.completions"));
+        assert_eq!(c("txn.commits_acked"), 100);
+    }
 }

@@ -14,7 +14,8 @@
 //!
 //! Fragments flow from workers to their transaction's log processor over
 //! bounded channels; commit forces are batched across streams by the
-//! group-commit daemon; the monolithic engine mutex is decomposed into a
+//! timerless group-commit daemon (a batch is whatever queued while the
+//! previous one forced); the monolithic engine mutex is decomposed into a
 //! scheduler mutex, sharded buffer-pool locks and per-stream append
 //! state. Crash images taken from a live pipeline recover through the
 //! ordinary [`rmdb_wal::WalDb::recover`] path — same log format, same
@@ -64,7 +65,9 @@ pub mod group;
 pub mod supervisor;
 
 pub use appender::{AppenderProbe, LogAppender, TicketInheritance};
-pub use db::{ExecConfig, ExecCtx, ExecDb, ExecStats, RejoinReport, SnapshotCtx, Txn};
+pub use db::{
+    ConflictCause, ExecConfig, ExecCtx, ExecDb, ExecStats, RejoinReport, SnapshotCtx, Txn,
+};
 pub use error::{AppenderError, ExecError};
 pub use executor::{Executor, JobHandle};
 pub use group::CommitHandle;

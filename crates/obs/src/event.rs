@@ -43,7 +43,9 @@ pub enum EventKind {
     /// A transaction's commit record became durable (payload: e2e µs).
     TxnCommit = 1,
     /// A transaction hit a lock conflict and will retry after backing
-    /// off (payload: backoff delay in µs).
+    /// off (page field: contested page, payload: cause code — 1
+    /// conversion deadlock, 2 other waits-for cycle, 3 deadlock victim,
+    /// 4 lock-wait timeout).
     TxnConflictRetry = 2,
     /// A transaction aborted (payload: attempts used).
     TxnAbort = 3,

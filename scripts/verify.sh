@@ -5,7 +5,8 @@
 # (K=1 vs K=4 must recover byte-identical state), the concurrent-pipeline
 # stress tests, the observability property/conservation suites, and a
 # throughput smoke with --obs that must show >= 2x txns/sec at 4 workers
-# vs 1 AND emit a metrics snapshot whose conservation laws balance
+# vs 1, >= 1.5 commits per group-commit batch at 4 workers, AND emit a
+# metrics snapshot whose conservation laws balance
 # (results land in results/BENCH_throughput.json), plus failover and
 # membership-churn smokes whose gates derive from the emitted JSON
 # (results/BENCH_failover.json), and a read-mix smoke gating MVCC
@@ -96,6 +97,12 @@ rate = {c["workers"]: c["txns_per_sec"] for c in cells}
 ratio = rate[4] / rate[1]
 print(f"throughput smoke: 1w={rate[1]:.0f} 4w={rate[4]:.0f} txns/s ({ratio:.2f}x)")
 assert ratio >= 2.0, f"group commit scaling regressed: {ratio:.2f}x < 2x"
+# the timerless daemon must still share forces: under the modeled force,
+# commits that queue behind one force join the next batch
+four = next(c for c in cells if c["workers"] == 4)
+per_group = four["txns"] / four["group_commits"]
+print(f"throughput smoke: 4w {per_group:.2f} commits per group")
+assert per_group >= 1.5, f"group commit stopped grouping: {per_group:.2f} < 1.5 commits per group at 4w"
 
 # obs smoke gate: the snapshot must parse, its core counters must be
 # non-zero, and the double-entry conservation laws must balance

@@ -282,6 +282,29 @@ fn metrics_obey_conservation_laws() {
         // Latency evidence: the commit histogram saw every daemon commit
         let h = snap.histogram("txn.commit_us").expect("commit histogram");
         assert!(h.count > 0 && h.quantile(0.99) >= h.quantile(0.5));
+
+        // Law 4: the daemon records one commit-queue wait and one batch
+        // size for every batch it flushes.
+        let stats = db.stats();
+        let n = |name: &str| snap.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(
+            n("group.dwell_us"),
+            n("group.batch_size"),
+            "{workers} workers: queue waits vs batch sizes"
+        );
+        assert_eq!(
+            n("group.batch_size"),
+            stats.group_commits,
+            "{workers} workers: batch sizes vs group commits"
+        );
+
+        // Law 5: in a run_txn-only workload every conflict retry is
+        // tagged with exactly one cause.
+        assert_eq!(
+            snap.counter_family("lock.conflicts."),
+            stats.conflict_retries,
+            "{workers} workers: conflict causes vs conflict retries"
+        );
     }
 }
 
