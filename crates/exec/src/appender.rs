@@ -55,7 +55,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default producer wait deadline (overridable per appender via
-/// [`LogAppender::spawn_observed`]; never hit in healthy runs).
+/// [`LogAppender::spawn_rejoined`]; never hit in healthy runs).
 pub const DEFAULT_WAIT: Duration = Duration::from_secs(30);
 
 /// Idle receive timeout: the thread wakes at least this often to bump
@@ -116,12 +116,8 @@ pub struct AppenderProbe {
     pub heartbeat: u64,
     /// Whether the thread is still running.
     pub alive: bool,
-    /// Highest ticket appended (volatile).
-    pub appended: u64,
     /// Highest ticket durable.
     pub forced: u64,
-    /// Tickets issued by producers (work pending = `issued > appended`).
-    pub issued: u64,
     /// The sticky storage error, if any.
     pub error: Option<StorageError>,
     /// Whether failover already quarantined this stream.
@@ -187,13 +183,14 @@ impl LogAppender {
     /// completed force, during which further commits pile up behind it
     /// and share the next force. Zero means an ideal device.
     pub fn spawn(stream: LogStream, queue: usize, force_delay: Duration) -> Self {
-        LogAppender::spawn_observed(
+        LogAppender::spawn_rejoined(
             stream,
             queue,
             force_delay,
             &Registry::new(),
             0,
             DEFAULT_WAIT,
+            TicketInheritance::default(),
         )
     }
 
@@ -203,35 +200,14 @@ impl LogAppender {
     /// write), `wal.forces.s<idx>` and the `wal.force_us.s<idx>` latency
     /// histogram, plus a [`EventKind::StreamForce`] event per force.
     /// `wait` bounds every producer-side blocking wait on this appender.
-    pub fn spawn_observed(
-        stream: LogStream,
-        queue: usize,
-        force_delay: Duration,
-        obs: &Registry,
-        idx: usize,
-        wait: Duration,
-    ) -> Self {
-        LogAppender::spawn_rejoined(
-            stream,
-            queue,
-            force_delay,
-            obs,
-            idx,
-            wait,
-            TicketInheritance {
-                next_seq: 1,
-                forced: 0,
-                orphans: Vec::new(),
-            },
-        )
-    }
-
-    /// [`LogAppender::spawn_observed`] for a rejoined stream incarnation:
-    /// the fresh appender continues the predecessor's ticket space so the
-    /// inherited durable prefix stays `is_forced` and the orphaned tail
-    /// stays *not* durable — forever. The `appended` and `forced`
-    /// watermarks both start at the inherited `forced`, so a post-rejoin
-    /// force can never sweep the orphan range into durability.
+    ///
+    /// The appender continues the ticket space in `inherit`: a fresh
+    /// stream passes [`TicketInheritance::default`] (tickets start at 1),
+    /// a rejoined incarnation its predecessor's, so the inherited durable
+    /// prefix stays `is_forced` and the orphaned tail stays *not* durable
+    /// — forever. The `appended` and `forced` watermarks both start at
+    /// the inherited `forced`, so a post-rejoin force can never sweep the
+    /// orphan range into durability.
     pub fn spawn_rejoined(
         stream: LogStream,
         queue: usize,
@@ -476,9 +452,7 @@ impl LogAppender {
         AppenderProbe {
             heartbeat: self.shared.heartbeat.load(Ordering::Relaxed),
             alive: self.shared.alive.load(Ordering::Acquire),
-            appended: state.appended,
             forced: state.forced,
-            issued: self.next_seq.load(Ordering::Relaxed) - 1,
             error: state.error.clone(),
             quarantined: state.quarantined,
         }

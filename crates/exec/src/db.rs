@@ -64,11 +64,11 @@
 //! by LSN exactly as it does for rerouted fragments. A device that will
 //! never return is swapped out by [`ExecDb::replace_stream`], which
 //! archives the old platter for recovery and spawns the successor on a
-//! blank one. [`ExecDb::park_stream`] / [`ExecDb::unpark_stream`]
-//! resize the *serving* fleet without touching durability (a parked
-//! appender keeps answering forces). Every membership change recomputes
-//! degraded mode from the live count — the latch clears when the fleet
-//! recovers.
+//! blank one. A stream has exactly two membership states: *live*
+//! (routed) or *quarantined* (selector-dead) — a stream out of routing
+//! is always a quarantined one, and only rejoin or replace brings it
+//! back. Every membership change recomputes degraded mode from the live
+//! count — the latch clears when the fleet recovers.
 
 use crate::appender::{LogAppender, TicketInheritance};
 use crate::error::{AppenderError, ExecError};
@@ -103,6 +103,10 @@ type PageMeta = HashMap<PageId, (usize, u64)>;
 const MAX_RETRIES: usize = 1000;
 /// Safety valve on lock waits; healthy runs never hit it.
 const LOCK_WAIT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Bounded fragment-channel depth per log appender (backpressure).
+const APPENDER_QUEUE: usize = 1024;
+/// Bounded commit-channel depth (backpressure on committers).
+const COMMIT_QUEUE: usize = 1024;
 
 /// Pipeline configuration: the WAL knobs plus the concurrency shape.
 #[derive(Debug, Clone)]
@@ -113,10 +117,6 @@ pub struct ExecConfig {
     pub wal: WalConfig,
     /// Buffer-pool shards (page → shard by multiplicative hash).
     pub pool_shards: usize,
-    /// Bounded fragment-channel depth per log appender (backpressure).
-    pub appender_queue: usize,
-    /// Bounded commit-channel depth (backpressure on committers).
-    pub commit_queue: usize,
     /// Max transactions the daemon folds into one group commit.
     pub max_group: usize,
     /// Modeled log-device service time per force, in microseconds. The
@@ -150,11 +150,6 @@ pub struct ExecConfig {
     /// disables auto-rejoin — failed streams stay out until readmitted
     /// explicitly.
     pub rejoin_probe_ms: u64,
-    /// Let the supervisor resize the serving fleet under load: park the
-    /// highest live stream after a sustained idle spell, unpark parked
-    /// streams when appender backlog builds. Parking never shrinks the
-    /// serving fleet below `min_live_streams` (or 1). Off by default.
-    pub autoscale: bool,
     /// Observability registry the pipeline publishes into. Cloneable and
     /// Arc-backed, so a bench can hand several databases the same
     /// registry and read cumulative metrics across all of them. Defaults
@@ -167,8 +162,6 @@ impl Default for ExecConfig {
         ExecConfig {
             wal: WalConfig::default(),
             pool_shards: 8,
-            appender_queue: 1024,
-            commit_queue: 1024,
             max_group: 64,
             force_delay_us: 0,
             min_live_streams: 1,
@@ -177,7 +170,6 @@ impl Default for ExecConfig {
             commit_timeout_ms: 30_000,
             append_wait_ms: 30_000,
             rejoin_probe_ms: 0,
-            autoscale: false,
             obs: Registry::new(),
         }
     }
@@ -478,14 +470,9 @@ pub(crate) struct Inner {
     data: Mutex<DataState>,
     pub(crate) appenders: Fleet,
     selector: Mutex<Selector>,
-    /// Serialises membership changes (rejoin, replace, park, unpark) so
-    /// two probes cannot hand the same vaulted device to two incarnations.
+    /// Serialises membership changes (rejoin, replace) so two probes
+    /// cannot hand the same vaulted device to two incarnations.
     membership: Mutex<()>,
-    /// Streams taken out of routing by scale-down, per stream. Parked is
-    /// *not* quarantined: the appender keeps running and serving forces
-    /// for already-issued tickets; the selector just stops routing new
-    /// work at it.
-    parked: Vec<AtomicBool>,
     /// Platters archived by [`ExecDb::replace_stream`]: the durable
     /// prefix of every device that was swapped out rather than rejoined.
     /// [`ExecDb::crash_image`] appends them so recovery still merges the
@@ -590,8 +577,8 @@ impl Inner {
     }
 
     /// Recompute degraded mode from the current live count and publish
-    /// the gauge. Every membership change (quarantine, rejoin, replace,
-    /// park, unpark) funnels through here, so degraded mode is always
+    /// the gauge. Every membership change (quarantine, rejoin, replace)
+    /// funnels through here, so degraded mode is always
     /// `live < min_live_streams` — no one-way latch.
     pub(crate) fn recompute_degraded(&self) -> usize {
         let live = self.live_streams();
@@ -631,19 +618,6 @@ impl Inner {
         }
     }
 
-    /// Whether `stream` is parked (scale-down, not failure).
-    pub(crate) fn is_parked(&self, stream: usize) -> bool {
-        self.parked[stream].load(Ordering::Acquire)
-    }
-
-    /// Parked stream count.
-    pub(crate) fn parked_count(&self) -> usize {
-        self.parked
-            .iter()
-            .filter(|p| p.load(Ordering::Acquire))
-            .count()
-    }
-
     /// The ticket space the successor of `old` inherits: the durable
     /// prefix stays forced, everything issued-but-unforced becomes a new
     /// orphan range, and earlier incarnations' orphan ranges carry over.
@@ -661,37 +635,14 @@ impl Inner {
         }
     }
 
-    fn spawn_successor(
-        &self,
-        stream: usize,
-        log: LogStream,
-        inherit: TicketInheritance,
-    ) -> LogAppender {
-        LogAppender::spawn_rejoined(
-            log,
-            self.cfg.appender_queue,
-            Duration::from_micros(self.cfg.force_delay_us),
-            &self.obs,
-            stream,
-            Duration::from_millis(self.cfg.append_wait_ms.max(1)),
-            inherit,
-        )
-    }
-
     /// Validate a rejoin/replace target under the membership lock: must
-    /// exist, be quarantined (selector-dead), and not merely parked.
+    /// exist and be quarantined (selector-dead).
     fn check_rejoinable(&self, stream: usize) -> Result<(), ExecError> {
         if stream >= self.appenders.len() {
             return Err(ExecError::rejoin(stream, "no such stream"));
         }
         if !self.is_stream_dead(stream) {
             return Err(ExecError::rejoin(stream, "stream is live"));
-        }
-        if self.is_parked(stream) {
-            return Err(ExecError::rejoin(
-                stream,
-                "stream is parked, not quarantined (unpark it)",
-            ));
         }
         Ok(())
     }
@@ -764,7 +715,7 @@ impl Inner {
             reopened.attach_faults(handle);
         }
         let orphaned_tickets = inherit.orphans.iter().map(|&(lo, hi)| hi - lo).sum();
-        let successor = self.spawn_successor(stream, reopened, inherit);
+        let successor = spawn_appender(&self.cfg, stream, reopened, inherit);
         let (live, catchup_us) = self.readmit(stream, successor, t0);
         Ok(RejoinReport {
             stream,
@@ -807,7 +758,7 @@ impl Inner {
             .map_err(|e| {
                 ExecError::rejoin(stream, format!("provision replacement platter: {e}"))
             })?;
-        let successor = self.spawn_successor(stream, fresh, inherit);
+        let successor = spawn_appender(&self.cfg, stream, fresh, inherit);
         let (live, catchup_us) = self.readmit(stream, successor, t0);
         Ok(RejoinReport {
             stream,
@@ -818,88 +769,6 @@ impl Inner {
             live_streams: live,
             catchup_us,
         })
-    }
-
-    /// Scale-down: take a healthy stream out of routing. Its appender
-    /// keeps running (forces against already-issued tickets still
-    /// serve); only new work stops arriving. Refuses to shrink the
-    /// serving fleet below `min_live_streams` (or 1).
-    pub(crate) fn park_stream(&self, stream: usize) -> Result<usize, ExecError> {
-        let _membership = lock_ok(&self.membership);
-        if stream >= self.appenders.len() {
-            return Err(ExecError::rejoin(stream, "no such stream"));
-        }
-        let floor = self.cfg.min_live_streams.max(1);
-        let live = {
-            let mut sel = lock_ok(&self.selector);
-            if sel.is_dead(stream) {
-                return Err(ExecError::rejoin(
-                    stream,
-                    "stream is not serving (quarantined or already parked)",
-                ));
-            }
-            if sel.live_count() <= floor {
-                return Err(ExecError::rejoin(
-                    stream,
-                    format!("serving fleet is at its floor ({floor})"),
-                ));
-            }
-            self.parked[stream].store(true, Ordering::Release);
-            sel.mark_dead(stream);
-            sel.live_count()
-        };
-        self.obs.counter("fleet.parks").inc();
-        self.obs
-            .gauge("fleet.parked_streams")
-            .set(self.parked_count() as u64);
-        self.obs
-            .emit(EventKind::FleetResized, 0, stream as u64, 0, live as u64);
-        self.recompute_degraded();
-        Ok(live)
-    }
-
-    /// Scale-up: put a parked stream back into routing. The appender
-    /// never stopped, so this is pure bookkeeping — unless the device
-    /// failed *while parked*, in which case the stream is readmitted
-    /// and immediately quarantined through the normal failure path
-    /// (parked streams dodge the supervisor, so this is where such a
-    /// failure surfaces).
-    pub(crate) fn unpark_stream(&self, stream: usize) -> Result<usize, ExecError> {
-        let _membership = lock_ok(&self.membership);
-        if stream >= self.appenders.len() || !self.is_parked(stream) {
-            return Err(ExecError::rejoin(stream, "stream is not parked"));
-        }
-        self.parked[stream].store(false, Ordering::Release);
-        let live = {
-            let mut sel = lock_ok(&self.selector);
-            sel.mark_live(stream);
-            sel.live_count()
-        };
-        let probe = self.appenders.get(stream).probe();
-        let sick = if let Some(e) = probe.error {
-            Some(AppenderError::Persistent(e))
-        } else if !probe.alive {
-            Some(AppenderError::ThreadDeath(
-                "appender died while parked".to_string(),
-            ))
-        } else {
-            None
-        };
-        if let Some(error) = sick {
-            self.quarantine_stream(stream, &error);
-            return Err(ExecError::rejoin(
-                stream,
-                format!("unparked straight into quarantine: {error}"),
-            ));
-        }
-        self.obs.counter("fleet.unparks").inc();
-        self.obs
-            .gauge("fleet.parked_streams")
-            .set(self.parked_count() as u64);
-        self.obs
-            .emit(EventKind::FleetResized, 0, stream as u64, 0, live as u64);
-        self.recompute_degraded();
-        Ok(live)
     }
 
     /// Capture the full committed-to-be images of every page `txn`
@@ -1216,6 +1085,26 @@ fn is_pool_exhausted(e: &ExecError) -> bool {
     )
 }
 
+/// Spawn the appender for `stream` of the fleet `cfg` describes, owning
+/// `log` and continuing the ticket space in `inherit` (the default for a
+/// fresh stream, the predecessor's for a rejoined or replaced one).
+fn spawn_appender(
+    cfg: &ExecConfig,
+    stream: usize,
+    log: LogStream,
+    inherit: TicketInheritance,
+) -> LogAppender {
+    LogAppender::spawn_rejoined(
+        log,
+        APPENDER_QUEUE,
+        Duration::from_micros(cfg.force_delay_us),
+        &cfg.obs,
+        stream,
+        Duration::from_millis(cfg.append_wait_ms.max(1)),
+        inherit,
+    )
+}
+
 /// The concurrent engine. Shared by reference across worker threads
 /// (wrap in [`Arc`] to move between threads).
 pub struct ExecDb {
@@ -1232,22 +1121,15 @@ impl ExecDb {
     pub fn new(cfg: ExecConfig) -> Self {
         assert!(cfg.pool_shards > 0, "need at least one pool shard");
         let wal = &cfg.wal;
-        let force_delay = Duration::from_micros(cfg.force_delay_us);
-        let append_wait = Duration::from_millis(cfg.append_wait_ms.max(1));
         let obs = cfg.obs.clone();
         let appenders = (0..wal.log_streams)
             .map(|idx| {
-                LogAppender::spawn_observed(
-                    wal.backend
-                        .provision(wal.log_frames)
-                        .and_then(LogStream::create_on)
-                        .expect("provisioning a log disk on the configured backend"),
-                    cfg.appender_queue,
-                    force_delay,
-                    &obs,
-                    idx,
-                    append_wait,
-                )
+                let log = wal
+                    .backend
+                    .provision(wal.log_frames)
+                    .and_then(LogStream::create_on)
+                    .expect("provisioning a log disk on the configured backend");
+                spawn_appender(&cfg, idx, log, TicketInheritance::default())
             })
             .collect();
         obs.gauge("failover.live_streams")
@@ -1268,9 +1150,6 @@ impl ExecDb {
             appenders: Fleet::new(appenders),
             selector: Mutex::new(Selector::new(wal.policy, wal.log_streams, wal.seed)),
             membership: Mutex::new(()),
-            parked: (0..wal.log_streams)
-                .map(|_| AtomicBool::new(false))
-                .collect(),
             archived_logs: Mutex::new(Vec::new()),
             gate: Mutex::new(()),
             next_txn: AtomicU64::new(1),
@@ -1287,7 +1166,7 @@ impl ExecDb {
             obs,
             cfg: cfg.clone(),
         });
-        let (commit_tx, commit_rx) = sync_channel(cfg.commit_queue.max(1));
+        let (commit_tx, commit_rx) = sync_channel(COMMIT_QUEUE);
         let daemon_inner = Arc::clone(&inner);
         let max_group = cfg.max_group;
         let daemon = std::thread::Builder::new()
@@ -1369,23 +1248,6 @@ impl ExecDb {
     /// old platter for recovery.
     pub fn replace_stream(&self, stream: usize) -> Result<RejoinReport, ExecError> {
         self.inner.replace_stream(stream)
-    }
-
-    /// Scale-down: take a healthy stream out of routing (its appender
-    /// keeps serving forces). Returns the serving count after.
-    pub fn park_stream(&self, stream: usize) -> Result<usize, ExecError> {
-        self.inner.park_stream(stream)
-    }
-
-    /// Scale-up: return a parked stream to routing. Returns the serving
-    /// count after.
-    pub fn unpark_stream(&self, stream: usize) -> Result<usize, ExecError> {
-        self.inner.unpark_stream(stream)
-    }
-
-    /// Streams currently parked by scale-down.
-    pub fn parked_streams(&self) -> usize {
-        self.inner.parked_count()
     }
 
     /// Begin a transaction on behalf of query processor `qp`.
@@ -2032,8 +1894,7 @@ impl ExecDb {
     /// `appender.health.s{i}` gauges, and the failover family:
     /// `failover.quarantined`, `failover.reroutes`,
     /// `failover.rerouted_fragments`, `failover.degraded_rejects`,
-    /// `failover.rejoins`, `fleet.parks` / `fleet.unparks`,
-    /// `failover.live_streams` and `fleet.parked_streams` (gauges),
+    /// `failover.rejoins`, `failover.live_streams` (gauge),
     /// `failover.detect_us`, `failover.reroute_us` and
     /// `failover.catchup_us` (histograms).
     pub fn obs(&self) -> &Registry {
@@ -2619,45 +2480,54 @@ mod tests {
     }
 
     #[test]
-    fn park_and_unpark_resize_the_serving_fleet() {
-        let cfg = small_cfg(); // 3 streams, min_live 1
-        let db = ExecDb::new(cfg);
+    fn dead_stream_is_exactly_a_quarantined_stream() {
+        // A stream leaves routing only by quarantine and re-enters it
+        // only by rejoin or replace: at every step of a kill → rejoin →
+        // kill → replace cycle, the selector's dead bit and the
+        // appender's quarantine flag agree on every stream.
+        let db = ExecDb::new(small_cfg());
+        let agree = |step: &str| {
+            for s in 0..3 {
+                assert_eq!(
+                    db.is_stream_dead(s),
+                    db.appender(s).is_quarantined(),
+                    "stream {s} after {step}"
+                );
+            }
+        };
+        // drive commits until stream 1 is quarantined, and wait for the
+        // quarantine to finish publishing (the counter bumps last)
+        let kill = |handle: FaultHandle, quarantines: u64| {
+            db.inject_stream_fault_handle(1, handle).unwrap();
+            let t0 = Instant::now();
+            while db.obs().snapshot().counter("failover.quarantined") < Some(quarantines) {
+                assert!(t0.elapsed() < Duration::from_secs(5), "stream 1 never died");
+                db.run_txn(1, |ctx| ctx.write(1, 0, b"k")).unwrap();
+            }
+        };
         for i in 0..6u64 {
             db.run_txn(i as usize, |ctx| ctx.write(i, 0, b"warm"))
                 .unwrap();
         }
-        assert_eq!(db.park_stream(2).unwrap(), 2);
-        assert!(db.is_stream_dead(2), "parked streams leave routing");
-        assert_eq!(db.parked_streams(), 1);
-        assert!(!db.is_degraded());
-        // parked is not quarantined: commits keep flowing, the parked
-        // appender still answers forces for its issued tickets
-        for i in 0..8u64 {
-            db.run_txn(i as usize, |ctx| ctx.write(10 + i, 0, b"park"))
-                .unwrap();
-        }
-        // a parked stream cannot be parked again or rejoined
-        assert!(db.park_stream(2).is_err());
-        assert!(matches!(
-            db.rejoin_stream(2),
-            Err(ExecError::Rejoin { stream: 2, .. })
-        ));
-        // the floor holds: with min_live 1, parking down to one stream is
-        // allowed, parking the last is refused
-        assert_eq!(db.park_stream(1).unwrap(), 1);
-        assert!(db.park_stream(0).is_err());
-        assert_eq!(db.unpark_stream(1).unwrap(), 2);
-        assert_eq!(db.unpark_stream(2).unwrap(), 3);
-        assert_eq!(db.parked_streams(), 0);
-        assert!(db.unpark_stream(2).is_err(), "double unpark must fail");
-        for i in 0..8u64 {
-            db.run_txn(i as usize, |ctx| ctx.write(30 + i, 0, b"back"))
-                .unwrap();
-        }
-        let snap = db.obs().snapshot();
-        assert!(snap.counter("fleet.parks") >= Some(2));
-        assert!(snap.counter("fleet.unparks") >= Some(2));
-        assert_eq!(snap.gauge("fleet.parked_streams"), Some(0));
+        agree("healthy start");
+        let handle = FaultInjector::handle(FaultPlan::new().fail_from_write(0));
+        kill(handle.clone(), 1);
+        assert!(db.is_stream_dead(1));
+        agree("first kill");
+        handle.lock().revive();
+        db.rejoin_stream(1).unwrap();
+        assert!(!db.is_stream_dead(1));
+        agree("rejoin");
+        kill(
+            FaultInjector::handle(FaultPlan::new().fail_from_write(0)),
+            2,
+        );
+        assert!(db.is_stream_dead(1));
+        agree("second kill");
+        db.replace_stream(1).unwrap();
+        assert!(!db.is_stream_dead(1));
+        agree("replace");
+        assert_eq!(db.live_streams(), 3);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! quarantined and its in-flight fragments rerouted to survivors — see
 //! [`supervisor`] and [`error::AppenderError`] for the failure taxonomy.
 //! The same supervisor doubles as the membership manager: recovered
-//! devices rejoin the fleet ([`ExecDb::rejoin_stream`]), dead ones are
-//! replaced ([`ExecDb::replace_stream`]), and the serving fleet can be
-//! resized live ([`ExecDb::park_stream`] / [`ExecDb::unpark_stream`]).
+//! devices rejoin the fleet ([`ExecDb::rejoin_stream`]) and dead ones are
+//! replaced ([`ExecDb::replace_stream`]). A stream out of routing is
+//! always a quarantined stream.
 //!
 //! # Example
 //!

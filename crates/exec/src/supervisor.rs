@@ -31,24 +31,14 @@
 //! ## Membership management
 //!
 //! The supervisor is also the fleet's **membership manager** — the
-//! readmission half of failover:
-//!
-//! * **Rejoin probing** — when
-//!   [`ExecConfig::rejoin_probe_ms`](crate::ExecConfig) is non-zero,
-//!   every period it attempts [`Inner::rejoin_stream`] on each
-//!   quarantined (non-parked) stream. A device whose fault has cleared
-//!   passes the vault probe and rejoins — durable prefix revalidated,
-//!   successor appender spawned, routing restored, degraded mode
-//!   recomputed. A still-broken device fails the probe and simply stays
-//!   quarantined until the next period; failed probes are counted in
-//!   `failover.rejoin_probes_failed`.
-//! * **Autoscale** — when [`ExecConfig::autoscale`](crate::ExecConfig)
-//!   is set, the serving fleet tracks load: sustained idle (no appender
-//!   backlog for [`SCALE_DOWN_IDLE_TICKS`] consecutive probes) parks the
-//!   highest live stream, and backlog above [`SCALE_UP_BACKLOG`]
-//!   fragments per live stream unparks one. Parking never shrinks the
-//!   fleet below `min_live_streams`; both directions emit
-//!   [`FleetResized`](rmdb_obs::EventKind::FleetResized) events.
+//! readmission half of failover. When
+//! [`ExecConfig::rejoin_probe_ms`](crate::ExecConfig) is non-zero, every
+//! period it attempts [`Inner::rejoin_stream`] on each quarantined
+//! stream. A device whose fault has cleared passes the vault probe and
+//! rejoins — durable prefix revalidated, successor appender spawned,
+//! routing restored, degraded mode recomputed. A still-broken device
+//! fails the probe and simply stays quarantined until the next period;
+//! failed probes are counted in `failover.rejoin_probes_failed`.
 //!
 //! Per-stream `appender.health.s{i}` gauges (1 = healthy, 0 =
 //! quarantined) and the `failover.detect_us` histogram (probe-loop
@@ -60,13 +50,6 @@ use crate::error::AppenderError;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Autoscale: unpark a stream once backlog (issued − appended, summed
-/// over live streams) exceeds this many fragments per live stream.
-const SCALE_UP_BACKLOG: u64 = 64;
-/// Autoscale: park a stream after this many consecutive zero-backlog
-/// probes.
-const SCALE_DOWN_IDLE_TICKS: u32 = 200;
 
 /// Supervisor main loop; runs until `stop` is raised.
 pub(crate) fn run_supervisor(inner: Arc<Inner>, stop: Arc<AtomicBool>) {
@@ -86,7 +69,6 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, stop: Arc<AtomicBool>) {
     let rejoin_probe =
         (inner.cfg.rejoin_probe_ms > 0).then(|| Duration::from_millis(inner.cfg.rejoin_probe_ms));
     let mut next_rejoin_probe = Instant::now();
-    let mut idle_ticks: u32 = 0;
     // last observed heartbeat per stream, with when it last *changed*
     let mut last_beat: Vec<(u64, Instant)> = (0..n).map(|_| (0, Instant::now())).collect();
     // dead last tick, to reset the heartbeat clock across a rejoin (a
@@ -94,7 +76,6 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, stop: Arc<AtomicBool>) {
     // the retired incarnation's last value)
     let mut was_dead: Vec<bool> = vec![false; n];
     while !stop.load(Ordering::Acquire) {
-        let mut backlog: u64 = 0;
         for i in 0..n {
             let appender = inner.appenders.get(i);
             if inner.is_stream_dead(i) {
@@ -106,7 +87,6 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, stop: Arc<AtomicBool>) {
             if std::mem::take(&mut was_dead[i]) {
                 last_beat[i] = (probe.heartbeat, Instant::now());
             }
-            backlog += probe.issued.saturating_sub(probe.appended);
             let t_suspect = {
                 let (beat, since) = &mut last_beat[i];
                 if probe.heartbeat != *beat {
@@ -147,39 +127,10 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, stop: Arc<AtomicBool>) {
             if Instant::now() >= next_rejoin_probe {
                 next_rejoin_probe = Instant::now() + period;
                 for i in 0..n {
-                    if inner.is_stream_dead(i)
-                        && !inner.is_parked(i)
-                        && inner.rejoin_stream(i).is_err()
-                    {
+                    if inner.is_stream_dead(i) && inner.rejoin_stream(i).is_err() {
                         probes_failed.inc();
                     }
                 }
-            }
-        }
-        // membership: resize the serving fleet under load
-        if inner.cfg.autoscale {
-            let live = inner.live_streams().max(1) as u64;
-            if backlog == 0 {
-                idle_ticks = idle_ticks.saturating_add(1);
-            } else {
-                idle_ticks = 0;
-            }
-            if backlog > SCALE_UP_BACKLOG * live && inner.parked_count() > 0 {
-                for i in 0..n {
-                    if inner.is_parked(i) && inner.unpark_stream(i).is_ok() {
-                        break;
-                    }
-                }
-                idle_ticks = 0;
-            } else if idle_ticks >= SCALE_DOWN_IDLE_TICKS {
-                // park the highest live stream; park_stream refuses at
-                // the floor, so this is a cheap no-op when already there
-                for i in (0..n).rev() {
-                    if !inner.is_stream_dead(i) && inner.park_stream(i).is_ok() {
-                        break;
-                    }
-                }
-                idle_ticks = 0;
             }
         }
         live_gauge.set(inner.live_streams() as u64);

@@ -75,10 +75,8 @@ pub enum EventKind {
     /// device recovered and its durable prefix revalidated (stream field:
     /// stream ordinal, payload: live streams after the rejoin).
     StreamRejoined = 13,
-    /// The membership manager resized the serving fleet — a stream was
-    /// parked or unparked for load (stream field: stream ordinal,
-    /// payload: live streams after the resize).
-    FleetResized = 14,
+    // Code 14 is retired: it decodes as `Unknown` and is never reused,
+    // so traces recorded with it still read consistently.
     /// A read-only transaction opened an MVCC snapshot (txn field: txn
     /// id, stream field: home queue processor, payload: snapshot LSN).
     SnapshotOpened = 15,
@@ -121,7 +119,6 @@ impl EventKind {
             11 => EventKind::StreamQuarantined,
             12 => EventKind::FragmentRerouted,
             13 => EventKind::StreamRejoined,
-            14 => EventKind::FleetResized,
             15 => EventKind::SnapshotOpened,
             16 => EventKind::VersionsPruned,
             17 => EventKind::ReplayPhase,
@@ -148,7 +145,6 @@ impl EventKind {
             EventKind::StreamQuarantined => "stream_quarantined",
             EventKind::FragmentRerouted => "fragment_rerouted",
             EventKind::StreamRejoined => "stream_rejoined",
-            EventKind::FleetResized => "fleet_resized",
             EventKind::SnapshotOpened => "snapshot_opened",
             EventKind::VersionsPruned => "versions_pruned",
             EventKind::ReplayPhase => "replay_phase",
@@ -406,7 +402,6 @@ mod tests {
             EventKind::StreamQuarantined,
             EventKind::FragmentRerouted,
             EventKind::StreamRejoined,
-            EventKind::FleetResized,
             EventKind::SnapshotOpened,
             EventKind::VersionsPruned,
             EventKind::ReplayPhase,
@@ -414,6 +409,7 @@ mod tests {
             assert_eq!(EventKind::from_u16(kind as u16), kind);
             assert!(!kind.name().is_empty());
         }
+        assert_eq!(EventKind::from_u16(14), EventKind::Unknown, "14 is retired");
         assert_eq!(EventKind::from_u16(999), EventKind::Unknown);
     }
 

@@ -36,7 +36,8 @@
 # home-page writes, MemDisk and FileDisk) without losing an acked commit,
 # and the wal property suite, whose LogStream property checks that a scan
 # is exactly the durable prefix under appends, forces, truncations,
-# crashes and torn writes. Run from anywhere inside the repo.
+# crashes and torn writes. Last, it prints non-test LOC per crate
+# (scripts/loc.sh) for the record. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -306,4 +307,7 @@ print(f"lsm smoke: WA {c['write_amplification']:.2f} "
       + ", ".join(f"{c['name']} {c['frames_per_get']:.2f} frames/get"
                   for c in doc["cells"]))
 EOF
+# informational, not a gate: non-test Rust LOC per crate, the count that
+# "non-test LOC goes down" means in ROADMAP.md
+./scripts/loc.sh
 echo "verify: OK"

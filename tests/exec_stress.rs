@@ -305,6 +305,22 @@ fn metrics_obey_conservation_laws() {
             stats.conflict_retries,
             "{workers} workers: conflict causes vs conflict retries"
         );
+
+        // Law 6: a fault-free run never takes a stream out of routing,
+        // so nothing is quarantined, nothing reroutes, and the whole
+        // fleet is live at the end.
+        for name in [
+            "failover.quarantined",
+            "failover.reroutes",
+            "failover.rerouted_fragments",
+        ] {
+            assert_eq!(c(name), 0, "{workers} workers: {name} in a fault-free run");
+        }
+        assert_eq!(
+            g("failover.live_streams"),
+            streams as u64,
+            "{workers} workers: live streams after a fault-free run"
+        );
     }
 }
 
