@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rmdb_exec::{ExecConfig, ExecDb};
-use rmdb_storage::{EvictPolicy, Page, PageId, ShardedPool};
+use rmdb_storage::{Page, PageId, ShardedPool};
 use rmdb_wal::{LogRecord, ParallelLogManager, SelectionPolicy, WalConfig};
 use std::hint::black_box;
 
@@ -45,7 +45,7 @@ fn bench_pool_claim(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline/pool_claim");
     for shards in [1usize, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &n| {
-            let pool: ShardedPool = ShardedPool::new(n, 64, EvictPolicy::Lru);
+            let pool: ShardedPool = ShardedPool::new(n, 64);
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
@@ -73,7 +73,7 @@ fn bench_pool_claim_contended(c: &mut Criterion) {
     group.sample_size(10);
     for shards in [1usize, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &n| {
-            let pool: ShardedPool = ShardedPool::new(n, 64, EvictPolicy::Lru);
+            let pool: ShardedPool = ShardedPool::new(n, 64);
             b.iter(|| {
                 std::thread::scope(|s| {
                     for t in 0..4u64 {

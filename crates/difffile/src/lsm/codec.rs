@@ -17,13 +17,6 @@ pub enum LsmOp {
     Delete,
 }
 
-impl LsmOp {
-    /// `true` for a tombstone.
-    pub fn is_delete(&self) -> bool {
-        matches!(self, LsmOp::Delete)
-    }
-}
-
 /// One versioned operation, as stored in the journal and in level
 /// runs.
 #[derive(Debug, Clone, PartialEq, Eq)]

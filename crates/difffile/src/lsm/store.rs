@@ -501,11 +501,6 @@ impl LsmStore {
         self.lock().mem.len()
     }
 
-    /// Journal frames consumed since the last flush.
-    pub fn journal_frames_used(&self) -> u64 {
-        self.lock().journal_head
-    }
-
     /// Raw device write count (write-amplification numerator).
     pub fn disk_writes(&self) -> u64 {
         self.lock().disk.writes()

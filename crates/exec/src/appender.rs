@@ -161,7 +161,6 @@ pub struct LogAppender {
     tx: Mutex<SyncSender<Req>>,
     next_seq: AtomicU64,
     shared: Arc<Shared>,
-    forces: AtomicU64,
     /// Producer wait deadline for `wait_forced` / `snapshot`.
     wait: Duration,
     /// Tickets issued by dead predecessor incarnations that never became
@@ -246,7 +245,6 @@ impl LogAppender {
             tx: Mutex::new(tx),
             next_seq: AtomicU64::new(inherit.next_seq.max(1)),
             shared,
-            forces: AtomicU64::new(0),
             wait,
             orphans: inherit.orphans,
             enqueued: obs.counter(&format!("wal.fragments_enqueued.s{idx}")),
@@ -295,7 +293,6 @@ impl LogAppender {
         if self.is_forced(seq) {
             return Ok(());
         }
-        self.forces.fetch_add(1, Ordering::Relaxed);
         let tx = lock_ok(&self.tx);
         tx.send(Req::Force { seq })
             .map_err(|_| self.thread_gone())?;
@@ -456,11 +453,6 @@ impl LogAppender {
             error: state.error.clone(),
             quarantined: state.quarantined,
         }
-    }
-
-    /// Force requests issued against this stream (observability).
-    pub fn forces_requested(&self) -> u64 {
-        self.forces.load(Ordering::Relaxed)
     }
 
     /// Tickets issued so far (fragments enqueued).

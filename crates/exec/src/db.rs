@@ -1134,8 +1134,7 @@ impl ExecDb {
             .collect();
         obs.gauge("failover.live_streams")
             .set(wal.log_streams as u64);
-        let shards =
-            ShardedPool::with_meta(cfg.pool_shards, wal.pool_frames, wal.evict, HashMap::new);
+        let shards = ShardedPool::with_meta(cfg.pool_shards, wal.pool_frames, HashMap::new);
         let shard_frames = shards.lock_shard(0).pool.capacity();
         let inner = Arc::new(Inner {
             sched: Mutex::new(Scheduler::new()),

@@ -31,11 +31,6 @@ impl<R> JobHandle<R> {
     pub fn wait(self) -> R {
         self.rx.recv().expect("worker dropped job result")
     }
-
-    /// Non-blocking poll; `None` while the job is still running.
-    pub fn try_wait(&self) -> Option<R> {
-        self.rx.try_recv().ok()
-    }
 }
 
 impl Executor {

@@ -11,7 +11,6 @@ use crate::event::{Event, EventKind, EventRing};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Histogram bucket upper bounds (inclusive), in the recorded unit
 /// (microseconds for every latency histogram in this workspace):
@@ -124,11 +123,6 @@ impl Histogram {
         self.core.sum.fetch_add(v, Ordering::Relaxed);
         self.core.min.fetch_min(v, Ordering::Relaxed);
         self.core.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Record a duration as whole microseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
     /// Samples recorded so far.

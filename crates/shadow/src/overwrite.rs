@@ -27,7 +27,8 @@ use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId, IO_RETRIES};
 use crate::scratch::ScratchRing;
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
-    read_page_retry, write_page_verified, Lsn, MemDisk, Page, PageId, StorageError, PAYLOAD_SIZE,
+    read_page_retry, write_page_verified, Disk, Lsn, MemDisk, Page, PageId, StorageError,
+    PAYLOAD_SIZE,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -61,7 +62,7 @@ impl Default for OverwriteConfig {
 #[derive(Debug)]
 pub struct OverwriteImage {
     /// Durable disk contents.
-    pub disk: MemDisk,
+    pub disk: Disk,
 }
 
 /// What recovery did.
@@ -135,7 +136,7 @@ fn decode_dir(p: &Page) -> Option<DirContents> {
 /// entries)` for each decodable directory frame.
 type DirScan = Vec<(u64, u8, TxnId, Vec<(u64, u64)>)>;
 
-fn scan_directories(disk: &MemDisk, ring: &ScratchRing) -> DirScan {
+fn scan_directories(disk: &Disk, ring: &ScratchRing) -> DirScan {
     let mut found = Vec::new();
     for addr in ring.base()..ring.base() + ring.capacity() {
         if !disk.is_allocated(addr) {
@@ -169,7 +170,7 @@ struct NoUndoTxn {
 /// install over shadows.
 pub struct NoUndoStore {
     cfg: OverwriteConfig,
-    disk: MemDisk,
+    disk: Disk,
     ring: ScratchRing,
     active: HashMap<TxnId, NoUndoTxn>,
     locks: ExclusiveLocks,
@@ -180,7 +181,7 @@ pub struct NoUndoStore {
 impl NoUndoStore {
     /// A fresh store.
     pub fn new(cfg: OverwriteConfig) -> Self {
-        let disk = MemDisk::new(cfg.logical_pages + cfg.scratch_slots);
+        let disk = Disk::from(MemDisk::new(cfg.logical_pages + cfg.scratch_slots));
         let ring = ScratchRing::new(cfg.logical_pages, cfg.scratch_slots);
         NoUndoStore {
             active: HashMap::new(),
@@ -443,7 +444,7 @@ struct NoRedoTxn {
 /// updates written home in place, commit retires the directory.
 pub struct NoRedoStore {
     cfg: OverwriteConfig,
-    disk: MemDisk,
+    disk: Disk,
     ring: ScratchRing,
     active: HashMap<TxnId, NoRedoTxn>,
     locks: ExclusiveLocks,
@@ -454,7 +455,7 @@ pub struct NoRedoStore {
 impl NoRedoStore {
     /// A fresh store.
     pub fn new(cfg: OverwriteConfig) -> Self {
-        let disk = MemDisk::new(cfg.logical_pages + cfg.scratch_slots);
+        let disk = Disk::from(MemDisk::new(cfg.logical_pages + cfg.scratch_slots));
         let ring = ScratchRing::new(cfg.logical_pages, cfg.scratch_slots);
         NoRedoStore {
             active: HashMap::new(),

@@ -18,7 +18,7 @@
 use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId, IO_RETRIES};
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
-    read_page_retry, write_page_verified, Lsn, MemDisk, Page, PageId, PAYLOAD_SIZE,
+    read_page_retry, write_page_verified, Disk, Lsn, MemDisk, Page, PageId, PAYLOAD_SIZE,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -51,7 +51,7 @@ pub struct VersionImage {
     /// Twin slots followed by the commit-list frames (two physical slots
     /// per logical commit frame, written ping-pong so the atomic commit
     /// point survives a crash-torn append).
-    pub disk: MemDisk,
+    pub disk: Disk,
 }
 
 /// Recovery findings.
@@ -98,7 +98,7 @@ struct VsTxn {
 /// ```
 pub struct VersionStore {
     cfg: VersionConfig,
-    disk: MemDisk,
+    disk: Disk,
     /// Commit order: txn → sequence number.
     commit_seq: HashMap<TxnId, u64>,
     /// Committed txns in order — the source the commit-list frames are
@@ -118,7 +118,9 @@ impl VersionStore {
 
     /// A fresh store.
     pub fn new(cfg: VersionConfig) -> Self {
-        let disk = MemDisk::new(Self::slot_frames(&cfg) + 2 * cfg.commit_frames);
+        let disk = Disk::from(MemDisk::new(
+            Self::slot_frames(&cfg) + 2 * cfg.commit_frames,
+        ));
         VersionStore {
             commit_seq: HashMap::new(),
             commit_log: Vec::new(),
@@ -376,12 +378,6 @@ impl VersionStore {
         }
         self.locks.release_all(txn);
         Ok(())
-    }
-
-    /// Direct slot access for fault-injection tests.
-    #[doc(hidden)]
-    pub fn raw_disk_mut(&mut self) -> &mut MemDisk {
-        &mut self.disk
     }
 }
 

@@ -1,4 +1,4 @@
-//! A pin-counted buffer pool with pluggable eviction.
+//! A pin-counted buffer pool with LRU eviction.
 //!
 //! The pool holds decoded [`Page`]s keyed by [`PageId`]. It deliberately
 //! performs **no disk I/O itself**: on a miss the caller fetches the page
@@ -12,15 +12,6 @@ use crate::error::StorageError;
 use crate::page::{Page, PageId};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-
-/// Which replacement policy the pool runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictPolicy {
-    /// Least-recently-used (exact, via access ticks).
-    Lru,
-    /// Clock / second-chance.
-    Clock,
-}
 
 /// A page pushed out of the pool.
 #[derive(Debug)]
@@ -37,15 +28,15 @@ struct Slot {
     dirty: bool,
     pins: u32,
     last_use: u64,
-    referenced: bool,
 }
 
-/// A fixed-capacity cache of pages.
+/// A fixed-capacity cache of pages with exact least-recently-used
+/// eviction (via access ticks).
 ///
 /// ```
-/// use rmdb_storage::{BufferPool, EvictPolicy, Page, PageId};
+/// use rmdb_storage::{BufferPool, Page, PageId};
 ///
-/// let mut pool = BufferPool::new(2, EvictPolicy::Lru);
+/// let mut pool = BufferPool::new(2);
 /// pool.insert(PageId(1), Page::new(PageId(1)), false).unwrap();
 /// pool.insert(PageId(2), Page::new(PageId(2)), false).unwrap();
 /// pool.get(PageId(1));                            // 1 is now most recent
@@ -56,16 +47,11 @@ struct Slot {
 /// ```
 pub struct BufferPool {
     capacity: usize,
-    policy: EvictPolicy,
     slots: HashMap<PageId, Slot>,
-    /// LRU policy: `(tick, id)` for every use, oldest first. An entry is
-    /// live while `id` is resident with that `last_use`; stale entries are
-    /// dropped lazily, so a victim is found without scanning the pool.
+    /// `(tick, id)` for every use, oldest first. An entry is live while
+    /// `id` is resident with that `last_use`; stale entries are dropped
+    /// lazily, so a victim is found without scanning the pool.
     lru: VecDeque<(u64, PageId)>,
-    /// Clock hand: iteration order for the clock policy (ids in insertion
-    /// order; stable across lookups).
-    order: Vec<PageId>,
-    hand: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -75,15 +61,12 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool holding at most `capacity` pages.
-    pub fn new(capacity: usize, policy: EvictPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
             capacity,
-            policy,
             slots: HashMap::with_capacity(capacity),
             lru: VecDeque::new(),
-            order: Vec::new(),
-            hand: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -136,11 +119,6 @@ impl BufferPool {
         self.slots.contains_key(&id)
     }
 
-    fn touch(slot: &mut Slot, tick: u64) {
-        slot.last_use = tick;
-        slot.referenced = true;
-    }
-
     /// Look up a resident page, updating recency. Records a hit or miss.
     pub fn get(&mut self, id: PageId) -> Option<&Page> {
         self.trim_lru();
@@ -149,10 +127,8 @@ impl BufferPool {
         let tick = self.tick;
         match self.slots.get_mut(&id) {
             Some(slot) => {
-                Self::touch(slot, tick);
-                if self.policy == EvictPolicy::Lru {
-                    self.lru.push_back((tick, id));
-                }
+                slot.last_use = tick;
+                self.lru.push_back((tick, id));
                 self.hits += 1;
                 Some(&slot.page)
             }
@@ -171,10 +147,8 @@ impl BufferPool {
         let tick = self.tick;
         match self.slots.get_mut(&id) {
             Some(slot) => {
-                Self::touch(slot, tick);
-                if self.policy == EvictPolicy::Lru {
-                    self.lru.push_back((tick, id));
-                }
+                slot.last_use = tick;
+                self.lru.push_back((tick, id));
                 slot.dirty = true;
                 self.hits += 1;
                 Some(&mut slot.page)
@@ -219,13 +193,9 @@ impl BufferPool {
                 dirty,
                 pins: 0,
                 last_use: self.tick,
-                referenced: true,
             },
         );
-        match self.policy {
-            EvictPolicy::Lru => self.lru.push_back((self.tick, id)),
-            EvictPolicy::Clock => self.order.push(id),
-        }
+        self.lru.push_back((self.tick, id));
         Ok(evicted)
     }
 
@@ -268,12 +238,9 @@ impl BufferPool {
     /// Remove a specific page (e.g. transaction abort discarding its dirty
     /// pages). Returns it if it was resident.
     pub fn remove(&mut self, id: PageId) -> Option<Evicted> {
-        self.slots.remove(&id).map(|slot| {
-            self.unclock(id);
-            Evicted {
-                page: slot.page,
-                dirty: slot.dirty,
-            }
+        self.slots.remove(&id).map(|slot| Evicted {
+            page: slot.page,
+            dirty: slot.dirty,
         })
     }
 
@@ -295,29 +262,13 @@ impl BufferPool {
     }
 
     fn evict(&mut self) -> Result<Evicted, StorageError> {
-        let victim = match self.policy {
-            EvictPolicy::Lru => self.pick_lru(),
-            EvictPolicy::Clock => self.pick_clock(),
-        }
-        .ok_or(StorageError::PoolExhausted)?;
+        let victim = self.pick_lru().ok_or(StorageError::PoolExhausted)?;
         self.evictions += 1;
         let slot = self.slots.remove(&victim).expect("victim resident");
-        self.unclock(victim);
         Ok(Evicted {
             page: slot.page,
             dirty: slot.dirty,
         })
-    }
-
-    /// Take a departing page out of the clock order (LRU entries go stale
-    /// on their own).
-    fn unclock(&mut self, id: PageId) {
-        if self.policy == EvictPolicy::Clock {
-            self.order.retain(|&o| o != id);
-            if self.hand >= self.order.len() && !self.order.is_empty() {
-                self.hand %= self.order.len();
-            }
-        }
     }
 
     /// Whether LRU entry `(tick, id)` is the page's latest use.
@@ -348,28 +299,6 @@ impl BufferPool {
             .find(|e| Self::live(&self.slots, e) && self.slots[&e.1].pins == 0)
             .map(|e| e.1)
     }
-
-    fn pick_clock(&mut self) -> Option<PageId> {
-        if self.order.is_empty() {
-            return None;
-        }
-        // Up to two sweeps: first pass clears reference bits, second evicts.
-        let n = self.order.len();
-        for _ in 0..2 * n {
-            let id = self.order[self.hand % n];
-            self.hand = (self.hand + 1) % n;
-            let slot = self.slots.get_mut(&id).expect("order entry resident");
-            if slot.pins > 0 {
-                continue;
-            }
-            if slot.referenced {
-                slot.referenced = false;
-            } else {
-                return Some(id);
-            }
-        }
-        None
-    }
 }
 
 /// A locked [`PoolShard`], as [`ShardedPool::lock`] returns it.
@@ -395,9 +324,9 @@ pub struct PoolShard<M> {
 /// frame budget is divided evenly; each shard gets at least one frame.
 ///
 /// ```
-/// use rmdb_storage::{EvictPolicy, Page, PageId, ShardedPool};
+/// use rmdb_storage::{Page, PageId, ShardedPool};
 ///
-/// let pool: ShardedPool = ShardedPool::new(4, 32, EvictPolicy::Lru);
+/// let pool: ShardedPool = ShardedPool::new(4, 32);
 /// let id = PageId(7);
 /// {
 ///     let mut shard = pool.lock(id);
@@ -411,27 +340,22 @@ pub struct ShardedPool<M = ()> {
 
 impl ShardedPool<()> {
     /// `n_shards` shards sharing `total_frames` frames.
-    pub fn new(n_shards: usize, total_frames: usize, policy: EvictPolicy) -> Self {
-        ShardedPool::with_meta(n_shards, total_frames, policy, || ())
+    pub fn new(n_shards: usize, total_frames: usize) -> Self {
+        ShardedPool::with_meta(n_shards, total_frames, || ())
     }
 }
 
 impl<M> ShardedPool<M> {
     /// Like [`ShardedPool::new`], initialising each shard's metadata with
     /// `mk_meta`.
-    pub fn with_meta(
-        n_shards: usize,
-        total_frames: usize,
-        policy: EvictPolicy,
-        mk_meta: impl Fn() -> M,
-    ) -> Self {
+    pub fn with_meta(n_shards: usize, total_frames: usize, mk_meta: impl Fn() -> M) -> Self {
         assert!(n_shards > 0, "sharded pool needs at least one shard");
         let per_shard = (total_frames / n_shards).max(1);
         ShardedPool {
             shards: (0..n_shards)
                 .map(|_| {
                     Mutex::new(PoolShard {
-                        pool: BufferPool::new(per_shard, policy),
+                        pool: BufferPool::new(per_shard),
                         meta: mk_meta(),
                     })
                 })
@@ -518,7 +442,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_accounting() {
-        let mut pool = BufferPool::new(2, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(2);
         assert!(pool.get(PageId(1)).is_none());
         pool.insert(PageId(1), page(1), false).unwrap();
         assert!(pool.get(PageId(1)).is_some());
@@ -528,7 +452,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut pool = BufferPool::new(2, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(2);
         pool.insert(PageId(1), page(1), false).unwrap();
         pool.insert(PageId(2), page(2), false).unwrap();
         pool.get(PageId(1)); // 2 is now LRU
@@ -542,7 +466,7 @@ mod tests {
     fn lru_victim_is_oldest_unpinned_use() {
         // many hits push the use queue past its trim threshold; the victim
         // must still be the unpinned page with the oldest last use
-        let mut pool = BufferPool::new(4, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(4);
         for n in 1..=4 {
             pool.insert(PageId(n), page(n), false).unwrap();
         }
@@ -572,7 +496,7 @@ mod tests {
 
     #[test]
     fn eviction_reports_dirtiness() {
-        let mut pool = BufferPool::new(1, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(1);
         pool.insert(PageId(1), page(1), false).unwrap();
         pool.get_mut(PageId(1)).unwrap().write_at(0, b"x");
         let ev = pool.insert(PageId(2), page(2), false).unwrap().unwrap();
@@ -581,7 +505,7 @@ mod tests {
 
     #[test]
     fn pinned_pages_survive_eviction() {
-        let mut pool = BufferPool::new(2, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(2);
         pool.insert(PageId(1), page(1), false).unwrap();
         pool.insert(PageId(2), page(2), false).unwrap();
         pool.pin(PageId(1));
@@ -596,30 +520,8 @@ mod tests {
     }
 
     #[test]
-    fn clock_gives_second_chance() {
-        let mut pool = BufferPool::new(3, EvictPolicy::Clock);
-        for n in 1..=3 {
-            pool.insert(PageId(n), page(n), false).unwrap();
-        }
-        // Touch 1 and 2 so their reference bits are set again; 3's bit is
-        // also set from insertion, so the first sweep clears all and the
-        // second evicts the first unreferenced in clock order: 1.
-        // Instead, reference only 2 and 3 after clearing pass is simulated
-        // by two inserts.
-        pool.get(PageId(2));
-        pool.get(PageId(3));
-        let ev = pool.insert(PageId(4), page(4), false).unwrap().unwrap();
-        // all bits were set; sweep clears 1,2,3 then evicts 1 (oldest in order)
-        assert_eq!(ev.page.id, PageId(1));
-        // after the eviction the hand sits past 2, and the sweep left 2 and
-        // 3 unreferenced, so the next eviction in clock order takes 3
-        let ev2 = pool.insert(PageId(5), page(5), false).unwrap().unwrap();
-        assert_eq!(ev2.page.id, PageId(3));
-    }
-
-    #[test]
     fn remove_returns_dirty_state() {
-        let mut pool = BufferPool::new(2, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(2);
         pool.insert(PageId(1), page(1), true).unwrap();
         let ev = pool.remove(PageId(1)).unwrap();
         assert!(ev.dirty);
@@ -629,7 +531,7 @@ mod tests {
 
     #[test]
     fn dirty_ids_sorted() {
-        let mut pool = BufferPool::new(4, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(4);
         for n in [3, 1, 2] {
             pool.insert(PageId(n), page(n), n != 2).unwrap();
         }
@@ -638,7 +540,7 @@ mod tests {
 
     #[test]
     fn mark_clean_clears_dirty() {
-        let mut pool = BufferPool::new(1, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(1);
         pool.insert(PageId(1), page(1), true).unwrap();
         pool.mark_clean(PageId(1));
         assert!(pool.dirty_ids().is_empty());
@@ -649,7 +551,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already resident")]
     fn double_insert_panics() {
-        let mut pool = BufferPool::new(2, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(2);
         pool.insert(PageId(1), page(1), false).unwrap();
         pool.insert(PageId(1), page(1), false).unwrap();
     }
@@ -657,14 +559,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unpin of unpinned")]
     fn unbalanced_unpin_panics() {
-        let mut pool = BufferPool::new(2, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(2);
         pool.insert(PageId(1), page(1), false).unwrap();
         pool.unpin(PageId(1));
     }
 
     #[test]
     fn peek_does_not_affect_lru() {
-        let mut pool = BufferPool::new(2, EvictPolicy::Lru);
+        let mut pool = BufferPool::new(2);
         pool.insert(PageId(1), page(1), false).unwrap();
         pool.insert(PageId(2), page(2), false).unwrap();
         pool.peek(PageId(1)); // must NOT refresh 1
@@ -674,7 +576,7 @@ mod tests {
 
     #[test]
     fn sharded_pool_routes_pages_deterministically() {
-        let pool: ShardedPool = ShardedPool::new(4, 64, EvictPolicy::Lru);
+        let pool: ShardedPool = ShardedPool::new(4, 64);
         for n in 0..256u64 {
             let a = pool.shard_of(PageId(n));
             let b = pool.shard_of(PageId(n));
@@ -693,7 +595,7 @@ mod tests {
     fn sharded_pool_isolates_evictions_per_shard() {
         // 2 shards × 1 frame each: inserting two pages of the same shard
         // evicts within that shard only
-        let pool: ShardedPool = ShardedPool::new(2, 2, EvictPolicy::Lru);
+        let pool: ShardedPool = ShardedPool::new(2, 2);
         let (mut a, mut b) = (None, None);
         for n in 0..64u64 {
             match pool.shard_of(PageId(n)) {
@@ -728,7 +630,7 @@ mod tests {
 
     #[test]
     fn sharded_pool_meta_travels_with_shard() {
-        let pool: ShardedPool<Vec<u64>> = ShardedPool::with_meta(2, 8, EvictPolicy::Lru, Vec::new);
+        let pool: ShardedPool<Vec<u64>> = ShardedPool::with_meta(2, 8, Vec::new);
         let id = PageId(9);
         pool.lock(id).meta.push(42);
         assert_eq!(pool.lock(id).meta, vec![42]);
@@ -740,6 +642,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _: ShardedPool = ShardedPool::new(0, 8, EvictPolicy::Lru);
+        let _: ShardedPool = ShardedPool::new(0, 8);
     }
 }

@@ -1,108 +1,40 @@
-//! The pluggable block-device layer: one trait, three backends.
+//! The block-device layer: one device front over three backends.
 //!
 //! Every recovery mechanism in this workspace sits on the same primitive —
 //! a device of fixed-size frames where a single-frame write is atomic and a
-//! crash preserves exactly the durable state. [`BlockDevice`] names that
-//! primitive; [`Disk`] is the concrete, enum-dispatched device every engine
-//! holds, so the whole stack (log streams, buffer-pool flush paths, the
-//! exec pipeline, parallel restart) is backend-generic without a generic
-//! parameter rippling through every struct.
+//! crash preserves exactly the durable state. [`Disk`] is that device: the
+//! one type every engine holds, so the whole stack (log streams,
+//! buffer-pool flush paths, the exec pipeline, parallel restart, the shadow
+//! engines) is backend-generic without a generic parameter rippling
+//! through every struct. `Disk` is also the only place the
+//! device-independent contract is applied — bounds and torn-length checks,
+//! fault injection, I/O counters — so a fault plan written against one
+//! backend replays bit-for-bit against the others.
 //!
-//! Backends:
+//! A backend keeps only what actually differs: where frames live, how a
+//! prefix of a frame lands, what a force costs, and how a snapshot is
+//! taken.
 //!
-//! * [`MemDisk`](crate::MemDisk) — the original in-memory array of frames.
-//!   Writes are instant; `force` is accounting only. The simulator backend
-//!   every existing test ran on, and still the default.
-//! * [`FileDisk`](crate::FileDisk) — a real file: `pwrite`-per-frame,
-//!   `fdatasync` on [`BlockDevice::force`], crash snapshot via file copy.
-//!   This is the backend that turns "modeled durability" into actual
-//!   syscalls with actual latencies.
-//! * [`NvmeDisk`](crate::NvmeDisk) — an NVMe-class timing model over
+//! * [`MemDisk`] — an in-memory array of frames. Writes
+//!   are instant; a force is only counted. The default backend.
+//! * [`FileDisk`] — a real file: `pwrite`-per-frame,
+//!   `fdatasync` on [`Disk::force`], crash snapshot via file copy. This is
+//!   the backend that turns "modeled durability" into actual syscalls with
+//!   actual latencies.
+//! * [`NvmeDisk`] — an NVMe-class timing model over
 //!   in-memory frames: queue-depth-aware service times in the 10–100 µs
 //!   band with submission/completion accounting, optionally realtime
 //!   (each I/O sleeps its modeled service time) for benchmarks.
-//!
-//! Fault injection ([`crate::FaultPlan`]) attaches uniformly: the injector
-//! decides torn/lost/transient outcomes *before* the backend performs the
-//! operation, so a fault plan written against `MemDisk` replays bit-for-bit
-//! against a file or the NVMe model.
 
 use crate::error::StorageError;
-use crate::fault::FaultHandle;
+use crate::fault::{FaultHandle, WriteApply};
 use crate::filedisk::FileDisk;
 use crate::memdisk::MemDisk;
-use crate::nvmedisk::{NvmeConfig, NvmeDisk, NvmeModel};
+use crate::nvmedisk::{NvmeConfig, NvmeDisk, NvmeModel, ServiceGuard};
 use crate::page::{Page, FRAME_SIZE};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The storage primitive the recovery architectures are built on.
-///
-/// Reads take `&self` (parallel restart workers share one data disk across
-/// threads); mutations take `&mut self` and are serialised by the owning
-/// engine's locking, exactly as with the original `MemDisk`.
-pub trait BlockDevice: Send + Sync + std::fmt::Debug {
-    /// Capacity in frames.
-    fn capacity(&self) -> u64;
-
-    /// Whether `addr` has ever been written.
-    fn is_allocated(&self, addr: u64) -> bool;
-
-    /// Read the raw frame at `addr`.
-    fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError>;
-
-    /// Durably and atomically write the raw frame at `addr` — unless an
-    /// attached fault plan tears, drops, or fails this write.
-    fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError>;
-
-    /// Write only the first `bytes` bytes of `frame` (a torn write); the
-    /// stored frame afterwards is `frame[..bytes] ++ old[bytes..]`.
-    fn write_partial(
-        &mut self,
-        addr: u64,
-        frame: &[u8; FRAME_SIZE],
-        bytes: usize,
-    ) -> Result<(), StorageError>;
-
-    /// Make every completed write durable (fsync on a file backend; a
-    /// counted no-op on the in-memory backends, whose writes are durable
-    /// the moment they return).
-    fn force(&mut self) -> Result<(), StorageError>;
-
-    /// Capture the exact durable state — the crash-injection primitive.
-    /// The snapshot is an independent device of the same backend with
-    /// counters reset and no fault injector attached.
-    fn snapshot(&self) -> Disk;
-
-    /// Attach a fault injector; every subsequent read/write consults it.
-    fn attach_faults(&mut self, handle: FaultHandle);
-
-    /// Detach the fault injector, returning the device to clean operation.
-    fn detach_faults(&mut self) -> Option<FaultHandle>;
-
-    /// Frame reads served.
-    fn reads(&self) -> u64;
-
-    /// Frame writes performed.
-    fn writes(&self) -> u64;
-
-    /// Forces issued.
-    fn forces(&self) -> u64;
-
-    /// Backend name for reports and bench labels.
-    fn kind(&self) -> &'static str;
-
-    /// Read and decode a [`Page`], verifying its checksum.
-    fn read_page(&self, addr: u64) -> Result<Page, StorageError> {
-        let frame = self.read_frame(addr)?;
-        Page::from_frame(&frame, addr)
-    }
-
-    /// Encode and write a [`Page`].
-    fn write_page(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
-        self.write_frame(addr, &page.to_frame())
-    }
-}
 
 /// Which backend to provision when an engine creates its devices.
 ///
@@ -165,128 +97,282 @@ impl BackendKind {
     /// Provision a fresh, empty device of `frames` frames on this backend.
     pub fn provision(&self, frames: u64) -> Result<Disk, StorageError> {
         Ok(match self {
-            BackendKind::Mem => Disk::Mem(MemDisk::new(frames)),
-            BackendKind::File { dir } => Disk::File(FileDisk::create(dir.clone(), frames)?),
+            BackendKind::Mem => MemDisk::new(frames).into(),
+            BackendKind::File { dir } => FileDisk::create(dir.clone(), frames)?.into(),
             BackendKind::Nvme { cfg, device } => {
                 let model = device
                     .clone()
                     .unwrap_or_else(|| Arc::new(NvmeModel::new(*cfg)));
-                Disk::Nvme(NvmeDisk::on_model(frames, model))
+                NvmeDisk::on_model(frames, model).into()
             }
         })
     }
 }
 
-/// The concrete device every engine holds: enum dispatch over the three
-/// backends. Mirrors the [`BlockDevice`] API as inherent methods so call
-/// sites need no trait import.
+/// The one device front every engine holds, over one of the three
+/// backends.
+///
+/// `Disk` applies the device-independent contract; the backend only stores
+/// and returns frames. Per call, in this order:
+///
+/// 1. the NVMe backend pays its modeled service time (a no-op for mem and
+///    file); the command completes when the call returns, on any path;
+/// 2. a `write_partial` longer than a frame is [`StorageError::BadLength`];
+/// 3. an address past the end is [`StorageError::OutOfRange`];
+/// 4. an attached [`FaultHandle`] decides the outcome, and any scheduled
+///    stall is served after the injector lock is released, so a stuck
+///    device never wedges the disks sharing its injector;
+/// 5. the read or write counter is bumped — only if the decision did not
+///    fail the call;
+/// 6. the backend performs the (possibly torn or dropped) operation; a
+///    read of a virgin frame is [`StorageError::Unallocated`] and still
+///    counted.
+///
+/// Checks 2–3 consume no fault-plan operation index, so a plan replays
+/// identically on every backend.
+///
+/// The counters are atomics so a `Disk` is `Sync`: parallel restart
+/// workers read pages from one shared data disk through `&Disk`.
+pub struct Disk {
+    backend: Backend,
+    reads: AtomicU64,
+    writes: AtomicU64,
+    forces: AtomicU64,
+    /// Shared fault injector; snapshotting sheds it (a recovered image is
+    /// a clean device).
+    faults: Option<FaultHandle>,
+}
+
+/// Where the frames live.
 #[derive(Debug)]
-pub enum Disk {
-    /// In-memory frames.
+enum Backend {
     Mem(MemDisk),
-    /// Real file, pwrite/fdatasync.
     File(FileDisk),
-    /// NVMe-class timing model.
     Nvme(NvmeDisk),
+}
+
+/// Run `$body` on the backend's frames (an NVMe namespace's frames are a
+/// `MemDisk`).
+macro_rules! each {
+    ($backend:expr, $d:ident => $body:expr) => {
+        match $backend {
+            Backend::Mem($d) | Backend::Nvme(NvmeDisk { frames: $d, .. }) => $body,
+            Backend::File($d) => $body,
+        }
+    };
 }
 
 impl From<MemDisk> for Disk {
     fn from(d: MemDisk) -> Self {
-        Disk::Mem(d)
+        Disk::on(Backend::Mem(d))
     }
 }
 
 impl From<FileDisk> for Disk {
     fn from(d: FileDisk) -> Self {
-        Disk::File(d)
+        Disk::on(Backend::File(d))
     }
 }
 
 impl From<NvmeDisk> for Disk {
     fn from(d: NvmeDisk) -> Self {
-        Disk::Nvme(d)
+        Disk::on(Backend::Nvme(d))
     }
 }
 
-macro_rules! each {
-    ($self:expr, $d:ident => $body:expr) => {
-        match $self {
-            Disk::Mem($d) => $body,
-            Disk::File($d) => $body,
-            Disk::Nvme($d) => $body,
-        }
-    };
+/// Serve a stall the fault injector scheduled.
+fn stall(ms: u64) {
+    if ms > 0 {
+        std::thread::sleep(std::time::Duration::from_millis(ms));
+    }
 }
 
 impl Disk {
+    /// A fresh front over `backend`: counters at zero, no injector.
+    fn on(backend: Backend) -> Self {
+        Disk {
+            backend,
+            reads: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
+            forces: AtomicU64::new(0),
+            faults: None,
+        }
+    }
+
     /// Capacity in frames.
     pub fn capacity(&self) -> u64 {
-        each!(self, d => d.capacity())
+        each!(&self.backend, d => d.capacity())
     }
 
     /// Whether `addr` has ever been written.
     pub fn is_allocated(&self, addr: u64) -> bool {
-        each!(self, d => d.is_allocated(addr))
+        each!(&self.backend, d => d.is_allocated(addr))
     }
 
-    /// Read the raw frame at `addr`.
+    /// Step 1: the NVMe command this call submits, completed on drop.
+    fn service(&self) -> Option<ServiceGuard> {
+        match &self.backend {
+            Backend::Nvme(d) => Some(d.pay()),
+            _ => None,
+        }
+    }
+
+    /// Step 3: the bounds check.
+    fn check(&self, addr: u64) -> Result<(), StorageError> {
+        let capacity = self.capacity();
+        if addr >= capacity {
+            return Err(StorageError::OutOfRange { addr, capacity });
+        }
+        Ok(())
+    }
+
+    /// Read the raw frame at `addr` — unless an attached fault plan fails
+    /// the read or flips a bit of the returned copy.
     pub fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
-        each!(self, d => d.read_frame(addr))
+        let _svc = self.service();
+        self.check(addr)?;
+        let flip = match &self.faults {
+            Some(h) => {
+                let d = h.lock().decide_read(addr);
+                stall(d.stall_ms);
+                d.outcome?
+            }
+            None => None,
+        };
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        let mut frame = each!(&self.backend, d => d.read(addr))?;
+        if let Some((byte, bit)) = flip {
+            frame[byte] ^= 1 << bit;
+        }
+        Ok(frame)
     }
 
-    /// Write the raw frame at `addr` (subject to any attached fault plan).
+    /// Durably and atomically write the raw frame at `addr` — unless an
+    /// attached fault plan tears, drops, or fails this write.
     pub fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError> {
-        each!(self, d => d.write_frame(addr, frame))
+        let _svc = self.service();
+        self.land(addr, frame, FRAME_SIZE)
     }
 
-    /// Torn write: only the first `bytes` bytes of `frame` land.
+    /// A torn write: only the first `bytes` bytes of `frame` land, and the
+    /// stored frame afterwards is `frame[..bytes] ++ old[bytes..]`, where
+    /// `old` is the previous contents or zeros if the frame was virgin.
+    /// The write still counts and still consults the fault plan; a
+    /// scheduled tear shortens the prefix further.
     pub fn write_partial(
         &mut self,
         addr: u64,
         frame: &[u8; FRAME_SIZE],
         bytes: usize,
     ) -> Result<(), StorageError> {
-        each!(self, d => d.write_partial(addr, frame, bytes))
+        let _svc = self.service();
+        if bytes > FRAME_SIZE {
+            return Err(StorageError::BadLength {
+                len: bytes,
+                max: FRAME_SIZE,
+            });
+        }
+        self.land(addr, frame, bytes)
     }
 
-    /// Make every completed write durable.
+    /// Steps 3–6 of a write of the first `bytes` bytes of `frame`.
+    fn land(
+        &mut self,
+        addr: u64,
+        frame: &[u8; FRAME_SIZE],
+        bytes: usize,
+    ) -> Result<(), StorageError> {
+        self.check(addr)?;
+        let apply = match &self.faults {
+            Some(h) => {
+                let d = h.lock().decide_write(addr);
+                stall(d.stall_ms);
+                d.outcome?
+            }
+            None => WriteApply::Full,
+        };
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        let cut = match apply {
+            WriteApply::Full => bytes,
+            WriteApply::Prefix(cut) => cut.min(bytes),
+            WriteApply::Skip => return Ok(()),
+        };
+        each!(&mut self.backend, d => d.write_prefix(addr, frame, cut))
+    }
+
+    /// Make every completed write durable: `fdatasync` on a file, one
+    /// flush command on the NVMe model, and only a count in memory, whose
+    /// writes are durable the moment they return (the modeled rotational
+    /// force time lives in the exec appenders' `force_delay_us`).
     pub fn force(&mut self) -> Result<(), StorageError> {
-        each!(self, d => BlockDevice::force(d))
+        let _svc = self.service();
+        self.forces.fetch_add(1, Ordering::Relaxed);
+        match &self.backend {
+            Backend::File(d) => d.sync(),
+            Backend::Mem(_) | Backend::Nvme(_) => Ok(()),
+        }
     }
 
-    /// Capture the durable state as an independent device (crash image).
+    /// Capture the exact durable state — the crash-injection primitive.
+    ///
+    /// The snapshot is an independent device of the same backend: mutating
+    /// either side does not affect the other. Its counters start at zero so
+    /// recovery cost is measured in isolation, and any attached fault
+    /// injector is *not* carried over — a snapshot is the durable platter
+    /// state, and recovery runs against a clean device, which also makes
+    /// post-crash images byte-for-byte reproducible for a given plan.
     pub fn snapshot(&self) -> Disk {
-        each!(self, d => BlockDevice::snapshot(d))
+        Disk::on(match &self.backend {
+            Backend::Mem(d) => Backend::Mem(d.snapshot()),
+            // a failed copy means the host lost its temp dir — not a
+            // device fault the recovery protocols could respond to
+            Backend::File(d) => Backend::File(d.snapshot().expect("snapshot file copy")),
+            Backend::Nvme(d) => Backend::Nvme(d.snapshot()),
+        })
     }
 
-    /// Attach a fault injector.
+    /// Attach a fault injector; every subsequent read/write consults it.
+    /// The handle is shared: attach the same one to every disk of a store
+    /// so the plan's operation indices span the store's whole I/O stream.
     pub fn attach_faults(&mut self, handle: FaultHandle) {
-        each!(self, d => d.attach_faults(handle))
+        self.faults = Some(handle);
     }
 
-    /// Detach the fault injector, if any.
+    /// Detach the fault injector, returning the device to clean operation.
     pub fn detach_faults(&mut self) -> Option<FaultHandle> {
-        each!(self, d => d.detach_faults())
+        self.faults.take()
     }
 
     /// Frame reads served.
     pub fn reads(&self) -> u64 {
-        each!(self, d => d.reads())
+        self.reads.load(Ordering::Relaxed)
     }
 
     /// Frame writes performed.
     pub fn writes(&self) -> u64 {
-        each!(self, d => d.writes())
+        self.writes.load(Ordering::Relaxed)
     }
 
     /// Forces issued.
     pub fn forces(&self) -> u64 {
-        each!(self, d => BlockDevice::forces(d))
+        self.forces.load(Ordering::Relaxed)
     }
 
     /// Backend name (`"mem"`, `"file"`, `"nvme"`).
     pub fn kind(&self) -> &'static str {
-        each!(self, d => BlockDevice::kind(d))
+        match &self.backend {
+            Backend::Mem(_) => "mem",
+            Backend::File(_) => "file",
+            Backend::Nvme(_) => "nvme",
+        }
+    }
+
+    /// The controller behind an NVMe disk (`None` on the other backends).
+    pub fn nvme_model(&self) -> Option<&Arc<NvmeModel>> {
+        match &self.backend {
+            Backend::Nvme(d) => Some(d.model()),
+            _ => None,
+        }
     }
 
     /// Read and decode a [`Page`], verifying its checksum.
@@ -301,50 +387,15 @@ impl Disk {
     }
 }
 
-impl BlockDevice for Disk {
-    fn capacity(&self) -> u64 {
-        Disk::capacity(self)
-    }
-    fn is_allocated(&self, addr: u64) -> bool {
-        Disk::is_allocated(self, addr)
-    }
-    fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
-        Disk::read_frame(self, addr)
-    }
-    fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError> {
-        Disk::write_frame(self, addr, frame)
-    }
-    fn write_partial(
-        &mut self,
-        addr: u64,
-        frame: &[u8; FRAME_SIZE],
-        bytes: usize,
-    ) -> Result<(), StorageError> {
-        Disk::write_partial(self, addr, frame, bytes)
-    }
-    fn force(&mut self) -> Result<(), StorageError> {
-        Disk::force(self)
-    }
-    fn snapshot(&self) -> Disk {
-        Disk::snapshot(self)
-    }
-    fn attach_faults(&mut self, handle: FaultHandle) {
-        Disk::attach_faults(self, handle)
-    }
-    fn detach_faults(&mut self) -> Option<FaultHandle> {
-        Disk::detach_faults(self)
-    }
-    fn reads(&self) -> u64 {
-        Disk::reads(self)
-    }
-    fn writes(&self) -> u64 {
-        Disk::writes(self)
-    }
-    fn forces(&self) -> u64 {
-        Disk::forces(self)
-    }
-    fn kind(&self) -> &'static str {
-        Disk::kind(self)
+impl std::fmt::Debug for Disk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Disk")
+            .field("backend", &self.backend)
+            .field("reads", &self.reads())
+            .field("writes", &self.writes())
+            .field("forces", &self.forces())
+            .field("faults", &self.faults.is_some())
+            .finish()
     }
 }
 
@@ -393,11 +444,11 @@ mod tests {
         let p = Page::new(PageId(0));
         a.write_page(0, &p).unwrap();
         b.write_page(0, &p).unwrap();
-        let (Disk::Nvme(a), Disk::Nvme(b)) = (&a, &b) else {
+        let (Some(a), Some(b)) = (a.nvme_model(), b.nvme_model()) else {
             panic!("nvme provision produced a non-nvme disk");
         };
         // both disks submitted through the one controller
-        assert_eq!(a.model().submissions(), 2);
-        assert!(Arc::ptr_eq(a.model(), b.model()));
+        assert_eq!(a.submissions(), 2);
+        assert!(Arc::ptr_eq(a, b));
     }
 }

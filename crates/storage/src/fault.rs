@@ -1,4 +1,4 @@
-//! Deterministic, replayable fault injection for [`MemDisk`](crate::MemDisk).
+//! Deterministic, replayable fault injection for any [`Disk`].
 //!
 //! A [`FaultPlan`] is a schedule keyed by the injector's *global* operation
 //! counters: "on the k-th frame write, tear it at byte c", "on the j-th
@@ -40,6 +40,7 @@
 //! still consumed its operation index. This keeps replay trivially
 //! deterministic even when consumers retry.
 
+use crate::device::Disk;
 use crate::error::StorageError;
 use crate::page::{Page, FRAME_SIZE};
 use parking_lot::Mutex;
@@ -495,11 +496,7 @@ impl FaultInjector {
 /// resolves it. Persistent corruption (a genuinely torn frame) still
 /// surfaces as the last [`StorageError::Corrupt`] once attempts are
 /// exhausted; other errors return immediately.
-pub fn read_page_retry<D: crate::device::BlockDevice + ?Sized>(
-    disk: &D,
-    addr: u64,
-    attempts: u32,
-) -> Result<Page, StorageError> {
+pub fn read_page_retry(disk: &Disk, addr: u64, attempts: u32) -> Result<Page, StorageError> {
     let mut last = StorageError::Io { addr };
     for _ in 0..attempts.max(1) {
         match disk.read_page(addr) {
@@ -517,8 +514,8 @@ pub fn read_page_retry<D: crate::device::BlockDevice + ?Sized>(
 /// dropped write would otherwise let commit report durability it does not
 /// have. Up to `attempts` write+verify rounds; returns the last error if
 /// the frame never verifies.
-pub fn write_page_verified<D: crate::device::BlockDevice + ?Sized>(
-    disk: &mut D,
+pub fn write_page_verified(
+    disk: &mut Disk,
     addr: u64,
     page: &Page,
     attempts: u32,
@@ -561,7 +558,7 @@ mod tests {
     #[test]
     fn torn_write_corrupts_lost_write_vanishes() {
         let handle = FaultInjector::handle(FaultPlan::new().tear_write(1, 40).lose_write(2));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle);
         d.write_page(0, &page(1)).unwrap(); // write 0: clean
         d.write_page(1, &page(2)).unwrap(); // write 1: torn at byte 40
@@ -577,7 +574,7 @@ mod tests {
     #[test]
     fn transient_write_fails_then_succeeds() {
         let handle = FaultInjector::handle(FaultPlan::new().transient_write(0, 2));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle);
         assert!(matches!(
             d.write_page(0, &page(9)),
@@ -594,7 +591,7 @@ mod tests {
     #[test]
     fn bit_flip_is_read_only() {
         let handle = FaultInjector::handle(FaultPlan::new().flip_on_read(0, 30, 3));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.write_page(0, &page(5)).unwrap();
         d.attach_faults(handle);
         assert!(matches!(d.read_page(0), Err(StorageError::Corrupt { .. })));
@@ -605,7 +602,7 @@ mod tests {
     #[test]
     fn crash_takes_device_offline() {
         let handle = FaultInjector::handle(FaultPlan::new().crash_after_write(1));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle.clone());
         d.write_page(0, &page(1)).unwrap();
         d.write_page(1, &page(2)).unwrap(); // crash fires after this one
@@ -621,7 +618,7 @@ mod tests {
     fn retry_helpers_ride_through_transients() {
         let handle =
             FaultInjector::handle(FaultPlan::new().transient_read(1, 1).transient_write(2, 1));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle);
         d.write_page(0, &page(1)).unwrap(); // write 0
         assert_eq!(read_page_retry(&d, 0, 3).unwrap(), page(1)); // reads 0..2
@@ -632,7 +629,7 @@ mod tests {
     #[test]
     fn verified_write_defeats_lost_write() {
         let handle = FaultInjector::handle(FaultPlan::new().lose_write(0));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle);
         write_page_verified(&mut d, 0, &page(7), 3).unwrap();
         assert_eq!(d.read_page(0).unwrap(), page(7));
@@ -641,7 +638,7 @@ mod tests {
     #[test]
     fn permanent_failure_kills_device_but_not_snapshot() {
         let handle = FaultInjector::handle(FaultPlan::new().fail_from_write(1));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle.clone());
         d.write_page(0, &page(1)).unwrap(); // write 0: clean
         assert_eq!(d.write_page(1, &page(2)), Err(StorageError::Io { addr: 1 }));
@@ -660,7 +657,7 @@ mod tests {
     #[test]
     fn fail_from_zero_kills_device_immediately() {
         let handle = FaultInjector::handle(FaultPlan::new().fail_from_write(0));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.write_page(0, &page(1)).unwrap();
         d.attach_faults(handle);
         assert!(matches!(
@@ -674,7 +671,7 @@ mod tests {
     #[test]
     fn stuck_write_stalls_then_fails() {
         let handle = FaultInjector::handle(FaultPlan::new().stick_write(0, 20));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle.clone());
         let t0 = std::time::Instant::now();
         assert!(matches!(
@@ -691,7 +688,7 @@ mod tests {
     #[test]
     fn stuck_read_stalls_then_fails() {
         let handle = FaultInjector::handle(FaultPlan::new().stick_read(0, 20));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.write_page(0, &page(4)).unwrap();
         d.attach_faults(handle);
         let t0 = std::time::Instant::now();
@@ -704,7 +701,7 @@ mod tests {
     fn clear_from_write_revives_failed_device() {
         // outage window: dead from write 1, back from write 3
         let handle = FaultInjector::handle(FaultPlan::new().fail_from_write(1).clear_from_write(3));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle.clone());
         d.write_page(0, &page(1)).unwrap(); // write 0: clean
         assert!(d.write_page(1, &page(2)).is_err()); // write 1: trips
@@ -721,7 +718,7 @@ mod tests {
     #[test]
     fn clear_from_read_revives_read_path() {
         let handle = FaultInjector::handle(FaultPlan::new().fail_from_write(0).clear_from_read(2));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.write_page(0, &page(6)).unwrap();
         d.attach_faults(handle);
         assert!(d.write_page(1, &page(7)).is_err()); // trips the failure
@@ -737,7 +734,7 @@ mod tests {
         // entirely: no stall, no error
         let handle =
             FaultInjector::handle(FaultPlan::new().stick_write(1, 5_000).clear_from_write(1));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle);
         d.write_page(0, &page(1)).unwrap();
         let t0 = std::time::Instant::now();
@@ -755,7 +752,7 @@ mod tests {
         // clear at write 1 must drop them
         let handle =
             FaultInjector::handle(FaultPlan::new().transient_write(0, 3).clear_from_write(1));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle);
         assert!(d.write_page(0, &page(9)).is_err()); // write 0: transient
         d.write_page(0, &page(9)).unwrap(); // write 1: cleared
@@ -766,7 +763,7 @@ mod tests {
     fn crash_fires_even_inside_cleared_range() {
         let handle =
             FaultInjector::handle(FaultPlan::new().crash_after_write(1).clear_from_write(0));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle.clone());
         d.write_page(0, &page(1)).unwrap();
         d.write_page(1, &page(2)).unwrap(); // crash fires after this one
@@ -777,7 +774,7 @@ mod tests {
     #[test]
     fn revive_restores_a_dead_device_in_place() {
         let handle = FaultInjector::handle(FaultPlan::new().fail_from_write(0));
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         d.write_page(0, &page(1)).unwrap();
         d.attach_faults(handle.clone());
         assert!(d.write_page(1, &page(2)).is_err());

@@ -4,24 +4,24 @@
 //! This is the backend that grounds the workspace's durability story in
 //! actual syscalls. A frame write is one positioned `pwrite` of the 4 KB
 //! frame (the same single-sector atomicity assumption every recovery
-//! mechanism here makes); [`FileDisk::force`] is `fdatasync`, so a log
-//! force on this backend pays what the hardware actually charges.
+//! mechanism here makes); [`Disk::force`](crate::Disk::force) is
+//! `fdatasync`, so a log force on this backend pays what the hardware
+//! actually charges. A torn write really does land only a prefix of the
+//! frame in the file.
 //!
-//! Crash semantics match `MemDisk`: [`FileDisk::snapshot`] copies the
-//! backing file into a fresh temp file and returns an independent
-//! `FileDisk` over the copy. Recovery then runs against that real file, so
-//! the fault sweep exercises the file backend on *both* sides of the
-//! crash. Allocation tracking (which frames were ever written — `MemDisk`
-//! errors `Unallocated` on virgin frames, and log-scan frontiers rely on
-//! it) is kept as an in-process bitmap and carried into snapshots; on the
-//! platter a virgin frame is sparse zeros either way.
+//! Crash semantics match `MemDisk`: a snapshot copies the backing file
+//! into a fresh temp file and returns an independent `FileDisk` over the
+//! copy. Recovery then runs against that real file, so the fault sweep
+//! exercises the file backend on *both* sides of the crash. Allocation
+//! tracking (which frames were ever written — a virgin frame reads as
+//! `Unallocated`, and log-scan frontiers rely on it) is kept as an
+//! in-process bitmap and carried into snapshots; on the platter a virgin
+//! frame is sparse zeros either way.
 //!
 //! The backing file is deleted when the `FileDisk` drops — including
 //! during a panic unwind, so a failing test cleans its temp dir up.
 
 use crate::error::StorageError;
-use crate::fault::{FaultHandle, WriteApply};
-use crate::memdisk::MemDisk;
 use crate::page::FRAME_SIZE;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -39,10 +39,6 @@ pub struct FileDisk {
     /// Frames ever written (torn writes count; skipped writes don't) —
     /// the same allocation semantics as `MemDisk`.
     allocated: Vec<bool>,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    forces: AtomicU64,
-    faults: Option<FaultHandle>,
 }
 
 impl FileDisk {
@@ -68,10 +64,6 @@ impl FileDisk {
             path,
             capacity,
             allocated: vec![false; capacity as usize],
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            forces: AtomicU64::new(0),
-            faults: None,
         })
     }
 
@@ -80,147 +72,54 @@ impl FileDisk {
         &self.path
     }
 
-    fn check(&self, addr: u64) -> Result<usize, StorageError> {
-        if addr >= self.capacity {
-            Err(StorageError::OutOfRange {
-                addr,
-                capacity: self.capacity,
-            })
-        } else {
-            Ok(addr as usize)
-        }
-    }
-
     /// Capacity in frames.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity
     }
 
     /// Whether `addr` has ever been written.
-    pub fn is_allocated(&self, addr: u64) -> bool {
+    pub(crate) fn is_allocated(&self, addr: u64) -> bool {
         (addr as usize) < self.allocated.len() && self.allocated[addr as usize]
     }
 
-    /// Frame reads served.
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Frame writes performed.
-    pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// fdatasync calls issued.
-    pub fn forces(&self) -> u64 {
-        self.forces.load(Ordering::Relaxed)
-    }
-
-    /// Attach a fault injector; every subsequent read/write consults it.
-    pub fn attach_faults(&mut self, handle: FaultHandle) {
-        self.faults = Some(handle);
-    }
-
-    /// Detach the fault injector.
-    pub fn detach_faults(&mut self) -> Option<FaultHandle> {
-        self.faults.take()
-    }
-
-    /// Read the raw frame at `addr` with one positioned read.
-    pub fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
-        let i = self.check(addr)?;
-        let flip = match &self.faults {
-            Some(h) => {
-                // injector lock released before any scheduled stall, same
-                // as MemDisk: a stuck device never wedges its siblings
-                let d = h.lock().decide_read(addr);
-                if d.stall_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(d.stall_ms));
-                }
-                d.outcome?
-            }
-            None => None,
-        };
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        if !self.allocated[i] {
+    /// Read the in-range frame at `addr` with one positioned read.
+    pub(crate) fn read(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
+        if !self.allocated[addr as usize] {
             return Err(StorageError::Unallocated { addr });
         }
         let mut frame = Box::new([0u8; FRAME_SIZE]);
         self.file
             .read_exact_at(&mut frame[..], addr * FRAME_SIZE as u64)
             .map_err(|_| StorageError::Io { addr })?;
-        if let Some((byte, bit)) = flip {
-            frame[byte] ^= 1 << bit;
-        }
         Ok(frame)
     }
 
-    /// pwrite the raw frame at `addr` — unless an attached fault plan
-    /// tears, drops, or fails this write. A torn write really does land
-    /// only a prefix of the frame in the file.
-    pub fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError> {
-        self.apply_write(addr, frame, FRAME_SIZE)
-    }
-
-    /// Torn-write primitive: only the first `bytes` bytes of `frame` land;
+    /// pwrite the first `bytes` bytes of `frame` at the in-range `addr`;
     /// the file's old tail (zeros if virgin) shows through.
-    pub fn write_partial(
+    pub(crate) fn write_prefix(
         &mut self,
         addr: u64,
         frame: &[u8; FRAME_SIZE],
         bytes: usize,
     ) -> Result<(), StorageError> {
-        if bytes > FRAME_SIZE {
-            return Err(StorageError::BadLength {
-                len: bytes,
-                max: FRAME_SIZE,
-            });
-        }
-        self.apply_write(addr, frame, bytes)
-    }
-
-    fn apply_write(
-        &mut self,
-        addr: u64,
-        frame: &[u8; FRAME_SIZE],
-        bytes: usize,
-    ) -> Result<(), StorageError> {
-        let i = self.check(addr)?;
-        let apply = match &self.faults {
-            Some(h) => {
-                let d = h.lock().decide_write(addr);
-                if d.stall_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(d.stall_ms));
-                }
-                d.outcome?
-            }
-            None => WriteApply::Full,
-        };
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        let cut = match apply {
-            WriteApply::Full => bytes,
-            WriteApply::Prefix(cut) => cut.min(bytes),
-            WriteApply::Skip => return Ok(()),
-        };
         self.file
-            .write_all_at(&frame[..cut], addr * FRAME_SIZE as u64)
+            .write_all_at(&frame[..bytes], addr * FRAME_SIZE as u64)
             .map_err(|_| StorageError::Io { addr })?;
-        self.allocated[i] = true;
+        self.allocated[addr as usize] = true;
         Ok(())
     }
 
     /// fdatasync the backing file: everything pwritten so far is on the
     /// platter when this returns.
-    pub fn force(&mut self) -> Result<(), StorageError> {
-        self.forces.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn sync(&self) -> Result<(), StorageError> {
         self.file
             .sync_data()
             .map_err(|_| StorageError::Io { addr: 0 })
     }
 
     /// Crash snapshot via file copy: an independent `FileDisk` over a
-    /// fresh copy of the backing file, counters reset, no injector.
-    pub fn snapshot(&self) -> Result<FileDisk, StorageError> {
+    /// fresh copy of the backing file.
+    pub(crate) fn snapshot(&self) -> Result<FileDisk, StorageError> {
         let dir = self
             .path
             .parent()
@@ -240,55 +139,6 @@ impl FileDisk {
     }
 }
 
-impl crate::device::BlockDevice for FileDisk {
-    fn capacity(&self) -> u64 {
-        FileDisk::capacity(self)
-    }
-    fn is_allocated(&self, addr: u64) -> bool {
-        FileDisk::is_allocated(self, addr)
-    }
-    fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
-        FileDisk::read_frame(self, addr)
-    }
-    fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError> {
-        FileDisk::write_frame(self, addr, frame)
-    }
-    fn write_partial(
-        &mut self,
-        addr: u64,
-        frame: &[u8; FRAME_SIZE],
-        bytes: usize,
-    ) -> Result<(), StorageError> {
-        FileDisk::write_partial(self, addr, frame, bytes)
-    }
-    fn force(&mut self) -> Result<(), StorageError> {
-        FileDisk::force(self)
-    }
-    fn snapshot(&self) -> crate::device::Disk {
-        // a failed copy means the test environment lost its temp dir —
-        // not a device fault the recovery protocols could respond to
-        crate::device::Disk::File(FileDisk::snapshot(self).expect("snapshot file copy"))
-    }
-    fn attach_faults(&mut self, handle: FaultHandle) {
-        FileDisk::attach_faults(self, handle)
-    }
-    fn detach_faults(&mut self) -> Option<FaultHandle> {
-        FileDisk::detach_faults(self)
-    }
-    fn reads(&self) -> u64 {
-        FileDisk::reads(self)
-    }
-    fn writes(&self) -> u64 {
-        FileDisk::writes(self)
-    }
-    fn forces(&self) -> u64 {
-        FileDisk::forces(self)
-    }
-    fn kind(&self) -> &'static str {
-        "file"
-    }
-}
-
 impl Drop for FileDisk {
     fn drop(&mut self) {
         // best-effort temp cleanup; runs on panic unwind too
@@ -301,42 +151,24 @@ impl std::fmt::Debug for FileDisk {
         f.debug_struct("FileDisk")
             .field("path", &self.path)
             .field("capacity", &self.capacity)
-            .field("reads", &self.reads())
-            .field("writes", &self.writes())
-            .field("forces", &self.forces())
             .finish()
-    }
-}
-
-/// Load the durable contents into a `MemDisk` (test oracles that compare
-/// byte-identity across backends).
-impl From<&FileDisk> for MemDisk {
-    fn from(fd: &FileDisk) -> MemDisk {
-        let mut m = MemDisk::new(fd.capacity);
-        for addr in 0..fd.capacity {
-            if fd.is_allocated(addr) {
-                if let Ok(frame) = fd.read_frame(addr) {
-                    m.write_frame(addr, &frame).expect("in-range copy");
-                }
-            }
-        }
-        m
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::BlockDevice as _;
+    use crate::device::Disk;
     use crate::page::{Page, PageId};
 
     #[test]
     fn write_read_roundtrip_and_cleanup() {
         let path;
         {
-            let mut d = FileDisk::create(None, 8).unwrap();
-            path = d.path().to_path_buf();
+            let fd = FileDisk::create(None, 8).unwrap();
+            path = fd.path().to_path_buf();
             assert!(path.exists());
+            let mut d = Disk::from(fd);
             let mut p = Page::new(PageId(3));
             p.write_at(0, b"on-disk");
             d.write_page(5, &p).unwrap();
@@ -349,7 +181,7 @@ mod tests {
 
     #[test]
     fn unallocated_and_out_of_range() {
-        let d = FileDisk::create(None, 4).unwrap();
+        let d = Disk::from(FileDisk::create(None, 4).unwrap());
         assert_eq!(
             d.read_frame(1).unwrap_err(),
             StorageError::Unallocated { addr: 1 }
@@ -364,18 +196,18 @@ mod tests {
     fn snapshot_is_an_independent_file() {
         let mut d = FileDisk::create(None, 4).unwrap();
         let p = Page::new(PageId(1));
-        d.write_page(0, &p).unwrap();
+        d.write_prefix(0, &p.to_frame(), FRAME_SIZE).unwrap();
         let snap = d.snapshot().unwrap();
         assert_ne!(snap.path(), d.path());
         let mut p2 = Page::new(PageId(1));
         p2.write_at(0, b"post-crash");
-        d.write_page(0, &p2).unwrap();
-        assert_eq!(snap.read_page(0).unwrap(), p);
+        d.write_prefix(0, &p2.to_frame(), FRAME_SIZE).unwrap();
+        assert_eq!(Disk::from(snap).read_page(0).unwrap(), p);
     }
 
     #[test]
     fn partial_write_tears_the_frame_in_the_file() {
-        let mut d = FileDisk::create(None, 4).unwrap();
+        let mut d = Disk::from(FileDisk::create(None, 4).unwrap());
         let mut old = Page::new(PageId(2));
         old.write_at(0, &[7u8; 100]);
         old.write_at(2000, &[7u8; 100]);

@@ -4,20 +4,23 @@
 //! differential files) all sit on the same primitive: a disk that stores
 //! fixed-size pages, where a single-page write is atomic and everything not
 //! yet written to disk is lost in a crash. This crate provides that
-//! substrate in memory:
+//! substrate:
 //!
 //! * [`page::Page`] — a 4 KB page with id, LSN and checksum header;
-//! * [`memdisk::MemDisk`] — an addressable array of frames whose writes are
-//!   durable, with [`memdisk::MemDisk::snapshot`] capturing the exact
-//!   durable state at an arbitrary instant (the crash-injection primitive
-//!   used throughout the recovery tests) and partial-write fault injection
-//!   for torn-page scenarios;
+//! * [`device::Disk`] — the one device front every engine holds: an
+//!   addressable array of frames whose writes are durable, with
+//!   [`device::Disk::snapshot`] capturing the exact durable state at an
+//!   arbitrary instant (the crash-injection primitive used throughout the
+//!   recovery tests). It applies bounds and torn-length checks, fault
+//!   injection and I/O counting once, over one of three raw backends:
+//!   [`memdisk::MemDisk`] (in memory), [`filedisk::FileDisk`] (a real
+//!   file) and [`nvmedisk::NvmeDisk`] (an NVMe timing model);
 //! * [`fault::FaultPlan`] / [`fault::FaultInjector`] — a deterministic,
 //!   seeded schedule of torn/lost/transient write faults, read bit flips,
-//!   and crash-after-k-writes, attachable to any [`memdisk::MemDisk`];
-//! * [`buffer::BufferPool`] — a pin-counted page cache with LRU/clock
-//!   eviction that reports evicted dirty pages to the caller so each
-//!   recovery manager can enforce its own write-ahead rule.
+//!   and crash-after-k-writes, attachable to any [`device::Disk`];
+//! * [`buffer::BufferPool`] — a pin-counted page cache with LRU eviction
+//!   that reports evicted dirty pages to the caller so each recovery
+//!   manager can enforce its own write-ahead rule.
 //!
 //! Volatile state lives in the recovery managers (buffer pools, in-memory
 //! tables); a crash is modelled by discarding the manager and rebuilding
@@ -32,10 +35,8 @@ pub mod memdisk;
 pub mod nvmedisk;
 pub mod page;
 
-pub use buffer::{
-    BufferPool, EvictPolicy, Evicted, PoolShard, ShardGuard, ShardStats, ShardedPool,
-};
-pub use device::{BackendKind, BlockDevice, Disk};
+pub use buffer::{BufferPool, Evicted, PoolShard, ShardGuard, ShardStats, ShardedPool};
+pub use device::{BackendKind, Disk};
 pub use error::StorageError;
 pub use fault::{
     read_page_retry, write_page_verified, FaultHandle, FaultInjector, FaultPlan, ReadFault,

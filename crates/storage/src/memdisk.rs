@@ -5,24 +5,25 @@
 //! about a single-page disk write. Crashes are modelled *outside* the disk:
 //! volatile state (buffer pools, in-memory page tables, partially assembled
 //! log pages) lives in the recovery managers, so "crash at instant t" is
-//! simply "take [`MemDisk::snapshot`] at t, drop the manager, run recovery
+//! simply "take [`Disk::snapshot`](crate::Disk::snapshot) at t, drop the manager, run recovery
 //! against the snapshot".
 //!
-//! For torn-page experiments, [`MemDisk::write_partial`] deposits only a
-//! prefix of a frame, as a crash in the middle of a sector transfer would;
-//! [`crate::page::Page::from_frame`]'s checksum then flags the frame.
+//! A `MemDisk` is a raw backend: it is read and written through the
+//! [`Disk`](crate::Disk) front, which applies bounds checks, fault injection and I/O
+//! counting. A torn write ([`Disk::write_partial`](crate::Disk::write_partial)) deposits only a prefix
+//! of a frame over the old contents, as a crash in the middle of a sector
+//! transfer would; [`crate::page::Page::from_frame`]'s checksum then flags
+//! the frame.
 
 use crate::error::StorageError;
-use crate::fault::{FaultHandle, WriteApply};
-use crate::page::{Page, FRAME_SIZE};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::page::FRAME_SIZE;
 
 /// An in-memory array of durable frames.
 ///
 /// ```
-/// use rmdb_storage::{MemDisk, Page, PageId};
+/// use rmdb_storage::{Disk, MemDisk, Page, PageId};
 ///
-/// let mut disk = MemDisk::new(8);
+/// let mut disk = Disk::from(MemDisk::new(8));
 /// let mut page = Page::new(PageId(3));
 /// page.write_at(0, b"durable");
 /// disk.write_page(3, &page).unwrap();
@@ -30,41 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// let crash = disk.snapshot();          // 💥 the crash-injection primitive
 /// assert_eq!(crash.read_page(3).unwrap().read_at(0, 7), b"durable");
 /// ```
-/// The I/O counters are atomics (not `Cell`) so a `MemDisk` is `Sync`:
-/// parallel restart workers read pages from one shared data disk through
-/// `&MemDisk` without any coordination beyond the counters themselves.
 pub struct MemDisk {
     frames: Vec<Option<Box<[u8; FRAME_SIZE]>>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    forces: AtomicU64,
-    /// Shared fault injector; cloning the disk shares it, snapshotting
-    /// sheds it (a recovered image is a clean device).
-    faults: Option<FaultHandle>,
-}
-
-impl Clone for MemDisk {
-    /// Deep-copies the frames and gives the clone its **own** counters,
-    /// seeded from point-in-time `Relaxed` loads of the original's.
-    ///
-    /// Coherence caveat: the three counters are independent atomics, so a
-    /// clone taken *while other threads are mid-I/O on the original* may
-    /// observe them from slightly different instants (e.g. a read counted
-    /// but not its paired write yet). There is no way to read them as one
-    /// consistent tuple without adding a lock to every I/O, and no caller
-    /// needs one: clones are taken from quiesced disks, and the counters
-    /// are monotonic accounting, not invariants. What *is* guaranteed —
-    /// and regression-tested — is that the clone's counters are fully
-    /// independent afterwards: I/O on either side never moves the other's.
-    fn clone(&self) -> Self {
-        MemDisk {
-            frames: self.frames.clone(),
-            reads: AtomicU64::new(self.reads.load(Ordering::Relaxed)),
-            writes: AtomicU64::new(self.writes.load(Ordering::Relaxed)),
-            forces: AtomicU64::new(self.forces.load(Ordering::Relaxed)),
-            faults: self.faults.clone(),
-        }
-    }
 }
 
 impl MemDisk {
@@ -72,240 +40,46 @@ impl MemDisk {
     pub fn new(capacity: u64) -> Self {
         MemDisk {
             frames: vec![None; capacity as usize],
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            forces: AtomicU64::new(0),
-            faults: None,
         }
-    }
-
-    /// Attach a fault injector; every subsequent read/write consults it.
-    /// The handle is shared: attach the same one to every disk of a store
-    /// so the plan's operation indices span the store's whole I/O stream.
-    pub fn attach_faults(&mut self, handle: FaultHandle) {
-        self.faults = Some(handle);
-    }
-
-    /// Detach the fault injector, returning the disk to clean operation.
-    pub fn detach_faults(&mut self) -> Option<FaultHandle> {
-        self.faults.take()
     }
 
     /// Capacity in frames.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.frames.len() as u64
     }
 
-    /// Number of frame reads served (for I/O accounting in tests/benches).
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Number of frame writes performed.
-    pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Number of [`MemDisk::force`] calls.
-    pub fn forces(&self) -> u64 {
-        self.forces.load(Ordering::Relaxed)
-    }
-
-    /// Force: in-memory writes are durable the moment they return, so
-    /// this only counts the call (the modeled rotational service time for
-    /// this backend lives in the exec appenders' `force_delay_us`).
-    pub fn force(&mut self) -> Result<(), StorageError> {
-        self.forces.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn check(&self, addr: u64) -> Result<usize, StorageError> {
-        if addr >= self.capacity() {
-            Err(StorageError::OutOfRange {
-                addr,
-                capacity: self.capacity(),
-            })
-        } else {
-            Ok(addr as usize)
-        }
-    }
-
-    /// Read the raw frame at `addr`.
-    pub fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
-        let i = self.check(addr)?;
-        let flip = match &self.faults {
-            Some(h) => {
-                // the injector lock is released before any scheduled stall
-                // so a stuck device never wedges disks sharing the injector
-                let d = h.lock().decide_read(addr);
-                if d.stall_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(d.stall_ms));
-                }
-                d.outcome?
-            }
-            None => None,
-        };
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        let mut frame = self.frames[i]
-            .clone()
-            .ok_or(StorageError::Unallocated { addr })?;
-        if let Some((byte, bit)) = flip {
-            frame[byte] ^= 1 << bit;
-        }
-        Ok(frame)
-    }
-
     /// Whether `addr` has ever been written.
-    pub fn is_allocated(&self, addr: u64) -> bool {
+    pub(crate) fn is_allocated(&self, addr: u64) -> bool {
         (addr as usize) < self.frames.len() && self.frames[addr as usize].is_some()
     }
 
-    /// Durably and atomically write the raw frame at `addr` — unless an
-    /// attached fault plan tears, drops, or fails this write.
-    pub fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError> {
-        let i = self.check(addr)?;
-        let apply = match &self.faults {
-            Some(h) => {
-                let d = h.lock().decide_write(addr);
-                if d.stall_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(d.stall_ms));
-                }
-                d.outcome?
-            }
-            None => WriteApply::Full,
-        };
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        match apply {
-            WriteApply::Full => self.frames[i] = Some(Box::new(*frame)),
-            WriteApply::Prefix(cut) => self.merge_prefix(i, frame, cut),
-            WriteApply::Skip => {}
-        }
-        Ok(())
+    /// A copy of the in-range frame at `addr`.
+    pub(crate) fn read(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
+        self.frames[addr as usize]
+            .clone()
+            .ok_or(StorageError::Unallocated { addr })
     }
 
-    /// Fault injection: write only the first `bytes` bytes of `frame`,
-    /// leaving the tail as it was (zeros if unallocated) — a torn write.
-    ///
-    /// Merge semantics: the stored frame afterwards is
-    /// `frame[..bytes] ++ old[bytes..]`, where `old` is the previous
-    /// contents or all zeros if the frame was unallocated. `bytes` beyond
-    /// the frame size is a typed [`StorageError::BadLength`], not a panic.
-    pub fn write_partial(
+    /// Land the first `bytes` bytes of `frame` at the in-range `addr`:
+    /// the frame afterwards is `frame[..bytes] ++ old[bytes..]`, with
+    /// `old` all zeros if the frame was unallocated.
+    pub(crate) fn write_prefix(
         &mut self,
         addr: u64,
         frame: &[u8; FRAME_SIZE],
         bytes: usize,
     ) -> Result<(), StorageError> {
-        if bytes > FRAME_SIZE {
-            return Err(StorageError::BadLength {
-                len: bytes,
-                max: FRAME_SIZE,
-            });
-        }
-        let i = self.check(addr)?;
-        // explicit partial writes still advance the op counters and respect
-        // crash/transient scheduling; a scheduled tear shortens the prefix
-        let apply = match &self.faults {
-            Some(h) => {
-                let d = h.lock().decide_write(addr);
-                if d.stall_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(d.stall_ms));
-                }
-                d.outcome?
-            }
-            None => WriteApply::Full,
-        };
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        match apply {
-            WriteApply::Full => self.merge_prefix(i, frame, bytes),
-            WriteApply::Prefix(cut) => self.merge_prefix(i, frame, cut.min(bytes)),
-            WriteApply::Skip => {}
-        }
+        let slot = &mut self.frames[addr as usize];
+        let merged = slot.get_or_insert_with(|| Box::new([0u8; FRAME_SIZE]));
+        merged[..bytes].copy_from_slice(&frame[..bytes]);
         Ok(())
     }
 
-    fn merge_prefix(&mut self, i: usize, frame: &[u8; FRAME_SIZE], bytes: usize) {
-        let mut merged = self.frames[i]
-            .take()
-            .unwrap_or_else(|| Box::new([0u8; FRAME_SIZE]));
-        merged[..bytes].copy_from_slice(&frame[..bytes]);
-        self.frames[i] = Some(merged);
-    }
-
-    /// Convenience: read and decode a [`Page`], verifying its checksum.
-    pub fn read_page(&self, addr: u64) -> Result<Page, StorageError> {
-        let frame = self.read_frame(addr)?;
-        Page::from_frame(&frame, addr)
-    }
-
-    /// Convenience: encode and write a [`Page`].
-    pub fn write_page(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
-        self.write_frame(addr, &page.to_frame())
-    }
-
-    /// Capture the exact durable state — the crash-injection primitive.
-    ///
-    /// The snapshot is an independent disk; mutating either side does not
-    /// affect the other. I/O counters reset on the snapshot so recovery
-    /// cost can be measured in isolation. Any attached fault injector is
-    /// *not* carried over: a snapshot is the durable platter state, and
-    /// recovery runs against a clean device — which also makes post-crash
-    /// images byte-for-byte reproducible for a given plan.
-    pub fn snapshot(&self) -> MemDisk {
+    /// An independent copy of every frame.
+    pub(crate) fn snapshot(&self) -> MemDisk {
         MemDisk {
             frames: self.frames.clone(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            forces: AtomicU64::new(0),
-            faults: None,
         }
-    }
-}
-
-impl crate::device::BlockDevice for MemDisk {
-    fn capacity(&self) -> u64 {
-        MemDisk::capacity(self)
-    }
-    fn is_allocated(&self, addr: u64) -> bool {
-        MemDisk::is_allocated(self, addr)
-    }
-    fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
-        MemDisk::read_frame(self, addr)
-    }
-    fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError> {
-        MemDisk::write_frame(self, addr, frame)
-    }
-    fn write_partial(
-        &mut self,
-        addr: u64,
-        frame: &[u8; FRAME_SIZE],
-        bytes: usize,
-    ) -> Result<(), StorageError> {
-        MemDisk::write_partial(self, addr, frame, bytes)
-    }
-    fn force(&mut self) -> Result<(), StorageError> {
-        MemDisk::force(self)
-    }
-    fn snapshot(&self) -> crate::device::Disk {
-        crate::device::Disk::Mem(MemDisk::snapshot(self))
-    }
-    fn attach_faults(&mut self, handle: FaultHandle) {
-        MemDisk::attach_faults(self, handle)
-    }
-    fn detach_faults(&mut self) -> Option<FaultHandle> {
-        MemDisk::detach_faults(self)
-    }
-    fn reads(&self) -> u64 {
-        MemDisk::reads(self)
-    }
-    fn writes(&self) -> u64 {
-        MemDisk::writes(self)
-    }
-    fn forces(&self) -> u64 {
-        MemDisk::forces(self)
-    }
-    fn kind(&self) -> &'static str {
-        "mem"
     }
 }
 
@@ -315,8 +89,6 @@ impl std::fmt::Debug for MemDisk {
         f.debug_struct("MemDisk")
             .field("capacity", &self.frames.len())
             .field("allocated", &allocated)
-            .field("reads", &self.reads.load(Ordering::Relaxed))
-            .field("writes", &self.writes.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -324,11 +96,12 @@ impl std::fmt::Debug for MemDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::{Lsn, PageId};
+    use crate::device::Disk;
+    use crate::page::{Lsn, Page, PageId};
 
     #[test]
     fn write_then_read() {
-        let mut d = MemDisk::new(16);
+        let mut d = Disk::from(MemDisk::new(16));
         let mut p = Page::new(PageId(3));
         p.write_at(0, b"hello");
         p.lsn = Lsn(1);
@@ -340,7 +113,7 @@ mod tests {
 
     #[test]
     fn unallocated_read_fails() {
-        let d = MemDisk::new(4);
+        let d = Disk::from(MemDisk::new(4));
         assert_eq!(
             d.read_frame(2).unwrap_err(),
             StorageError::Unallocated { addr: 2 }
@@ -350,7 +123,7 @@ mod tests {
 
     #[test]
     fn out_of_range_rejected() {
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         assert!(matches!(
             d.read_frame(4),
             Err(StorageError::OutOfRange { .. })
@@ -364,7 +137,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_independent() {
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         let p = Page::new(PageId(1));
         d.write_page(0, &p).unwrap();
         let snap = d.snapshot();
@@ -378,7 +151,7 @@ mod tests {
 
     #[test]
     fn partial_write_is_detected_by_checksum() {
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         let mut old = Page::new(PageId(2));
         old.write_at(0, &[7u8; 100]);
         old.write_at(2000, &[7u8; 100]);
@@ -398,7 +171,7 @@ mod tests {
 
     #[test]
     fn partial_write_of_whole_frame_is_fine() {
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         let p = Page::new(PageId(2));
         d.write_partial(0, &p.to_frame(), FRAME_SIZE).unwrap();
         assert_eq!(d.read_page(0).unwrap(), p);
@@ -406,7 +179,7 @@ mod tests {
 
     #[test]
     fn oversized_partial_write_is_typed_error() {
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         let frame = [0u8; FRAME_SIZE];
         assert_eq!(
             d.write_partial(0, &frame, FRAME_SIZE + 1),
@@ -442,7 +215,7 @@ mod tests {
             }
             let old = fill(seed_old);
             let new = fill(seed_new);
-            let mut d = MemDisk::new(2);
+            let mut d = Disk::from(MemDisk::new(2));
             if allocated {
                 d.write_frame(0, &old).unwrap();
             }
@@ -458,28 +231,8 @@ mod tests {
     }
 
     #[test]
-    fn cloned_disk_counters_are_independent() {
-        let mut d = MemDisk::new(4);
-        let p = Page::new(PageId(1));
-        d.write_page(0, &p).unwrap();
-        d.read_page(0).unwrap();
-        d.force().unwrap();
-
-        let mut c = d.clone();
-        // the clone starts from the original's point-in-time counts …
-        assert_eq!((c.reads(), c.writes(), c.forces()), (1, 1, 1));
-        // … and I/O on either side never moves the other's counters
-        c.write_page(1, &p).unwrap();
-        c.read_page(1).unwrap();
-        c.force().unwrap();
-        assert_eq!((d.reads(), d.writes(), d.forces()), (1, 1, 1));
-        d.read_page(0).unwrap();
-        assert_eq!((c.reads(), c.writes(), c.forces()), (2, 2, 2));
-    }
-
-    #[test]
     fn wrong_page_check_via_id() {
-        let mut d = MemDisk::new(4);
+        let mut d = Disk::from(MemDisk::new(4));
         let p = Page::new(PageId(10));
         d.write_page(0, &p).unwrap();
         let got = d.read_page(0).unwrap();

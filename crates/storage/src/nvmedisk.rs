@@ -32,11 +32,7 @@
 //! [`BackendKind::nvme_shared`](crate::BackendKind::nvme_shared) and the
 //! platters of a whole appender fleet queue on one another.
 
-use crate::device::Disk;
-use crate::error::StorageError;
-use crate::fault::FaultHandle;
 use crate::memdisk::MemDisk;
-use crate::page::FRAME_SIZE;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -186,12 +182,14 @@ impl NvmeModel {
 }
 
 /// One namespace on an [`NvmeModel`] controller: in-memory frames whose
-/// every I/O pays the controller's modeled service time.
+/// every I/O pays the controller's modeled service time (the
+/// [`Disk`](crate::Disk) front submits the command before anything else
+/// and completes it when the call returns).
 #[derive(Debug)]
 pub struct NvmeDisk {
-    inner: MemDisk,
+    /// Read and written directly by the [`Disk`](crate::Disk) front.
+    pub(crate) frames: MemDisk,
     model: Arc<NvmeModel>,
-    forces: AtomicU64,
 }
 
 impl NvmeDisk {
@@ -203,9 +201,8 @@ impl NvmeDisk {
     /// A fresh namespace on an existing (possibly shared) controller.
     pub fn on_model(frames: u64, model: Arc<NvmeModel>) -> Self {
         NvmeDisk {
-            inner: MemDisk::new(frames),
+            frames: MemDisk::new(frames),
             model,
-            forces: AtomicU64::new(0),
         }
     }
 
@@ -214,7 +211,9 @@ impl NvmeDisk {
         &self.model
     }
 
-    fn pay(&self) -> ServiceGuard {
+    /// Submit one command (a read, a write or a flush) and pay its
+    /// modeled service time; it completes when the guard drops.
+    pub(crate) fn pay(&self) -> ServiceGuard {
         let t = self.model.submit();
         if self.model.cfg.realtime && t > 0 {
             std::thread::sleep(std::time::Duration::from_micros(t));
@@ -224,87 +223,19 @@ impl NvmeDisk {
         }
     }
 
-    /// Capacity in frames.
-    pub fn capacity(&self) -> u64 {
-        self.inner.capacity()
-    }
-
-    /// Whether `addr` has ever been written.
-    pub fn is_allocated(&self, addr: u64) -> bool {
-        self.inner.is_allocated(addr)
-    }
-
-    /// Frame reads served.
-    pub fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    /// Frame writes performed.
-    pub fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
-
-    /// Flush commands issued.
-    pub fn forces(&self) -> u64 {
-        self.forces.load(Ordering::Relaxed)
-    }
-
-    /// Attach a fault injector (decides outcomes before the transfer,
-    /// exactly as on the other backends).
-    pub fn attach_faults(&mut self, handle: FaultHandle) {
-        self.inner.attach_faults(handle);
-    }
-
-    /// Detach the fault injector.
-    pub fn detach_faults(&mut self) -> Option<FaultHandle> {
-        self.inner.detach_faults()
-    }
-
-    /// Read the frame at `addr`, paying the modeled service time.
-    pub fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
-        let _svc = self.pay();
-        self.inner.read_frame(addr)
-    }
-
-    /// Write the frame at `addr`, paying the modeled service time.
-    pub fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError> {
-        let _svc = self.pay();
-        self.inner.write_frame(addr, frame)
-    }
-
-    /// Torn write: only the first `bytes` bytes land.
-    pub fn write_partial(
-        &mut self,
-        addr: u64,
-        frame: &[u8; FRAME_SIZE],
-        bytes: usize,
-    ) -> Result<(), StorageError> {
-        let _svc = self.pay();
-        self.inner.write_partial(addr, frame, bytes)
-    }
-
-    /// Flush: an NVMe flush command — one more queued command through the
-    /// controller; the frames themselves are already durable on write.
-    pub fn force(&mut self) -> Result<(), StorageError> {
-        let _svc = self.pay();
-        self.forces.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Crash snapshot: the durable frames on a fresh private controller
-    /// (queues empty, counters reset, no injector) — recovery's device is
-    /// clean and its I/O cost is measured in isolation.
-    pub fn snapshot(&self) -> NvmeDisk {
+    /// (queues empty) — recovery's device I/O cost is measured in
+    /// isolation.
+    pub(crate) fn snapshot(&self) -> NvmeDisk {
         NvmeDisk {
-            inner: self.inner.snapshot(),
+            frames: self.frames.snapshot(),
             model: Arc::new(NvmeModel::new(self.model.cfg)),
-            forces: AtomicU64::new(0),
         }
     }
 }
 
 /// Completes the submission when the transfer returns (any path).
-struct ServiceGuard {
+pub(crate) struct ServiceGuard {
     model: Arc<NvmeModel>,
 }
 
@@ -314,63 +245,16 @@ impl Drop for ServiceGuard {
     }
 }
 
-impl crate::device::BlockDevice for NvmeDisk {
-    fn capacity(&self) -> u64 {
-        NvmeDisk::capacity(self)
-    }
-    fn is_allocated(&self, addr: u64) -> bool {
-        NvmeDisk::is_allocated(self, addr)
-    }
-    fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
-        NvmeDisk::read_frame(self, addr)
-    }
-    fn write_frame(&mut self, addr: u64, frame: &[u8; FRAME_SIZE]) -> Result<(), StorageError> {
-        NvmeDisk::write_frame(self, addr, frame)
-    }
-    fn write_partial(
-        &mut self,
-        addr: u64,
-        frame: &[u8; FRAME_SIZE],
-        bytes: usize,
-    ) -> Result<(), StorageError> {
-        NvmeDisk::write_partial(self, addr, frame, bytes)
-    }
-    fn force(&mut self) -> Result<(), StorageError> {
-        NvmeDisk::force(self)
-    }
-    fn snapshot(&self) -> Disk {
-        Disk::Nvme(NvmeDisk::snapshot(self))
-    }
-    fn attach_faults(&mut self, handle: FaultHandle) {
-        NvmeDisk::attach_faults(self, handle)
-    }
-    fn detach_faults(&mut self) -> Option<FaultHandle> {
-        NvmeDisk::detach_faults(self)
-    }
-    fn reads(&self) -> u64 {
-        NvmeDisk::reads(self)
-    }
-    fn writes(&self) -> u64 {
-        NvmeDisk::writes(self)
-    }
-    fn forces(&self) -> u64 {
-        NvmeDisk::forces(self)
-    }
-    fn kind(&self) -> &'static str {
-        "nvme"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::BlockDevice as _;
+    use crate::device::Disk;
     use crate::page::{Page, PageId};
 
     #[test]
     fn accounting_balances_and_bounds_hold() {
         let cfg = NvmeConfig::default();
-        let mut d = NvmeDisk::new(16, cfg);
+        let mut d = Disk::from(NvmeDisk::new(16, cfg));
         let p = Page::new(PageId(1));
         for i in 0..10 {
             d.write_page(i % 16, &p).unwrap();
@@ -379,22 +263,22 @@ mod tests {
             d.read_page(i % 16).unwrap();
         }
         d.force().unwrap();
-        let (subs, comps) = d.model().drain();
+        let (subs, comps) = d.nvme_model().unwrap().drain();
         assert_eq!(subs, 21);
         assert_eq!(comps, 21);
-        let (min, max) = d.model().latency_bounds();
+        let (min, max) = d.nvme_model().unwrap().latency_bounds();
         assert!(min >= cfg.base_us && max <= cfg.max_us, "{min}..{max}");
     }
 
     #[test]
     fn deterministic_latency_under_fixed_seed() {
         let run = || {
-            let mut d = NvmeDisk::new(8, NvmeConfig::default());
+            let mut d = Disk::from(NvmeDisk::new(8, NvmeConfig::default()));
             let p = Page::new(PageId(0));
             let mut lats = Vec::new();
             for i in 0..32u64 {
                 d.write_page(i % 8, &p).unwrap();
-                lats.push(d.model().mean_latency_us());
+                lats.push(d.nvme_model().unwrap().mean_latency_us());
             }
             lats
         };
@@ -425,11 +309,11 @@ mod tests {
 
     #[test]
     fn snapshot_resets_controller_and_isolates_frames() {
-        let mut d = NvmeDisk::new(4, NvmeConfig::default());
+        let mut d = Disk::from(NvmeDisk::new(4, NvmeConfig::default()));
         let p = Page::new(PageId(1));
         d.write_page(0, &p).unwrap();
         let snap = d.snapshot();
-        assert_eq!(snap.model().submissions(), 0);
+        assert_eq!(snap.nvme_model().unwrap().submissions(), 0);
         let mut p2 = Page::new(PageId(1));
         p2.write_at(0, b"later");
         d.write_page(0, &p2).unwrap();

@@ -3,7 +3,7 @@
 //! model; their observable behaviour must agree.
 
 use proptest::prelude::*;
-use rmdb_storage::{BufferPool, EvictPolicy, Page, PageId};
+use rmdb_storage::{BufferPool, Page, PageId};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
@@ -44,10 +44,8 @@ proptest! {
     fn pool_agrees_with_model(
         ops in proptest::collection::vec(op_strategy(12), 1..120),
         capacity in 2usize..6,
-        policy_clock in any::<bool>(),
     ) {
-        let policy = if policy_clock { EvictPolicy::Clock } else { EvictPolicy::Lru };
-        let mut pool = BufferPool::new(capacity, policy);
+        let mut pool = BufferPool::new(capacity);
         let mut model = Model::default();
 
         for op in ops {

@@ -22,9 +22,7 @@ use crate::recovery;
 use crate::select::SelectionPolicy;
 use rmdb_obs::Registry;
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{
-    BackendKind, BufferPool, Disk, EvictPolicy, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE,
-};
+use rmdb_storage::{BackendKind, BufferPool, Disk, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE};
 use std::collections::{BTreeSet, HashMap};
 
 /// Transaction identifier handed out by [`WalDb::begin`].
@@ -81,8 +79,6 @@ pub struct WalConfig {
     pub policy: SelectionPolicy,
     /// Logical or physical fragments.
     pub log_mode: LogMode,
-    /// Buffer replacement policy.
-    pub evict: EvictPolicy,
     /// Seed for the random selection policy.
     pub seed: u64,
     /// Doublewrite-buffer slots appended after the data pages on the data
@@ -123,7 +119,6 @@ impl Default for WalConfig {
             log_frames: 4096,
             policy: SelectionPolicy::Cyclic,
             log_mode: LogMode::Logical,
-            evict: EvictPolicy::Lru,
             seed: 0xDB,
             dw_slots: 8,
             ckpt_every_commits: 0,
@@ -264,7 +259,7 @@ impl WalDb {
     ) -> Self {
         WalDb {
             data,
-            pool: BufferPool::new(cfg.pool_frames, cfg.evict),
+            pool: BufferPool::new(cfg.pool_frames),
             log,
             locks: LockTable::new(),
             active: HashMap::new(),

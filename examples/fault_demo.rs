@@ -77,7 +77,7 @@ fn main() {
     println!("two runs of the same plan are byte-identical: {identical}");
 
     // Corruption is a typed error, never a panic.
-    let mut disk = MemDisk::new(4);
+    let mut disk = recovery_machines::storage::Disk::from(MemDisk::new(4));
     match disk.write_partial(0, &[0u8; FRAME_SIZE], FRAME_SIZE + 1) {
         Err(StorageError::BadLength { len, max }) => {
             println!("oversized partial write rejected: len {len} > max {max}")

@@ -36,8 +36,13 @@
 # home-page writes, MemDisk and FileDisk) without losing an acked commit,
 # and the wal property suite, whose LogStream property checks that a scan
 # is exactly the durable prefix under appends, forces, truncations,
-# crashes and torn writes. Last, it prints non-test LOC per crate
-# (scripts/loc.sh) for the record. Run from anywhere inside the repo.
+# crashes and torn writes. It also builds perfbench, the end-to-end
+# benchmark: it is a workspace of its own, so neither `cargo build` nor
+# `cargo test` compiles it, and a library API change could otherwise
+# break the benchmark without failing this gate (the build writes only
+# the git-ignored perfbench/target/). Last, it prints non-test LOC per
+# crate (scripts/loc.sh) for the record. Run from anywhere inside the
+# repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,6 +54,9 @@ cargo build --release -p rmdb-bench --bin throughput
 cargo build --release -p rmdb-bench --bin restart_ablation
 cargo build --release -p rmdb-bench --bin scaling
 cargo build --release -p rmdb-bench --bin lsm
+# perfbench is its own workspace: build it against the library crates
+# here, or a storage/exec API change breaks the benchmark silently
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
@@ -69,8 +77,8 @@ cargo test -q --release --test exec_stress
 cargo test -q --release --test obs_properties
 cargo test -q --release --test fault_sweep recovery_obs_counters_match_report_at_every_crashpoint
 cargo test -q --release --test fault_sweep mixed_logical_physical_log_recovers_at_every_crashpoint
-# backend gate: every BlockDevice backend must present the MemDisk storage
-# contract (conformance), the NVMe timing model must obey its laws
+# backend gate: every backend behind the Disk front must present the same
+# storage contract (conformance), the NVMe timing model must obey its laws
 # (conservation / bounded latency / determinism), and the crash-recovery
 # oracle must hold on a real file with fsync, not just the in-memory model
 cargo test -q --release --test backend_conformance

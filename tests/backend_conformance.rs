@@ -1,7 +1,7 @@
-//! Backend conformance: every [`BlockDevice`] backend must present the
-//! same storage contract — the contract all the recovery mechanisms were
-//! written against on `MemDisk`. One generic suite, instantiated per
-//! backend, pins it down:
+//! Backend conformance: every backend behind the [`Disk`] front must
+//! present the same storage contract — the contract all the recovery
+//! mechanisms were written against. One suite, run per backend, pins it
+//! down:
 //!
 //! * write/read roundtrip at frame and page granularity;
 //! * virgin frames error `Unallocated`, out-of-range errors are typed;
@@ -13,7 +13,9 @@
 //! * `force` is counted and never loses completed writes;
 //! * an attached fault injector drives identical outcomes on every
 //!   backend, so a fault plan authored against `MemDisk` replays
-//!   faithfully against a real file or the NVMe model.
+//!   faithfully against a real file or the NVMe model;
+//! * on the error paths, the bounds and torn-length checks consume no
+//!   fault-plan operation, and only I/O the plan lets through is counted.
 
 use recovery_machines::storage::{
     BackendKind, Disk, FaultInjector, FaultPlan, NvmeConfig, Page, PageId, StorageError, FRAME_SIZE,
@@ -210,4 +212,80 @@ fn filedisk_snapshot_copies_survive_origin_drop() {
     let snap = disk.snapshot();
     drop(disk);
     assert_eq!(snap.read_page(6).expect("after drop"), p);
+}
+
+#[test]
+fn fault_accounting_on_error_paths_is_identical_on_every_backend() {
+    // write op 0 fails transiently, write op 1 is dropped, read op 0 fails
+    // transiently
+    let plan = FaultPlan::new()
+        .transient_write(0, 1)
+        .lose_write(1)
+        .transient_read(0, 1);
+    for_each_backend(|disk, name| {
+        let faults = FaultInjector::handle(plan.clone());
+        disk.attach_faults(faults.clone());
+        // (plan reads, plan writes, disk reads, disk writes)
+        let counts = |disk: &Disk| {
+            let f = faults.lock();
+            (f.reads(), f.writes(), disk.reads(), disk.writes())
+        };
+        let frame = [7u8; FRAME_SIZE];
+
+        // rejected before the injector: no plan op, no I/O
+        assert!(
+            matches!(
+                disk.read_frame(FRAMES),
+                Err(StorageError::OutOfRange { .. })
+            ),
+            "{name}: out-of-range read"
+        );
+        assert!(
+            matches!(
+                disk.write_frame(FRAMES, &frame),
+                Err(StorageError::OutOfRange { .. })
+            ),
+            "{name}: out-of-range write"
+        );
+        assert_eq!(
+            disk.write_partial(0, &frame, FRAME_SIZE + 1),
+            Err(StorageError::BadLength {
+                len: FRAME_SIZE + 1,
+                max: FRAME_SIZE,
+            }),
+            "{name}: oversized partial write"
+        );
+        assert_eq!(counts(disk), (0, 0, 0, 0), "{name}: rejected calls");
+
+        // a transient write consumes an op but counts no I/O and lands nothing
+        assert_eq!(
+            disk.write_frame(1, &frame),
+            Err(StorageError::Io { addr: 1 }),
+            "{name}: transient write"
+        );
+        assert_eq!(counts(disk), (0, 1, 0, 0), "{name}: transient write");
+        assert!(!disk.is_allocated(1), "{name}: transient write landed");
+
+        // a transient read consumes an op but counts no I/O
+        assert_eq!(
+            disk.read_frame(2).map(|_| ()),
+            Err(StorageError::Io { addr: 2 }),
+            "{name}: transient read"
+        );
+        assert_eq!(counts(disk), (1, 1, 0, 0), "{name}: transient read");
+
+        // a virgin-frame read consumes an op and counts one read
+        assert_eq!(
+            disk.read_frame(2).map(|_| ()),
+            Err(StorageError::Unallocated { addr: 2 }),
+            "{name}: virgin read"
+        );
+        assert_eq!(counts(disk), (2, 1, 1, 0), "{name}: virgin read");
+
+        // a lost write counts one write and leaves the frame virgin
+        disk.write_frame(3, &frame)
+            .expect("lost write reports success");
+        assert_eq!(counts(disk), (2, 2, 1, 1), "{name}: lost write");
+        assert!(!disk.is_allocated(3), "{name}: lost write landed");
+    });
 }

@@ -30,7 +30,7 @@ use recovery_machines::shadow::{
     VersionStore,
 };
 use recovery_machines::storage::{
-    BackendKind, BlockDevice, Disk, FaultInjector, FaultPlan, StorageError, FRAME_SIZE,
+    BackendKind, Disk, FaultInjector, FaultPlan, StorageError, FRAME_SIZE,
 };
 use recovery_machines::wal::{LogMode, SelectionPolicy, WalConfig, WalDb};
 use std::collections::{BTreeMap, HashMap};
@@ -995,11 +995,7 @@ fn recovery_obs_counters_match_report_at_every_crashpoint() {
 // workload ⇒ byte-identical post-crash platters.
 // ---------------------------------------------------------------------------
 
-fn assert_disks_identical<A, B>(a: &A, b: &B, what: &str)
-where
-    A: BlockDevice + ?Sized,
-    B: BlockDevice + ?Sized,
-{
+fn assert_disks_identical(a: &Disk, b: &Disk, what: &str) {
     assert_eq!(a.capacity(), b.capacity(), "{what}: capacity");
     for addr in 0..a.capacity() {
         assert_eq!(
@@ -1070,7 +1066,7 @@ fn fault_plan_replays_to_identical_crash_images() {
 // ---------------------------------------------------------------------------
 
 /// Overwrite `hits` random frame prefixes of `disk` with random bytes.
-fn scribble<D: BlockDevice + ?Sized>(disk: &mut D, rng: &mut StdRng, hits: usize) {
+fn scribble(disk: &mut Disk, rng: &mut StdRng, hits: usize) {
     for _ in 0..hits {
         let addr = rng.gen_range(0..disk.capacity());
         let mut junk = [0u8; FRAME_SIZE];

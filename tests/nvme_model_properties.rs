@@ -40,10 +40,8 @@ fn run_ops(disk: &mut Disk, ops: &[(u64, bool, bool)]) {
 
 /// The controller behind an NVMe-backed `Disk`.
 fn model(disk: &Disk) -> &recovery_machines::storage::NvmeModel {
-    match disk {
-        Disk::Nvme(d) => d.model(),
-        other => panic!("expected nvme disk, got {}", other.kind()),
-    }
+    disk.nvme_model()
+        .unwrap_or_else(|| panic!("expected nvme disk, got {}", disk.kind()))
 }
 
 proptest! {
