@@ -9,16 +9,16 @@
 //! of one representative K=4 restart, and a full-replay-vs-K=4 speedup
 //! line (the acceptance check for bounded parallel redo).
 //!
-//! `--replay-json PATH` runs the adaptive-logging × replay-scheduler
-//! sweep instead and writes its JSON there: per-policy log bytes under
-//! 90/10 hot-key traffic (physical / command / adaptive), and the
-//! transaction-DAG replay's redo-phase time at K ∈ {1, 2, 4, 8} with a
-//! byte-identity check across every K. This is what
-//! `scripts/verify.sh` gates on (`results/BENCH_replay.json`).
+//! `--replay-json PATH` runs the adaptive-logging × parallel-replay sweep
+//! instead and writes its JSON there: per-policy log bytes under 90/10
+//! hot-key traffic (physical / command / adaptive), and the page-sharded
+//! redo phase of one mixed command/physical log at K ∈ {1, 2, 4, 8} with
+//! a byte-identity check across every K. This is what `scripts/verify.sh`
+//! gates on (`results/BENCH_replay.json`).
 
 use rmdb_core::export::{tables_to_json, tables_to_text};
 use rmdb_machine::ablations::restart_time;
-use rmdb_restart::{restart, RedoScheduler, RestartConfig};
+use rmdb_restart::{restart, RestartConfig};
 use rmdb_storage::Disk;
 use rmdb_wal::{CrashImage, LoggingPolicy, WalConfig, WalDb};
 use std::fmt::Write as _;
@@ -139,7 +139,7 @@ fn main() {
     );
 }
 
-/// The adaptive-logging × replay sweep behind `--replay-json`.
+/// The adaptive-logging × parallel-replay sweep behind `--replay-json`.
 ///
 /// Part 1 — log bytes under hot-key traffic: the same 90/10 counter-bump
 /// workload through each [`LoggingPolicy`]; the figure of merit is total
@@ -147,10 +147,10 @@ fn main() {
 /// delta each) should beat before/after-image fragments outright and the
 /// adaptive policy should track the command arm.
 ///
-/// Part 2 — replay scaling: one adaptive mixed log, replayed through the
-/// transaction-DAG scheduler at K ∈ {1, 2, 4, 8} (best of three runs per
-/// K), with every recovered data disk compared byte-for-byte against the
-/// K=1 result.
+/// Part 2 — replay of a mixed log: one adaptive log holding command
+/// records and physical fragments, restarted through page-sharded redo at
+/// K ∈ {1, 2, 4, 8} (best of three redo phases per K), with every
+/// recovered data disk compared byte-for-byte against the K=1 result.
 fn replay_sweep() -> String {
     // ---- Part 1: logging policy vs log bytes, 90/10 hot keys ----
     const HOT_TXNS: u64 = 3_000;
@@ -197,7 +197,7 @@ fn replay_sweep() -> String {
          adaptive={adaptive_bytes}B ({byte_ratio:.2}x physical)"
     );
 
-    // ---- Part 2: transaction-DAG replay scaling with K ----
+    // ---- Part 2: page-sharded replay of a mixed log at each K ----
     const SCALE_TXNS: u64 = 400;
     const SCALE_PAGES: u64 = 1_600;
     let scale_cfg = || WalConfig {
@@ -212,16 +212,26 @@ fn replay_sweep() -> String {
     let mut rng = Rng(0xD1CE_F00D);
     for i in 0..SCALE_TXNS {
         let t = db.begin();
-        // each txn updates a few pages of its own cluster: wide DAG, with
-        // write-write chains on cluster-mates for real precedence edges
         let cluster = (i % (SCALE_PAGES / 8)) * 8;
-        for w in 0..90u64 {
-            let page = cluster + rng.below(8);
-            let payload = [(i ^ w) as u8; 1024];
-            db.write(t, page, (rng.below(3) * 1024) as usize, &payload)
+        if i % 4 == 3 {
+            // read-heavy writer: its read set makes the command record
+            // dearer than the fragment, so the policy logs it physically
+            for r in 1..=12u64 {
+                db.read(t, (cluster + r * 8) % SCALE_PAGES, 0, 8)
+                    .expect("read");
+            }
+            db.write(t, cluster + rng.below(8), 3_300, &[i as u8; 16])
                 .expect("write");
+        } else {
+            // wide writer over its own cluster: one command record
+            for w in 0..90u64 {
+                let page = cluster + rng.below(8);
+                let payload = [(i ^ w) as u8; 1024];
+                db.write(t, page, (rng.below(3) * 1024) as usize, &payload)
+                    .expect("write");
+            }
+            db.add_u64(t, cluster, 3_200, 1).expect("bump");
         }
-        db.add_u64(t, cluster, 3_200, 1).expect("bump");
         db.commit(t).expect("commit");
     }
     let image = db.crash_image();
@@ -230,25 +240,11 @@ fn replay_sweep() -> String {
         logs: img.logs.iter().map(Disk::snapshot).collect(),
     };
 
-    // Modeled scaling comes from the K=1 run — its per-node times are
-    // uninflated by contention — as Brent's bound T_k ≈ span + work/k.
-    // Wall-clock redo is recorded per K too, but on a 1-core host (this
-    // CI box: thread coordination with no parallel hardware) it cannot
-    // show the scaling; the model, like the source paper's simulation,
-    // reports what the DAG's dependency structure admits.
     let mut cells = String::new();
-    let mut work_us = 0u64;
-    let mut span_us = 0u64;
-    let mut modeled = std::collections::BTreeMap::new();
     let mut baseline: Option<Disk> = None;
     let mut violations = 0u64;
     for k in [1usize, 2, 4, 8] {
-        let rcfg = RestartConfig {
-            workers: k,
-            scheduler: RedoScheduler::TxnDag,
-            truncate_behind_bound: false,
-            ..RestartConfig::default()
-        };
+        let rcfg = RestartConfig { workers: k };
         let mut best_wall = u64::MAX;
         let mut last = None;
         for _ in 0..3 {
@@ -274,34 +270,19 @@ fn replay_sweep() -> String {
                 }
             }
         }
-        let replay = report.replay.expect("TxnDag summary");
-        if k == 1 {
-            work_us = replay.work_us;
-            span_us = replay.span_us;
-        }
-        let modeled_us = span_us + work_us / k as u64;
-        modeled.insert(k, modeled_us);
+        let (reexecuted, redone) = (report.base.reexecuted_ops, report.base.redone_updates);
         if !cells.is_empty() {
             cells.push(',');
         }
         write!(
             cells,
             "\n    {{\"workers\": {k}, \"wall_redo_us\": {best_wall}, \
-             \"modeled_redo_us\": {modeled_us}, \"dag_nodes\": {}, \
-             \"dag_edges\": {}, \"txns_reexecuted\": {}, \"pages_installed\": {}}}",
-            replay.dag_nodes, replay.dag_edges, replay.txns_reexecuted, replay.pages_installed
+             \"reexecuted_ops\": {reexecuted}, \"redone_updates\": {redone}}}"
         )
         .expect("fmt");
-        println!(
-            "replay K={k}: wall={best_wall}us modeled={modeled_us}us dag={}n/{}e reexec={}",
-            replay.dag_nodes, replay.dag_edges, replay.txns_reexecuted
-        );
+        println!("replay K={k}: wall={best_wall}us reexecuted={reexecuted} redone={redone}");
     }
-    let speedup_k4 = modeled[&1] as f64 / (modeled[&4].max(1)) as f64;
-    println!(
-        "replay scaling: work={work_us}us span={span_us}us; modeled K=4 speedup \
-         {speedup_k4:.2}x; equivalence violations={violations}"
-    );
+    println!("replay: equivalence violations={violations}");
 
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     format!(
@@ -310,9 +291,8 @@ fn replay_sweep() -> String {
          \"adaptive_bytes\": {adaptive_bytes},\n    \
          \"adaptive_vs_physical\": {byte_ratio:.4}\n  }},\n  \
          \"scaling\": {{\n    \"txns\": {SCALE_TXNS},\n    \"pages\": {SCALE_PAGES},\n    \
-         \"host_cores\": {cores},\n    \"work_us\": {work_us},\n    \
-         \"span_us\": {span_us},\n    \
-         \"cells\": [{cells}\n    ],\n    \"speedup_k4\": {speedup_k4:.4},\n    \
+         \"host_cores\": {cores},\n    \
+         \"cells\": [{cells}\n    ],\n    \
          \"equivalence_violations\": {violations}\n  }}\n}}\n"
     )
 }

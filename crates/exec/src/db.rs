@@ -107,6 +107,8 @@ const LOCK_WAIT_TIMEOUT: Duration = Duration::from_secs(10);
 const APPENDER_QUEUE: usize = 1024;
 /// Bounded commit-channel depth (backpressure on committers).
 const COMMIT_QUEUE: usize = 1024;
+/// Max transactions the daemon folds into one group commit.
+const MAX_GROUP: usize = 64;
 
 /// Pipeline configuration: the WAL knobs plus the concurrency shape.
 #[derive(Debug, Clone)]
@@ -117,8 +119,6 @@ pub struct ExecConfig {
     pub wal: WalConfig,
     /// Buffer-pool shards (page → shard by multiplicative hash).
     pub pool_shards: usize,
-    /// Max transactions the daemon folds into one group commit.
-    pub max_group: usize,
     /// Modeled log-device service time per force, in microseconds. The
     /// paper's log disks are rotational — a force is never free; this is
     /// what makes sharing forces (group commit) worth anything. Zero
@@ -162,7 +162,6 @@ impl Default for ExecConfig {
         ExecConfig {
             wal: WalConfig::default(),
             pool_shards: 8,
-            max_group: 64,
             force_delay_us: 0,
             min_live_streams: 1,
             health_interval_us: 1_000,
@@ -1167,10 +1166,9 @@ impl ExecDb {
         });
         let (commit_tx, commit_rx) = sync_channel(COMMIT_QUEUE);
         let daemon_inner = Arc::clone(&inner);
-        let max_group = cfg.max_group;
         let daemon = std::thread::Builder::new()
             .name("rmdb-group-commit".into())
-            .spawn(move || run_daemon(daemon_inner, commit_rx, max_group))
+            .spawn(move || run_daemon(daemon_inner, commit_rx, MAX_GROUP))
             .expect("spawn group-commit daemon");
         let sup_stop = Arc::new(AtomicBool::new(false));
         let sup_inner = Arc::clone(&inner);

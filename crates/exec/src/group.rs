@@ -132,7 +132,6 @@ impl CommitHandle {
 /// Daemon main loop (timerless, see module docs). Exits when every
 /// commit sender is dropped.
 pub(crate) fn run_daemon(inner: Arc<Inner>, rx: Receiver<CommitReq>, max_group: usize) {
-    let max_group = max_group.max(1);
     let obs = inner.obs.clone();
     let completions = obs.counter("group.completions");
     let batch_size = obs.histogram("group.batch_size");

@@ -247,10 +247,7 @@ pub fn restart_time(txns: usize) -> ExpTable {
             .expect("full replay");
         row.push("full replay ms", t0.elapsed().as_secs_f64() * 1e3);
         for k in [1usize, 2, 4] {
-            let rcfg = RestartConfig {
-                workers: k,
-                ..RestartConfig::default()
-            };
+            let rcfg = RestartConfig { workers: k };
             let (_, rep) = restart(build(interval), mk_cfg(interval), &rcfg).expect("restart");
             row.push(format!("K={k} ms"), rep.timings.total.as_secs_f64() * 1e3);
             if k == 4 {

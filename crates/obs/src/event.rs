@@ -75,18 +75,14 @@ pub enum EventKind {
     /// device recovered and its durable prefix revalidated (stream field:
     /// stream ordinal, payload: live streams after the rejoin).
     StreamRejoined = 13,
-    // Code 14 is retired: it decodes as `Unknown` and is never reused,
-    // so traces recorded with it still read consistently.
+    // Codes 14 and 17 are retired: they decode as `Unknown` and are
+    // never reused, so traces recorded with them still read consistently.
     /// A read-only transaction opened an MVCC snapshot (txn field: txn
     /// id, stream field: home queue processor, payload: snapshot LSN).
     SnapshotOpened = 15,
     /// The MVCC garbage collector reclaimed dead page versions below the
     /// snapshot watermark (payload: versions reclaimed).
     VersionsPruned = 16,
-    /// The dependency-aware replay scheduler finished its redo pass
-    /// (stream field: worker count, page field: DAG nodes, payload:
-    /// wall-clock µs).
-    ReplayPhase = 17,
     /// The LSM tier began a flush or compaction (stream field: target
     /// level, page field: input runs, payload: input frames).
     CompactionStarted = 18,
@@ -121,7 +117,6 @@ impl EventKind {
             13 => EventKind::StreamRejoined,
             15 => EventKind::SnapshotOpened,
             16 => EventKind::VersionsPruned,
-            17 => EventKind::ReplayPhase,
             18 => EventKind::CompactionStarted,
             19 => EventKind::CompactionFinished,
             20 => EventKind::CompactionAborted,
@@ -147,7 +142,6 @@ impl EventKind {
             EventKind::StreamRejoined => "stream_rejoined",
             EventKind::SnapshotOpened => "snapshot_opened",
             EventKind::VersionsPruned => "versions_pruned",
-            EventKind::ReplayPhase => "replay_phase",
             EventKind::CompactionStarted => "compaction_started",
             EventKind::CompactionFinished => "compaction_finished",
             EventKind::CompactionAborted => "compaction_aborted",
@@ -404,12 +398,12 @@ mod tests {
             EventKind::StreamRejoined,
             EventKind::SnapshotOpened,
             EventKind::VersionsPruned,
-            EventKind::ReplayPhase,
         ] {
             assert_eq!(EventKind::from_u16(kind as u16), kind);
             assert!(!kind.name().is_empty());
         }
         assert_eq!(EventKind::from_u16(14), EventKind::Unknown, "14 is retired");
+        assert_eq!(EventKind::from_u16(17), EventKind::Unknown, "17 is retired");
         assert_eq!(EventKind::from_u16(999), EventKind::Unknown);
     }
 

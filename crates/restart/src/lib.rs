@@ -10,10 +10,9 @@
 //!    updates logged before its `CheckpointBegin` need no redo. Commits,
 //!    compensation provenance, and the LSN/txn high-water marks are still
 //!    gathered from the full scan.
-//! 2. **Parallel redo** on K workers, with the [`RedoScheduler`] choosing
-//!    how: pages hashed into K shards, or a transaction-precedence DAG
-//!    ([`rmdb_replay`]). Per-page LSN ordering is the only order redo
-//!    needs, so workers never coordinate on bytes.
+//! 2. **Parallel redo** on K workers, pages hashed into K shards. Per-page
+//!    LSN ordering is the only order redo needs — for command records as
+//!    for fragments — so workers never coordinate on bytes.
 //! 3. **Backward undo of losers** — serial, in the coordinator, reading
 //!    any page the bounded redo map does not cover straight from the data
 //!    disk (with doublewrite repair), and logging compensations so the
@@ -47,51 +46,25 @@
 
 /// Restart observability, re-exported from the recovery engine.
 pub mod report {
-    pub use rmdb_wal::recovery::{PhaseTimings, ReplaySummary, RestartReport, WorkerStats};
+    pub use rmdb_wal::recovery::{PhaseTimings, RestartReport, WorkerStats};
 }
 
-pub use report::{PhaseTimings, ReplaySummary, RestartReport, WorkerStats};
+pub use report::{PhaseTimings, RestartReport, WorkerStats};
 
 use rmdb_obs::Registry;
-use rmdb_storage::StorageError;
-use rmdb_wal::recovery::{run_engine, shard_redo, EngineRun, RedoOutcome, RedoWork};
+use rmdb_wal::recovery::{run_engine, EngineRun};
 use rmdb_wal::{CrashImage, WalConfig, WalDb, WalError};
-
-/// Which parallel redo scheduler the restart engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RedoScheduler {
-    /// Hash pages into K shards, one worker per shard (the original
-    /// scheduler). Parallelism is bounded by page-set skew.
-    #[default]
-    PageSharded,
-    /// Build a transaction-level precedence DAG from page-set
-    /// intersections and run a K-worker topological executor
-    /// ([`rmdb_replay`]): physical records short-circuit to page installs,
-    /// command records re-execute. Required for exploiting command-logged
-    /// (logical) records' read-set ordering; byte-identical to
-    /// `PageSharded` for every K.
-    TxnDag,
-}
 
 /// Knobs for the restart engine.
 #[derive(Debug, Clone)]
 pub struct RestartConfig {
     /// Redo worker threads (K ≥ 1; 1 degenerates to serial redo).
     pub workers: usize,
-    /// Durably truncate each stream behind its checkpoint bound once the
-    /// recovered state is home, so the next restart scans less.
-    pub truncate_behind_bound: bool,
-    /// Parallel redo scheduler.
-    pub scheduler: RedoScheduler,
 }
 
 impl Default for RestartConfig {
     fn default() -> Self {
-        RestartConfig {
-            workers: 4,
-            truncate_behind_bound: true,
-            scheduler: RedoScheduler::PageSharded,
-        }
+        RestartConfig { workers: 4 }
     }
 }
 
@@ -112,9 +85,7 @@ pub fn restart(
 /// counters (each equal to its [`RestartReport`] field), per-phase
 /// wall-clock histograms (`restart.{analysis,redo,undo,flush,total}_us`)
 /// and one [`EventKind::RecoveryPhase`](rmdb_obs::EventKind) event per
-/// phase (stream field 0–3 in phase order, payload = µs elapsed). The
-/// transaction-DAG scheduler adds `replay.*` counters, per-worker
-/// histograms and a `ReplayPhase` event.
+/// phase (stream field 0–3 in phase order, payload = µs elapsed).
 pub fn restart_observed(
     image: CrashImage,
     cfg: WalConfig,
@@ -124,20 +95,14 @@ pub fn restart_observed(
     let run = EngineRun {
         workers: rcfg.workers,
         bounded: true,
-        truncate: rcfg.truncate_behind_bound,
         metrics: "restart",
     };
-    let schedule: fn(RedoWork<'_>) -> Result<RedoOutcome, StorageError> = match rcfg.scheduler {
-        RedoScheduler::PageSharded => shard_redo,
-        RedoScheduler::TxnDag => rmdb_replay::replay_dag,
-    };
-    run_engine(image, cfg, run, obs, schedule)
+    run_engine(image, cfg, run, obs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmdb_obs::EventKind;
     use rmdb_storage::Disk;
     use rmdb_wal::SelectionPolicy;
 
@@ -151,10 +116,7 @@ mod tests {
     }
 
     fn rcfg(k: usize) -> RestartConfig {
-        RestartConfig {
-            workers: k,
-            ..RestartConfig::default()
-        }
+        RestartConfig { workers: k }
     }
 
     fn read_committed(db: &mut WalDb, page: u64, offset: usize, len: usize) -> Vec<u8> {
@@ -407,6 +369,9 @@ mod tests {
 
     #[test]
     fn txn_dag_matches_page_sharded_bytewise() {
+        // a mixed log replays through page-sharded redo byte-identically
+        // for every K: command records re-execute, fragments install, and
+        // the published counters match the report
         let image = mixed_adaptive_image();
         let cfg = || WalConfig {
             data_pages: 32,
@@ -416,34 +381,32 @@ mod tests {
             ..WalConfig::default()
         };
         let mut images = Vec::new();
-        let mut dag_summaries = Vec::new();
-        for scheduler in [RedoScheduler::PageSharded, RedoScheduler::TxnDag] {
-            for k in [1usize, 2, 4, 8] {
-                let rcfg = RestartConfig {
-                    workers: k,
-                    scheduler,
-                    ..RestartConfig::default()
-                };
-                let (dbk, rep) = restart(clone_image(&image), cfg(), &rcfg).unwrap();
-                if scheduler == RedoScheduler::TxnDag {
-                    let r = rep.replay.expect("TxnDag sets replay summary");
-                    assert!(r.dag_nodes > 0);
-                    assert!(r.txns_reexecuted > 0, "command records must re-execute");
-                    assert!(r.pages_installed > 0, "physical records must install");
-                    dag_summaries.push(rep.logical_summary());
-                } else {
-                    assert!(rep.replay.is_none());
-                }
-                assert!(rep.base.logical_commits > 0);
-                images.push(dbk.crash_image());
-            }
+        let mut summaries = Vec::new();
+        for k in [1usize, 2, 4, 8] {
+            let obs = Registry::new();
+            let (dbk, rep) = restart_observed(clone_image(&image), cfg(), &rcfg(k), &obs).unwrap();
+            let snap = obs.snapshot();
+            let c = |name: &str| snap.counter(name).unwrap_or(0);
+            assert_eq!(c("restart.reexecuted_ops"), rep.base.reexecuted_ops);
+            assert_eq!(c("restart.redone_updates"), rep.base.redone_updates);
+            assert!(rep.base.logical_commits > 0);
+            assert!(
+                rep.base.reexecuted_ops > 0,
+                "command records must re-execute"
+            );
+            assert!(
+                rep.base.redone_updates > rep.base.reexecuted_ops,
+                "physical records must install"
+            );
+            summaries.push(rep.logical_summary());
+            images.push(dbk.crash_image());
         }
-        for w in dag_summaries.windows(2) {
-            assert_eq!(w[0], w[1], "TxnDag logical reports diverge across K");
+        for w in summaries.windows(2) {
+            assert_eq!(w[0], w[1], "logical reports diverge across K");
         }
         for w in images.windows(2) {
             let (a, b) = (&w[0], &w[1]);
-            assert_disks_identical(&a.data, &b.data, "data across schedulers/K");
+            assert_disks_identical(&a.data, &b.data, "data across K");
             for (i, (la, lb)) in a.logs.iter().zip(&b.logs).enumerate() {
                 assert_disks_identical(la, lb, &format!("log stream {i}"));
             }
@@ -455,78 +418,6 @@ mod tests {
             data: image.data.snapshot(),
             logs: image.logs.iter().map(Disk::snapshot).collect(),
         }
-    }
-
-    #[test]
-    fn txn_dag_handles_pure_physical_logs() {
-        // The DAG scheduler must also replay logs with no logical records.
-        let mut db = WalDb::new(cfg(3));
-        for i in 0..10u64 {
-            let t = db.begin();
-            db.write(t, i % 5, 0, format!("p{i:03}").as_bytes())
-                .unwrap();
-            db.commit(t).unwrap();
-        }
-        let rcfg = RestartConfig {
-            workers: 4,
-            scheduler: RedoScheduler::TxnDag,
-            ..RestartConfig::default()
-        };
-        let (mut db2, rep) = restart(db.crash_image(), cfg(3), &rcfg).unwrap();
-        for i in 5..10u64 {
-            assert_eq!(
-                read_committed(&mut db2, i % 5, 0, 4),
-                format!("p{i:03}").as_bytes()
-            );
-        }
-        let r = rep.replay.expect("summary present");
-        assert_eq!(r.txns_reexecuted, 0);
-        assert!(r.pages_installed > 0);
-    }
-
-    #[test]
-    fn replay_obs_counters_match_report() {
-        let image = mixed_adaptive_image();
-        let cfg = WalConfig {
-            data_pages: 32,
-            pool_frames: 16,
-            log_streams: 3,
-            logging: rmdb_wal::LoggingPolicy::Adaptive { threshold_pct: 100 },
-            ..WalConfig::default()
-        };
-        let rcfg = RestartConfig {
-            workers: 4,
-            scheduler: RedoScheduler::TxnDag,
-            ..RestartConfig::default()
-        };
-        let obs = Registry::new();
-        let (_db, report) = restart_observed(image, cfg, &rcfg, &obs).unwrap();
-        let r = report.replay.expect("summary present");
-        let snap = obs.snapshot();
-        let c = |name: &str| snap.counter(name).unwrap_or(0);
-        assert_eq!(c("replay.dag_nodes"), r.dag_nodes);
-        assert_eq!(c("replay.dag_edges"), r.dag_edges);
-        assert_eq!(c("replay.txns_reexecuted"), r.txns_reexecuted);
-        assert_eq!(c("replay.pages_installed"), r.pages_installed);
-        assert_eq!(c("restart.reexecuted_ops"), report.base.reexecuted_ops);
-        assert_eq!(c("restart.redone_updates"), report.base.redone_updates);
-        // per-worker histograms: one sample per worker
-        assert_eq!(
-            snap.histogram("replay.worker_busy_us").map(|h| h.count),
-            Some(4)
-        );
-        assert_eq!(
-            snap.histogram("replay.worker_nodes").map(|h| h.count),
-            Some(4)
-        );
-        // the ReplayPhase event fired with the worker count and DAG size
-        let ev = obs
-            .recent_events()
-            .into_iter()
-            .find(|e| e.kind == EventKind::ReplayPhase)
-            .expect("ReplayPhase event");
-        assert_eq!(ev.stream, 4);
-        assert_eq!(ev.page, r.dag_nodes);
     }
 
     #[test]

@@ -801,11 +801,9 @@ impl WalDb {
         };
         let run = recovery::EngineRun {
             bounded: false,
-            truncate: false,
             ..recovery::EngineRun::RECOVER
         };
-        let (db, report) =
-            recovery::run_engine(image, cfg, run, &Registry::new(), recovery::shard_redo)?;
+        let (db, report) = recovery::run_engine(image, cfg, run, &Registry::new())?;
         Ok((db, report.base))
     }
 

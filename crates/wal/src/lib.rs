@@ -30,9 +30,10 @@
 //! * [`db`] — [`WalDb`], the user-facing engine: begin/read/write/commit/
 //!   abort/checkpoint plus crash images;
 //! * [`recovery`] — the one recovery engine: checkpoint-bounded analysis
-//!   over the distributed logs, repeat-history redo through a pluggable
-//!   scheduler (page-sharded K-worker redo built in), compensated undo,
-//!   and a durable finish that truncates behind the bound.
+//!   over the distributed logs, repeat-history redo sharded by page across
+//!   K workers (fragment installs and command re-execution alike),
+//!   compensated undo, and a durable finish that truncates behind the
+//!   bound.
 //!
 //! # Example
 //!

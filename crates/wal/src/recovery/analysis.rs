@@ -29,7 +29,7 @@
 //! compensations precede the bound in the same stream and are therefore
 //! durable and scanned).
 
-use super::redo::{LogicalMeta, RedoBody, RedoItem};
+use super::redo::{RedoBody, RedoItem};
 use super::report::RestartReport;
 use crate::capture::UndoEntry;
 use crate::db::TxnId;
@@ -49,9 +49,6 @@ pub(super) struct Analysis {
     pub updates_by_txn: HashMap<TxnId, Vec<(usize, UndoEntry)>>,
     /// Transactions with a durable commit record on any stream.
     pub committed: HashSet<TxnId>,
-    /// Command-logged transactions whose record sits ahead of the bound:
-    /// commit LSN (the DAG ordering key) and read set.
-    pub logical: HashMap<TxnId, LogicalMeta>,
     /// `undoes` LSNs of every durable compensation record.
     pub compensated: HashSet<u64>,
     /// High-water marks for the reopened engine.
@@ -140,7 +137,6 @@ pub(super) fn analyze(
                     } else {
                         a.redo.entry(*page).or_default().push(RedoItem {
                             new_lsn: *new_lsn,
-                            txn: *txn,
                             body: RedoBody::Install {
                                 offset: *offset,
                                 data: after.clone(),
@@ -159,12 +155,12 @@ pub(super) fn analyze(
                         .push((stream_idx, undo));
                 }
                 LogRecord::Compensation {
-                    txn,
                     page,
                     undoes,
                     new_lsn,
                     offset,
                     data,
+                    ..
                 } => {
                     a.max_lsn = a.max_lsn.max(new_lsn.0);
                     a.compensated.insert(undoes.0);
@@ -175,7 +171,6 @@ pub(super) fn analyze(
                     } else {
                         a.redo.entry(*page).or_default().push(RedoItem {
                             new_lsn: *new_lsn,
-                            txn: *txn,
                             body: RedoBody::Install {
                                 offset: *offset,
                                 data: data.clone(),
@@ -189,7 +184,6 @@ pub(super) fn analyze(
                 LogRecord::Logical {
                     txn,
                     commit_lsn,
-                    reads,
                     ops,
                     ..
                 } => {
@@ -214,17 +208,9 @@ pub(super) fn analyze(
                         report.records_skipped += 1;
                         continue;
                     }
-                    a.logical.insert(
-                        *txn,
-                        LogicalMeta {
-                            commit_lsn: commit_lsn.0,
-                            reads: reads.clone(),
-                        },
-                    );
                     for op in ops {
                         a.redo.entry(op.page()).or_default().push(RedoItem {
                             new_lsn: op.lsn(),
-                            txn: *txn,
                             body: RedoBody::Op(op.clone()),
                         });
                     }

@@ -18,10 +18,11 @@
 //!    by its last complete checkpoint pair (see the `analysis` module).
 //! 2. **Redo** — apply every durable update, compensation and command op
 //!    ahead of the bound, per page in `new_lsn` order, skipping units
-//!    already reflected (`page.lsn >= new_lsn`). The scheduler is the one
-//!    thing that varies, so it is a closure over [`RedoWork`]:
-//!    [`shard_redo`] hashes pages into K shards, rmdb-replay's
-//!    `replay_dag` runs a transaction-precedence DAG.
+//!    already reflected (`page.lsn >= new_lsn`). Pages are hashed into K
+//!    shards, one worker thread each (the `redo` module). A command
+//!    record's ops each write the one page they read and carry their own
+//!    page LSN, so per-page LSN order replays command records as
+//!    completely as fragments: no cross-page order is needed.
 //! 3. **Undo** — for each loser, apply before-images of its
 //!    not-yet-compensated updates in reverse LSN order, appending new
 //!    compensation records (so recovery itself is crash-safe and
@@ -30,28 +31,26 @@
 //!    truncate each stream behind its checkpoint bound so the next restart
 //!    scans less.
 //!
-//! [`WalDb::recover`] runs the engine with page-sharded redo at K=1;
-//! rmdb-restart's `restart` maps its `RestartConfig` onto it; and
-//! [`WalDb::recover_from_archive`] runs it with the bound turned off. The
-//! recovered state is byte-identical for every K and either scheduler:
-//! everything order-sensitive (undo, the doublewrite harvest, log appends,
-//! truncation) stays in the serial coordinator.
+//! [`WalDb::recover`] runs the engine at K=1; rmdb-restart's `restart`
+//! runs it at `RestartConfig::workers`; and [`WalDb::recover_from_archive`]
+//! runs it with the bound turned off. The recovered state is
+//! byte-identical for every K: everything order-sensitive (undo, the
+//! doublewrite harvest, log appends, truncation) stays in the serial
+//! coordinator.
 
 mod analysis;
 mod redo;
 mod report;
 
-pub use redo::{
-    apply_item, load_redo_page, read_data_retry, shard_redo, LogicalMeta, PageLoad, RedoBody,
-    RedoItem, RedoOutcome, RedoWork,
-};
-pub use report::{PhaseTimings, RecoveryReport, ReplaySummary, RestartReport, WorkerStats};
+pub(crate) use redo::read_data_retry;
+pub use report::{PhaseTimings, RecoveryReport, RestartReport, WorkerStats};
 
 use crate::capture::Doublewrite;
 use crate::db::{CrashImage, WalConfig, WalDb, WalError};
 use crate::manager::ParallelLogManager;
 use crate::record::LogRecord;
 use analysis::analyze;
+use redo::{load_redo_page, shard_redo, PageLoad};
 use rmdb_obs::{EventKind, Registry};
 use rmdb_storage::{write_page_verified, Disk, Lsn, StorageError};
 use std::collections::btree_map::Entry;
@@ -60,26 +59,24 @@ use std::time::{Duration, Instant};
 /// How one run of the engine is set up.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineRun<'a> {
-    /// Redo workers handed to the scheduler (K ≥ 1).
+    /// Redo worker threads (K ≥ 1).
     pub workers: usize,
-    /// Bound each stream's redo by its last complete checkpoint. Media
-    /// recovery turns this off: a `CheckpointEnd` logged after the archive
-    /// proves pages reached the destroyed disk, not the archive.
+    /// Bound each stream's redo by its last complete checkpoint, and
+    /// durably truncate the stream behind that bound once the recovered
+    /// state is home. Media recovery turns this off: a `CheckpointEnd`
+    /// logged after the archive proves pages reached the destroyed disk,
+    /// not the archive.
     pub bounded: bool,
-    /// Durably truncate each stream behind its bound once the recovered
-    /// state is home.
-    pub truncate: bool,
     /// Prefix of the published metric names (`recovery`, `restart`).
     pub metrics: &'a str,
 }
 
 impl EngineRun<'static> {
-    /// What [`WalDb::recover`] runs: one worker, bounded, truncating, and
-    /// publishing `recovery.*`.
+    /// What [`WalDb::recover`] runs: one worker, bounded, and publishing
+    /// `recovery.*`.
     pub const RECOVER: EngineRun<'static> = EngineRun {
         workers: 1,
         bounded: true,
-        truncate: true,
         metrics: "recovery",
     };
 }
@@ -100,12 +97,13 @@ pub fn recover_observed(
     cfg: WalConfig,
     obs: &Registry,
 ) -> Result<(WalDb, RecoveryReport), WalError> {
-    let (db, report) = run_engine(image, cfg, EngineRun::RECOVER, obs, shard_redo)?;
+    let (db, report) = run_engine(image, cfg, EngineRun::RECOVER, obs)?;
     Ok((db, report.base))
 }
 
-/// Run the recovery engine over `image` with the redo scheduler
-/// `schedule`; returns the reopened engine and a [`RestartReport`].
+/// Run the recovery engine over `image` with page-sharded redo on
+/// `run.workers` threads; returns the reopened engine and a
+/// [`RestartReport`].
 ///
 /// Metrics land under `run.metrics`: counters `records_scanned`,
 /// `records_skipped`, `duplicate_fragments`, `logical_commits`,
@@ -114,19 +112,13 @@ pub fn recover_observed(
 /// `torn_pages_repaired`, `quarantined_data_pages`, `pages_written` and
 /// `retried_ios`, each equal to its report field; histograms
 /// `{analysis,redo,undo,flush,total}_us`; one
-/// [`EventKind::RecoveryPhase`] event per phase. A scheduler that reports
-/// a [`ReplaySummary`] adds `replay.*` counters, per-worker histograms and
-/// an [`EventKind::ReplayPhase`] event.
-pub fn run_engine<F>(
+/// [`EventKind::RecoveryPhase`] event per phase.
+pub fn run_engine(
     image: CrashImage,
     cfg: WalConfig,
     run: EngineRun<'_>,
     obs: &Registry,
-    schedule: F,
-) -> Result<(WalDb, RestartReport), WalError>
-where
-    F: FnOnce(RedoWork<'_>) -> Result<RedoOutcome, StorageError>,
-{
+) -> Result<(WalDb, RestartReport), WalError> {
     let t_start = Instant::now();
     let count = |name: &str, v: u64| obs.counter(&format!("{}.{name}", run.metrics)).add(v);
     let phase = |ordinal: u64, name: &str, took: Duration| {
@@ -160,13 +152,7 @@ where
 
     // ---- Redo (repeat history) ----
     let t_redo = Instant::now();
-    let out = schedule(RedoWork {
-        data: &data,
-        doublewrite: &doublewrite,
-        redo: a.redo,
-        logical: &a.logical,
-        workers,
-    })?;
+    let out = shard_redo(&data, &doublewrite, a.redo, workers)?;
     let (mut pages, mut quarantined) = (out.pages, out.quarantined);
     let base = &mut report.base;
     base.redone_updates = out.redone;
@@ -175,25 +161,11 @@ where
     base.quarantined_data_pages = quarantined.len() as u64;
     base.retried_ios += out.retried_ios;
     report.per_worker = out.per_worker;
-    report.replay = out.replay;
     report.timings.redo = t_redo.elapsed();
     count("redone_updates", out.redone);
     count("reexecuted_ops", out.reexecuted_ops);
     count("pages_replayed", pages.len() as u64);
     phase(1, "redo", report.timings.redo);
-    if let Some(r) = &report.replay {
-        obs.counter("replay.dag_nodes").add(r.dag_nodes);
-        obs.counter("replay.dag_edges").add(r.dag_edges);
-        obs.counter("replay.txns_reexecuted").add(r.txns_reexecuted);
-        obs.counter("replay.pages_installed").add(r.pages_installed);
-        for w in &report.per_worker {
-            obs.histogram("replay.worker_nodes").record(w.pages);
-            obs.histogram("replay.worker_busy_us")
-                .record(w.busy.as_micros() as u64);
-        }
-        let us = report.timings.redo.as_micros() as u64;
-        obs.emit(EventKind::ReplayPhase, 0, workers as u64, r.dag_nodes, us);
-    }
 
     // ---- Undo losers (serial) ----
     let t_undo = Instant::now();
@@ -271,12 +243,10 @@ where
         write_page_verified(&mut data, id.0, page, 4)?;
         report.base.pages_written += 1;
     }
-    if run.truncate {
-        for (stream, bound) in a.bounds.iter().enumerate() {
-            if let Some(frame) = bound {
-                log.truncate_stream_to(stream, *frame)?;
-                report.truncated_streams += 1;
-            }
+    for (stream, bound) in a.bounds.iter().enumerate() {
+        if let Some(frame) = bound {
+            log.truncate_stream_to(stream, *frame)?;
+            report.truncated_streams += 1;
         }
     }
     report.timings.flush = t_flush.elapsed();

@@ -1,9 +1,8 @@
-//! The redo vocabulary and the page-sharded redo scheduler.
+//! The redo vocabulary and page-sharded redo, the engine's one scheduler.
 //!
 //! Redo units come in two kinds: physical fragments install bytes, command
-//! records re-execute their logical op. Every scheduler applies them through
-//! [`apply_item`] and loads home images through [`load_redo_page`], so the
-//! schedulers cannot drift apart.
+//! records re-execute their logical op. Both go through [`apply_item`], and
+//! redo and undo load home images through [`load_redo_page`].
 //!
 //! Page-sharded redo is embarrassingly parallel across pages: per-page LSN
 //! ordering is the only order recovery needs (the whole point of the
@@ -19,8 +18,7 @@
 //! state is byte-identical for every worker count K. K=1 replays the redo
 //! map in place, without spawning a thread.
 
-use super::report::{ReplaySummary, WorkerStats};
-use crate::db::TxnId;
+use super::report::WorkerStats;
 use crate::record::LogicalOp;
 use rmdb_storage::{Disk, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -29,17 +27,15 @@ use std::time::Instant;
 /// One redo unit: either a physical fragment install or a logical op
 /// re-execution, applied iff the page is older than `new_lsn`.
 #[derive(Debug, Clone)]
-pub struct RedoItem {
+pub(super) struct RedoItem {
     /// The page LSN this unit produced when first executed.
     pub new_lsn: Lsn,
-    /// The transaction that produced it (DAG node grouping key).
-    pub txn: TxnId,
     pub body: RedoBody,
 }
 
 /// The two replay paths: install bytes, or re-execute a command.
 #[derive(Debug, Clone)]
-pub enum RedoBody {
+pub(super) enum RedoBody {
     /// Physical after-image: write `data` at `offset`.
     Install { offset: u32, data: Vec<u8> },
     /// Command record: re-execute the operation against recovered state.
@@ -49,7 +45,7 @@ pub enum RedoBody {
 impl RedoItem {
     /// Whether this install carries a full page image (physical logging's
     /// from-scratch rebuild guarantee for torn pages).
-    pub fn is_full_image(&self) -> bool {
+    fn is_full_image(&self) -> bool {
         matches!(&self.body, RedoBody::Install { offset: 0, data } if data.len() == PAYLOAD_SIZE)
     }
 }
@@ -58,7 +54,7 @@ impl RedoItem {
 /// the unit was applied (`false`: the image already reflected it). Installs
 /// bounds-check before the LSN check, ops bounds-check inside
 /// [`LogicalOp::apply`].
-pub fn apply_item(page: &mut Page, item: &RedoItem) -> Result<bool, StorageError> {
+fn apply_item(page: &mut Page, item: &RedoItem) -> Result<bool, StorageError> {
     if let RedoBody::Install { offset, data } = &item.body {
         if *offset as usize + data.len() > PAYLOAD_SIZE {
             // a fragment that was never writable; refuse rather than panic
@@ -76,16 +72,8 @@ pub fn apply_item(page: &mut Page, item: &RedoItem) -> Result<bool, StorageError
     Ok(true)
 }
 
-/// What the analysis pass knows about one command-logged transaction:
-/// its commit LSN (the DAG ordering key) and the pages it read.
-#[derive(Debug, Clone)]
-pub struct LogicalMeta {
-    pub commit_lsn: u64,
-    pub reads: Vec<PageId>,
-}
-
 /// Result of loading a page's home image for replay.
-pub enum PageLoad {
+pub(super) enum PageLoad {
     /// A usable image (freshly allocated, read clean, or repaired; the
     /// flag says a torn frame was repaired).
     Ready(Page, bool),
@@ -96,9 +84,9 @@ pub enum PageLoad {
 
 /// Load the home image of `page_id`, repairing a torn frame from the
 /// doublewrite buffer or — when `rebuild_from_log` says the earliest
-/// retained item is a full-image install — from scratch. Redo and undo in
-/// every scheduler share this decision tree.
-pub fn load_redo_page(
+/// retained item is a full-image install — from scratch. Redo and undo
+/// share this decision tree.
+pub(super) fn load_redo_page(
     data: &Disk,
     doublewrite: &HashMap<PageId, Page>,
     page_id: PageId,
@@ -130,7 +118,11 @@ pub fn load_redo_page(
 /// Bounded retry for data-disk reads: transient faults and one-off read bit
 /// flips are retried; persistent corruption surfaces as the final typed
 /// error for the caller's repair/quarantine logic.
-pub fn read_data_retry(disk: &Disk, addr: u64, retried: &mut u64) -> Result<Page, StorageError> {
+pub(crate) fn read_data_retry(
+    disk: &Disk,
+    addr: u64,
+    retried: &mut u64,
+) -> Result<Page, StorageError> {
     const ATTEMPTS: u32 = 4;
     let mut last = StorageError::Io { addr };
     for attempt in 0..ATTEMPTS {
@@ -147,22 +139,9 @@ pub fn read_data_retry(disk: &Disk, addr: u64, retried: &mut u64) -> Result<Page
     Err(last)
 }
 
-/// What a redo scheduler is handed: the data disk to read home images
-/// from, the doublewrite harvest, the per-page work list, the command
-/// records' metadata, and the worker count.
-pub struct RedoWork<'a> {
-    pub data: &'a Disk,
-    pub doublewrite: &'a HashMap<PageId, Page>,
-    /// Per-page redo items, pages ascending, items in scan order.
-    pub redo: BTreeMap<PageId, Vec<RedoItem>>,
-    /// Command-logged transactions ahead of the bound.
-    pub logical: &'a HashMap<TxnId, LogicalMeta>,
-    pub workers: usize,
-}
-
-/// What a redo scheduler hands back to the engine.
+/// What redo hands back to the engine.
 #[derive(Default)]
-pub struct RedoOutcome {
+pub(super) struct RedoOutcome {
     /// Rebuilt page images, ready for the coordinator to write home.
     pub pages: BTreeMap<PageId, Page>,
     /// Pages that were corrupt and unrebuildable.
@@ -175,8 +154,6 @@ pub struct RedoOutcome {
     pub retried_ios: u64,
     /// One entry per worker.
     pub per_worker: Vec<WorkerStats>,
-    /// Set by the dependency-aware scheduler only.
-    pub replay: Option<ReplaySummary>,
 }
 
 /// Shard a page id into `0..k` (Fibonacci hashing on the high bits, so
@@ -185,16 +162,21 @@ fn shard_of(page: PageId, k: usize) -> usize {
     ((page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % k as u64) as usize
 }
 
-/// The page-sharded scheduler: replay the redo map across `work.workers`
-/// threads, one shard each.
-pub fn shard_redo(work: RedoWork<'_>) -> Result<RedoOutcome, StorageError> {
-    let (data, doublewrite) = (work.data, work.doublewrite);
-    let k = work.workers.max(1);
+/// Replay the per-page redo map (pages ascending, items in scan order)
+/// across `workers` threads, one shard each, reading home images from
+/// `data` and repairing torn ones from the `doublewrite` harvest.
+pub(super) fn shard_redo(
+    data: &Disk,
+    doublewrite: &HashMap<PageId, Page>,
+    redo: BTreeMap<PageId, Vec<RedoItem>>,
+    workers: usize,
+) -> Result<RedoOutcome, StorageError> {
+    let k = workers.max(1);
     if k == 1 {
-        return replay_shard(data, doublewrite, 0, work.redo);
+        return replay_shard(data, doublewrite, 0, redo);
     }
     let mut plans: Vec<Vec<(PageId, Vec<RedoItem>)>> = (0..k).map(|_| Vec::new()).collect();
-    for (page, items) in work.redo {
+    for (page, items) in redo {
         plans[shard_of(page, k)].push((page, items));
     }
     let shards = std::thread::scope(|scope| {
@@ -277,10 +259,9 @@ fn replay_shard(
 mod tests {
     use super::*;
 
-    fn install(txn: TxnId, lsn: u64, offset: u32, data: &[u8]) -> RedoItem {
+    fn install(lsn: u64, offset: u32, data: &[u8]) -> RedoItem {
         RedoItem {
             new_lsn: Lsn(lsn),
-            txn,
             body: RedoBody::Install {
                 offset,
                 data: data.to_vec(),
@@ -291,12 +272,12 @@ mod tests {
     #[test]
     fn apply_install_respects_lsn() {
         let mut page = Page::new(PageId(1));
-        let item = install(1, 5, 0, b"abc");
+        let item = install(5, 0, b"abc");
         assert!(apply_item(&mut page, &item).unwrap());
         assert_eq!(page.read_at(0, 3), b"abc");
         assert_eq!(page.lsn, Lsn(5));
         // replaying the same item is a no-op
-        let again = install(1, 5, 0, b"xyz");
+        let again = install(5, 0, b"xyz");
         assert!(!apply_item(&mut page, &again).unwrap());
         assert_eq!(page.read_at(0, 3), b"abc");
     }
@@ -313,7 +294,6 @@ mod tests {
         };
         let item = RedoItem {
             new_lsn: Lsn(9),
-            txn: 3,
             body: RedoBody::Op(op.clone()),
         };
         assert!(apply_item(&mut page, &item).unwrap());
@@ -326,7 +306,7 @@ mod tests {
     #[test]
     fn oversized_install_is_refused() {
         let mut page = Page::new(PageId(3));
-        let item = install(1, 5, (PAYLOAD_SIZE - 1) as u32, b"toolong");
+        let item = install(5, (PAYLOAD_SIZE - 1) as u32, b"toolong");
         assert!(matches!(
             apply_item(&mut page, &item),
             Err(StorageError::Protocol(_))
@@ -335,8 +315,8 @@ mod tests {
 
     #[test]
     fn full_image_detection() {
-        assert!(install(1, 2, 0, &vec![0u8; PAYLOAD_SIZE]).is_full_image());
-        assert!(!install(1, 2, 1, &vec![0u8; PAYLOAD_SIZE - 1]).is_full_image());
-        assert!(!install(1, 2, 0, b"short").is_full_image());
+        assert!(install(2, 0, &vec![0u8; PAYLOAD_SIZE]).is_full_image());
+        assert!(!install(2, 1, &vec![0u8; PAYLOAD_SIZE - 1]).is_full_image());
+        assert!(!install(2, 0, b"short").is_full_image());
     }
 }

@@ -16,7 +16,8 @@ pub struct RecoveryReport {
     pub committed_txns: Vec<TxnId>,
     /// Transactions rolled back by recovery.
     pub loser_txns: Vec<TxnId>,
-    /// Update/compensation fragments replayed (page image was stale).
+    /// Redo units applied (page image was stale): fragment installs plus
+    /// the re-executed logical ops counted in `reexecuted_ops`.
     pub redone_updates: u64,
     /// Loser fragments undone.
     pub undone_updates: u64,
@@ -80,29 +81,6 @@ pub struct WorkerStats {
     pub busy: Duration,
 }
 
-/// What the dependency-aware (transaction-DAG) replay scheduler did,
-/// present when the restart ran with rmdb-restart's
-/// `RedoScheduler::TxnDag`. Every field is identical
-/// across worker counts: the DAG shape depends only on the log, and every
-/// apply/skip decision is fixed by per-page LSN order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplaySummary {
-    /// Transactions in the precedence DAG.
-    pub dag_nodes: u64,
-    /// Distinct precedence edges from page-set intersections.
-    pub dag_edges: u64,
-    /// Command-logged transactions re-executed (vs fragment installs).
-    pub txns_reexecuted: u64,
-    /// Physical fragments installed.
-    pub pages_installed: u64,
-    /// Σ measured per-node replay time (the DAG's total work; timing, so
-    /// excluded from [`RestartReport::logical_summary`]).
-    pub work_us: u64,
-    /// Critical path through the DAG under those per-node times; with
-    /// `work_us` this models replay scaling (`T_k ≈ span + work/k`).
-    pub span_us: u64,
-}
-
 /// What a run of the recovery engine did.
 ///
 /// Extends the base [`RecoveryReport`] (available as
@@ -128,18 +106,15 @@ pub struct RestartReport {
     pub truncated_streams: usize,
     /// Wall-clock per phase.
     pub timings: PhaseTimings,
-    /// Per-worker redo histogram, indexed by shard (page-sharded mode) or
-    /// worker (transaction-DAG mode, where `pages` counts DAG nodes).
+    /// Per-worker redo histogram, indexed by shard.
     pub per_worker: Vec<WorkerStats>,
-    /// Dependency-aware replay accounting; `None` under page-sharded redo.
-    pub replay: Option<ReplaySummary>,
 }
 
 impl RestartReport {
     /// The logical (timing-free) portion of the report, for equivalence
     /// assertions across worker counts.
     pub fn logical_summary(&self) -> String {
-        let mut s = format!(
+        format!(
             "scanned={} skipped={} ckpts={} bounded={} truncated={} \
              committed={:?} losers={:?} redone={} undone={} written={} \
              torn_repaired={} quarantined={} salvaged={} logical={} reexec_ops={}",
@@ -158,14 +133,7 @@ impl RestartReport {
             self.base.salvaged_records,
             self.base.logical_commits,
             self.base.reexecuted_ops,
-        );
-        if let Some(r) = &self.replay {
-            s.push_str(&format!(
-                " dag_nodes={} dag_edges={} txns_reexecuted={} pages_installed={}",
-                r.dag_nodes, r.dag_edges, r.txns_reexecuted, r.pages_installed,
-            ));
-        }
-        s
+        )
     }
 }
 
@@ -215,14 +183,6 @@ impl std::fmt::Display for RestartReport {
             self.timings.flush,
             self.timings.total,
         )?;
-        if let Some(r) = &self.replay {
-            writeln!(
-                f,
-                "  replay:   {} DAG nodes, {} edges, {} txns re-executed, \
-                 {} fragments installed",
-                r.dag_nodes, r.dag_edges, r.txns_reexecuted, r.pages_installed,
-            )?;
-        }
         writeln!(
             f,
             "  truncated {} stream scan prefixes",

@@ -45,10 +45,7 @@ fn main() {
     let image = db.crash_image();
 
     // Restart with one worker (serial redo) and with four.
-    let serial_cfg = RestartConfig {
-        workers: 1,
-        ..RestartConfig::default()
-    };
+    let serial_cfg = RestartConfig { workers: 1 };
     let (_, serial_report) = restart(db.crash_image(), cfg(), &serial_cfg).unwrap();
     let (mut db2, report) = restart(image, cfg(), &RestartConfig::default()).unwrap();
 

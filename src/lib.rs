@@ -21,7 +21,6 @@ pub use rmdb_machine as machine;
 pub use rmdb_mvcc as mvcc;
 pub use rmdb_obs as obs;
 pub use rmdb_relation as relation;
-pub use rmdb_replay as replay;
 pub use rmdb_restart as restart;
 pub use rmdb_shadow as shadow;
 pub use rmdb_sim as sim;

@@ -558,11 +558,7 @@ fn restart_survives_mid_checkpoint_fault_sweep() {
 
             // K=1 and K=4 must agree byte-for-byte on the faulted image,
             // data disk and log disks alike
-            let rcfg = |k| RestartConfig {
-                workers: k,
-                truncate_behind_bound: true,
-                ..RestartConfig::default()
-            };
+            let rcfg = |k| RestartConfig { workers: k };
             let (db1, rep1) =
                 restart(db.crash_image(), cfg.clone(), &rcfg(1)).expect("restart K=1");
             let (db4, rep4) =
@@ -602,9 +598,8 @@ fn restart_survives_mid_checkpoint_fault_sweep() {
 //
 //   1. recovery succeeds at every (seed, crashpoint) and the recovered
 //      state matches the committed-state oracle (ambiguous tail included);
-//   2. the transaction-DAG scheduler is byte-identical across K=1 and K=4,
-//      logical report included, and byte-identical to page-sharded redo —
-//      on faulted images, not just clean ones;
+//   2. page-sharded redo is byte-identical across K=1 and K=4, logical
+//      report included — on faulted images, not just clean ones;
 //   3. double recovery of the same image is deterministic;
 //   4. the sweep actually exercises the mix: summed over the grid, command
 //      re-execution AND physical installs both happened.
@@ -687,7 +682,7 @@ fn mixed_storm(db: &mut WalDb, oracle: &mut Oracle, rng: &mut StdRng, max_ops: u
 
 #[test]
 fn mixed_logical_physical_log_recovers_at_every_crashpoint() {
-    use recovery_machines::restart::{restart, RedoScheduler, RestartConfig};
+    use recovery_machines::restart::{restart, RestartConfig};
     use recovery_machines::wal::LoggingPolicy;
 
     let mut crash_hits = 0usize;
@@ -718,25 +713,13 @@ fn mixed_logical_physical_log_recovers_at_every_crashpoint() {
             crash_hits += usize::from(handle.lock().crashed());
 
             let image = db.crash_image();
-            let rcfg = |k, scheduler| RestartConfig {
-                workers: k,
-                scheduler,
-                truncate_behind_bound: true,
-            };
-            // transaction-DAG replay: K=1 and K=4 must agree on every byte
-            // and on the logical report, faults and all
-            let (db1, rep1) = restart(
-                clone_image(&image),
-                cfg.clone(),
-                &rcfg(1, RedoScheduler::TxnDag),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: TxnDag K=1 restart failed: {e}"));
-            let (db4, rep4) = restart(
-                clone_image(&image),
-                cfg.clone(),
-                &rcfg(4, RedoScheduler::TxnDag),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: TxnDag K=4 restart failed: {e}"));
+            let rcfg = |k| RestartConfig { workers: k };
+            // K=1 and K=4 must agree on every byte and on the logical
+            // report, faults and all
+            let (db1, rep1) = restart(clone_image(&image), cfg.clone(), &rcfg(1))
+                .unwrap_or_else(|e| panic!("{ctx}: K=1 restart failed: {e}"));
+            let (db4, rep4) = restart(clone_image(&image), cfg.clone(), &rcfg(4))
+                .unwrap_or_else(|e| panic!("{ctx}: K=4 restart failed: {e}"));
             assert_eq!(
                 rep1.logical_summary(),
                 rep4.logical_summary(),
@@ -747,32 +730,13 @@ fn mixed_logical_physical_log_recovers_at_every_crashpoint() {
             for (i, (la, lb)) in i1.logs.iter().zip(&i4.logs).enumerate() {
                 assert_disks_identical(la, lb, &format!("{ctx}: log {i} K1/K4"));
             }
-            if let Some(r) = &rep4.replay {
-                reexecuted += r.txns_reexecuted;
-                installed += r.pages_installed;
-            }
-
-            // page-sharded redo on the same mixed image: same bytes
-            let (dbp, _) = restart(
-                clone_image(&image),
-                cfg.clone(),
-                &rcfg(4, RedoScheduler::PageSharded),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: PageSharded restart failed: {e}"));
-            let ip = dbp.crash_image();
-            assert_disks_identical(
-                &i1.data,
-                &ip.data,
-                &format!("{ctx}: data TxnDag/PageSharded"),
-            );
+            // redone units are installs plus re-executed command ops
+            reexecuted += rep4.base.reexecuted_ops;
+            installed += rep4.base.redone_updates - rep4.base.reexecuted_ops;
 
             // double recovery of the same image is deterministic
-            let (db4b, _) = restart(
-                clone_image(&image),
-                cfg.clone(),
-                &rcfg(4, RedoScheduler::TxnDag),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: second TxnDag restart failed: {e}"));
+            let (db4b, _) = restart(clone_image(&image), cfg.clone(), &rcfg(4))
+                .unwrap_or_else(|e| panic!("{ctx}: second restart failed: {e}"));
             assert_disks_identical(
                 &i4.data,
                 &db4b.crash_image().data,
@@ -809,7 +773,7 @@ fn mixed_logical_physical_log_recovers_at_every_crashpoint() {
 
 #[test]
 fn torn_logical_frame_is_salvaged_and_quarantined() {
-    use recovery_machines::restart::{restart, RedoScheduler, RestartConfig};
+    use recovery_machines::restart::{restart, RestartConfig};
     use recovery_machines::wal::LoggingPolicy;
 
     for seed in [7u64, 42, 1985] {
@@ -847,11 +811,7 @@ fn torn_logical_frame_is_salvaged_and_quarantined() {
             .expect("tear log frame");
 
         let ctx = format!("torn-logical seed {seed}");
-        let rcfg = |k| RestartConfig {
-            workers: k,
-            scheduler: RedoScheduler::TxnDag,
-            truncate_behind_bound: true,
-        };
+        let rcfg = |k| RestartConfig { workers: k };
         let (db1, rep1) = restart(clone_image(&image), cfg.clone(), &rcfg(1))
             .unwrap_or_else(|e| panic!("{ctx}: K=1 restart failed: {e}"));
         let (db4, rep4) = restart(clone_image(&image), cfg.clone(), &rcfg(4))
@@ -925,10 +885,7 @@ fn recovery_obs_counters_match_report_at_every_crashpoint() {
             assert!(errored, "{ctx}: storm ran dry without an error");
             crash_hits += usize::from(handle.lock().crashed());
 
-            let rcfg = RestartConfig {
-                workers: 2,
-                ..RestartConfig::default()
-            };
+            let rcfg = RestartConfig { workers: 2 };
             for prefix in ["recovery", "restart"] {
                 let obs = Registry::new();
                 let image = db.crash_image();

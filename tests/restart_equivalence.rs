@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recovery_machines::restart::{restart, RedoScheduler, RestartConfig};
+use recovery_machines::restart::{restart, RestartConfig};
 use recovery_machines::storage::Disk;
 use recovery_machines::wal::{LoggingPolicy, SelectionPolicy, WalConfig, WalDb};
 
@@ -75,11 +75,7 @@ fn build_crashed(streams: usize, ckpt_every: u64, txns: u64) -> WalDb {
 fn assert_k_equivalence(db: &WalDb, streams: usize, ckpt_every: u64, ks: &[usize]) {
     let mut baseline: Option<(recovery_machines::wal::CrashImage, String, usize)> = None;
     for &k in ks {
-        let rcfg = RestartConfig {
-            workers: k,
-            truncate_behind_bound: true,
-            ..RestartConfig::default()
-        };
+        let rcfg = RestartConfig { workers: k };
         let (db_k, report) =
             restart(db.crash_image(), cfg(streams, ckpt_every), &rcfg).expect("restart");
         let image = db_k.crash_image();
@@ -120,10 +116,7 @@ fn restart_matches_serial_recovery() {
         let (full_db, _) =
             WalDb::recover_from_archive(image.data, image.logs, cfg(streams, ckpt_every))
                 .expect("full replay");
-        let rcfg = RestartConfig {
-            workers: 4,
-            ..RestartConfig::default()
-        };
+        let rcfg = RestartConfig { workers: 4 };
         let (restart_db, report) =
             restart(db.crash_image(), cfg(streams, ckpt_every), &rcfg).expect("restart");
         let what = format!("streams={streams} ckpt_every={ckpt_every}");
@@ -158,13 +151,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive logging × dependency-aware replay equivalence. Two databases run
-// the *same* random workload — one under adaptive command/logical logging
-// (recovered by the transaction-DAG scheduler), one under pure physical
-// fragment logging (recovered by serial full-log replay). Re-executing
-// command records in DAG order must land exactly the payload bytes that
-// physical after-image installation lands; and the DAG schedule itself must
-// be byte-identical (disks, logs, logical report) for every K ∈ {1,2,4,8}.
+// Adaptive logging × parallel replay equivalence. Two databases run the
+// *same* random workload — one under adaptive command/logical logging
+// (recovered by the K-worker restart), one under pure physical fragment
+// logging (recovered serially). Re-executing command records in per-page
+// LSN order must land exactly the payload bytes that physical after-image
+// installation lands; and the restart itself must be byte-identical
+// (disks, logs, logical report) for every K ∈ {1,2,4,8}.
 //
 // The comparison is page *payloads*, not raw disks: deferred capture pins
 // pages and allocates commit LSNs differently from fragment logging, so the
@@ -252,21 +245,17 @@ proptest! {
         let adaptive = LoggingPolicy::Adaptive { threshold_pct: 100 };
         let db = build_mixed_crashed(seed, txns, ckpt_every, adaptive);
 
-        // the DAG schedule is byte-identical for every worker count
+        // page-sharded redo of the mixed log is byte-identical for every
+        // worker count
         let mut k1: Option<WalDb> = None;
         let mut baseline: Option<(recovery_machines::wal::CrashImage, String)> = None;
         for k in [1usize, 2, 4, 8] {
-            let rcfg = RestartConfig {
-                workers: k,
-                truncate_behind_bound: true,
-                scheduler: RedoScheduler::TxnDag,
-            };
+            let rcfg = RestartConfig { workers: k };
             let (db_k, report) =
                 restart(db.crash_image(), mixed_cfg(ckpt_every, adaptive), &rcfg)
-                    .expect("TxnDag restart");
+                    .expect("restart");
             let image = db_k.crash_image();
             let summary = report.logical_summary();
-            prop_assert!(report.replay.is_some(), "TxnDag restart reported no replay summary");
             match &baseline {
                 None => {
                     baseline = Some((image, summary));
@@ -291,12 +280,12 @@ proptest! {
             mixed_cfg(ckpt_every, LoggingPolicy::Fragments),
         )
         .expect("serial physical recover");
-        let mut dag_db = k1.expect("K=1 restart ran");
-        let (dag, phys) = (payloads(&mut dag_db), payloads(&mut serial));
-        for (page, (d, p)) in dag.iter().zip(&phys).enumerate() {
+        let mut adaptive_db = k1.expect("K=1 restart ran");
+        let (cmd, phys) = (payloads(&mut adaptive_db), payloads(&mut serial));
+        for (page, (c, p)) in cmd.iter().zip(&phys).enumerate() {
             prop_assert!(
-                d == p,
-                "page {} payload diverged between adaptive DAG replay and serial physical replay",
+                c == p,
+                "page {} payload diverged between adaptive replay and serial physical replay",
                 page
             );
         }
