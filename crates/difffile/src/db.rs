@@ -17,10 +17,7 @@
 
 use crate::tuple::{read_entries, write_entries, Entry, Tuple};
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{
-    read_page_retry, write_page_verified, BackendKind, Disk, Page, PageId, StorageError,
-    PAYLOAD_SIZE,
-};
+use rmdb_storage::{BackendKind, Disk, Page, PageId, StorageError, PAYLOAD_SIZE};
 use std::collections::HashMap;
 
 /// Transaction id.
@@ -28,8 +25,6 @@ pub type TxnId = u64;
 
 /// Committed transactions per commit-list frame.
 const COMMITS_PER_FRAME: usize = (PAYLOAD_SIZE - 4) / 8;
-/// Bounded retry budget for riding through transient device faults.
-const IO_RETRIES: u32 = 4;
 
 /// Query-processing strategy (paper §4.3: *basic* vs *optimal*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,7 +253,7 @@ impl DiffDb {
         m.write_at(9, &self.merge_floor.to_le_bytes());
         m.write_at(17, &seq.to_le_bytes());
         let addr = self.cfg.master_addr() + seq % 2;
-        write_page_verified(&mut self.disk, addr, &m, IO_RETRIES)?;
+        self.disk.write_page_verified(addr, &m)?;
         self.master_seq = seq;
         Ok(())
     }
@@ -283,12 +278,8 @@ impl DiffDb {
             if n == 0 {
                 return Err(DiffError::SpaceExhausted); // entry larger than a page
             }
-            write_page_verified(
-                &mut self.disk,
-                start + pages.len() as u64,
-                &page,
-                IO_RETRIES,
-            )?;
+            self.disk
+                .write_page_verified(start + pages.len() as u64, &page)?;
             pages.push(rest[..n].to_vec());
             rest = &rest[n..];
         }
@@ -414,7 +405,7 @@ impl DiffDb {
                 Err(_) => true,
             };
             if changed {
-                write_page_verified(disk, addr, &page, IO_RETRIES)?;
+                disk.write_page_verified(addr, &page)?;
                 stats.diff_writes += 1;
             }
             rest = &rest[n..];
@@ -738,14 +729,14 @@ impl DiffDb {
         }
         let addr = self.cfg.commit_start() + frame_idx;
         let mut page = if self.disk.is_allocated(addr) {
-            read_page_retry(&self.disk, addr, IO_RETRIES)?
+            self.disk.read_page_retry(addr)?
         } else {
             Page::new(PageId(addr))
         };
         let within = (self.commit_count % COMMITS_PER_FRAME as u64) as usize;
         page.write_at(4 + 8 * within, &txn.to_le_bytes());
         page.write_at(0, &((within + 1) as u32).to_le_bytes());
-        write_page_verified(&mut self.disk, addr, &page, IO_RETRIES)?;
+        self.disk.write_page_verified(addr, &page)?;
         self.committed.insert(txn, self.commit_count);
         self.commit_count += 1;
         self.active.remove(&txn);
@@ -830,7 +821,7 @@ impl DiffDb {
             if !disk.is_allocated(addr) {
                 continue;
             }
-            let Ok(m) = read_page_retry(&disk, addr, IO_RETRIES) else {
+            let Ok(m) = disk.read_page_retry(addr) else {
                 continue;
             };
             if m.read_at(0, 1)[0] > 1 {
@@ -854,11 +845,7 @@ impl DiffDb {
         let base_start = base_area as u64 * cfg.base_capacity;
         let mut base = Vec::with_capacity(base_pages as usize);
         for i in 0..base_pages {
-            base.push(read_entries(&read_page_retry(
-                &disk,
-                base_start + i,
-                IO_RETRIES,
-            )?));
+            base.push(read_entries(&disk.read_page_retry(base_start + i)?));
         }
 
         let read_region = |start: u64, capacity: u64| -> Result<Vec<Entry>, DiffError> {
@@ -867,7 +854,7 @@ impl DiffDb {
                 if !disk.is_allocated(start + i) {
                     break;
                 }
-                match read_page_retry(&disk, start + i, IO_RETRIES) {
+                match disk.read_page_retry(start + i) {
                     Ok(p) => {
                         let entries = read_entries(&p);
                         // stale pre-merge frames are filtered by seq
@@ -895,7 +882,7 @@ impl DiffDb {
             if !disk.is_allocated(addr) {
                 break;
             }
-            let Ok(page) = read_page_retry(&disk, addr, IO_RETRIES) else {
+            let Ok(page) = disk.read_page_retry(addr) else {
                 break;
             };
             let count = (u32::from_le_bytes(page.read_at(0, 4).try_into().unwrap()) as usize)

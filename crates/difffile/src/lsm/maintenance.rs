@@ -166,7 +166,7 @@ fn release(st: &mut LsmState, ext: Extent) {
 /// manifest — is never endangered.
 fn publish(st: &mut LsmState) -> Result<(), LsmError> {
     st.manifest.version += 1;
-    match manifest::write(&mut st.disk, &mut st.ctrs, &st.cfg, &st.manifest) {
+    match manifest::write(&mut st.disk, &st.cfg, &st.manifest) {
         Ok(()) => Ok(()),
         Err(e) => {
             st.manifest.version -= 1;
@@ -279,7 +279,7 @@ fn flush_attempt(
         if i == chunks.len() / 2 {
             trip(st, CrashSite::MidLevelWrite).map_err(|e| (written, e))?;
         }
-        run::write_chunk(&mut st.disk, &mut st.ctrs, extent.start + i as u64, chunk)
+        run::write_chunk(&mut st.disk, extent.start + i as u64, chunk)
             .map_err(|e| (written, LsmError::Storage(e)))?;
         written += 1;
     }
@@ -347,7 +347,7 @@ fn compact_locked(st: &mut LsmState, job: Job) -> Result<(), LsmError> {
     );
     let mut lists = Vec::with_capacity(inputs.len());
     for d in &inputs {
-        lists.push(run::read_run(&st.disk, &mut st.ctrs, d)?);
+        lists.push(run::read_run(&st.disk, d)?);
     }
     let drop_tombs = st.manifest.levels[out_idx + 1..]
         .iter()
@@ -462,7 +462,7 @@ fn compact_attempt(
         if i == chunks.len() / 2 {
             trip(st, CrashSite::MidLevelWrite).map_err(|e| (written, e))?;
         }
-        run::write_chunk(&mut st.disk, &mut st.ctrs, extent.start + i as u64, chunk)
+        run::write_chunk(&mut st.disk, extent.start + i as u64, chunk)
             .map_err(|e| (written, LsmError::Storage(e)))?;
         written += 1;
     }

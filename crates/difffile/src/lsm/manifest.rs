@@ -27,12 +27,10 @@
 //! reclaim reporting): the free-space map itself is always derived as
 //! arena − live runs, never read from disk.
 
-use rmdb_storage::{Page, PageId, StorageError};
+use rmdb_storage::{Disk, Page, PageId, StorageError};
 
 use super::codec::{get_u32, get_u64, put_u32, put_u64};
-use super::io::{self, IoCounters};
 use super::LsmConfig;
-use rmdb_storage::Disk;
 
 const MANIFEST_MAGIC: u32 = 0x4C53_4D31; // "LSM1"
 
@@ -253,12 +251,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<Manifest> {
 }
 
 /// Write the manifest to its slot (verified) and force the device.
-pub(crate) fn write(
-    disk: &mut Disk,
-    ctrs: &mut IoCounters,
-    cfg: &LsmConfig,
-    m: &Manifest,
-) -> Result<(), StorageError> {
+pub(crate) fn write(disk: &mut Disk, cfg: &LsmConfig, m: &Manifest) -> Result<(), StorageError> {
     let addr = cfg.manifest_addr(m.version);
     let payload = encode(m);
     if payload.len() > rmdb_storage::PAYLOAD_SIZE {
@@ -266,17 +259,17 @@ pub(crate) fn write(
     }
     let mut page = Page::new(PageId(addr));
     page.write_at(0, &payload);
-    io::write_verified(disk, ctrs, addr, &page)?;
+    disk.write_page_verified(addr, &page)?;
     disk.force()
 }
 
 /// Read both manifest slots and return the highest-versioned valid
 /// manifest, if any.
-pub(crate) fn read_best(disk: &Disk, ctrs: &mut IoCounters, cfg: &LsmConfig) -> Option<Manifest> {
+pub(crate) fn read_best(disk: &Disk, cfg: &LsmConfig) -> Option<Manifest> {
     let mut best: Option<Manifest> = None;
     for slot in 0..2u64 {
         let addr = cfg.manifest_addr(slot);
-        let Ok(page) = io::read_retry(disk, ctrs, addr) else {
+        let Ok(page) = disk.read_page_retry(addr) else {
             continue;
         };
         let Some(m) = decode(page.payload()) else {

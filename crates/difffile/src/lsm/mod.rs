@@ -41,10 +41,13 @@
 //! goes through the one [`rmdb_storage::Disk`] with whatever
 //! [`rmdb_storage::FaultHandle`] the caller attached, so torn writes,
 //! device death mid-merge and crash-after-k exercise the compactor
-//! exactly as they exercise the commit path.
+//! exactly as they exercise the commit path. Reads retry and writes
+//! verify through [`Disk::read_page_retry`](rmdb_storage::Disk::read_page_retry)
+//! and [`Disk::write_page_verified`](rmdb_storage::Disk::write_page_verified),
+//! under the device's one retry budget, and the disk counts every
+//! retry; [`LsmStats`] reports those counts.
 
 mod codec;
-mod io;
 mod maintenance;
 mod manifest;
 mod run;
@@ -55,10 +58,6 @@ pub use manifest::{Extent, Manifest, RunDesc};
 pub use store::{LsmImage, LsmRecoveryReport, LsmStore};
 
 use rmdb_storage::{BackendKind, StorageError};
-
-/// I/O retry budget for verified writes and retried reads (same budget
-/// as [`crate::DiffDb`]).
-pub(crate) const IO_RETRIES: u32 = 4;
 
 /// Configuration for [`LsmStore`].
 ///
@@ -221,8 +220,10 @@ pub struct LsmStats {
     /// transactions (write-amplification denominator).
     pub user_bytes: u64,
     /// Extra write+verify rounds beyond the first, anywhere in the
-    /// store (commit, manifest, run output).
+    /// store (commit, manifest, run output): the store disk's
+    /// [`Disk::write_retries`](rmdb_storage::Disk::write_retries).
     pub write_retries: u64,
-    /// Extra read rounds beyond the first.
+    /// Extra read rounds beyond the first: the store disk's
+    /// [`Disk::read_retries`](rmdb_storage::Disk::read_retries).
     pub read_retries: u64,
 }

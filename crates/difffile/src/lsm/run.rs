@@ -18,7 +18,6 @@ use std::collections::{BTreeMap, HashMap};
 use rmdb_storage::{Disk, Page, PageId, StorageError, PAYLOAD_SIZE};
 
 use super::codec::{self, LsmEntry, LsmOp};
-use super::io::{self, IoCounters};
 use super::manifest::{Manifest, RunDesc};
 
 /// Encode sorted `entries` into per-frame chunks. `None` if a single
@@ -64,38 +63,24 @@ impl FenceCache {
 }
 
 /// Read and strictly decode frame `i` of a run.
-fn read_frame(
-    disk: &Disk,
-    ctrs: &mut IoCounters,
-    desc: &RunDesc,
-    i: u64,
-) -> Result<Vec<LsmEntry>, StorageError> {
+fn read_frame(disk: &Disk, desc: &RunDesc, i: u64) -> Result<Vec<LsmEntry>, StorageError> {
     let addr = desc.start + i;
-    let page = io::read_retry(disk, ctrs, addr)?;
+    let page = disk.read_page_retry(addr)?;
     codec::decode_chunk(page.payload()).ok_or(StorageError::Corrupt { addr })
 }
 
 /// Write one run chunk to `addr` (verified).
-pub(crate) fn write_chunk(
-    disk: &mut Disk,
-    ctrs: &mut IoCounters,
-    addr: u64,
-    chunk: &[u8],
-) -> Result<(), StorageError> {
+pub(crate) fn write_chunk(disk: &mut Disk, addr: u64, chunk: &[u8]) -> Result<(), StorageError> {
     let mut page = Page::new(PageId(addr));
     page.write_at(0, chunk);
-    io::write_verified(disk, ctrs, addr, &page)
+    disk.write_page_verified(addr, &page)
 }
 
 /// Read a whole run back as its sorted entry list.
-pub(crate) fn read_run(
-    disk: &Disk,
-    ctrs: &mut IoCounters,
-    desc: &RunDesc,
-) -> Result<Vec<LsmEntry>, StorageError> {
+pub(crate) fn read_run(disk: &Disk, desc: &RunDesc) -> Result<Vec<LsmEntry>, StorageError> {
     let mut out = Vec::with_capacity(desc.entries as usize);
     for i in 0..desc.frames {
-        out.extend(read_frame(disk, ctrs, desc, i)?);
+        out.extend(read_frame(disk, desc, i)?);
     }
     Ok(out)
 }
@@ -108,7 +93,6 @@ pub(crate) fn read_run(
 /// read whole once, its fences cached, and all of it returned.
 pub(crate) fn read_span(
     disk: &Disk,
-    ctrs: &mut IoCounters,
     cache: &mut FenceCache,
     desc: &RunDesc,
     lo: u64,
@@ -118,7 +102,7 @@ pub(crate) fn read_span(
         let mut fences = Vec::with_capacity(desc.frames as usize);
         let mut out = Vec::new();
         for i in 0..desc.frames {
-            let chunk = read_frame(disk, ctrs, desc, i)?;
+            let chunk = read_frame(disk, desc, i)?;
             let first = chunk.first().ok_or(StorageError::Corrupt {
                 addr: desc.start + i,
             })?;
@@ -132,7 +116,7 @@ pub(crate) fn read_span(
     let end = fences.partition_point(|&f| f <= hi);
     let mut out = Vec::new();
     for i in first..end {
-        out.extend(read_frame(disk, ctrs, desc, i as u64)?);
+        out.extend(read_frame(disk, desc, i as u64)?);
     }
     Ok(out)
 }
@@ -141,12 +125,11 @@ pub(crate) fn read_span(
 /// run's fences are cached.
 pub(crate) fn lookup_run(
     disk: &Disk,
-    ctrs: &mut IoCounters,
     cache: &mut FenceCache,
     desc: &RunDesc,
     key: u64,
 ) -> Result<Option<LsmEntry>, StorageError> {
-    let mut span = read_span(disk, ctrs, cache, desc, key, key)?;
+    let mut span = read_span(disk, cache, desc, key, key)?;
     Ok(span
         .binary_search_by_key(&key, |e| e.key)
         .ok()

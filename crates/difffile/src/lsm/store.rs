@@ -10,11 +10,10 @@ use rmdb_obs::{Counter, EventKind, Gauge, Histogram, Registry};
 use rmdb_storage::{Disk, FaultHandle, Page, PageId, StorageError, PAYLOAD_SIZE};
 
 use super::codec::{self, get_u32, get_u64, put_u32, put_u64, LsmEntry, LsmOp};
-use super::io::IoCounters;
 use super::maintenance;
 use super::manifest::{self, Extent, Manifest, RunDesc};
 use super::run::{self, FenceCache};
-use super::{io, CrashSite, LsmConfig, LsmError, LsmStats};
+use super::{CrashSite, LsmConfig, LsmError, LsmStats};
 use crate::ScanStrategy;
 
 /// Journal frame header: `[gen u64][batch u64][idx u32][total u32]`.
@@ -95,7 +94,6 @@ pub(crate) struct LsmState {
     /// A commit is waiting for journal space.
     pub(crate) flush_requested: bool,
     pub(crate) stats: LsmStats,
-    pub(crate) ctrs: IoCounters,
     pub(crate) metrics: LsmMetrics,
     pub(crate) shutdown: bool,
     pub(crate) last_maintenance_err: Option<LsmError>,
@@ -207,17 +205,11 @@ impl LsmStore {
             crash_site: None,
             flush_requested: false,
             stats: LsmStats::default(),
-            ctrs: IoCounters::default(),
             metrics,
             shutdown: false,
             last_maintenance_err: None,
         };
-        manifest::write(
-            &mut state.disk,
-            &mut state.ctrs,
-            &state.cfg,
-            &state.manifest,
-        )?;
+        manifest::write(&mut state.disk, &state.cfg, &state.manifest)?;
         Ok(Self::finish_construction(state))
     }
 
@@ -445,9 +437,7 @@ impl LsmStore {
                     return Ok(value_of(e));
                 }
                 for desc in st.manifest.live_runs() {
-                    if let Some(e) =
-                        run::lookup_run(&st.disk, &mut st.ctrs, &mut st.fences, &desc, key)?
-                    {
+                    if let Some(e) = run::lookup_run(&st.disk, &mut st.fences, &desc, key)? {
                         return Ok(value_of(&e));
                     }
                 }
@@ -481,12 +471,13 @@ impl LsmStore {
         self.range(0, u64::MAX, strategy)
     }
 
-    /// Cumulative operation counters (retry tallies folded in).
+    /// Cumulative operation counters (the disk's retry counters folded
+    /// in).
     pub fn stats(&self) -> LsmStats {
         let st = self.lock();
         let mut s = st.stats.clone();
-        s.write_retries = st.ctrs.write_retries;
-        s.read_retries = st.ctrs.read_retries;
+        s.write_retries = st.disk.write_retries();
+        s.read_retries = st.disk.read_retries();
         s
     }
 
@@ -548,8 +539,7 @@ impl LsmStore {
         metrics: LsmMetrics,
     ) -> Result<(LsmStore, LsmRecoveryReport), LsmError> {
         let disk = image.disk;
-        let mut ctrs = IoCounters::default();
-        let Some(mut mf) = manifest::read_best(&disk, &mut ctrs, &cfg) else {
+        let Some(mut mf) = manifest::read_best(&disk, &cfg) else {
             return Err(LsmError::Storage(StorageError::Protocol(
                 "no valid LSM manifest slot",
             )));
@@ -609,7 +599,7 @@ impl LsmStore {
         let mut max_seq = mf.next_seq.saturating_sub(1);
         'scan: while head < cfg.journal_frames {
             let addr = cfg.journal_start() + head;
-            let Some((hdr, first)) = read_journal_frame(&disk, &mut ctrs, addr) else {
+            let Some((hdr, first)) = read_journal_frame(&disk, addr) else {
                 break;
             };
             if hdr.gen != mf.journal_gen || hdr.batch != batch || hdr.idx != 0 {
@@ -621,7 +611,7 @@ impl LsmStore {
             let mut batch_entries = first;
             for i in 1..hdr.total {
                 let addr = cfg.journal_start() + head + u64::from(i);
-                let Some((h2, more)) = read_journal_frame(&disk, &mut ctrs, addr) else {
+                let Some((h2, more)) = read_journal_frame(&disk, addr) else {
                     break 'scan;
                 };
                 if h2.gen != hdr.gen
@@ -668,7 +658,6 @@ impl LsmStore {
             crash_site: None,
             flush_requested: false,
             stats: LsmStats::default(),
-            ctrs,
             metrics,
             shutdown: false,
             last_maintenance_err: None,
@@ -733,7 +722,7 @@ fn commit_write(
         payload.extend_from_slice(chunk);
         let mut page = Page::new(PageId(addr));
         page.write_at(0, &payload);
-        io::write_verified(&mut st.disk, &mut st.ctrs, addr, &page)?;
+        st.disk.write_page_verified(addr, &page)?;
         st.stats.journal_frames_written += 1;
     }
     st.disk.force()?;
@@ -758,12 +747,8 @@ struct JournalHdr {
     total: u32,
 }
 
-fn read_journal_frame(
-    disk: &Disk,
-    ctrs: &mut IoCounters,
-    addr: u64,
-) -> Option<(JournalHdr, Vec<LsmEntry>)> {
-    let page = io::read_retry(disk, ctrs, addr).ok()?;
+fn read_journal_frame(disk: &Disk, addr: u64) -> Option<(JournalHdr, Vec<LsmEntry>)> {
+    let page = disk.read_page_retry(addr).ok()?;
     let b = page.payload();
     let mut off = 0usize;
     let gen = get_u64(b, &mut off)?;
@@ -816,7 +801,7 @@ fn basic_range(st: &mut LsmState, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)
         absorb(&mut a, &mut d, lo, hi, e);
     }
     for desc in st.manifest.live_runs() {
-        for e in run::read_run(&st.disk, &mut st.ctrs, &desc)? {
+        for e in run::read_run(&st.disk, &desc)? {
             absorb(&mut a, &mut d, lo, hi, &e);
         }
     }
@@ -837,7 +822,7 @@ fn optimal_range(st: &mut LsmState, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8
         chosen.entry(*k).or_insert_with(|| e.clone());
     }
     for desc in st.manifest.live_runs() {
-        for e in run::read_span(&st.disk, &mut st.ctrs, &mut st.fences, &desc, lo, hi)? {
+        for e in run::read_span(&st.disk, &mut st.fences, &desc, lo, hi)? {
             if e.key < lo || e.key > hi {
                 continue;
             }

@@ -27,9 +27,10 @@
 //!   batched request, after every force, and through each slice of the
 //!   modeled device delay — so a frozen heartbeat means one device I/O
 //!   is wedged, not merely that a batch is long or the device slow;
-//! * a **sticky storage error**: stream appends/forces go through
-//!   [`rmdb_wal::stream::IO_RETRIES`] bounded retries internally, so an
-//!   error surfacing here is post-retry and classified *persistent*;
+//! * a **sticky storage error**: stream appends/forces write through
+//!   [`Disk::write_page_verified`](rmdb_storage::Disk::write_page_verified),
+//!   the device's bounded retry, so an error surfacing here is post-retry
+//!   and classified *persistent*;
 //! * a **vault**: the thread deposits its [`LogStream`] into a shared
 //!   slot on every exit path — including panic unwind — so the durable
 //!   log disk survives thread death and stays snapshot-able;

@@ -18,9 +18,9 @@ pub enum AppenderError {
     /// A storage fault that cleared (or may clear) on retry. The stream
     /// stays in the fleet; the caller should back off and try again.
     Transient(StorageError),
-    /// The stream's device failed after bounded in-stream retries
-    /// ([`rmdb_wal::stream::IO_RETRIES`]); the stream must be
-    /// quarantined and its volatile fragments rerouted.
+    /// The stream's device failed after the device's bounded retries
+    /// ([`Disk::write_page_verified`](rmdb_storage::Disk::write_page_verified));
+    /// the stream must be quarantined and its volatile fragments rerouted.
     Persistent(StorageError),
     /// The appender thread is gone — panicked (payload preserved) or its
     /// channel closed underneath a producer.

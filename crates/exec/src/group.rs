@@ -209,25 +209,7 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
             *high = (*high).max(seq);
         }
     }
-    // request all forces first so the appenders work in parallel, then
-    // wait for each; keep the result per stream so one dead stream fails
-    // only its own dependents
-    let mut stream_res: BTreeMap<usize, Result<(), ExecError>> = BTreeMap::new();
-    for (&stream, &seq) in &frag_high {
-        let r = inner.appenders.get(stream).request_force(seq);
-        if let Err(e) = &r {
-            inner.note_appender_failure(e);
-        }
-        stream_res.insert(stream, r);
-    }
-    for (&stream, &seq) in &frag_high {
-        if stream_res.get(&stream).is_some_and(|r| r.is_ok()) {
-            if let Err(e) = inner.appenders.get(stream).wait_forced(seq) {
-                inner.note_appender_failure(&e);
-                stream_res.insert(stream, Err(e));
-            }
-        }
-    }
+    let stream_res = force_streams(inner, &frag_high);
     let mut results: Vec<Result<(), ExecError>> = batch
         .iter()
         .map(|req| {
@@ -267,22 +249,7 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
             }
         }
     }
-    let mut force_res: BTreeMap<usize, Result<(), ExecError>> = BTreeMap::new();
-    for (&stream, &seq) in &home_high {
-        let r = inner.appenders.get(stream).request_force(seq);
-        if let Err(e) = &r {
-            inner.note_appender_failure(e);
-        }
-        force_res.insert(stream, r);
-    }
-    for (&stream, &seq) in &home_high {
-        if force_res.get(&stream).is_some_and(|r| r.is_ok()) {
-            if let Err(e) = inner.appenders.get(stream).wait_forced(seq) {
-                inner.note_appender_failure(&e);
-                force_res.insert(stream, Err(e));
-            }
-        }
-    }
+    let force_res = force_streams(inner, &home_high);
     for (i, req) in batch.iter().enumerate() {
         if results[i].is_ok() && appended[i] {
             if let Some(Err(e)) = force_res.get(&req.home) {
@@ -293,10 +260,40 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
     results
 }
 
+/// Force every stream in `high` up to its ticket: request all forces
+/// first so the appenders work in parallel, then wait for each. The
+/// result is kept per stream, so one dead stream fails only its own
+/// dependents.
+fn force_streams(
+    inner: &Inner,
+    high: &BTreeMap<usize, u64>,
+) -> BTreeMap<usize, Result<(), ExecError>> {
+    let mut res = BTreeMap::new();
+    for (&stream, &seq) in high {
+        let r = inner.appenders.get(stream).request_force(seq);
+        if let Err(e) = &r {
+            inner.note_appender_failure(e);
+        }
+        res.insert(stream, r);
+    }
+    for (&stream, &seq) in high {
+        if res[&stream].is_ok() {
+            if let Err(e) = inner.appenders.get(stream).wait_forced(seq) {
+                inner.note_appender_failure(&e);
+                res.insert(stream, Err(e));
+            }
+        }
+    }
+    res
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::{ExecConfig, ExecDb};
+    use crate::{AppenderError, ExecConfig, ExecDb, ExecError};
+    use rmdb_storage::FaultPlan;
     use rmdb_wal::db::WalConfig;
+    use rmdb_wal::{SelectionPolicy, WalDb};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn groups_form_without_a_timer() {
@@ -335,5 +332,68 @@ mod tests {
         let c = |name: &str| snap.counter(name).unwrap_or(0);
         assert_eq!(c("txn.commits_acked"), c("group.completions"));
         assert_eq!(c("txn.commits_acked"), 100);
+    }
+
+    #[test]
+    fn a_failing_stream_fails_only_the_batch_members_that_needed_it() {
+        // QpMod: a transaction's home (and fragment) stream is its qp
+        let cfg = ExecConfig {
+            wal: WalConfig {
+                data_pages: 64,
+                log_streams: 3,
+                policy: SelectionPolicy::QpMod,
+                ..WalConfig::default()
+            },
+            // C0's force: the window in which A and B queue as one batch
+            force_delay_us: 500_000,
+            ..ExecConfig::default()
+        };
+        let db = ExecDb::new(cfg.clone());
+        // (batches, largest batch) so far
+        let batches = || {
+            let snap = db.metrics();
+            snap.histogram("group.batch_size")
+                .map_or((0, 0), |h| (h.count, h.max))
+        };
+        // warm-up C0 on stream 2: wait until the daemon has taken it alone
+        // into a batch, so it is forcing while A and B queue
+        let mut c0 = db.begin(2);
+        db.write(&mut c0, 2, 0, b"C0").unwrap();
+        let c0 = db.commit(c0).unwrap();
+        let t0 = Instant::now();
+        while batches().0 == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "C0 never batched");
+            std::thread::yield_now();
+        }
+        // A logs on stream 0, whose device then fails for good; B logs
+        // on the healthy stream 1 only
+        let mut a = db.begin(0);
+        db.write(&mut a, 10, 0, b"AAAA").unwrap();
+        let mut b = db.begin(1);
+        db.write(&mut b, 11, 0, b"BBBB").unwrap();
+        db.inject_stream_fault(0, FaultPlan::new().fail_from_write(0))
+            .unwrap();
+        let (a, b) = (db.commit(a).unwrap(), db.commit(b).unwrap());
+        c0.wait().unwrap();
+        // the force error, or the quarantine the supervisor raised on it
+        // first, whichever reaches the daemon's wait
+        match a.wait() {
+            Err(ExecError::Appender {
+                stream: 0,
+                error: AppenderError::Persistent(_) | AppenderError::Quarantined,
+            }) => {}
+            other => panic!("A must fail with stream 0's error, got {other:?}"),
+        }
+        b.wait().expect("B needed only the healthy stream");
+        assert_eq!(batches(), (2, 2), "A and B shared one batch");
+        // A was rolled back before its locks released; B is visible
+        let ro = |page| db.run_ro_txn(0, |ctx| ctx.read(page, 0, 4)).unwrap();
+        assert_eq!(ro(10), vec![0; 4]);
+        assert_eq!(ro(11), b"BBBB");
+        let (mut recovered, _) = WalDb::recover(db.crash_image().unwrap(), cfg.wal).unwrap();
+        let t = recovered.begin();
+        assert_eq!(recovered.read(t, 10, 0, 4).unwrap(), vec![0; 4]);
+        assert_eq!(recovered.read(t, 11, 0, 4).unwrap(), b"BBBB");
+        assert_eq!(recovered.read(t, 2, 0, 2).unwrap(), b"C0");
     }
 }

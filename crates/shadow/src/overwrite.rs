@@ -23,13 +23,10 @@
 //! (un)committed transactions that must survive a crash" is exactly the
 //! set of live directories.
 
-use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId, IO_RETRIES};
+use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId};
 use crate::scratch::ScratchRing;
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{
-    read_page_retry, write_page_verified, Disk, Lsn, MemDisk, Page, PageId, StorageError,
-    PAYLOAD_SIZE,
-};
+use rmdb_storage::{Disk, Lsn, MemDisk, Page, PageId, StorageError, PAYLOAD_SIZE};
 use std::collections::{BTreeMap, HashMap};
 
 /// High bit marking a frame as a transaction directory.
@@ -142,7 +139,7 @@ fn scan_directories(disk: &Disk, ring: &ScratchRing) -> DirScan {
         if !disk.is_allocated(addr) {
             continue;
         }
-        if let Ok(page) = read_page_retry(disk, addr, IO_RETRIES) {
+        if let Ok(page) = disk.read_page_retry(addr) {
             if let Some((state, txn, entries)) = decode_dir(&page) {
                 // A frame that decodes but references pages or slots outside
                 // the store is garbage wearing a directory id — skip it.
@@ -223,17 +220,17 @@ impl NoUndoStore {
                 DIR_LIVE => {
                     // committed but not (fully) installed: redo the install
                     for &(page, slot) in &entries {
-                        let staged = read_page_retry(&disk, slot, IO_RETRIES)?;
+                        let staged = disk.read_page_retry(slot)?;
                         if staged.id != PageId(page) {
                             return Err(ShadowError::Storage(StorageError::Protocol(
                                 "staged page does not match its directory entry",
                             )));
                         }
-                        write_page_verified(&mut disk, page, &staged, IO_RETRIES)?;
+                        disk.write_page_verified(page, &staged)?;
                         report.pages_copied += 1;
                     }
                     let done = encode_dir(DIR_DONE, txn, &entries, addr - cfg.logical_pages);
-                    write_page_verified(&mut disk, addr, &done, IO_RETRIES)?;
+                    disk.write_page_verified(addr, &done)?;
                     report.txns_processed += 1;
                 }
                 _ => report.done_directories += 1,
@@ -297,7 +294,7 @@ impl NoUndoStore {
             return Ok(p.read_at(offset, len).to_vec());
         }
         if self.disk.is_allocated(page) {
-            let p = read_page_retry(&self.disk, page, IO_RETRIES)?;
+            let p = self.disk.read_page_retry(page)?;
             Ok(p.read_at(offset, len).to_vec())
         } else {
             Ok(vec![0; len])
@@ -320,7 +317,7 @@ impl NoUndoStore {
         self.locks.acquire(txn, page)?;
         if !self.active[&txn].delta.contains_key(&page) {
             let base = if self.disk.is_allocated(page) {
-                self.disk.read_page(page)?
+                self.disk.read_page_retry(page)?
             } else {
                 Page::new(PageId(page))
             };
@@ -364,13 +361,13 @@ impl NoUndoStore {
         for ((page, mut work), &slot) in state.delta.into_iter().zip(&slots) {
             work.id = PageId(page);
             work.lsn = Lsn(txn);
-            write_page_verified(&mut self.disk, slot, &work, IO_RETRIES)?;
+            self.disk.write_page_verified(slot, &work)?;
             self.stats.scratch_writes += 1;
             entries.push((page, slot));
         }
         // the atomic commit point: one frame write
         let dir = encode_dir(DIR_LIVE, txn, &entries, dir_addr - self.cfg.logical_pages);
-        write_page_verified(&mut self.disk, dir_addr, &dir, IO_RETRIES)?;
+        self.disk.write_page_verified(dir_addr, &dir)?;
         self.stats.dir_writes += 1;
         Ok((dir_addr, entries))
     }
@@ -384,12 +381,12 @@ impl NoUndoStore {
         entries: Vec<(u64, u64)>,
     ) -> Result<(), ShadowError> {
         for &(page, slot) in &entries {
-            let staged = read_page_retry(&self.disk, slot, IO_RETRIES)?;
-            write_page_verified(&mut self.disk, page, &staged, IO_RETRIES)?;
+            let staged = self.disk.read_page_retry(slot)?;
+            self.disk.write_page_verified(page, &staged)?;
             self.stats.overwrites += 1;
         }
         let done = encode_dir(DIR_DONE, txn, &entries, dir_addr - self.cfg.logical_pages);
-        write_page_verified(&mut self.disk, dir_addr, &done, IO_RETRIES)?;
+        self.disk.write_page_verified(dir_addr, &done)?;
         self.stats.dir_writes += 1;
         for &(_, slot) in &entries {
             self.ring.release(slot);
@@ -520,19 +517,19 @@ impl NoRedoStore {
                 continue;
             };
             for &(page, slot) in entries {
-                let shadow = read_page_retry(&disk, slot, IO_RETRIES)?;
+                let shadow = disk.read_page_retry(slot)?;
                 if shadow.id != PageId(page) {
                     return Err(ShadowError::Storage(StorageError::Protocol(
                         "saved shadow does not match its directory entry",
                     )));
                 }
-                write_page_verified(&mut disk, page, &shadow, IO_RETRIES)?;
+                disk.write_page_verified(page, &shadow)?;
                 report.pages_copied += 1;
             }
             // retire every frame the transaction left behind
             for (addr, entries) in &lives {
                 let retired = encode_dir(DIR_DONE, txn, entries, addr - cfg.logical_pages);
-                write_page_verified(&mut disk, *addr, &retired, IO_RETRIES)?;
+                disk.write_page_verified(*addr, &retired)?;
             }
             report.txns_processed += 1;
         }
@@ -595,7 +592,7 @@ impl NoRedoStore {
             return Ok(p.read_at(offset, len).to_vec());
         }
         if self.disk.is_allocated(page) {
-            let p = read_page_retry(&self.disk, page, IO_RETRIES)?;
+            let p = self.disk.read_page_retry(page)?;
             Ok(p.read_at(offset, len).to_vec())
         } else {
             Ok(vec![0; len])
@@ -616,7 +613,7 @@ impl NoRedoStore {
         };
         let entries: Vec<(u64, u64)> = state.saved.iter().map(|(&p, &s)| (p, s)).collect();
         let dir = encode_dir(DIR_LIVE, txn, &entries, addr - self.cfg.logical_pages);
-        write_page_verified(&mut self.disk, addr, &dir, IO_RETRIES)?;
+        self.disk.write_page_verified(addr, &dir)?;
         self.active.get_mut(&txn).expect("txn active").dir_writes += 1;
         self.stats.dir_writes += 1;
         Ok(())
@@ -653,11 +650,11 @@ impl NoRedoStore {
             }
             // 1. save the shadow
             let original = if self.disk.is_allocated(page) {
-                read_page_retry(&self.disk, page, IO_RETRIES)?
+                self.disk.read_page_retry(page)?
             } else {
                 Page::new(PageId(page))
             };
-            write_page_verified(&mut self.disk, save_slot, &original, IO_RETRIES)?;
+            self.disk.write_page_verified(save_slot, &original)?;
             self.stats.scratch_writes += 1;
             // 2. record it in the directory (durable before the overwrite)
             {
@@ -673,7 +670,7 @@ impl NoRedoStore {
         work.write_at(offset, data);
         work.lsn = Lsn(txn);
         let copy = work.clone();
-        write_page_verified(&mut self.disk, page, &copy, IO_RETRIES)?;
+        self.disk.write_page_verified(page, &copy)?;
         self.stats.overwrites += 1;
         Ok(())
     }
@@ -689,7 +686,7 @@ impl NoRedoStore {
         let entries: Vec<(u64, u64)> = saved.iter().map(|(&p, &s)| (p, s)).collect();
         for addr in [slots.0, slots.1] {
             let done = encode_dir(DIR_DONE, txn, &entries, addr - self.cfg.logical_pages);
-            write_page_verified(&mut self.disk, addr, &done, IO_RETRIES)?;
+            self.disk.write_page_verified(addr, &done)?;
             self.stats.dir_writes += 1;
         }
         for (_, slot) in saved {
@@ -724,8 +721,8 @@ impl NoRedoStore {
             .ok_or(ShadowError::UnknownTxn(txn))?;
         if let Some(slots) = state.dir_slots {
             for (&page, &slot) in &state.saved {
-                let shadow = read_page_retry(&self.disk, slot, IO_RETRIES)?;
-                write_page_verified(&mut self.disk, page, &shadow, IO_RETRIES)?;
+                let shadow = self.disk.read_page_retry(slot)?;
+                self.disk.write_page_verified(page, &shadow)?;
                 self.stats.overwrites += 1;
             }
             self.retire_dirs(txn, slots, state.saved)?;
@@ -780,6 +777,25 @@ mod tests {
             assert_eq!(committed_read(&mut s, 1, 0, 4), vec![0; 4]);
             assert_eq!(s.stats().scratch_writes, 0, "no-undo aborts touch no disk");
             let _ = writes_before_abort;
+        }
+
+        #[test]
+        fn write_rides_a_transient_fault_on_its_base_read() {
+            use rmdb_storage::{FaultInjector, FaultPlan};
+            let mut s = NoUndoStore::new(cfg());
+            let t0 = s.begin();
+            s.write(t0, 2, 0, b"base").unwrap();
+            s.commit(t0).unwrap();
+            // read 0 of the fresh plan is the write's base-image read
+            s.attach_faults(&FaultInjector::handle(
+                FaultPlan::new().transient_read(0, 1),
+            ));
+            let t = s.begin();
+            s.write(t, 2, 4, b"more").unwrap();
+            s.commit(t).unwrap();
+            assert_eq!(committed_read(&mut s, 2, 0, 8), b"basemore");
+            let (mut s2, _) = NoUndoStore::recover(s.crash_image(), cfg()).unwrap();
+            assert_eq!(committed_read(&mut s2, 2, 0, 8), b"basemore");
         }
 
         #[test]

@@ -16,16 +16,11 @@
 //! sequential workloads.
 
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{
-    read_page_retry, write_page_verified, BackendKind, Disk, Lsn, Page, PageId, StorageError,
-    PAYLOAD_SIZE,
-};
+use rmdb_storage::{BackendKind, Disk, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE};
 use std::collections::{BTreeMap, HashMap};
 
 /// Frame-address sentinel for "logical page never written".
 const FREE: u64 = u64::MAX;
-/// Bounded retry budget for riding through transient device faults.
-pub(crate) const IO_RETRIES: u32 = 4;
 /// Page-table entries per 4 KB page-table page (8-byte entries; the paper
 /// assumes 4-byte entries and quotes >1000 — same order of magnitude).
 pub const ENTRIES_PER_PT_PAGE: u64 = (PAYLOAD_SIZE / 8) as u64;
@@ -273,7 +268,7 @@ impl ShadowPager {
     ) -> Result<(Self, ShadowRecoveryReport), ShadowError> {
         let mut best: Option<(u64, u8)> = None; // (generation, area)
         for slot in 0..2u64 {
-            let Ok(master) = read_page_retry(&image.pt, slot, IO_RETRIES) else {
+            let Ok(master) = image.pt.read_page_retry(slot) else {
                 continue; // torn or never-written master slot
             };
             let area = master.read_at(0, 1)[0];
@@ -295,7 +290,7 @@ impl ShadowPager {
         let mut pt_reads = 0;
         let start = Self::area_start(&cfg, current_area);
         for i in 0..Self::pt_pages(&cfg) {
-            let page = read_page_retry(&image.pt, start + i, IO_RETRIES)?;
+            let page = image.pt.read_page_retry(start + i)?;
             pt_reads += 1;
             for e in 0..ENTRIES_PER_PT_PAGE {
                 let idx = i * ENTRIES_PER_PT_PAGE + e;
@@ -378,7 +373,7 @@ impl ShadowPager {
         let mut m = Page::new(PageId(u64::MAX));
         m.write_at(0, &[area]);
         m.write_at(1, &generation.to_le_bytes());
-        write_page_verified(pt, generation % 2, &m, IO_RETRIES)?;
+        pt.write_page_verified(generation % 2, &m)?;
         Ok(())
     }
 
@@ -402,7 +397,7 @@ impl ShadowPager {
                 }
                 p.write_at((e * 8) as usize, &table[idx as usize].to_le_bytes());
             }
-            write_page_verified(pt, start + i, &p, IO_RETRIES)?;
+            pt.write_page_verified(start + i, &p)?;
             stats.pt_writes += 1;
         }
         Ok(())
@@ -493,7 +488,7 @@ impl ShadowPager {
             FREE => Ok(vec![0; len]),
             frame => {
                 self.stats.data_reads += 1;
-                let p = read_page_retry(&self.data, frame, IO_RETRIES)?;
+                let p = self.data.read_page_retry(frame)?;
                 Ok(p.read_at(offset, len).to_vec())
             }
         }
@@ -520,7 +515,7 @@ impl ShadowPager {
                 FREE => Page::new(PageId(page)),
                 frame => {
                     self.stats.data_reads += 1;
-                    read_page_retry(&self.data, frame, IO_RETRIES)?
+                    self.data.read_page_retry(frame)?
                 }
             };
             let hint = match self.table[page as usize] {
@@ -565,7 +560,7 @@ impl ShadowPager {
         for (logical, (frame, mut page)) in state.delta {
             page.id = PageId(logical);
             page.lsn = Lsn(generation);
-            write_page_verified(&mut self.data, frame, &page, IO_RETRIES)?;
+            self.data.write_page_verified(frame, &page)?;
             self.stats.data_writes += 1;
             new_map.push((logical, frame));
         }

@@ -15,11 +15,9 @@
 //! the torn copy and selection falls back to the surviving shadow, which is
 //! exactly the recovery argument of Reuter's TWIST scheme the paper cites.
 
-use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId, IO_RETRIES};
+use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId};
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{
-    read_page_retry, write_page_verified, Disk, Lsn, MemDisk, Page, PageId, PAYLOAD_SIZE,
-};
+use rmdb_storage::{Disk, Lsn, MemDisk, Page, PageId, PAYLOAD_SIZE};
 use std::collections::{BTreeMap, HashMap};
 
 /// Configuration for a [`VersionStore`].
@@ -170,7 +168,7 @@ impl VersionStore {
                 if !disk.is_allocated(slot) {
                     continue;
                 }
-                let Ok(page) = read_page_retry(&disk, slot, IO_RETRIES) else {
+                let Ok(page) = disk.read_page_retry(slot) else {
                     continue; // torn append: the other slot survives
                 };
                 let count = (u32::from_le_bytes(page.read_at(0, 4).try_into().unwrap()) as usize)
@@ -199,7 +197,7 @@ impl VersionStore {
             if !disk.is_allocated(frame) {
                 continue;
             }
-            match read_page_retry(&disk, frame, IO_RETRIES) {
+            match disk.read_page_retry(frame) {
                 Ok(p) => max_stamp = max_stamp.max(p.lsn.0),
                 Err(_) => report.torn_slots += 1,
             }
@@ -260,7 +258,7 @@ impl VersionStore {
             if !self.disk.is_allocated(slot) {
                 continue;
             }
-            let candidate = match read_page_retry(&self.disk, slot, IO_RETRIES) {
+            let candidate = match self.disk.read_page_retry(slot) {
                 Ok(p) if p.id == PageId(page) => p,
                 _ => continue, // torn or foreign frame: the twin survives
             };
@@ -332,7 +330,7 @@ impl VersionStore {
         work.id = PageId(page);
         work.lsn = Lsn(txn); // the stamp: valid only once txn commits
         let (slot, copy) = (*slot, work.clone());
-        write_page_verified(&mut self.disk, slot, &copy, IO_RETRIES)?;
+        self.disk.write_page_verified(slot, &copy)?;
         self.stats.slot_writes += 1;
         Ok(())
     }
@@ -360,7 +358,7 @@ impl VersionStore {
         page.write_at(4 + 8 * within, &txn.to_le_bytes());
         page.write_at(0, &((within + 1) as u32).to_le_bytes());
         let cl_addr = Self::slot_frames(&self.cfg) + 2 * frame_idx + (within as u64 % 2);
-        write_page_verified(&mut self.disk, cl_addr, &page, IO_RETRIES)?;
+        self.disk.write_page_verified(cl_addr, &page)?;
         self.stats.commit_writes += 1;
         self.commit_seq.insert(txn, self.commit_count);
         self.commit_log.push(txn);

@@ -8,8 +8,9 @@
 //! engines) is backend-generic without a generic parameter rippling
 //! through every struct. `Disk` is also the only place the
 //! device-independent contract is applied — bounds and torn-length checks,
-//! fault injection, I/O counters — so a fault plan written against one
-//! backend replays bit-for-bit against the others.
+//! fault injection, bounded retry and verify-after-write, I/O and retry
+//! counters — so a fault plan written against one backend replays
+//! bit-for-bit against the others.
 //!
 //! A backend keeps only what actually differs: where frames live, how a
 //! prefix of a frame lands, what a force costs, and how a snapshot is
@@ -35,6 +36,10 @@ use crate::page::{Page, FRAME_SIZE};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Attempts in total for [`Disk::read_page_retry`] and
+/// [`Disk::write_page_verified`]: the one retry budget of every engine.
+const ATTEMPTS: u32 = 4;
 
 /// Which backend to provision when an engine creates its devices.
 ///
@@ -131,6 +136,11 @@ impl BackendKind {
 /// Checks 2–3 consume no fault-plan operation index, so a plan replays
 /// identically on every backend.
 ///
+/// On top of those single attempts, [`Disk::read_page_retry`] and
+/// [`Disk::write_page_verified`] apply the one retry discipline — at most
+/// `ATTEMPTS` (4) rounds, each round beyond the first counted in
+/// [`Disk::read_retries`] or [`Disk::write_retries`].
+///
 /// The counters are atomics so a `Disk` is `Sync`: parallel restart
 /// workers read pages from one shared data disk through `&Disk`.
 pub struct Disk {
@@ -138,6 +148,8 @@ pub struct Disk {
     reads: AtomicU64,
     writes: AtomicU64,
     forces: AtomicU64,
+    read_retries: AtomicU64,
+    write_retries: AtomicU64,
     /// Shared fault injector; snapshotting sheds it (a recovered image is
     /// a clean device).
     faults: Option<FaultHandle>,
@@ -195,6 +207,8 @@ impl Disk {
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             forces: AtomicU64::new(0),
+            read_retries: AtomicU64::new(0),
+            write_retries: AtomicU64::new(0),
             faults: None,
         }
     }
@@ -358,6 +372,17 @@ impl Disk {
         self.forces.load(Ordering::Relaxed)
     }
 
+    /// Read rounds [`Disk::read_page_retry`] made beyond the first.
+    pub fn read_retries(&self) -> u64 {
+        self.read_retries.load(Ordering::Relaxed)
+    }
+
+    /// Write+verify rounds [`Disk::write_page_verified`] made beyond the
+    /// first.
+    pub fn write_retries(&self) -> u64 {
+        self.write_retries.load(Ordering::Relaxed)
+    }
+
     /// Backend name (`"mem"`, `"file"`, `"nvme"`).
     pub fn kind(&self) -> &'static str {
         match &self.backend {
@@ -385,6 +410,55 @@ impl Disk {
     pub fn write_page(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
         self.write_frame(addr, &page.to_frame())
     }
+
+    /// [`Disk::read_page`] with bounded retry through transient faults.
+    ///
+    /// Retries [`StorageError::Io`] and [`StorageError::Corrupt`] — a bit
+    /// flip during transfer fails the checksum although the platter is
+    /// fine, so one clean re-read resolves it. Persistent corruption (a
+    /// genuinely torn frame) still surfaces as the last error once the
+    /// attempts run out; any other error returns at once.
+    pub fn read_page_retry(&self, addr: u64) -> Result<Page, StorageError> {
+        let mut attempt = 1;
+        loop {
+            match self.read_page(addr) {
+                Err(StorageError::Io { .. } | StorageError::Corrupt { .. })
+                    if attempt < ATTEMPTS =>
+                {
+                    attempt += 1;
+                    self.read_retries.fetch_add(1, Ordering::Relaxed);
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Write-and-verify: write the page, read it back, and go round again
+    /// on any failure or mismatch, up to the retry budget.
+    ///
+    /// The defense against *lost* and *torn* writes on commit-critical
+    /// frames (master records, commit lists, log pages): a silently dropped
+    /// write would otherwise let commit report durability it does not
+    /// have. [`StorageError::Offline`] returns at once; otherwise the last
+    /// error returns once the attempts run out.
+    pub fn write_page_verified(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
+        let mut attempt = 1;
+        loop {
+            let err = match self
+                .write_page(addr, page)
+                .and_then(|()| self.read_page(addr))
+            {
+                Ok(got) if got == *page => return Ok(()),
+                Ok(_) => StorageError::Corrupt { addr },
+                Err(e) => e,
+            };
+            if err == StorageError::Offline || attempt == ATTEMPTS {
+                return Err(err);
+            }
+            attempt += 1;
+            self.write_retries.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl std::fmt::Debug for Disk {
@@ -394,6 +468,8 @@ impl std::fmt::Debug for Disk {
             .field("reads", &self.reads())
             .field("writes", &self.writes())
             .field("forces", &self.forces())
+            .field("read_retries", &self.read_retries())
+            .field("write_retries", &self.write_retries())
             .field("faults", &self.faults.is_some())
             .finish()
     }

@@ -1,4 +1,4 @@
-//! Deterministic, replayable fault injection for any [`Disk`].
+//! Deterministic, replayable fault injection for any [`Disk`](crate::Disk).
 //!
 //! A [`FaultPlan`] is a schedule keyed by the injector's *global* operation
 //! counters: "on the k-th frame write, tear it at byte c", "on the j-th
@@ -40,9 +40,8 @@
 //! still consumed its operation index. This keeps replay trivially
 //! deterministic even when consumers retry.
 
-use crate::device::Disk;
 use crate::error::StorageError;
-use crate::page::{Page, FRAME_SIZE};
+use crate::page::FRAME_SIZE;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -488,66 +487,12 @@ impl FaultInjector {
     }
 }
 
-/// Bounded deterministic retry for reads through transient faults.
-///
-/// Retries [`StorageError::Io`] and [`StorageError::Corrupt`] up to
-/// `attempts` times total — a bit flip during transfer manifests as a
-/// checksum failure even though the platter is fine, so one clean re-read
-/// resolves it. Persistent corruption (a genuinely torn frame) still
-/// surfaces as the last [`StorageError::Corrupt`] once attempts are
-/// exhausted; other errors return immediately.
-pub fn read_page_retry(disk: &Disk, addr: u64, attempts: u32) -> Result<Page, StorageError> {
-    let mut last = StorageError::Io { addr };
-    for _ in 0..attempts.max(1) {
-        match disk.read_page(addr) {
-            Err(e @ (StorageError::Io { .. } | StorageError::Corrupt { .. })) => last = e,
-            other => return other,
-        }
-    }
-    Err(last)
-}
-
-/// Write-and-verify: write the page, read it back, retry on mismatch.
-///
-/// This is the defense against *lost* and *torn* writes on commit-critical
-/// frames (master records, commit lists, directory entries): a silently
-/// dropped write would otherwise let commit report durability it does not
-/// have. Up to `attempts` write+verify rounds; returns the last error if
-/// the frame never verifies.
-pub fn write_page_verified(
-    disk: &mut Disk,
-    addr: u64,
-    page: &Page,
-    attempts: u32,
-) -> Result<(), StorageError> {
-    let mut last = StorageError::Io { addr };
-    for _ in 0..attempts.max(1) {
-        if let Err(e) = disk.write_page(addr, page) {
-            last = e;
-            if last == StorageError::Offline {
-                return Err(last);
-            }
-            continue;
-        }
-        match disk.read_page(addr) {
-            Ok(got) if got == *page => return Ok(()),
-            Ok(_) => last = StorageError::Corrupt { addr },
-            Err(e) => {
-                last = e;
-                if last == StorageError::Offline {
-                    return Err(last);
-                }
-            }
-        }
-    }
-    Err(last)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Disk;
     use crate::memdisk::MemDisk;
-    use crate::page::PageId;
+    use crate::page::{Page, PageId};
 
     fn page(tag: u8) -> Page {
         let mut p = Page::new(PageId(tag as u64));
@@ -621,9 +566,12 @@ mod tests {
         let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle);
         d.write_page(0, &page(1)).unwrap(); // write 0
-        assert_eq!(read_page_retry(&d, 0, 3).unwrap(), page(1)); // reads 0..2
-        write_page_verified(&mut d, 1, &page(2), 3).unwrap(); // rides the write fault
+        assert_eq!(d.read_page_retry(0).unwrap(), page(1)); // read 0: clean
+                                                            // write 1 fails, then the read-back of write 2 (read 1) fails:
+                                                            // two rounds beyond the first
+        d.write_page_verified(1, &page(2)).unwrap();
         assert_eq!(d.read_page(1).unwrap(), page(2));
+        assert_eq!((d.read_retries(), d.write_retries()), (0, 2));
     }
 
     #[test]
@@ -631,7 +579,7 @@ mod tests {
         let handle = FaultInjector::handle(FaultPlan::new().lose_write(0));
         let mut d = Disk::from(MemDisk::new(4));
         d.attach_faults(handle);
-        write_page_verified(&mut d, 0, &page(7), 3).unwrap();
+        d.write_page_verified(0, &page(7)).unwrap();
         assert_eq!(d.read_page(0).unwrap(), page(7));
     }
 

@@ -12,7 +12,8 @@
 //!   [`device::Disk::snapshot`] capturing the exact durable state at an
 //!   arbitrary instant (the crash-injection primitive used throughout the
 //!   recovery tests). It applies bounds and torn-length checks, fault
-//!   injection and I/O counting once, over one of three raw backends:
+//!   injection, bounded retry with verify-after-write, and I/O and retry
+//!   counting once, over one of three raw backends:
 //!   [`memdisk::MemDisk`] (in memory), [`filedisk::FileDisk`] (a real
 //!   file) and [`nvmedisk::NvmeDisk`] (an NVMe timing model);
 //! * [`fault::FaultPlan`] / [`fault::FaultInjector`] — a deterministic,
@@ -38,10 +39,7 @@ pub mod page;
 pub use buffer::{BufferPool, Evicted, PoolShard, ShardGuard, ShardStats, ShardedPool};
 pub use device::{BackendKind, Disk};
 pub use error::StorageError;
-pub use fault::{
-    read_page_retry, write_page_verified, FaultHandle, FaultInjector, FaultPlan, ReadFault,
-    WriteFault,
-};
+pub use fault::{FaultHandle, FaultInjector, FaultPlan, ReadFault, WriteFault};
 pub use filedisk::FileDisk;
 pub use memdisk::MemDisk;
 pub use nvmedisk::{NvmeConfig, NvmeDisk, NvmeModel};

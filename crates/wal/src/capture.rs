@@ -20,12 +20,7 @@
 
 use crate::db::{LogMode, LoggingPolicy, TxnId, WalConfig};
 use crate::record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
-use crate::recovery::read_data_retry;
-use crate::stream::IO_RETRIES;
-use rmdb_storage::{
-    read_page_retry, write_page_verified, BufferPool, Disk, Lsn, Page, PageId, ShardedPool,
-    StorageError,
-};
+use rmdb_storage::{BufferPool, Disk, Lsn, Page, PageId, ShardedPool, StorageError};
 use std::collections::{BTreeSet, HashMap};
 
 /// One undoable update: enough to restore the bytes it overwrote and to
@@ -369,7 +364,7 @@ fn revert_all(undo: &[UndoEntry], pool: &mut impl CapturePool) {
 /// persistent corruption surfaces as a typed error.
 pub fn home_page(disk: &Disk, id: PageId) -> Result<Page, StorageError> {
     if disk.is_allocated(id.0) {
-        read_page_retry(disk, id.0, IO_RETRIES)
+        disk.read_page_retry(id.0)
     } else {
         Ok(Page::new(id))
     }
@@ -410,22 +405,22 @@ impl Doublewrite {
         if self.slots > 0 {
             let slot = self.data_pages + self.cursor % self.slots;
             self.cursor += 1;
-            write_page_verified(disk, slot, page, IO_RETRIES)?;
+            disk.write_page_verified(slot, page)?;
         }
-        write_page_verified(disk, page.id.0, page, IO_RETRIES)
+        disk.write_page_verified(page.id.0, page)
     }
 
     /// The latest valid image per page in `disk`'s slots, for rebuilding
     /// home frames torn by a crash. A corrupt slot means the crash hit the
     /// slot write itself — the home frame is then still intact, so the
     /// slot is ignored.
-    pub fn harvest(disk: &Disk, cfg: &WalConfig, retried: &mut u64) -> HashMap<PageId, Page> {
+    pub fn harvest(disk: &Disk, cfg: &WalConfig) -> HashMap<PageId, Page> {
         let mut images: HashMap<PageId, Page> = HashMap::new();
         for slot in cfg.data_pages..disk.capacity() {
             if !disk.is_allocated(slot) {
                 continue;
             }
-            if let Ok(p) = read_data_retry(disk, slot, retried) {
+            if let Ok(p) = disk.read_page_retry(slot) {
                 match images.get(&p.id) {
                     Some(have) if have.lsn >= p.lsn => {}
                     _ => {

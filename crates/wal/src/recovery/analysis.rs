@@ -76,7 +76,6 @@ pub(super) fn analyze(
     let mut seen_lsns: HashSet<u64> = HashSet::new();
     for (stream_idx, (records, stats)) in scans.iter().enumerate() {
         base.quarantined_log_pages += stats.corrupt_pages;
-        base.retried_ios += stats.retried_reads;
         if stats.corrupt_pages > 0 {
             // the decodable prefix before the torn page is what survives
             base.salvaged_records += records.len() as u64;

@@ -42,7 +42,6 @@ mod analysis;
 mod redo;
 mod report;
 
-pub(crate) use redo::read_data_retry;
 pub use report::{PhaseTimings, RecoveryReport, RestartReport, WorkerStats};
 
 use crate::capture::Doublewrite;
@@ -52,7 +51,7 @@ use crate::record::LogRecord;
 use analysis::analyze;
 use redo::{load_redo_page, shard_redo, PageLoad};
 use rmdb_obs::{EventKind, Registry};
-use rmdb_storage::{write_page_verified, Disk, Lsn, StorageError};
+use rmdb_storage::{Disk, Lsn, StorageError};
 use std::collections::btree_map::Entry;
 use std::time::{Duration, Instant};
 
@@ -130,6 +129,9 @@ pub fn run_engine(
     let workers = run.workers.max(1);
     let CrashImage { data, logs } = image;
     let mut data: Disk = data;
+    // every retry the run's own I/O makes on the data and log devices
+    let retries = |d: &Disk| d.read_retries() + d.write_retries();
+    let retries_before = retries(&data) + logs.iter().map(retries).sum::<u64>();
     let mut log = ParallelLogManager::open(logs, cfg.policy, cfg.seed)?;
 
     // ---- Analysis ----
@@ -138,7 +140,7 @@ pub fn run_engine(
         workers,
         ..RestartReport::default()
     };
-    let doublewrite = Doublewrite::harvest(&data, &cfg, &mut report.base.retried_ios);
+    let doublewrite = Doublewrite::harvest(&data, &cfg);
     let a = analyze(&scans, run.bounded, &mut report);
     report.timings.analysis = t_start.elapsed();
     let base = &report.base;
@@ -159,7 +161,6 @@ pub fn run_engine(
     base.reexecuted_ops = out.reexecuted_ops;
     base.torn_pages_repaired = out.torn_repaired;
     base.quarantined_data_pages = quarantined.len() as u64;
-    base.retried_ios += out.retried_ios;
     report.per_worker = out.per_worker;
     report.timings.redo = t_redo.elapsed();
     count("redone_updates", out.redone);
@@ -201,13 +202,7 @@ pub fn run_engine(
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(slot) => {
                     let base = &mut report.base;
-                    match load_redo_page(
-                        &data,
-                        &doublewrite,
-                        cand.page,
-                        false,
-                        &mut base.retried_ios,
-                    )? {
+                    match load_redo_page(&data, &doublewrite, cand.page, false)? {
                         PageLoad::Ready(p, torn) => {
                             base.torn_pages_repaired += u64::from(torn);
                             slot.insert(p)
@@ -240,7 +235,7 @@ pub fn run_engine(
     let t_flush = Instant::now();
     log.force_all()?;
     for (id, page) in &pages {
-        write_page_verified(&mut data, id.0, page, 4)?;
+        data.write_page_verified(id.0, page)?;
         report.base.pages_written += 1;
     }
     for (stream, bound) in a.bounds.iter().enumerate() {
@@ -251,6 +246,10 @@ pub fn run_engine(
     }
     report.timings.flush = t_flush.elapsed();
     report.timings.total = t_start.elapsed();
+    let log_retries: u64 = (0..log.n_streams())
+        .map(|i| retries(log.stream(i).disk()))
+        .sum();
+    report.base.retried_ios = retries(&data) + log_retries - retries_before;
     count("pages_written", report.base.pages_written);
     count("retried_ios", report.base.retried_ios);
     phase(3, "flush", report.timings.flush);
@@ -601,6 +600,33 @@ mod tests {
         ));
         // untouched pages are unaffected
         assert_eq!(db2.read(q, 5, 0, 4).unwrap(), b"fine");
+    }
+
+    #[test]
+    fn durable_finish_counts_its_write_retries() {
+        use rmdb_storage::{FaultInjector, FaultPlan};
+        for workers in [1, 4] {
+            let mut db = WalDb::new(cfg(2));
+            let t = db.begin();
+            db.write(t, 5, 0, b"redo me").unwrap();
+            db.commit(t).unwrap();
+            let mut image = db.crash_image();
+            // data write 0 is the durable finish's first home write
+            let plan = FaultPlan::new().transient_write(0, 1);
+            image.data.attach_faults(FaultInjector::handle(plan));
+            let obs = Registry::new();
+            let run = EngineRun {
+                workers,
+                bounded: true,
+                metrics: "restart",
+            };
+            let (mut db2, report) = run_engine(image, cfg(2), run, &obs).unwrap();
+            let retried = report.base.retried_ios;
+            assert!(retried >= 1, "K={workers}: the write retry went uncounted");
+            let counted = obs.snapshot().counter("restart.retried_ios");
+            assert_eq!(counted, Some(retried), "K={workers}");
+            assert_eq!(read_committed(&mut db2, 5, 0, 7), b"redo me");
+        }
     }
 
     #[test]

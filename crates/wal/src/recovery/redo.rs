@@ -91,12 +91,11 @@ pub(super) fn load_redo_page(
     doublewrite: &HashMap<PageId, Page>,
     page_id: PageId,
     rebuild_from_log: bool,
-    retried: &mut u64,
 ) -> Result<PageLoad, StorageError> {
     if !data.is_allocated(page_id.0) {
         return Ok(PageLoad::Ready(Page::new(page_id), false));
     }
-    match read_data_retry(data, page_id.0, retried) {
+    match data.read_page_retry(page_id.0) {
         Ok(p) => Ok(PageLoad::Ready(p, false)),
         Err(StorageError::Corrupt { .. }) => {
             if let Some(copy) = doublewrite.get(&page_id) {
@@ -115,30 +114,6 @@ pub(super) fn load_redo_page(
     }
 }
 
-/// Bounded retry for data-disk reads: transient faults and one-off read bit
-/// flips are retried; persistent corruption surfaces as the final typed
-/// error for the caller's repair/quarantine logic.
-pub(crate) fn read_data_retry(
-    disk: &Disk,
-    addr: u64,
-    retried: &mut u64,
-) -> Result<Page, StorageError> {
-    const ATTEMPTS: u32 = 4;
-    let mut last = StorageError::Io { addr };
-    for attempt in 0..ATTEMPTS {
-        match disk.read_page(addr) {
-            Err(e @ (StorageError::Io { .. } | StorageError::Corrupt { .. }))
-                if attempt + 1 < ATTEMPTS =>
-            {
-                *retried += 1;
-                last = e;
-            }
-            other => return other,
-        }
-    }
-    Err(last)
-}
-
 /// What redo hands back to the engine.
 #[derive(Default)]
 pub(super) struct RedoOutcome {
@@ -151,7 +126,6 @@ pub(super) struct RedoOutcome {
     /// Of `redone`: logical ops re-executed.
     pub reexecuted_ops: u64,
     pub torn_repaired: u64,
-    pub retried_ios: u64,
     /// One entry per worker.
     pub per_worker: Vec<WorkerStats>,
 }
@@ -198,7 +172,6 @@ pub(super) fn shard_redo(
         out.redone += shard.redone;
         out.reexecuted_ops += shard.reexecuted_ops;
         out.torn_repaired += shard.torn_repaired;
-        out.retried_ios += shard.retried_ios;
         out.per_worker.append(&mut shard.per_worker);
         out.pages.append(&mut shard.pages);
         out.quarantined.append(&mut shard.quarantined);
@@ -226,17 +199,16 @@ fn replay_shard(
         items.sort_by_key(|i| i.new_lsn);
         let rebuild = items.first().is_some_and(RedoItem::is_full_image);
         stats.pages += 1;
-        let mut page =
-            match load_redo_page(data, doublewrite, page_id, rebuild, &mut out.retried_ios)? {
-                PageLoad::Ready(p, torn) => {
-                    out.torn_repaired += u64::from(torn);
-                    p
-                }
-                PageLoad::Quarantined => {
-                    out.quarantined.insert(page_id);
-                    continue;
-                }
-            };
+        let mut page = match load_redo_page(data, doublewrite, page_id, rebuild)? {
+            PageLoad::Ready(p, torn) => {
+                out.torn_repaired += u64::from(torn);
+                p
+            }
+            PageLoad::Quarantined => {
+                out.quarantined.insert(page_id);
+                continue;
+            }
+        };
         for item in &items {
             if apply_item(&mut page, item)? {
                 out.redone += 1;

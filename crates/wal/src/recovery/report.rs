@@ -35,7 +35,8 @@ pub struct RecoveryReport {
     /// left in place, so reading the page yields a typed error rather than
     /// silently invented contents.
     pub quarantined_data_pages: u64,
-    /// Transient I/O faults ridden through by bounded retry.
+    /// Transient I/O faults ridden through by bounded retry: the read and
+    /// write retries the run accrued on its data and log devices.
     pub retried_ios: u64,
     /// Duplicate update/compensation fragments skipped during analysis.
     /// Failover reroutes a dead stream's volatile fragments to a survivor;

@@ -58,10 +58,7 @@
 
 use crate::record::LogRecord;
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{write_page_verified, Disk, MemDisk, Page, PageId, StorageError, PAYLOAD_SIZE};
-
-/// Bounded retry budget for riding through transient device faults.
-pub const IO_RETRIES: u32 = 4;
+use rmdb_storage::{Disk, MemDisk, Page, PageId, StorageError, PAYLOAD_SIZE};
 
 /// Per-page header inside the payload: `used: u32` + `epoch: u64` +
 /// `first: u16` (offset of the first record beginning in the page).
@@ -84,8 +81,6 @@ pub struct ScanStats {
     /// Corrupt (torn) log frames quarantined, home or slot; the scan stops
     /// at the first corrupt home frame.
     pub corrupt_pages: u64,
-    /// Transient read faults ridden through by bounded retry.
-    pub retried_reads: u64,
 }
 
 /// One decoded record plus the home frame of the log page holding its
@@ -106,24 +101,6 @@ pub struct IndexedRecord {
     /// pick a truncation frame from the scan it already did, instead of
     /// re-reading the log to find one.
     pub frame_start: bool,
-}
-
-/// Bounded read retry for log frames: rides transient I/O faults and
-/// one-off bit flips, counting retries; persistent errors surface typed.
-fn read_retry(disk: &Disk, addr: u64, retried: &mut u64) -> Result<Page, StorageError> {
-    let mut last = StorageError::Io { addr };
-    for attempt in 0..IO_RETRIES {
-        match disk.read_page(addr) {
-            Err(e @ (StorageError::Io { .. } | StorageError::Corrupt { .. }))
-                if attempt + 1 < IO_RETRIES =>
-            {
-                *retried += 1;
-                last = e;
-            }
-            other => return other,
-        }
-    }
-    Err(last)
 }
 
 /// A log page image for home frame `home`, whose first record begins at
@@ -214,23 +191,21 @@ impl Chain {
     /// `max_epoch`.
     fn read(disk: &Disk, start: u64, floor: u64, max_epoch: u64) -> Chain {
         let mut stats = ScanStats::default();
-        let slots = SLOTS.map(
-            |addr| match read_retry(disk, addr, &mut stats.retried_reads) {
-                Ok(p) if (FIRST_HOME..HEADER_ID.0).contains(&p.id.0) => {
-                    decode_page(&p).map(|lp| SlotCopy {
-                        home: p.id.0,
-                        epoch: lp.epoch,
-                        first: lp.first,
-                        data: lp.data.to_vec(),
-                    })
-                }
-                Err(StorageError::Corrupt { .. }) => {
-                    stats.corrupt_pages += 1;
-                    None
-                }
-                _ => None,
-            },
-        );
+        let slots = SLOTS.map(|addr| match disk.read_page_retry(addr) {
+            Ok(p) if (FIRST_HOME..HEADER_ID.0).contains(&p.id.0) => {
+                decode_page(&p).map(|lp| SlotCopy {
+                    home: p.id.0,
+                    epoch: lp.epoch,
+                    first: lp.first,
+                    data: lp.data.to_vec(),
+                })
+            }
+            Err(StorageError::Corrupt { .. }) => {
+                stats.corrupt_pages += 1;
+                None
+            }
+            _ => None,
+        });
         let mut chain = Chain {
             extents: Vec::new(),
             bytes: Vec::new(),
@@ -253,7 +228,7 @@ impl Chain {
                 .max_by_key(|&i| slots[i].as_ref().map(SlotCopy::age));
             let slot_epoch = slot.and_then(|i| slots[i].as_ref()).map(|s| s.epoch);
             let home = if frame < disk.capacity() {
-                match read_retry(disk, frame, &mut chain.stats.retried_reads) {
+                match disk.read_page_retry(frame) {
                     Ok(p) if p.id == PageId(frame) => Some(p),
                     Err(StorageError::Corrupt { .. }) => {
                         chain.stats.corrupt_pages += 1;
@@ -411,7 +386,7 @@ impl LogStream {
     /// mistaken for what this incarnation writes.
     pub fn open(disk: impl Into<Disk>) -> Result<Self, StorageError> {
         let disk = disk.into();
-        let (start_page, old_epoch, floor) = match read_retry(&disk, 0, &mut 0) {
+        let (start_page, old_epoch, floor) = match disk.read_page_retry(0) {
             Ok(h) if h.id == HEADER_ID => {
                 let field = |at| u64::from_le_bytes(h.read_at(at, 8).try_into().unwrap());
                 (field(0).max(FIRST_HOME), field(8), field(16))
@@ -490,14 +465,14 @@ impl LogStream {
         h.write_at(0, &self.start_page.to_le_bytes());
         h.write_at(8, &self.epoch.to_le_bytes());
         h.write_at(16, &self.floor.to_le_bytes());
-        write_page_verified(&mut self.disk, 0, &h, IO_RETRIES)
+        self.disk.write_page_verified(0, &h)
     }
 
     /// Write one log frame, read-back verified: a silently lost or torn log
     /// page write would otherwise lose committed records that `force`
     /// already promised were durable.
     fn write_frame(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
-        write_page_verified(&mut self.disk, addr, page, IO_RETRIES)?;
+        self.disk.write_page_verified(addr, page)?;
         self.pages_written += 1;
         Ok(())
     }
@@ -597,8 +572,9 @@ impl LogStream {
 
     /// [`LogStream::scan`] plus salvage accounting: how many corrupt log
     /// frames were quarantined (the scan stops at the first corrupt home
-    /// frame, salvaging the decodable prefix) and how many transient read
-    /// faults were retried.
+    /// frame, salvaging the decodable prefix). Transient read faults the
+    /// scan rode through are counted by the disk
+    /// ([`Disk::read_retries`]), not here.
     pub fn scan_with_stats(&self) -> (Vec<LogRecord>, ScanStats) {
         let (indexed, stats) = self.scan_indexed();
         (indexed.into_iter().map(|r| r.rec).collect(), stats)
@@ -668,6 +644,11 @@ impl LogStream {
                 .any(|r| r.frame == target && r.frame_start),
             "truncate_to({target}): no record begins in frame {target}"
         );
+    }
+
+    /// The log disk, for its I/O and retry counters.
+    pub(crate) fn disk(&self) -> &Disk {
+        &self.disk
     }
 
     /// Snapshot the log disk (crash image) — same backend as the stream.

@@ -41,13 +41,21 @@
 # benchmark: it is a workspace of its own, so neither `cargo build` nor
 # `cargo test` compiles it, and a library API change could otherwise
 # break the benchmark without failing this gate (the build writes only
-# the git-ignored perfbench/target/). Last, it prints non-test LOC per
+# the git-ignored perfbench/target/). It fails if a retry budget constant
+# is defined outside rmdb-storage. Last, it prints non-test LOC per
 # crate (scripts/loc.sh) for the record. Run from anywhere inside the
 # repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
+# one retry discipline: the retry budget lives once, in rmdb-storage's
+# `Disk` (read_page_retry / write_page_verified); a private copy of it
+# anywhere else in the workspace fails here
+if grep -rnE 'const (IO_RETRIES|ATTEMPTS)\b' crates --include=*.rs | grep -v '^crates/storage/'; then
+    echo "verify: retry budget defined outside crates/storage" >&2
+    exit 1
+fi
 cargo build --release
 # `cargo build --release` alone builds the root package; the smoke below
 # runs the bench binary, so build it explicitly or it can go stale

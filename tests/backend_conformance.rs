@@ -126,12 +126,18 @@ fn snapshot_is_isolated_same_backend_with_fresh_counters() {
     for_each_backend(|disk, name| {
         let before = filled_page(2, 0xAA);
         disk.write_page(2, &before).expect("write");
+        // give the origin a retry, so the snapshot's zero is its own
+        disk.attach_faults(FaultInjector::handle(FaultPlan::new().transient_read(0, 1)));
+        assert_eq!(disk.read_page_retry(2), Ok(before.clone()), "{name}");
+        assert_eq!(disk.read_retries(), 1, "{name}: origin read retries");
         let snap = disk.snapshot();
         assert_eq!(snap.kind(), disk.kind(), "{name}: snapshot backend");
         assert_eq!(snap.capacity(), disk.capacity(), "{name}");
         assert_eq!(snap.reads(), 0, "{name}: snapshot read counter");
         assert_eq!(snap.writes(), 0, "{name}: snapshot write counter");
         assert_eq!(snap.forces(), 0, "{name}: snapshot force counter");
+        assert_eq!(snap.read_retries(), 0, "{name}: snapshot read retries");
+        assert_eq!(snap.write_retries(), 0, "{name}: snapshot write retries");
 
         // mutate the origin after the snapshot — and vice versa
         let mut snap = snap;
@@ -217,11 +223,16 @@ fn filedisk_snapshot_copies_survive_origin_drop() {
 #[test]
 fn fault_accounting_on_error_paths_is_identical_on_every_backend() {
     // write op 0 fails transiently, write op 1 is dropped, read op 0 fails
-    // transiently
+    // transiently; then, for the retrying read and the verified write:
+    // read op 2 fails twice on its address, write op 3 is dropped, and
+    // the device fails for good from write op 5
     let plan = FaultPlan::new()
         .transient_write(0, 1)
         .lose_write(1)
-        .transient_read(0, 1);
+        .transient_read(0, 1)
+        .transient_read(2, 2)
+        .lose_write(3)
+        .fail_from_write(5);
     for_each_backend(|disk, name| {
         let faults = FaultInjector::handle(plan.clone());
         disk.attach_faults(faults.clone());
@@ -287,5 +298,36 @@ fn fault_accounting_on_error_paths_is_identical_on_every_backend() {
             .expect("lost write reports success");
         assert_eq!(counts(disk), (2, 2, 1, 1), "{name}: lost write");
         assert!(!disk.is_allocated(3), "{name}: lost write landed");
+        let retries = |disk: &Disk| (disk.read_retries(), disk.write_retries());
+        assert_eq!(retries(disk), (0, 0), "{name}: single attempts never retry");
+
+        // a read failing twice costs exactly two read retries
+        let p4 = filled_page(4, 0x44);
+        disk.write_page(4, &p4).expect("clean write");
+        assert_eq!(disk.read_page_retry(4), Ok(p4), "{name}: retried read");
+        assert_eq!(counts(disk), (5, 3, 2, 2), "{name}: retried read");
+        assert_eq!(retries(disk), (2, 0), "{name}: retried read");
+
+        // a lost write under the verified write: its read-back finds the
+        // frame virgin, so one more round lands the page
+        let p5 = filled_page(5, 0x55);
+        disk.write_page_verified(5, &p5).expect("verified write");
+        assert_eq!(counts(disk), (7, 5, 4, 4), "{name}: verified write");
+        assert_eq!(retries(disk), (2, 1), "{name}: verified write");
+        assert_eq!(disk.read_page(5), Ok(p5), "{name}: verified page landed");
+
+        // a failed device exhausts the budget: four attempts, three
+        // retries, and the last error
+        assert_eq!(
+            disk.write_page_verified(6, &filled_page(6, 0x66)),
+            Err(StorageError::Io { addr: 6 }),
+            "{name}: exhausted verified write"
+        );
+        assert_eq!(
+            counts(disk),
+            (8, 9, 5, 4),
+            "{name}: exhausted verified write"
+        );
+        assert_eq!(retries(disk), (2, 4), "{name}: exhausted verified write");
     });
 }
