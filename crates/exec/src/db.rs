@@ -696,8 +696,8 @@ impl Inner {
             .map_err(|e| ExecError::rejoin(stream, format!("vault hand-off: {e}")))?;
         let mut disk = recovered.into_disk();
         let faults = disk.detach_faults();
-        let mut reopened = match LogStream::open(disk) {
-            Ok(s) => s,
+        let (mut reopened, records, stats) = match LogStream::open_scanned(disk) {
+            Ok(opened) => opened,
             // Unreachable after a successful probe (the platter is
             // injector-free here), but if it ever fires the device is
             // gone for good: report it — replace_stream is the way out.
@@ -708,7 +708,6 @@ impl Inner {
                 ))
             }
         };
-        let (records, stats) = reopened.scan_with_stats();
         let durable_records = records.len() as u64;
         if let Some(handle) = faults {
             reopened.attach_faults(handle);

@@ -108,6 +108,11 @@ impl VersionPool {
     /// reclaimed. Cheap when there is nothing to do — each chain is
     /// inspected under its read latch first and only write-locked when
     /// it actually has dead versions.
+    ///
+    /// Each chain's reclaimed versions are counted inside its write
+    /// latch, so a concurrent sweep that finds a chain already drained
+    /// also finds the live count lowered: when any sweep returns, the
+    /// live count already reflects every chain it passed.
     pub fn gc(&self, watermark: u64) -> u64 {
         let mut reclaimed: u64 = 0;
         let mut versioned: u64 = 0;
@@ -118,6 +123,7 @@ impl VersionPool {
                 // raced in between the two lock acquisitions
                 let cut = prune_cut(&chain, watermark);
                 chain.drain(..cut);
+                self.note_pruned(cut as u64);
                 reclaimed += cut as u64;
                 if !chain.is_empty() {
                     versioned += 1;
@@ -127,7 +133,6 @@ impl VersionPool {
             }
         }
         if reclaimed > 0 {
-            self.note_pruned(reclaimed);
             self.live_gauge.set(self.live.load(Ordering::Relaxed));
         }
         self.pages_versioned.set(versioned);
@@ -224,6 +229,42 @@ mod tests {
             // open just behind the publisher
             pool.install(lsn, &[page(0, 0)], lsn.saturating_sub(1));
             assert!(pool.chain_len(PageId(0)) <= 2, "chain unbounded at {lsn}");
+        }
+    }
+
+    #[test]
+    fn concurrent_sweeps_each_return_with_live_count_settled() {
+        const PAGES: u64 = 2048;
+        let obs = Registry::new();
+        let pool = VersionPool::new(PAGES as usize, &obs);
+        let barrier = std::sync::Barrier::new(2);
+        let mut lsn = 0;
+        for round in 0..20 {
+            // two more versions of every page, none pruned inline
+            for _ in 0..2 {
+                lsn += 1;
+                let pages: Vec<_> = (0..PAGES).map(|p| page(p, lsn as u8)).collect();
+                pool.install(lsn, &pages, 0);
+            }
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        barrier.wait();
+                        pool.gc(lsn);
+                        // whichever sweep reclaimed a chain, the live count
+                        // is already one version per page when either returns
+                        let live = pool.live_versions();
+                        let snap = obs.snapshot();
+                        let c = |name: &str| snap.counter(name).unwrap_or(0);
+                        assert_eq!(live, PAGES, "round {round}: live count lags the chains");
+                        assert_eq!(
+                            c("mvcc.versions_installed"),
+                            c("mvcc.versions_pruned") + live,
+                            "round {round}: installed != pruned + live"
+                        );
+                    });
+                }
+            });
         }
     }
 

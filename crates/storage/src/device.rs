@@ -433,22 +433,27 @@ impl Disk {
         }
     }
 
-    /// Write-and-verify: write the page, read it back, and go round again
-    /// on any failure or mismatch, up to the retry budget.
+    /// Write-and-verify: write the page, read the raw frame back, and go
+    /// round again on any failure or mismatch, up to the retry budget.
     ///
     /// The defense against *lost* and *torn* writes on commit-critical
     /// frames (master records, commit lists, log pages): a silently dropped
     /// write would otherwise let commit report durability it does not
-    /// have. [`StorageError::Offline`] returns at once; otherwise the last
-    /// error returns once the attempts run out.
+    /// have. The page is encoded once, and the read-back is compared byte
+    /// for byte with that frame, not decoded: equal bytes carry the valid
+    /// checksum just written, so the check is as strict as decoding and
+    /// comparing pages. A mismatch is [`StorageError::Corrupt`].
+    /// [`StorageError::Offline`] returns at once; otherwise the last error
+    /// returns once the attempts run out.
     pub fn write_page_verified(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
+        let frame = page.to_frame();
         let mut attempt = 1;
         loop {
             let err = match self
-                .write_page(addr, page)
-                .and_then(|()| self.read_page(addr))
+                .write_frame(addr, &frame)
+                .and_then(|()| self.read_frame(addr))
             {
-                Ok(got) if got == *page => return Ok(()),
+                Ok(got) if got == frame => return Ok(()),
                 Ok(_) => StorageError::Corrupt { addr },
                 Err(e) => e,
             };

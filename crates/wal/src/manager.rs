@@ -64,17 +64,34 @@ impl ParallelLogManager {
         policy: SelectionPolicy,
         seed: u64,
     ) -> Result<Self, StorageError> {
+        ParallelLogManager::open_scanned(disks, policy, seed).map(|(m, _)| m)
+    }
+
+    /// [`ParallelLogManager::open`] that also returns every stream's
+    /// durable records and salvage stats from the read the reopen does
+    /// (see [`LogStream::open_scanned`]) — the input to recovery
+    /// analysis. Element `i` is stream `i`'s records in append order.
+    #[allow(clippy::type_complexity)]
+    pub fn open_scanned(
+        disks: Vec<Disk>,
+        policy: SelectionPolicy,
+        seed: u64,
+    ) -> Result<(Self, Vec<(Vec<IndexedRecord>, ScanStats)>), StorageError> {
         assert!(!disks.is_empty(), "need at least one log disk");
         let n = disks.len();
-        let streams = disks
-            .into_iter()
-            .map(LogStream::open)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ParallelLogManager {
+        let mut streams = Vec::with_capacity(n);
+        let mut scans = Vec::with_capacity(n);
+        for disk in disks {
+            let (stream, records, stats) = LogStream::open_scanned(disk)?;
+            streams.push(stream);
+            scans.push((records, stats));
+        }
+        let mgr = ParallelLogManager {
             streams,
             selector: Selector::new(policy, n, seed),
             fragments: vec![0; n],
-        })
+        };
+        Ok((mgr, scans))
     }
 
     /// Number of log processors.
@@ -129,13 +146,6 @@ impl ParallelLogManager {
     /// Element `i` is stream `i`'s records in append order.
     pub fn scan_all(&self) -> Vec<Vec<LogRecord>> {
         self.streams.iter().map(|s| s.scan()).collect()
-    }
-
-    /// [`ParallelLogManager::scan_all`] with per-stream salvage stats and
-    /// each record tagged by the log-disk frame holding its first byte —
-    /// the input to checkpoint-bounded recovery analysis.
-    pub fn scan_all_indexed(&self) -> Vec<(Vec<IndexedRecord>, ScanStats)> {
-        self.streams.iter().map(|s| s.scan_indexed()).collect()
     }
 
     /// Durably drop one stream's scan prefix before `frame` (the

@@ -44,11 +44,10 @@ pub(super) struct Analysis {
     /// Per-page redo work, pages in deterministic order; items in stream
     /// append order (sorted by LSN before replay).
     pub redo: BTreeMap<PageId, Vec<RedoItem>>,
-    /// Per-transaction undo candidates, each with the stream it was
-    /// logged on (its compensation goes to the same stream).
+    /// Per-transaction undo candidates of every transaction with no
+    /// commit record, each with the stream it was logged on (its
+    /// compensation goes to the same stream).
     pub updates_by_txn: HashMap<TxnId, Vec<(usize, UndoEntry)>>,
-    /// Transactions with a durable commit record on any stream.
-    pub committed: HashSet<TxnId>,
     /// `undoes` LSNs of every durable compensation record.
     pub compensated: HashSet<u64>,
     /// High-water marks for the reopened engine.
@@ -61,20 +60,23 @@ pub(super) struct Analysis {
 }
 
 /// Run analysis over the indexed scans of every stream; `bounded` applies
-/// each stream's checkpoint bound. The scan and bound accounting goes
-/// straight into `report`.
+/// each stream's checkpoint bound. The scans are consumed: each payload
+/// moves into the one redo item or undo candidate that needs it. The scan
+/// and bound accounting goes straight into `report`.
 pub(super) fn analyze(
-    scans: &[(Vec<IndexedRecord>, ScanStats)],
+    scans: Vec<(Vec<IndexedRecord>, ScanStats)>,
     bounded: bool,
     report: &mut RestartReport,
 ) -> Analysis {
     let mut a = Analysis::default();
+    let committed = committed_txns(&scans);
     let base = &mut report.base;
+    base.streams_scanned = scans.len();
     // `new_lsn`s are globally unique, so a second update/compensation with
     // the same one is a rerouted duplicate of a fragment that was durable
     // on the quarantined stream after all — analyse it exactly once.
     let mut seen_lsns: HashSet<u64> = HashSet::new();
-    for (stream_idx, (records, stats)) in scans.iter().enumerate() {
+    for (stream_idx, (records, stats)) in scans.into_iter().enumerate() {
         base.quarantined_log_pages += stats.corrupt_pages;
         if stats.corrupt_pages > 0 {
             // the decodable prefix before the torn page is what survives
@@ -82,7 +84,7 @@ pub(super) fn analyze(
         }
 
         let bound = if bounded {
-            last_complete_checkpoint(records, &mut report.checkpoints_found)
+            last_complete_checkpoint(&records, &mut report.checkpoints_found)
         } else {
             None
         };
@@ -106,13 +108,13 @@ pub(super) fn analyze(
             }
         };
 
-        for (i, ir) in records.iter().enumerate() {
+        for (i, ir) in records.into_iter().enumerate() {
             base.records_scanned += 1;
             if let Some(t) = ir.rec.txn() {
                 a.max_txn = a.max_txn.max(t);
             }
             let behind = i < bound_idx;
-            match &ir.rec {
+            match ir.rec {
                 LogRecord::Update {
                     txn,
                     page,
@@ -129,27 +131,31 @@ pub(super) fn analyze(
                     }
                     if behind {
                         report.records_skipped += 1;
-                        if !active.contains(txn) {
+                        if !active.contains(&txn) {
                             // finished before the checkpoint instant
                             continue;
                         }
                     } else {
-                        a.redo.entry(*page).or_default().push(RedoItem {
-                            new_lsn: *new_lsn,
+                        a.redo.entry(page).or_default().push(RedoItem {
+                            new_lsn,
                             body: RedoBody::Install {
-                                offset: *offset,
-                                data: after.clone(),
+                                offset,
+                                data: after,
                             },
                         });
                     }
+                    if committed.contains(&txn) {
+                        // winners are never undone
+                        continue;
+                    }
                     let undo = UndoEntry {
-                        page: *page,
-                        offset: *offset,
-                        before: before.clone(),
-                        new_lsn: *new_lsn,
+                        page,
+                        offset,
+                        before,
+                        new_lsn,
                     };
                     a.updates_by_txn
-                        .entry(*txn)
+                        .entry(txn)
                         .or_default()
                         .push((stream_idx, undo));
                 }
@@ -168,37 +174,27 @@ pub(super) fn analyze(
                     } else if behind {
                         report.records_skipped += 1;
                     } else {
-                        a.redo.entry(*page).or_default().push(RedoItem {
-                            new_lsn: *new_lsn,
-                            body: RedoBody::Install {
-                                offset: *offset,
-                                data: data.clone(),
-                            },
+                        a.redo.entry(page).or_default().push(RedoItem {
+                            new_lsn,
+                            body: RedoBody::Install { offset, data },
                         });
                     }
                 }
-                LogRecord::Commit { txn } => {
-                    a.committed.insert(*txn);
-                }
                 LogRecord::Logical {
-                    txn,
-                    commit_lsn,
-                    ops,
-                    ..
+                    commit_lsn, ops, ..
                 } => {
                     // The logical record IS the commit record; its ops carry
                     // their own per-write LSNs, so redo orders them exactly
                     // like fragments. commit_lsn comes from the same global
                     // counter, which makes it the dedup key for reroutes.
                     a.max_lsn = a.max_lsn.max(commit_lsn.0);
-                    for op in ops {
+                    for op in &ops {
                         a.max_lsn = a.max_lsn.max(op.lsn().0);
                     }
                     if !seen_lsns.insert(commit_lsn.0) {
                         base.duplicate_fragments += 1;
                         continue;
                     }
-                    a.committed.insert(*txn);
                     base.logical_commits += 1;
                     if behind {
                         // committed before the bounding CheckpointBegin, so
@@ -210,21 +206,35 @@ pub(super) fn analyze(
                     for op in ops {
                         a.redo.entry(op.page()).or_default().push(RedoItem {
                             new_lsn: op.lsn(),
-                            body: RedoBody::Op(op.clone()),
+                            body: RedoBody::Op(op),
                         });
                     }
                 }
-                LogRecord::Abort { .. }
+                LogRecord::Commit { .. }
+                | LogRecord::Abort { .. }
                 | LogRecord::CheckpointBegin { .. }
                 | LogRecord::CheckpointEnd => {}
             }
         }
     }
-    base.streams_scanned = scans.len();
-    base.committed_txns = a.committed.iter().copied().collect();
+    base.committed_txns = committed.into_iter().collect();
     base.committed_txns.sort_unstable();
     report.bounded_streams = a.bounds.iter().flatten().count();
     a
+}
+
+/// The commit-set prepass: every transaction with a durable commit
+/// record — a `Commit`, or a `Logical` record, which is its own commit —
+/// on any stream. The main pass keeps undo candidates only for the rest.
+fn committed_txns(scans: &[(Vec<IndexedRecord>, ScanStats)]) -> HashSet<TxnId> {
+    scans
+        .iter()
+        .flat_map(|(records, _)| records)
+        .filter_map(|ir| match ir.rec {
+            LogRecord::Commit { txn } | LogRecord::Logical { txn, .. } => Some(txn),
+            _ => None,
+        })
+        .collect()
 }
 
 /// A stream's last complete Begin/End pair: the Begin's index and active

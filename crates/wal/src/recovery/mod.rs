@@ -11,7 +11,8 @@
 //! One engine ([`run_engine`]) serves every entry point. The algorithm is
 //! undo/redo ("repeat history"):
 //!
-//! 1. **Analysis** — scan every stream independently; a transaction is a
+//! 1. **Analysis** — over each stream's records, decoded by the one chain
+//!    read that reopens it (no second pass); a transaction is a
 //!    *winner* iff a commit record for it is durable on any stream (the
 //!    commit protocol forced all its fragment streams first, so a durable
 //!    commit implies durable fragments). Each stream's redo work is bounded
@@ -132,16 +133,14 @@ pub fn run_engine(
     // every retry the run's own I/O makes on the data and log devices
     let retries = |d: &Disk| d.read_retries() + d.write_retries();
     let retries_before = retries(&data) + logs.iter().map(retries).sum::<u64>();
-    let mut log = ParallelLogManager::open(logs, cfg.policy, cfg.seed)?;
-
-    // ---- Analysis ----
-    let scans = log.scan_all_indexed();
+    // ---- Analysis: the reopen's one chain read per stream is the scan ----
+    let (mut log, scans) = ParallelLogManager::open_scanned(logs, cfg.policy, cfg.seed)?;
     let mut report = RestartReport {
         workers,
         ..RestartReport::default()
     };
     let doublewrite = Doublewrite::harvest(&data, &cfg);
-    let a = analyze(&scans, run.bounded, &mut report);
+    let a = analyze(scans, run.bounded, &mut report);
     report.timings.analysis = t_start.elapsed();
     let base = &report.base;
     count("records_scanned", base.records_scanned as u64);
@@ -170,18 +169,13 @@ pub fn run_engine(
 
     // ---- Undo losers (serial) ----
     let t_undo = Instant::now();
-    let mut updates_by_txn = a.updates_by_txn;
-    let mut losers: Vec<_> = updates_by_txn
-        .keys()
-        .copied()
-        .filter(|t| !a.committed.contains(t))
-        .collect();
-    losers.sort_unstable();
-    report.base.loser_txns = losers.clone();
+    // analysis kept undo candidates for losers only
+    let mut losers: Vec<_> = a.updates_by_txn.into_iter().collect();
+    losers.sort_unstable_by_key(|&(t, _)| t);
+    report.base.loser_txns = losers.iter().map(|&(t, _)| t).collect();
 
     let mut next_lsn = a.max_lsn + 1;
-    for &loser in &losers {
-        let mut cands = updates_by_txn.remove(&loser).expect("loser has updates");
+    for (loser, mut cands) in losers {
         cands.retain(|(_, c)| !a.compensated.contains(&c.new_lsn.0));
         cands.sort_by_key(|(_, c)| std::cmp::Reverse(c.new_lsn));
         let mut last_stream = None;

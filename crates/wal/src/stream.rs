@@ -183,15 +183,18 @@ struct Chain {
     spare_slot: usize,
     /// Highest epoch stamped on any page read, slots included.
     max_epoch: u64,
-    stats: ScanStats,
+    /// Which tail slots read as corrupt.
+    corrupt_slots: [bool; 2],
+    /// Whether the home frame the chain stopped at read as corrupt.
+    corrupt_stop: bool,
 }
 
 impl Chain {
     /// Read the chain from `start`, accepting epochs from `floor` up to
     /// `max_epoch`.
     fn read(disk: &Disk, start: u64, floor: u64, max_epoch: u64) -> Chain {
-        let mut stats = ScanStats::default();
-        let slots = SLOTS.map(|addr| match disk.read_page_retry(addr) {
+        let mut corrupt_slots = [false; 2];
+        let slots = [0, 1].map(|i| match disk.read_page_retry(SLOTS[i]) {
             Ok(p) if (FIRST_HOME..HEADER_ID.0).contains(&p.id.0) => {
                 decode_page(&p).map(|lp| SlotCopy {
                     home: p.id.0,
@@ -201,7 +204,7 @@ impl Chain {
                 })
             }
             Err(StorageError::Corrupt { .. }) => {
-                stats.corrupt_pages += 1;
+                corrupt_slots[i] = true;
                 None
             }
             _ => None,
@@ -213,7 +216,8 @@ impl Chain {
             tail_slot: None,
             spare_slot: 0,
             max_epoch: 0,
-            stats,
+            corrupt_slots,
+            corrupt_stop: false,
         };
         let mut prev = floor;
         let mut frame = start;
@@ -231,7 +235,8 @@ impl Chain {
                 match disk.read_page_retry(frame) {
                     Ok(p) if p.id == PageId(frame) => Some(p),
                     Err(StorageError::Corrupt { .. }) => {
-                        chain.stats.corrupt_pages += 1;
+                        // a corrupt home frame always ends the chain
+                        chain.corrupt_stop = true;
                         None
                     }
                     _ => None,
@@ -269,6 +274,15 @@ impl Chain {
         chain
     }
 
+    /// The corrupt frames the read met: torn slots, and the torn home
+    /// frame it stopped at.
+    fn stats(&self) -> ScanStats {
+        let slots = self.corrupt_slots.iter().filter(|&&c| c).count() as u64;
+        ScanStats {
+            corrupt_pages: slots + u64::from(self.corrupt_stop),
+        }
+    }
+
     fn push(&mut self, frame: u64, first: Option<usize>, data: &[u8]) {
         self.extents.push(Extent {
             off: self.bytes.len(),
@@ -301,8 +315,12 @@ impl Chain {
 
     /// Decode the chain's records, each tagged with its page's home frame.
     fn records(&self) -> Vec<IndexedRecord> {
+        self.tag(self.decode().0)
+    }
+
+    /// Tag records [`Chain::decode`] returned with their pages' home frames.
+    fn tag(&self, records: Vec<(usize, LogRecord)>) -> Vec<IndexedRecord> {
         let mut prev_page = usize::MAX;
-        let (records, _) = self.decode();
         records
             .into_iter()
             .map(|(start, rec)| {
@@ -385,6 +403,21 @@ impl LogStream {
     /// record. Bumps the epoch so nothing stale on the disk can be
     /// mistaken for what this incarnation writes.
     pub fn open(disk: impl Into<Disk>) -> Result<Self, StorageError> {
+        LogStream::open_scanned(disk).map(|(s, _, _)| s)
+    }
+
+    /// [`LogStream::open`] that also returns what a
+    /// [`LogStream::scan_indexed`] of the reopened stream would, decoded
+    /// from the one chain read the reopen already does.
+    ///
+    /// The [`ScanStats`] describe the log as the reopen leaves it. When
+    /// the reopen rewrites the tail page into a slot, a torn copy in that
+    /// slot is gone, and so is a torn home frame past the resumed page
+    /// (the new slot copy now ends the chain before it); neither is
+    /// counted. Every other corrupt frame the chain read is.
+    pub fn open_scanned(
+        disk: impl Into<Disk>,
+    ) -> Result<(Self, Vec<IndexedRecord>, ScanStats), StorageError> {
         let disk = disk.into();
         let (start_page, old_epoch, floor) = match disk.read_page_retry(0) {
             Ok(h) if h.id == HEADER_ID => {
@@ -394,7 +427,7 @@ impl LogStream {
             // No (or torn) header: a brand-new disk.
             _ => (FIRST_HOME, 0, 0),
         };
-        let chain = Chain::read(&disk, start_page, floor, u64::MAX);
+        let mut chain = Chain::read(&disk, start_page, floor, u64::MAX);
 
         // find the end of the last complete record
         let (records, valid) = chain.decode();
@@ -427,9 +460,13 @@ impl LogStream {
         // land on its home frame
         if !s.page.is_empty() && !tail_intact {
             s.write_tail()?;
+            // the copy replaced the spare slot and now ends the chain at
+            // the resumed page, before any frame past it
+            chain.corrupt_slots[chain.spare_slot] = false;
+            chain.corrupt_stop &= pages == chain.homes as usize;
         }
         s.write_header()?;
-        Ok(s)
+        Ok((s, chain.tag(records), chain.stats()))
     }
 
     /// Attach a fault injector to the underlying log disk.
@@ -444,7 +481,7 @@ impl LogStream {
 
     /// Surrender the underlying disk (fault injector still attached).
     /// Used by the failover layer's rejoin path, which re-validates the
-    /// durable prefix via [`LogStream::open`] on a fresh stream.
+    /// durable prefix via [`LogStream::open_scanned`] on a fresh stream.
     pub fn into_disk(self) -> Disk {
         self.disk
     }
@@ -589,7 +626,7 @@ impl LogStream {
     /// checkpoint-bounded restart analysis (see [`IndexedRecord`]).
     pub fn scan_indexed(&self) -> (Vec<IndexedRecord>, ScanStats) {
         let chain = self.chain();
-        (chain.records(), chain.stats)
+        (chain.records(), chain.stats())
     }
 
     /// Advance the durable truncation point past everything written so far.
@@ -647,7 +684,7 @@ impl LogStream {
     }
 
     /// The log disk, for its I/O and retry counters.
-    pub(crate) fn disk(&self) -> &Disk {
+    pub fn disk(&self) -> &Disk {
         &self.disk
     }
 
@@ -901,6 +938,42 @@ mod tests {
             assert_eq!(got[..2], [commit(1), commit(2)], "cut {cut}");
             assert!(got.len() <= 3, "cut {cut}: {got:?}");
         }
+    }
+
+    #[test]
+    fn open_scanned_reports_the_log_as_open_leaves_it() {
+        // a torn slot the reopen does not rewrite stays counted
+        let mut s = LogStream::create(64);
+        for txn in 1..=2 {
+            s.append(&commit(txn)).unwrap();
+            s.force().unwrap();
+        }
+        s.append(&commit(3)).unwrap();
+        tear_next_write(&mut s, 30);
+        assert!(s.force().is_err());
+        let image = s.disk_snapshot();
+        let (_, records, stats) = LogStream::open_scanned(image).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(stats.corrupt_pages, 1, "the intact tail kept the torn slot");
+
+        // a torn slot the reopen overwrites with the resumed tail is gone
+        let mut s = LogStream::create(64);
+        s.append(&commit(9)).unwrap();
+        s.force().unwrap();
+        s.append(&big_update(1, 2 * USABLE)).unwrap(); // full pages go home
+        tear_next_write(&mut s, 30);
+        assert!(s.force().is_err(), "the tail's slot write tears");
+        let image = s.disk_snapshot();
+        let before = Chain::read(&image, FIRST_HOME, 0, u64::MAX).stats();
+        assert_eq!(before.corrupt_pages, 1, "the chain read sees the torn slot");
+        let (s2, records, stats) = LogStream::open_scanned(image).unwrap();
+        assert_eq!(s2.pages_written(), 1, "the reopen rewrote the tail");
+        assert_eq!(
+            records.iter().map(|r| &r.rec).collect::<Vec<_>>(),
+            [&commit(9)]
+        );
+        assert_eq!(stats.corrupt_pages, 0, "the rewrite replaced the torn slot");
+        assert_eq!(s2.scan_indexed(), (records, stats));
     }
 
     #[test]

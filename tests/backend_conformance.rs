@@ -331,3 +331,64 @@ fn fault_accounting_on_error_paths_is_identical_on_every_backend() {
         assert_eq!(retries(disk), (2, 4), "{name}: exhausted verified write");
     });
 }
+
+#[test]
+fn verified_write_retries_flips_and_lost_writes_on_every_backend() {
+    // the rounds a verified write makes before it gives up
+    const ROUNDS: u64 = 4;
+    for_each_backend(|disk, name| {
+        let old = filled_page(4, 0x0D);
+        let new = filled_page(4, 0xE0);
+        let verify = |disk: &mut Disk, plan: FaultPlan| {
+            disk.write_page(4, &old).expect("clean write");
+            let faults = FaultInjector::handle(plan);
+            disk.attach_faults(faults.clone());
+            let retries = disk.write_retries();
+            let got = disk.write_page_verified(4, &new);
+            disk.detach_faults();
+            let rounds = faults.lock().writes();
+            (got, disk.write_retries() - retries, rounds)
+        };
+
+        // a bit flipped on the read-back, and a write that never landed,
+        // each cost exactly one more round and then verify
+        for (plan, what) in [
+            (
+                FaultPlan::new().flip_on_read(0, 100, 2),
+                "flip on read-back",
+            ),
+            (FaultPlan::new().flip_on_read(0, 2, 7), "flip in the header"),
+            (FaultPlan::new().lose_write(0), "lost write"),
+        ] {
+            let (got, retries, rounds) = verify(disk, plan);
+            assert_eq!(got, Ok(()), "{name}: {what}");
+            assert_eq!((retries, rounds), (1, 2), "{name}: {what}");
+            assert_eq!(disk.read_page(4).expect("read"), new, "{name}: {what}");
+        }
+
+        // a write whose read-back never matches, and one that never
+        // succeeds, each return their error after the last round
+        let lost_every: FaultPlan = (0..ROUNDS).fold(FaultPlan::new(), |p, i| p.lose_write(i));
+        for (plan, want, what) in [
+            (
+                lost_every,
+                StorageError::Corrupt { addr: 4 },
+                "lost every time",
+            ),
+            (
+                FaultPlan::new().fail_from_write(0),
+                StorageError::Io { addr: 4 },
+                "failing device",
+            ),
+        ] {
+            let (got, retries, rounds) = verify(disk, plan);
+            assert_eq!(got, Err(want), "{name}: {what}");
+            assert_eq!((retries, rounds), (ROUNDS - 1, ROUNDS), "{name}: {what}");
+        }
+        assert_eq!(
+            disk.read_page(4).expect("read"),
+            old,
+            "{name}: nothing landed"
+        );
+    });
+}

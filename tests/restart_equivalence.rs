@@ -134,6 +134,47 @@ fn restart_matches_serial_recovery() {
     }
 }
 
+/// Recovery reads each log frame once: the chain read that reopens a
+/// stream is also analysis's scan of it. Per stream, the log disk may
+/// serve its home frames plus `SLACK` more reads: the header, the two tail
+/// slots, the frame the chain stops at, and the verify reads of the
+/// reopen's tail rewrite, the reopen's header write and the durable
+/// finish's forced tail (each loser's compensations fit in the tail page).
+/// Reading the log a second time would double the home-frame term. The
+/// images have no checkpoint, so no truncation runs (a debug build
+/// re-scans a stream to check a truncation frame).
+#[test]
+fn recovery_reads_each_log_frame_once() {
+    const SLACK: u64 = 7;
+    for streams in [1, 2, 4] {
+        let db = build_crashed(streams, 0, 2_000);
+        let image = db.crash_image();
+        // frames 0..3 are the header and the two tail slots
+        let home_frames: u64 = image
+            .logs
+            .iter()
+            .map(|d| (3..d.capacity()).filter(|&a| d.is_allocated(a)).count() as u64)
+            .sum();
+        let budget = home_frames + SLACK * streams as u64;
+        assert!(
+            2 * home_frames > budget,
+            "streams={streams}: log too short for a second read to show"
+        );
+        let (recovered, report) = WalDb::recover(image, cfg(streams, 0)).expect("recover");
+        assert!(
+            !report.loser_txns.is_empty(),
+            "streams={streams}: no loser to undo"
+        );
+        let reads: u64 = (0..streams)
+            .map(|i| recovered.log().stream(i).disk().reads())
+            .sum();
+        assert!(
+            reads <= budget,
+            "streams={streams}: {reads} log reads for {home_frames} home frames"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -362,6 +362,17 @@ impl StreamModel {
         // a torn frame stays counted until rewritten; the next force or
         // page fill does that, so at most one slot and one home frame are
         assert!(stats.corrupt_pages <= 2, "torn frames pile up: {stats:?}");
+        // the reopen's own chain read is the scan of the reopened stream:
+        // same records, frame tags and salvage stats (the stats of the log
+        // as the reopen leaves it)
+        let (_, scanned, scanned_stats) =
+            LogStream::open_scanned(self.s.disk_snapshot()).expect("open_scanned");
+        let reopened = LogStream::open(self.s.disk_snapshot()).expect("reopen");
+        assert_eq!(
+            (scanned, scanned_stats),
+            reopened.scan_indexed(),
+            "open_scanned differs from open + scan_indexed"
+        );
         // every record that begins its page starts a scan from that page
         for (i, r) in indexed.iter().enumerate().filter(|(_, r)| r.frame_start) {
             let mut copy = LogStream::open(self.s.disk_snapshot()).expect("reopen copy");
