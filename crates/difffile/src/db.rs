@@ -11,20 +11,20 @@
 //! atomically (the same dual-area trick the shadow pager uses for its page
 //! table). Additions and deletions append to the `A`/`D` files, tagged with
 //! the operation's global sequence number and its transaction; commit is a
-//! single atomic append to the commit list. A tuple is *live* when it is
+//! single atomic append to the [`CommitList`]. A tuple is *live* when it is
 //! the newest visible version of its key and no newer visible deletion
-//! covers it.
+//! covers it. The master and every logical `A`/`D` frame is a
+//! [`SlotPair`] (two physical frames), so no write lands on acked state.
 
 use crate::tuple::{read_entries, write_entries, Entry, Tuple};
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{BackendKind, Disk, Page, PageId, StorageError, PAYLOAD_SIZE};
+use rmdb_storage::{
+    AppendError, BackendKind, CommitList, Disk, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE,
+};
 use std::collections::HashMap;
 
 /// Transaction id.
 pub type TxnId = u64;
-
-/// Committed transactions per commit-list frame.
-const COMMITS_PER_FRAME: usize = (PAYLOAD_SIZE - 4) / 8;
 
 /// Query-processing strategy (paper §4.3: *basic* vs *optimal*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,11 +42,11 @@ pub enum ScanStrategy {
 pub struct DiffConfig {
     /// Frames per base area (two areas exist).
     pub base_capacity: u64,
-    /// Frames in the `A` file region.
+    /// Logical frames in the `A` file (two physical frames each).
     pub a_capacity: u64,
-    /// Frames in the `D` file region.
+    /// Logical frames in the `D` file (two physical frames each).
     pub d_capacity: u64,
-    /// Frames for the commit list.
+    /// Logical frames for the commit list (two physical frames each).
     pub commit_frames: u64,
     /// Which block-device backend holds the single durable disk.
     pub backend: BackendKind,
@@ -69,19 +69,17 @@ impl DiffConfig {
         2 * self.base_capacity
     }
     fn d_start(&self) -> u64 {
-        self.a_start() + self.a_capacity
+        self.a_start() + 2 * self.a_capacity
     }
     fn commit_start(&self) -> u64 {
-        self.d_start() + self.d_capacity
+        self.d_start() + 2 * self.d_capacity
     }
-    /// First of the two master slots; version `s` of the master lands in
-    /// slot `s % 2` so a crash-torn master write can only destroy the new
-    /// copy while the previous one stays valid.
-    fn master_addr(&self) -> u64 {
-        self.commit_start() + self.commit_frames
+    /// The master record's two slots.
+    fn master(&self) -> SlotPair {
+        SlotPair::at(self.commit_start() + CommitList::footprint(self.commit_frames))
     }
     fn total_frames(&self) -> u64 {
-        self.master_addr() + 2
+        self.commit_start() + CommitList::footprint(self.commit_frames) + 2
     }
 }
 
@@ -108,6 +106,15 @@ pub enum DiffError {
 impl From<StorageError> for DiffError {
     fn from(e: StorageError) -> Self {
         DiffError::Storage(e)
+    }
+}
+
+impl From<AppendError> for DiffError {
+    fn from(e: AppendError) -> Self {
+        match e {
+            AppendError::Full => DiffError::SpaceExhausted,
+            AppendError::Storage(e) => DiffError::Storage(e),
+        }
     }
 }
 
@@ -146,6 +153,108 @@ pub struct DiffStats {
     pub merges: u64,
 }
 
+/// One differential file (`A` or `D`): its entries, durable or not, and
+/// the region they flush to, where logical frame `f` is the [`SlotPair`]
+/// at `start + 2f`.
+struct DiffFile {
+    start: u64,
+    capacity: u64,
+    all: Vec<Entry>,
+    /// How many leading entries of `all` are durable.
+    durable: usize,
+    /// Version of each frame's newest copy (0: never written).
+    versions: Vec<u64>,
+}
+
+impl DiffFile {
+    fn new(start: u64, capacity: u64) -> Self {
+        DiffFile {
+            start,
+            capacity,
+            all: Vec::new(),
+            durable: 0,
+            versions: vec![0; capacity as usize],
+        }
+    }
+
+    fn pair(&self, frame: u64) -> SlotPair {
+        SlotPair::at(self.start + 2 * frame)
+    }
+
+    /// Reload the entries at or above `merge_floor` from each frame's
+    /// newest copy, up to the first frame with none (stale pre-merge
+    /// frames hold only older ones). Every frame's version is picked up,
+    /// so a later rewrite outranks a stale copy.
+    fn recover(disk: &Disk, start: u64, capacity: u64, merge_floor: u64) -> Self {
+        let mut file = DiffFile::new(start, capacity);
+        let mut open = true;
+        for f in 0..capacity {
+            let id = PageId(file.pair(f).slot(0));
+            let Some((version, entries)) = file
+                .pair(f)
+                .read(disk, |p| (p.id == id).then(|| read_entries(p)))
+            else {
+                open = false; // never written, or both copies torn
+                continue;
+            };
+            file.versions[f as usize] = version;
+            let fresh = entries.into_iter().filter(|e| e.seq >= merge_floor);
+            let before = file.all.len();
+            if open {
+                file.all.extend(fresh);
+                open = file.all.len() > before;
+            }
+        }
+        file.durable = file.all.len();
+        file
+    }
+
+    /// Write the frames holding entries that are not yet durable, each as
+    /// the next version of its pair. Packing is deterministic, so the
+    /// frames before the one holding entry `durable` are unchanged.
+    fn flush(&mut self, disk: &mut Disk, stats: &mut DiffStats) -> Result<(), DiffError> {
+        if self.durable == self.all.len() {
+            return Ok(());
+        }
+        let (mut frame, mut first) = (0u64, 0usize);
+        while first < self.all.len() {
+            if frame >= self.capacity {
+                return Err(DiffError::SpaceExhausted);
+            }
+            let mut page = Page::new(PageId(self.pair(frame).slot(0)));
+            let n = write_entries(&mut page, &self.all[first..]);
+            if n == 0 {
+                return Err(DiffError::SpaceExhausted); // entry larger than a page
+            }
+            if first + n > self.durable {
+                let version = self.versions[frame as usize] + 1;
+                self.pair(frame).write(disk, version, page)?;
+                self.versions[frame as usize] = version;
+                stats.diff_writes += 1;
+            }
+            first += n;
+            frame += 1;
+        }
+        self.durable = self.all.len();
+        Ok(())
+    }
+
+    /// Pages the entries fill (mirrors the flush packing).
+    fn pages(&self) -> u64 {
+        let mut pages = 0u64;
+        let mut used = PAYLOAD_SIZE; // forces a fresh page on first entry
+        for e in &self.all {
+            let need = e.encoded_len();
+            if used + need > PAYLOAD_SIZE - 4 {
+                pages += 1;
+                used = 0;
+            }
+            used += need;
+        }
+        pages
+    }
+}
+
 /// Crash image.
 #[derive(Debug)]
 pub struct DiffImage {
@@ -176,19 +285,16 @@ pub struct DiffDb {
     /// In-memory mirror of the current base, page by page.
     base: Vec<Vec<Entry>>,
     base_area: u8,
-    /// Version counter for the dual-slot master frame.
+    /// Version of the master's newest copy.
     master_seq: u64,
     /// Entries whose `seq` is below this were merged away; recovery
     /// ignores them even if their frames still exist.
     merge_floor: u64,
-    /// In-memory mirrors of the durable A/D files plus volatile tails.
-    a_all: Vec<Entry>,
-    d_all: Vec<Entry>,
-    /// How many leading entries of `a_all`/`d_all` are durable.
-    a_durable: usize,
-    d_durable: usize,
-    committed: HashMap<TxnId, u64>,
-    commit_count: u64,
+    /// The A and D files.
+    a: DiffFile,
+    d: DiffFile,
+    /// The durable commit list.
+    commits: CommitList,
     active: HashMap<TxnId, ()>,
     key_locks: HashMap<u64, TxnId>,
     locks_by_txn: HashMap<TxnId, Vec<u64>>,
@@ -209,12 +315,9 @@ impl DiffDb {
             base_area: 0,
             master_seq: 0,
             merge_floor: 0,
-            a_all: Vec::new(),
-            d_all: Vec::new(),
-            a_durable: 0,
-            d_durable: 0,
-            committed: HashMap::new(),
-            commit_count: 0,
+            a: DiffFile::new(cfg.a_start(), cfg.a_capacity),
+            d: DiffFile::new(cfg.d_start(), cfg.d_capacity),
+            commits: CommitList::new(cfg.commit_start(), cfg.commit_frames),
             active: HashMap::new(),
             key_locks: HashMap::new(),
             locks_by_txn: HashMap::new(),
@@ -251,9 +354,7 @@ impl DiffDb {
         m.write_at(0, &[self.base_area]);
         m.write_at(1, &(self.base.len() as u64).to_le_bytes());
         m.write_at(9, &self.merge_floor.to_le_bytes());
-        m.write_at(17, &seq.to_le_bytes());
-        let addr = self.cfg.master_addr() + seq % 2;
-        self.disk.write_page_verified(addr, &m)?;
+        self.cfg.master().write(&mut self.disk, seq, m)?;
         self.master_seq = seq;
         Ok(())
     }
@@ -300,37 +401,22 @@ impl DiffDb {
 
     /// Entries currently in the A file (committed or not).
     pub fn a_entries(&self) -> usize {
-        self.a_all.len()
+        self.a.all.len()
     }
 
     /// Entries currently in the D file (committed or not).
     pub fn d_entries(&self) -> usize {
-        self.d_all.len()
+        self.d.all.len()
     }
 
     /// Durable A-file pages (the paper's differential-file size knob).
     pub fn a_pages(&self) -> u64 {
-        self.file_page_count(&self.a_all)
+        self.a.pages()
     }
 
     /// Durable D-file pages.
     pub fn d_pages(&self) -> u64 {
-        self.file_page_count(&self.d_all)
-    }
-
-    fn file_page_count(&self, all: &[Entry]) -> u64 {
-        // pages required to hold the entries (mirrors the flush packing)
-        let mut pages = 0u64;
-        let mut used = PAYLOAD_SIZE; // forces a fresh page on first entry
-        for e in all {
-            let need = e.encoded_len();
-            if used + need > PAYLOAD_SIZE - 4 {
-                pages += 1;
-                used = 0;
-            }
-            used += need;
-        }
-        pages
+        self.d.pages()
     }
 
     /// Begin a transaction.
@@ -367,71 +453,9 @@ impl DiffDb {
         }
     }
 
-    /// Flush a file's mirror to its disk region (rewriting the open tail
-    /// frame). `start`/`capacity` locate the region.
-    fn flush_file(
-        disk: &mut Disk,
-        stats: &mut DiffStats,
-        all: &[Entry],
-        durable: &mut usize,
-        start: u64,
-        capacity: u64,
-    ) -> Result<(), DiffError> {
-        if *durable == all.len() {
-            return Ok(());
-        }
-        // Repack everything from the first non-durable entry's page.
-        // Simplest correct scheme: repack the whole file. Entries are
-        // immutable so earlier full pages come out identical; only the
-        // open tail frame actually changes contents, but we rewrite from
-        // the first page whose content could differ — which, because
-        // packing is deterministic, is the page containing entry index
-        // `durable`. For simplicity and because regions are small, find it
-        // by repacking from the start but only writing changed frames.
-        let mut frame = 0u64;
-        let mut rest = all;
-        while !rest.is_empty() {
-            if frame >= capacity {
-                return Err(DiffError::SpaceExhausted);
-            }
-            let mut page = Page::new(PageId(start + frame));
-            let n = write_entries(&mut page, rest);
-            if n == 0 {
-                return Err(DiffError::SpaceExhausted); // entry larger than a page
-            }
-            let addr = start + frame;
-            let changed = match disk.read_page(addr) {
-                Ok(existing) => existing != page,
-                Err(_) => true,
-            };
-            if changed {
-                disk.write_page_verified(addr, &page)?;
-                stats.diff_writes += 1;
-            }
-            rest = &rest[n..];
-            frame += 1;
-        }
-        *durable = all.len();
-        Ok(())
-    }
-
     fn flush_tails(&mut self) -> Result<(), DiffError> {
-        Self::flush_file(
-            &mut self.disk,
-            &mut self.stats,
-            &self.a_all,
-            &mut self.a_durable,
-            self.cfg.a_start(),
-            self.cfg.a_capacity,
-        )?;
-        Self::flush_file(
-            &mut self.disk,
-            &mut self.stats,
-            &self.d_all,
-            &mut self.d_durable,
-            self.cfg.d_start(),
-            self.cfg.d_capacity,
-        )
+        self.a.flush(&mut self.disk, &mut self.stats)?;
+        self.d.flush(&mut self.disk, &mut self.stats)
     }
 
     /// Insert a tuple (appends to the A file).
@@ -440,7 +464,7 @@ impl DiffDb {
         self.lock_key(txn, key)?;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.a_all.push(Entry {
+        self.a.all.push(Entry {
             seq,
             txn,
             key,
@@ -455,7 +479,7 @@ impl DiffDb {
         self.lock_key(txn, key)?;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.d_all.push(Entry {
+        self.d.all.push(Entry {
             seq,
             txn,
             key,
@@ -471,12 +495,13 @@ impl DiffDb {
     }
 
     fn visible(&self, viewer: TxnId, e: &Entry) -> bool {
-        e.txn == 0 || e.txn == viewer || self.committed.contains_key(&e.txn)
+        e.txn == 0 || e.txn == viewer || self.commits.position(e.txn).is_some()
     }
 
     /// The visible D entries for `viewer`, as (key, seq) pairs.
     fn visible_deletes(&self, viewer: TxnId) -> Vec<(u64, u64)> {
-        self.d_all
+        self.d
+            .all
             .iter()
             .filter(|e| e.seq >= self.merge_floor && self.visible(viewer, e))
             .map(|e| (e.key, e.seq))
@@ -486,7 +511,7 @@ impl DiffDb {
     /// Latest visible A-insert seq per key (for supersession checks).
     fn latest_inserts(&self, viewer: TxnId) -> HashMap<u64, u64> {
         let mut m = HashMap::new();
-        for e in &self.a_all {
+        for e in &self.a.all {
             if e.seq >= self.merge_floor && self.visible(viewer, e) {
                 let s = m.entry(e.key).or_insert(0u64);
                 *s = (*s).max(e.seq);
@@ -568,7 +593,8 @@ impl DiffDb {
 
         // --- A pages (mirror; page boundaries follow the flush packing) ---
         let a_entries: Vec<Entry> = self
-            .a_all
+            .a
+            .all
             .iter()
             .filter(|e| e.seq >= self.merge_floor && self.visible(txn, e))
             .cloned()
@@ -689,7 +715,8 @@ impl DiffDb {
 
         // A file handled on the caller thread (it is small by construction)
         let a_entries: Vec<Entry> = self
-            .a_all
+            .a
+            .all
             .iter()
             .filter(|e| e.seq >= self.merge_floor && self.visible(txn, e))
             .cloned()
@@ -723,22 +750,7 @@ impl DiffDb {
     pub fn commit(&mut self, txn: TxnId) -> Result<(), DiffError> {
         self.check_txn(txn)?;
         self.flush_tails()?;
-        let frame_idx = self.commit_count / COMMITS_PER_FRAME as u64;
-        if frame_idx >= self.cfg.commit_frames {
-            return Err(DiffError::SpaceExhausted);
-        }
-        let addr = self.cfg.commit_start() + frame_idx;
-        let mut page = if self.disk.is_allocated(addr) {
-            self.disk.read_page_retry(addr)?
-        } else {
-            Page::new(PageId(addr))
-        };
-        let within = (self.commit_count % COMMITS_PER_FRAME as u64) as usize;
-        page.write_at(4 + 8 * within, &txn.to_le_bytes());
-        page.write_at(0, &((within + 1) as u32).to_le_bytes());
-        self.disk.write_page_verified(addr, &page)?;
-        self.committed.insert(txn, self.commit_count);
-        self.commit_count += 1;
+        self.commits.append(&mut self.disk, txn)?;
         self.active.remove(&txn);
         self.release_locks(txn);
         Ok(())
@@ -772,7 +784,7 @@ impl DiffDb {
                 }
             }
         }
-        for e in &self.a_all {
+        for e in &self.a.all {
             if e.seq >= self.merge_floor
                 && self.visible(viewer, e)
                 && Self::is_live(e.key, e.seq, &deletes, &latest)
@@ -791,10 +803,10 @@ impl DiffDb {
         self.write_base(&live, new_area)?;
         self.merge_floor = self.next_seq;
         self.write_master()?; // ← atomic install of the merged base
-        self.a_all.clear();
-        self.d_all.clear();
-        self.a_durable = 0;
-        self.d_durable = 0;
+        for file in [&mut self.a, &mut self.d] {
+            file.all.clear();
+            file.durable = 0;
+        }
         self.stats.merges += 1;
         Ok(())
     }
@@ -811,28 +823,12 @@ impl DiffDb {
     /// tagged by transactions missing from the commit list stay invisible.
     pub fn recover(image: DiffImage, cfg: DiffConfig) -> Result<Self, DiffError> {
         let disk = image.disk;
-        // Both master slots may exist; the valid one with the highest
-        // version is the committed state (a torn master write falls back
-        // to its predecessor). Fields are clamped so a corrupted-but-
-        // checksum-valid master can never index out of bounds.
-        let mut best: Option<(u64, Page)> = None;
-        for slot in 0..2u64 {
-            let addr = cfg.master_addr() + slot;
-            if !disk.is_allocated(addr) {
-                continue;
-            }
-            let Ok(m) = disk.read_page_retry(addr) else {
-                continue;
-            };
-            if m.read_at(0, 1)[0] > 1 {
-                continue; // decodes but is not a master frame
-            }
-            let seq = u64::from_le_bytes(m.read_at(17, 8).try_into().unwrap());
-            if best.as_ref().is_none_or(|(s, _)| seq > *s) {
-                best = Some((seq, m));
-            }
-        }
-        let Some((master_seq, master)) = best else {
+        // Fields are clamped so a corrupted-but-checksum-valid master can
+        // never index out of bounds.
+        let Some((master_seq, master)) = cfg
+            .master()
+            .read(&disk, |m| (m.read_at(0, 1)[0] <= 1).then(|| m.clone()))
+        else {
             return Err(DiffError::Storage(StorageError::Protocol(
                 "no valid differential-file master frame",
             )));
@@ -848,80 +844,35 @@ impl DiffDb {
             base.push(read_entries(&disk.read_page_retry(base_start + i)?));
         }
 
-        let read_region = |start: u64, capacity: u64| -> Result<Vec<Entry>, DiffError> {
-            let mut all = Vec::new();
-            for i in 0..capacity {
-                if !disk.is_allocated(start + i) {
-                    break;
-                }
-                match disk.read_page_retry(start + i) {
-                    Ok(p) => {
-                        let entries = read_entries(&p);
-                        // stale pre-merge frames are filtered by seq
-                        let mut fresh: Vec<Entry> = entries
-                            .into_iter()
-                            .filter(|e| e.seq >= merge_floor)
-                            .collect();
-                        if fresh.is_empty() {
-                            break;
-                        }
-                        all.append(&mut fresh);
-                    }
-                    Err(_) => break, // torn tail frame: entries not durable
-                }
-            }
-            Ok(all)
-        };
-        let a_all = read_region(cfg.a_start(), cfg.a_capacity)?;
-        let d_all = read_region(cfg.d_start(), cfg.d_capacity)?;
+        let a = DiffFile::recover(&disk, cfg.a_start(), cfg.a_capacity, merge_floor);
+        let d = DiffFile::recover(&disk, cfg.d_start(), cfg.d_capacity, merge_floor);
+        let commits = CommitList::recover(&disk, cfg.commit_start(), cfg.commit_frames);
 
-        let mut committed = HashMap::new();
-        let mut commit_count = 0u64;
-        for f in 0..cfg.commit_frames {
-            let addr = cfg.commit_start() + f;
-            if !disk.is_allocated(addr) {
-                break;
-            }
-            let Ok(page) = disk.read_page_retry(addr) else {
-                break;
-            };
-            let count = (u32::from_le_bytes(page.read_at(0, 4).try_into().unwrap()) as usize)
-                .min(COMMITS_PER_FRAME);
-            for i in 0..count {
-                let txn = u64::from_le_bytes(page.read_at(4 + 8 * i, 8).try_into().unwrap());
-                committed.insert(txn, commit_count);
-                commit_count += 1;
-            }
-        }
-
-        let max_txn = a_all
+        let max_txn = a
+            .all
             .iter()
-            .chain(d_all.iter())
+            .chain(&d.all)
             .map(|e| e.txn)
-            .chain(committed.keys().copied())
+            .chain(commits.ids().iter().copied())
             .max()
             .unwrap_or(0);
-        let max_seq = a_all
+        let max_seq = a
+            .all
             .iter()
-            .chain(d_all.iter())
+            .chain(&d.all)
             .map(|e| e.seq)
             .max()
             .unwrap_or(merge_floor);
 
-        let a_durable = a_all.len();
-        let d_durable = d_all.len();
         Ok(DiffDb {
             disk,
             base,
             base_area,
             master_seq,
             merge_floor,
-            a_all,
-            d_all,
-            a_durable,
-            d_durable,
-            committed,
-            commit_count,
+            a,
+            d,
+            commits,
             active: HashMap::new(),
             key_locks: HashMap::new(),
             locks_by_txn: HashMap::new(),

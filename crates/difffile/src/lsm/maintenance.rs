@@ -160,10 +160,10 @@ fn release(st: &mut LsmState, ext: Extent) {
     st.free = out;
 }
 
-/// Publish the in-memory manifest to its ping-pong slot. On failure
-/// the version bump is rolled back so the next attempt rewrites the
-/// *same* (possibly torn) slot and the other slot — the last valid
-/// manifest — is never endangered.
+/// Publish the in-memory manifest as the next version of its slot pair.
+/// On failure the version bump is rolled back so the next attempt
+/// rewrites the *same* (possibly torn) slot and the other slot — the last
+/// valid manifest — is never endangered.
 fn publish(st: &mut LsmState) -> Result<(), LsmError> {
     st.manifest.version += 1;
     match manifest::write(&mut st.disk, &st.cfg, &st.manifest) {

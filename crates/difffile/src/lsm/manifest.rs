@@ -1,13 +1,12 @@
-//! Snapshot-versioned manifest with a dual-slot ping-pong commit
-//! point.
+//! Snapshot-versioned manifest on a [`SlotPair`](rmdb_storage::SlotPair)
+//! commit point.
 //!
 //! The manifest is the LSM analogue of the shadow pager's master
-//! record: a single page naming every live run, written alternately to
-//! slot `version % 2` with write-and-verify plus a force. Recovery
-//! reads both slots and adopts the highest valid version, so a torn
-//! manifest write can only destroy the slot being written — the
-//! previous manifest is always intact, and the transition it describes
-//! simply did not happen.
+//! record: a single page naming every live run, written as version
+//! `version` of its slot pair (verified) plus a force. Recovery adopts
+//! the newest valid copy, so a torn manifest write can only destroy the
+//! slot being written — the previous manifest is always intact, and the
+//! transition it describes simply did not happen.
 //!
 //! Flush and compaction are two-phase against this commit point:
 //!
@@ -77,7 +76,7 @@ impl RunDesc {
 /// The versioned snapshot of the whole level hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Monotonic version; the on-disk slot is `version % 2`.
+    /// Monotonic version: the slot-pair version it is written as.
     pub version: u64,
     /// First sequence number *not* covered by the runs: journal replay
     /// reconstructs everything from here.
@@ -250,39 +249,27 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<Manifest> {
     })
 }
 
-/// Write the manifest to its slot (verified) and force the device.
+/// Write the manifest as version `m.version` of its slot pair and force
+/// the device.
 pub(crate) fn write(disk: &mut Disk, cfg: &LsmConfig, m: &Manifest) -> Result<(), StorageError> {
-    let addr = cfg.manifest_addr(m.version);
     let payload = encode(m);
     if payload.len() > rmdb_storage::PAYLOAD_SIZE {
         return Err(StorageError::Protocol("manifest overflows one page"));
     }
-    let mut page = Page::new(PageId(addr));
+    let mut page = Page::new(PageId(cfg.manifest_slots().slot(0)));
     page.write_at(0, &payload);
-    disk.write_page_verified(addr, &page)?;
+    cfg.manifest_slots().write(disk, m.version, page)?;
     disk.force()
 }
 
-/// Read both manifest slots and return the highest-versioned valid
-/// manifest, if any.
+/// The newest valid manifest, if any: a copy must decode and carry the
+/// version it was written as.
 pub(crate) fn read_best(disk: &Disk, cfg: &LsmConfig) -> Option<Manifest> {
-    let mut best: Option<Manifest> = None;
-    for slot in 0..2u64 {
-        let addr = cfg.manifest_addr(slot);
-        let Ok(page) = disk.read_page_retry(addr) else {
-            continue;
-        };
-        let Some(m) = decode(page.payload()) else {
-            continue;
-        };
-        if m.version % 2 != slot {
-            continue;
-        }
-        if best.as_ref().is_none_or(|b| m.version > b.version) {
-            best = Some(m);
-        }
-    }
-    best
+    cfg.manifest_slots()
+        .read(disk, |p| {
+            decode(p.payload()).filter(|m| m.version == p.lsn.0)
+        })
+        .map(|(_, m)| m)
 }
 
 #[cfg(test)]

@@ -15,9 +15,9 @@
 //! * **L0 runs** flushed from the memtable, newest first;
 //! * deeper **levels** L1..Ln holding one sorted run each, maintained
 //!   by background (or foreground) compaction;
-//! * a **dual-slot versioned manifest** — the same ping-pong commit
-//!   point as the shadow pager's master record — that makes every
-//!   flush and compaction an atomic, crash-recoverable transition.
+//! * a **dual-slot versioned manifest** — the same [`SlotPair`] commit
+//!   point as the shadow pager's master record — that makes every flush
+//!   and compaction an atomic, crash-recoverable transition.
 //!
 //! Recovery is single-pass, redo-only and performs **zero writes**
 //! (the discipline of Sauer & Härder's REDO-only recovery): it picks
@@ -57,7 +57,7 @@ pub use codec::{LsmEntry, LsmOp};
 pub use manifest::{Extent, Manifest, RunDesc};
 pub use store::{LsmImage, LsmRecoveryReport, LsmStore};
 
-use rmdb_storage::{BackendKind, StorageError};
+use rmdb_storage::{BackendKind, SlotPair, StorageError};
 
 /// Configuration for [`LsmStore`].
 ///
@@ -116,9 +116,9 @@ impl LsmConfig {
         self.journal_frames
     }
 
-    /// Frame address of manifest slot `version % 2`.
-    pub(crate) fn manifest_addr(&self, version: u64) -> u64 {
-        self.journal_frames + self.arena_frames + (version % 2)
+    /// The manifest's two slots, after the arena.
+    pub(crate) fn manifest_slots(&self) -> SlotPair {
+        SlotPair::at(self.journal_frames + self.arena_frames)
     }
 
     /// Total frames the store needs.

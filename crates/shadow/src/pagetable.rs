@@ -16,9 +16,17 @@
 //! sequential workloads.
 
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{BackendKind, Disk, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE};
+use rmdb_storage::{
+    AppendError, BackendKind, Disk, Lsn, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE,
+};
 use std::collections::{BTreeMap, HashMap};
 
+/// The master record: frames 0 and 1 of the page-table disk. Its version
+/// is the committed generation, whose table lives in area
+/// `generation % 2`, so the version alone names the current table.
+const MASTER: SlotPair = SlotPair::at(0);
+/// Page id of a master frame.
+const MASTER_ID: PageId = PageId(u64::MAX);
 /// Frame-address sentinel for "logical page never written".
 const FREE: u64 = u64::MAX;
 /// Page-table entries per 4 KB page-table page (8-byte entries; the paper
@@ -91,6 +99,15 @@ pub enum ShadowError {
 impl From<StorageError> for ShadowError {
     fn from(e: StorageError) -> Self {
         ShadowError::Storage(e)
+    }
+}
+
+impl From<AppendError> for ShadowError {
+    fn from(e: AppendError) -> Self {
+        match e {
+            AppendError::Full => ShadowError::SpaceExhausted,
+            AppendError::Storage(e) => ShadowError::Storage(e),
+        }
     }
 }
 
@@ -208,7 +225,6 @@ pub struct ShadowPager {
     free: Vec<bool>,
     /// Scrambled-allocation cursor.
     cursor: u64,
-    current_area: u8,
     generation: u64,
     locks: ExclusiveLocks,
     active: HashMap<TxnId, ShadowTxn>,
@@ -221,12 +237,10 @@ impl ShadowPager {
         cfg.logical_pages.div_ceil(ENTRIES_PER_PT_PAGE)
     }
 
-    /// Page-table areas start after the two master slots (frames 0 and 1).
-    /// Dual masters make the commit-point write crash-atomic: generation
-    /// `g` goes to slot `g % 2`, so a write torn by a crash destroys only
-    /// the new master while the previous one stays valid.
-    fn area_start(cfg: &ShadowConfig, area: u8) -> u64 {
-        2 + area as u64 * Self::pt_pages(cfg)
+    /// First frame of the table of `generation`: area `generation % 2`,
+    /// after the two master slots (frames 0 and 1).
+    fn area_start(cfg: &ShadowConfig, generation: u64) -> u64 {
+        2 + generation % 2 * Self::pt_pages(cfg)
     }
 
     /// A fresh store: empty table in area 0.
@@ -240,7 +254,6 @@ impl ShadowPager {
             table: vec![FREE; cfg.logical_pages as usize],
             free: vec![true; cfg.data_frames as usize],
             cursor: 0,
-            current_area: 0,
             generation: 0,
             locks: ExclusiveLocks::default(),
             active: HashMap::new(),
@@ -251,36 +264,23 @@ impl ShadowPager {
             cfg,
         };
         let table = pager.table.clone();
-        Self::write_table_frames(&mut pager.pt, &pager.cfg, &mut pager.stats, &table, 0, 0)?;
-        Self::write_master_frame(&mut pager.pt, 0, 0)?;
+        Self::write_table_frames(&mut pager.pt, &pager.cfg, &mut pager.stats, &table, 0)?;
+        MASTER.write(&mut pager.pt, 0, Page::new(MASTER_ID))?;
         Ok(pager)
     }
 
     /// Recover the committed state from a crash image.
     ///
-    /// Reads both master slots and follows the valid one with the highest
-    /// generation, so a master write torn by the crash falls back to the
-    /// previous committed state. A corrupt page table or an entry pointing
-    /// outside the data disk surfaces as a typed error — never a panic.
+    /// Follows the newest valid master copy, so a master write torn by the
+    /// crash falls back to the previous committed state. A corrupt page
+    /// table or an entry pointing outside the data disk surfaces as a
+    /// typed error — never a panic.
     pub fn recover(
         image: ShadowImage,
         cfg: ShadowConfig,
     ) -> Result<(Self, ShadowRecoveryReport), ShadowError> {
-        let mut best: Option<(u64, u8)> = None; // (generation, area)
-        for slot in 0..2u64 {
-            let Ok(master) = image.pt.read_page_retry(slot) else {
-                continue; // torn or never-written master slot
-            };
-            let area = master.read_at(0, 1)[0];
-            if area > 1 {
-                continue; // decodes but is not a master frame
-            }
-            let generation = u64::from_le_bytes(master.read_at(1, 8).try_into().unwrap());
-            if best.is_none_or(|(g, _)| generation > g) {
-                best = Some((generation, area));
-            }
-        }
-        let Some((generation, current_area)) = best else {
+        let Some((generation, ())) = MASTER.read(&image.pt, |m| (m.id == MASTER_ID).then_some(()))
+        else {
             return Err(ShadowError::Storage(StorageError::Protocol(
                 "no valid shadow master frame",
             )));
@@ -288,7 +288,7 @@ impl ShadowPager {
 
         let mut table = vec![FREE; cfg.logical_pages as usize];
         let mut pt_reads = 0;
-        let start = Self::area_start(&cfg, current_area);
+        let start = Self::area_start(&cfg, generation);
         for i in 0..Self::pt_pages(&cfg) {
             let page = image.pt.read_page_retry(start + i)?;
             pt_reads += 1;
@@ -315,7 +315,7 @@ impl ShadowPager {
             }
         }
         let report = ShadowRecoveryReport {
-            current_area,
+            current_area: (generation % 2) as u8,
             generation,
             mapped_pages: mapped,
             pt_reads,
@@ -325,7 +325,6 @@ impl ShadowPager {
                 table,
                 free,
                 cursor: 0,
-                current_area,
                 generation,
                 locks: ExclusiveLocks::default(),
                 active: HashMap::new(),
@@ -366,27 +365,16 @@ impl ShadowPager {
         }
     }
 
-    /// Write the master frame for `generation` into its ping-pong slot
-    /// (`generation % 2`), verified by read-back so a silently lost or torn
-    /// write cannot pass for a commit point.
-    fn write_master_frame(pt: &mut Disk, area: u8, generation: u64) -> Result<(), ShadowError> {
-        let mut m = Page::new(PageId(u64::MAX));
-        m.write_at(0, &[area]);
-        m.write_at(1, &generation.to_le_bytes());
-        pt.write_page_verified(generation % 2, &m)?;
-        Ok(())
-    }
-
-    /// Write `table` into area `area`, verifying each frame by read-back.
+    /// Write `table` into the area of `generation`, verifying each frame
+    /// by read-back.
     fn write_table_frames(
         pt: &mut Disk,
         cfg: &ShadowConfig,
         stats: &mut ShadowStats,
         table: &[u64],
-        area: u8,
         generation: u64,
     ) -> Result<(), ShadowError> {
-        let start = Self::area_start(cfg, area);
+        let start = Self::area_start(cfg, generation);
         for i in 0..Self::pt_pages(cfg) {
             let mut p = Page::new(PageId(start + i));
             p.lsn = Lsn(generation);
@@ -568,23 +556,14 @@ impl ShadowPager {
         for &(logical, frame) in &new_map {
             table[logical as usize] = frame;
         }
-        let new_area = 1 - self.current_area;
-        Self::write_table_frames(
-            &mut self.pt,
-            &self.cfg,
-            &mut self.stats,
-            &table,
-            new_area,
-            generation,
-        )?;
-        Self::write_master_frame(&mut self.pt, new_area, generation)?; // ← the atomic commit point
+        Self::write_table_frames(&mut self.pt, &self.cfg, &mut self.stats, &table, generation)?;
+        MASTER.write(&mut self.pt, generation, Page::new(MASTER_ID))?; // ← the atomic commit point
         for (logical, frame) in new_map {
             let old = std::mem::replace(&mut self.table[logical as usize], frame);
             if old != FREE {
                 self.free[old as usize] = true;
             }
         }
-        self.current_area = new_area;
         self.generation = generation;
         self.locks.release_all(txn);
         self.stats.commits += 1;

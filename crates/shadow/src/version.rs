@@ -17,7 +17,7 @@
 
 use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId};
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{Disk, Lsn, MemDisk, Page, PageId, PAYLOAD_SIZE};
+use rmdb_storage::{CommitList, Disk, Lsn, MemDisk, Page, PageId, PAYLOAD_SIZE};
 use std::collections::{BTreeMap, HashMap};
 
 /// Configuration for a [`VersionStore`].
@@ -38,17 +38,12 @@ impl Default for VersionConfig {
     }
 }
 
-/// Commit-list ids start here so they never collide with slot pages.
-const COMMIT_LIST_ID: u64 = 1 << 62;
-/// Committed transactions per commit-list frame.
-const COMMITS_PER_FRAME: usize = (PAYLOAD_SIZE - 4) / 8;
-
 /// Crash image of a [`VersionStore`]: one disk holds everything.
 #[derive(Debug)]
 pub struct VersionImage {
-    /// Twin slots followed by the commit-list frames (two physical slots
-    /// per logical commit frame, written ping-pong so the atomic commit
-    /// point survives a crash-torn append).
+    /// Twin slots followed by the [`CommitList`] frames (two physical
+    /// slots per logical commit frame, so the atomic commit point survives
+    /// a crash-torn append).
     pub disk: Disk,
 }
 
@@ -97,12 +92,8 @@ struct VsTxn {
 pub struct VersionStore {
     cfg: VersionConfig,
     disk: Disk,
-    /// Commit order: txn → sequence number.
-    commit_seq: HashMap<TxnId, u64>,
-    /// Committed txns in order — the source the commit-list frames are
-    /// rebuilt from, so an append never read-modify-writes disk state.
-    commit_log: Vec<TxnId>,
-    commit_count: u64,
+    /// The durable commit list: commit order of each txn.
+    commits: CommitList,
     active: HashMap<TxnId, VsTxn>,
     locks: ExclusiveLocks,
     next_txn: TxnId,
@@ -117,12 +108,10 @@ impl VersionStore {
     /// A fresh store.
     pub fn new(cfg: VersionConfig) -> Self {
         let disk = Disk::from(MemDisk::new(
-            Self::slot_frames(&cfg) + 2 * cfg.commit_frames,
+            Self::slot_frames(&cfg) + CommitList::footprint(cfg.commit_frames),
         ));
         VersionStore {
-            commit_seq: HashMap::new(),
-            commit_log: Vec::new(),
-            commit_count: 0,
+            commits: CommitList::new(Self::slot_frames(&cfg), cfg.commit_frames),
             active: HashMap::new(),
             locks: ExclusiveLocks::default(),
             next_txn: 1,
@@ -153,44 +142,8 @@ impl VersionStore {
     ) -> Result<(Self, VersionRecoveryReport), ShadowError> {
         let disk = image.disk;
         let mut report = VersionRecoveryReport::default();
-        let mut commit_seq = HashMap::new();
-        let mut commit_log = Vec::new();
-        let mut commit_count = 0u64;
-        let cl_base = Self::slot_frames(&cfg);
-        for f in 0..cfg.commit_frames {
-            // Two physical slots per logical frame; appends alternate
-            // between them, so the slot with the larger (valid) count is
-            // the newest durable state and the other is at most one commit
-            // behind. A count field from a corrupted-but-checksum-valid
-            // page is clamped so it can never index past the payload.
-            let mut best: Option<(usize, Page)> = None;
-            for slot in [cl_base + 2 * f, cl_base + 2 * f + 1] {
-                if !disk.is_allocated(slot) {
-                    continue;
-                }
-                let Ok(page) = disk.read_page_retry(slot) else {
-                    continue; // torn append: the other slot survives
-                };
-                let count = (u32::from_le_bytes(page.read_at(0, 4).try_into().unwrap()) as usize)
-                    .min(COMMITS_PER_FRAME);
-                if best.as_ref().is_none_or(|(c, _)| count > *c) {
-                    best = Some((count, page));
-                }
-            }
-            let Some((count, page)) = best else {
-                break; // end of the durable list
-            };
-            for i in 0..count {
-                let txn = u64::from_le_bytes(page.read_at(4 + 8 * i, 8).try_into().unwrap());
-                commit_seq.insert(txn, commit_count);
-                commit_log.push(txn);
-                commit_count += 1;
-            }
-            if count < COMMITS_PER_FRAME {
-                break; // partial frame: nothing durable can follow it
-            }
-        }
-        report.committed = commit_count;
+        let commits = CommitList::recover(&disk, Self::slot_frames(&cfg), cfg.commit_frames);
+        report.committed = commits.ids().len() as u64;
 
         let mut max_stamp = 0u64;
         for frame in 0..Self::slot_frames(&cfg) {
@@ -203,12 +156,10 @@ impl VersionStore {
             }
         }
         report.max_stamp = max_stamp;
-        let next_txn = max_stamp.max(commit_seq.keys().copied().max().unwrap_or(0)) + 1;
+        let next_txn = max_stamp.max(commits.ids().iter().copied().max().unwrap_or(0)) + 1;
         Ok((
             VersionStore {
-                commit_seq,
-                commit_log,
-                commit_count,
+                commits,
                 active: HashMap::new(),
                 locks: ExclusiveLocks::default(),
                 next_txn,
@@ -262,7 +213,7 @@ impl VersionStore {
                 Ok(p) if p.id == PageId(page) => p,
                 _ => continue, // torn or foreign frame: the twin survives
             };
-            let Some(&seq) = self.commit_seq.get(&candidate.lsn.0) else {
+            let Some(seq) = self.commits.position(candidate.lsn.0) else {
                 continue; // stamped by an uncommitted transaction
             };
             if best.as_ref().is_none_or(|(s, _, _)| seq > *s) {
@@ -341,28 +292,8 @@ impl VersionStore {
         if self.active.remove(&txn).is_none() {
             return Err(ShadowError::UnknownTxn(txn));
         }
-        let frame_idx = self.commit_count / COMMITS_PER_FRAME as u64;
-        if frame_idx >= self.cfg.commit_frames {
-            return Err(ShadowError::SpaceExhausted);
-        }
-        let within = (self.commit_count % COMMITS_PER_FRAME as u64) as usize;
-        // Rebuild the frame from the in-memory commit log (never from a
-        // read-modify-write of disk state) and append into the slot the
-        // previous append did NOT use, so a crash mid-write tears only the
-        // new copy while the other slot still holds the last commit point.
-        let mut page = Page::new(PageId(COMMIT_LIST_ID + frame_idx));
-        let frame_start = (frame_idx * COMMITS_PER_FRAME as u64) as usize;
-        for (i, &t) in self.commit_log[frame_start..].iter().enumerate() {
-            page.write_at(4 + 8 * i, &t.to_le_bytes());
-        }
-        page.write_at(4 + 8 * within, &txn.to_le_bytes());
-        page.write_at(0, &((within + 1) as u32).to_le_bytes());
-        let cl_addr = Self::slot_frames(&self.cfg) + 2 * frame_idx + (within as u64 % 2);
-        self.disk.write_page_verified(cl_addr, &page)?;
+        self.commits.append(&mut self.disk, txn)?;
         self.stats.commit_writes += 1;
-        self.commit_seq.insert(txn, self.commit_count);
-        self.commit_log.push(txn);
-        self.commit_count += 1;
         self.locks.release_all(txn);
         Ok(())
     }

@@ -19,6 +19,8 @@
 //! * [`fault::FaultPlan`] / [`fault::FaultInjector`] — a deterministic,
 //!   seeded schedule of torn/lost/transient write faults, read bit flips,
 //!   and crash-after-k-writes, attachable to any [`device::Disk`];
+//! * [`commit::SlotPair`] / [`commit::CommitList`] — the one commit-point
+//!   rule: write the slot not holding the newest copy, read the newest;
 //! * [`buffer::BufferPool`] — a pin-counted page cache with LRU eviction
 //!   that reports evicted dirty pages to the caller so each recovery
 //!   manager can enforce its own write-ahead rule.
@@ -28,6 +30,7 @@
 //! one from a disk snapshot via that architecture's `recover` entry point.
 
 pub mod buffer;
+pub mod commit;
 pub mod device;
 pub mod error;
 pub mod fault;
@@ -37,6 +40,7 @@ pub mod nvmedisk;
 pub mod page;
 
 pub use buffer::{BufferPool, Evicted, PoolShard, ShardGuard, ShardStats, ShardedPool};
+pub use commit::{AppendError, CommitList, SlotPair, IDS_PER_FRAME};
 pub use device::{BackendKind, Disk};
 pub use error::StorageError;
 pub use fault::{FaultHandle, FaultInjector, FaultPlan, ReadFault, WriteFault};

@@ -218,7 +218,7 @@ pub struct WalDb {
     next_lsn: u64,
     committed: u64,
     aborted: u64,
-    wal_forces: u64,
+    eviction_forces: u64,
     /// The doublewrite slots every data-page flush goes through.
     dw: Doublewrite,
 }
@@ -268,7 +268,7 @@ impl WalDb {
             next_lsn,
             committed: 0,
             aborted: 0,
-            wal_forces: 0,
+            eviction_forces: 0,
             dw: Doublewrite::new(&cfg),
             cfg,
         }
@@ -324,9 +324,10 @@ impl WalDb {
         self.aborted
     }
 
-    /// Times the WAL rule forced a log stream to release a dirty page.
-    pub fn wal_forces(&self) -> u64 {
-        self.wal_forces
+    /// Times the WAL rule forced a log stream to release a dirty page at
+    /// eviction — only those forces, not commit forces.
+    pub fn eviction_forces(&self) -> u64 {
+        self.eviction_forces
     }
 
     /// The log manager (observability for tests/benches).
@@ -389,7 +390,7 @@ impl WalDb {
         if let Some(&pos) = self.page_last_log.get(&page.id) {
             if !self.log.is_durable(pos) {
                 self.log.force(pos.stream)?;
-                self.wal_forces += 1;
+                self.eviction_forces += 1;
             }
         }
         self.dw.flush(&mut self.data, page)?;
@@ -952,7 +953,7 @@ mod tests {
         db.write(t, 0, 0, b"page0").unwrap();
         db.write(t, 1, 0, b"page1").unwrap();
         db.write(t, 2, 0, b"page2").unwrap(); // evicts a dirty page
-        assert!(db.wal_forces() >= 1, "WAL rule must force the log");
+        assert!(db.eviction_forces() >= 1, "WAL rule must force the log");
         // the crash image now contains an uncommitted page — recovery
         // must undo it (covered by recovery tests)
         db.commit(t).unwrap();

@@ -12,9 +12,12 @@
 //!
 //! | frame | contents |
 //! |-------|----------|
-//! | 0     | header: truncation point, current epoch, epoch floor |
-//! | 1, 2  | the two **tail slots** |
-//! | 3 ..  | **home** frames: full log pages in stream order |
+//! | 0, 1  | header: truncation point, current epoch, epoch floor |
+//! | 2, 3  | the two **tail slots** |
+//! | 4 ..  | **home** frames: full log pages in stream order |
+//!
+//! The header is a [`SlotPair`] versioned by a count of header writes, so
+//! a torn header write falls back to the previous truncation point.
 //!
 //! Every log page, home or slot, is stamped with the home frame of the
 //! logical page it holds (its page id), the stream's **epoch** at write
@@ -27,12 +30,12 @@
 //! # Slot rule
 //!
 //! A force rewrites the whole partial page into one of the two tail slots,
-//! alternating between them — the same ping-pong the shadow master and
-//! the commit lists use. The slot written is never the one holding the
-//! newest acked bytes, so a torn rewrite leaves the previous copy intact.
-//! When appends fill the page it goes to its home frame, where the last
-//! slot copy covers a torn write. So no write ever lands on the only
-//! durable copy of an acked byte. A force is one verified page write; a
+//! alternating between them, ranked by the chain's epoch rule below
+//! rather than a [`SlotPair`] version. The slot written is never the one
+//! holding the newest acked bytes, so a torn rewrite leaves the previous
+//! copy intact. When appends fill the page it goes to its home frame,
+//! where the last slot copy covers a torn write. So no write ever lands
+//! on the only durable copy of an acked byte. A force is one verified page write; a
 //! home write costs one more per page of records.
 //!
 //! # Scan rule
@@ -58,7 +61,7 @@
 
 use crate::record::LogRecord;
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{Disk, MemDisk, Page, PageId, StorageError, PAYLOAD_SIZE};
+use rmdb_storage::{Disk, MemDisk, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE};
 
 /// Per-page header inside the payload: `used: u32` + `epoch: u64` +
 /// `first: u16` (offset of the first record beginning in the page).
@@ -68,12 +71,14 @@ const NO_START: u16 = u16::MAX;
 /// Usable record bytes per log page.
 pub const USABLE: usize = PAYLOAD_SIZE - PAGE_HDR;
 
-/// Reserved page id marking the header frame.
+/// Reserved page id marking a header frame.
 const HEADER_ID: PageId = PageId(u64::MAX);
+/// The header's two frames.
+const HEADER: SlotPair = SlotPair::at(0);
 /// The two tail-slot frames.
-const SLOTS: [u64; 2] = [1, 2];
+const SLOTS: [u64; 2] = [2, 3];
 /// First home frame.
-const FIRST_HOME: u64 = 3;
+const FIRST_HOME: u64 = 4;
 
 /// Salvage accounting from a [`LogStream::scan_with_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -358,6 +363,8 @@ pub struct LogStream {
     floor: u64,
     /// Reopen generation; stamped into every page written.
     epoch: u64,
+    /// Header writes so far: the version the next header write takes.
+    headers: u64,
     /// Total bytes ever appended (volatile position).
     appended: u64,
     /// Total bytes on stable storage.
@@ -387,6 +394,7 @@ impl LogStream {
             start_page: FIRST_HOME,
             floor: 1,
             epoch: 1,
+            headers: 0,
             appended: 0,
             durable: 0,
             pages_written: 0,
@@ -419,13 +427,14 @@ impl LogStream {
         disk: impl Into<Disk>,
     ) -> Result<(Self, Vec<IndexedRecord>, ScanStats), StorageError> {
         let disk = disk.into();
-        let (start_page, old_epoch, floor) = match disk.read_page_retry(0) {
-            Ok(h) if h.id == HEADER_ID => {
-                let field = |at| u64::from_le_bytes(h.read_at(at, 8).try_into().unwrap());
-                (field(0).max(FIRST_HOME), field(8), field(16))
-            }
-            // No (or torn) header: a brand-new disk.
-            _ => (FIRST_HOME, 0, 0),
+        let header = HEADER.read(&disk, |h| {
+            let field = |at| u64::from_le_bytes(h.read_at(at, 8).try_into().unwrap());
+            (h.id == HEADER_ID).then(|| (field(0).max(FIRST_HOME), field(8), field(16)))
+        });
+        let (headers, (start_page, old_epoch, floor)) = match header {
+            Some((version, fields)) => (version + 1, fields),
+            // No valid header copy: a brand-new disk.
+            None => (0, (FIRST_HOME, 0, 0)),
         };
         let mut chain = Chain::read(&disk, start_page, floor, u64::MAX);
 
@@ -451,6 +460,7 @@ impl LogStream {
             start_page,
             floor,
             epoch: old_epoch.max(chain.max_epoch).saturating_add(1),
+            headers,
             appended: valid as u64,
             durable: valid as u64,
             pages_written: 0,
@@ -487,22 +497,29 @@ impl LogStream {
     }
 
     /// Cheap device-health probe through the fault injector: read the
-    /// header frame and write it back. Fails while the device's permanent
-    /// failure is tripped; succeeds once a fault-clear (or replacement)
-    /// has revived both paths. Consumes one read and one write from the
-    /// injector's operation budget.
+    /// newest header copy and write its bytes to the other slot, the one
+    /// the next header version lands in. Fails while the device's
+    /// permanent failure is tripped; succeeds once a fault-clear (or
+    /// replacement) has revived both paths. Consumes one read and one
+    /// write from the injector's operation budget. The written copy sits
+    /// in the wrong parity slot, so readers ignore it, and a torn probe
+    /// write never touches the newest copy.
     pub fn probe_device(&mut self) -> Result<(), StorageError> {
-        let h = self.disk.read_page(0)?;
-        self.disk.write_page(0, &h)?;
+        // a live stream has written at least one header
+        let h = self.disk.read_page(HEADER.slot(self.headers - 1))?;
+        self.disk.write_page(HEADER.slot(self.headers), &h)?;
         Ok(())
     }
 
+    /// Write the header as its next version.
     fn write_header(&mut self) -> Result<(), StorageError> {
         let mut h = Page::new(HEADER_ID);
         h.write_at(0, &self.start_page.to_le_bytes());
         h.write_at(8, &self.epoch.to_le_bytes());
         h.write_at(16, &self.floor.to_le_bytes());
-        self.disk.write_page_verified(0, &h)
+        HEADER.write(&mut self.disk, self.headers, h)?;
+        self.headers += 1;
+        Ok(())
     }
 
     /// Write one log frame, read-back verified: a silently lost or torn log
@@ -916,7 +933,8 @@ mod tests {
         let full_pages = (bytes / USABLE) as u64;
         assert!(full_pages >= 2, "the test must fill pages");
         let image = s.disk_snapshot();
-        assert_eq!(frames_used(&image), FIRST_HOME + full_pages);
+        // one header copy, both tail slots, one home frame per full page
+        assert_eq!(frames_used(&image), 1 + SLOTS.len() as u64 + full_pages);
         // one slot rewrite per force, one home write per full page
         assert_eq!(s.pages_written(), 300 + full_pages);
         assert_eq!(LogStream::open(image).unwrap().scan(), recs);
@@ -1045,6 +1063,77 @@ mod tests {
             .unwrap()
             .scan()
             .is_empty());
+    }
+
+    /// A stream whose truncate dropped a partial page a record spans
+    /// into, then acked `n` records packed afresh into that page's frame.
+    /// Lose the header and the chain re-accepts the truncated pages and
+    /// splices the spanning record onto the new bytes.
+    fn truncated_then_acked(n: u64) -> (LogStream, Vec<LogRecord>) {
+        let mut s = LogStream::create(64);
+        s.append(&commit(100)).unwrap();
+        s.append(&big_update(0, USABLE / 2)).unwrap(); // spans into page 2
+        s.truncate().unwrap();
+        let recs: Vec<LogRecord> = (1..=n).map(|i| big_update(i, 200)).collect();
+        for r in &recs {
+            s.append(r).unwrap();
+            s.force().unwrap();
+        }
+        (s, recs)
+    }
+
+    #[test]
+    fn torn_truncate_to_header_keeps_every_acked_record() {
+        for cut in [16, 20, 24, 32, 40] {
+            let (mut s, recs) = truncated_then_acked(30);
+            let (indexed, _) = s.scan_indexed();
+            let i = (1..indexed.len())
+                .find(|&i| indexed[i].frame_start)
+                .expect("the acked records fill pages");
+            tear_next_write(&mut s, cut);
+            assert!(s.truncate_to(indexed[i].frame).is_err(), "cut {cut}");
+            let got = LogStream::open(s.disk_snapshot()).unwrap().scan();
+            assert!(
+                got == recs || got == recs[i..],
+                "cut {cut}: reopen returned {} records, {} acked",
+                got.len(),
+                recs.len()
+            );
+        }
+    }
+
+    #[test]
+    fn torn_reopen_header_keeps_every_acked_record() {
+        let (s, recs) = truncated_then_acked(30);
+        let image = s.disk_snapshot();
+        // the acked tail is intact, so the header is a reopen's only write:
+        // find its frame and bytes, then land only a prefix of them
+        let reopened = LogStream::open(image.snapshot()).unwrap();
+        let written: Vec<u64> = (0..image.capacity())
+            .filter(|&a| reopened.disk().read_frame(a).ok() != image.read_frame(a).ok())
+            .collect();
+        assert_eq!(written.len(), 1, "the reopen wrote {written:?}");
+        let header = reopened.disk().read_frame(written[0]).unwrap();
+        for cut in [16, 20, 24, 32, 40] {
+            let mut torn = image.snapshot();
+            torn.write_partial(written[0], &header, cut).unwrap();
+            assert_eq!(LogStream::open(torn).unwrap().scan(), recs, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn torn_probe_write_keeps_every_acked_record() {
+        // the probe writes beside the newest header copy, never over it
+        for cut in [16, 20, 24, 32, 40] {
+            let (mut s, recs) = truncated_then_acked(30);
+            tear_next_write(&mut s, cut);
+            let _ = s.probe_device(); // an unverified write: the tear is silent
+            assert_eq!(
+                LogStream::open(s.disk_snapshot()).unwrap().scan(),
+                recs,
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

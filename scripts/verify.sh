@@ -7,7 +7,9 @@
 # throughput smoke with --obs that must show >= 2x txns/sec at 4 workers
 # vs 1, >= 1.5 commits per group-commit batch at 4 workers, AND emit a
 # metrics snapshot whose conservation laws balance
-# (results land in results/BENCH_throughput.json), plus failover and
+# (results land in target/smoke/results/BENCH_throughput.json; every
+# smoke writes under the git-ignored target/smoke/results/, never the
+# committed results/), plus failover and
 # membership-churn smokes whose gates derive from the emitted JSON
 # (results/BENCH_failover.json), and a read-mix smoke gating MVCC
 # snapshot reads at >= 1.5x locked read throughput with zero consistency
@@ -40,11 +42,12 @@
 # crashes and torn writes. It also builds perfbench, the end-to-end
 # benchmark: it is a workspace of its own, so neither `cargo build` nor
 # `cargo test` compiles it, and a library API change could otherwise
-# break the benchmark without failing this gate (the build writes only
-# the git-ignored perfbench/target/). It fails if a retry budget constant
-# is defined outside rmdb-storage. Last, it prints non-test LOC per
-# crate (scripts/loc.sh) for the record. Run from anywhere inside the
-# repo.
+# break the benchmark without failing this gate (the build writes to the
+# git-ignored perfbench/target/, and the committed perfbench/Cargo.lock is
+# put back after it). It fails if a retry budget constant is defined
+# outside rmdb-storage. Last, it prints non-test LOC per crate
+# (scripts/loc.sh) for the record. A verify run leaves `git status` as
+# it found it. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,8 +67,15 @@ cargo build --release -p rmdb-bench --bin restart_ablation
 cargo build --release -p rmdb-bench --bin scaling
 cargo build --release -p rmdb-bench --bin lsm
 # perfbench is its own workspace: build it against the library crates
-# here, or a storage/exec API change breaks the benchmark silently
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# here, or a storage/exec API change breaks the benchmark silently. Its
+# committed Cargo.lock is stale and the build rewrites it; put the
+# committed copy back so verify leaves the tree as it found it
+cp perfbench/Cargo.lock target/perfbench.Cargo.lock
+cargo build --release --offline --manifest-path perfbench/Cargo.toml || {
+    cp target/perfbench.Cargo.lock perfbench/Cargo.lock
+    exit 1
+}
+cp target/perfbench.Cargo.lock perfbench/Cargo.lock
 cargo test -q
 cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
@@ -105,8 +115,14 @@ cargo test -q --release --test lsm_properties
 cargo test -q --release --test fault_sweep log_tail_
 cargo test -q --release --test wal_properties
 
-mkdir -p results
-./target/release/throughput --smoke --obs --json > results/BENCH_throughput.json
+# The smoke binaries write their JSON to results/ under the working
+# directory. Run them, and the gates that read that JSON, from the
+# git-ignored target/smoke, so the committed results/BENCH_*.json files
+# are never rewritten by a verify run
+bin="$PWD/target/release"
+mkdir -p target/smoke/results
+cd target/smoke
+"$bin/throughput" --smoke --obs --json > results/BENCH_throughput.json
 python3 - <<'EOF'
 import json
 doc = json.load(open("results/BENCH_throughput.json"))
@@ -151,7 +167,7 @@ EOF
 # (the binary itself exits non-zero on acked loss or a silent fleet).
 # Expectations are derived from the emitted JSON (survivors = streams - 1),
 # not hardcoded to a fleet size.
-./target/release/throughput --kill-stream 1@300 --secs 0.6 --json > /dev/null
+"$bin/throughput" --kill-stream 1@300 --secs 0.6 --json > /dev/null
 python3 - <<'EOF'
 import json
 doc = json.load(open("results/BENCH_failover.json"))
@@ -173,7 +189,7 @@ EOF
 # acked commits lost across kill AND rejoin, and post-rejoin throughput
 # within 10% of the pre-kill baseline. The churn row lands in
 # results/BENCH_failover.json for the records.
-./target/release/throughput --kill-stream 1@300 --rejoin-at 700 --secs 1.2 --json > /dev/null
+"$bin/throughput" --kill-stream 1@300 --rejoin-at 700 --secs 1.2 --json > /dev/null
 python3 - <<'EOF'
 import json
 doc = json.load(open("results/BENCH_failover.json"))
@@ -198,7 +214,7 @@ EOF
 # violations and zero errors on either path (the binary itself exits
 # non-zero on a violation). Rows + speedups land in
 # results/BENCH_readmix.json.
-./target/release/throughput --read-pct 95,99 --json > /dev/null
+"$bin/throughput" --read-pct 95,99 --json > /dev/null
 python3 - <<'EOF'
 import json
 doc = json.load(open("results/BENCH_readmix.json"))
@@ -224,7 +240,7 @@ EOF
 # {1,2,4,8} (zero equivalence violations); (3) the redo accounting is the
 # same at every K, and that log really is mixed: some command ops were
 # re-executed and some fragments installed (redone units count both).
-./target/release/restart_ablation --replay-json results/BENCH_replay.json
+"$bin/restart_ablation" --replay-json results/BENCH_replay.json
 python3 - <<'EOF'
 import json
 doc = json.load(open("results/BENCH_replay.json"))
@@ -257,7 +273,7 @@ EOF
 # the emitted JSON and additionally requires the sweep to have actually
 # covered >= 2 backends x >= 3 worker counts (so a silently shrunk sweep
 # cannot pass) with every cell committing work and probing conservation.
-./target/release/scaling --smoke --json > /dev/null
+"$bin/scaling" --smoke --json > /dev/null
 python3 - <<'EOF'
 import json
 doc = json.load(open("results/BENCH_scaling.json"))
@@ -290,7 +306,7 @@ EOF
 # cell must have actually compacted (a run that never compacted measured
 # nothing), write amplification must be present and sane, and the fence
 # index must hold an optimal get to one frame per live run.
-./target/release/lsm --smoke --json > /dev/null
+"$bin/lsm" --smoke --json > /dev/null
 python3 - <<'EOF'
 import json
 doc = json.load(open("results/BENCH_lsm.json"))
@@ -325,6 +341,7 @@ print(f"lsm smoke: WA {c['write_amplification']:.2f} "
       + ", ".join(f"{c['name']} {c['frames_per_get']:.2f} frames/get"
                   for c in doc["cells"]))
 EOF
+cd ../..
 # informational, not a gate: non-test Rust LOC per crate, the count that
 # "non-test LOC goes down" means in ROADMAP.md
 ./scripts/loc.sh

@@ -15,10 +15,14 @@
 //!   backend, so a fault plan authored against `MemDisk` replays
 //!   faithfully against a real file or the NVMe model;
 //! * on the error paths, the bounds and torn-length checks consume no
-//!   fault-plan operation, and only I/O the plan lets through is counted.
+//!   fault-plan operation, and only I/O the plan lets through is counted;
+//! * the commit-point primitives hold: a `SlotPair` reads back its newest
+//!   valid copy past a torn, lost, misplaced or rejected write, and a
+//!   `CommitList` recovers every id an acked append made durable.
 
 use recovery_machines::storage::{
-    BackendKind, Disk, FaultInjector, FaultPlan, NvmeConfig, Page, PageId, StorageError, FRAME_SIZE,
+    BackendKind, CommitList, Disk, FaultInjector, FaultPlan, Lsn, NvmeConfig, Page, PageId,
+    SlotPair, StorageError, FRAME_SIZE, IDS_PER_FRAME, PAYLOAD_SIZE,
 };
 
 const FRAMES: u64 = 16;
@@ -390,5 +394,99 @@ fn verified_write_retries_flips_and_lost_writes_on_every_backend() {
             old,
             "{name}: nothing landed"
         );
+    });
+}
+
+// ---------------------------------------------------------------------------
+// The commit-point primitives: a `SlotPair` reads back its newest valid
+// copy and a `CommitList` every id an acked append made durable, whatever
+// the backend and however the newest write was cut.
+// ---------------------------------------------------------------------------
+
+/// A page whose whole payload carries `tag`, so a write cut anywhere
+/// short of the full frame differs from any other tag's copy.
+fn tagged(tag: u8) -> Page {
+    let mut p = Page::new(PageId(9));
+    p.write_at(0, &[tag; PAYLOAD_SIZE]);
+    p
+}
+
+fn tag_of(p: &Page) -> Option<u8> {
+    Some(p.read_at(0, 1)[0])
+}
+
+/// `disk` after `write` ran on a copy under `plan` and the crash the plan
+/// schedules: the write must fail, and the copy's durable state returns.
+fn crashed_copy(disk: &Disk, plan: FaultPlan, write: impl FnOnce(&mut Disk) -> bool) -> Disk {
+    let mut copy = disk.snapshot();
+    copy.attach_faults(FaultInjector::handle(plan));
+    assert!(!write(&mut copy), "the crash must fail the write");
+    copy.snapshot()
+}
+
+#[test]
+fn slot_pair_reads_the_newest_valid_copy_on_every_backend() {
+    for_each_backend(|disk, name| {
+        let pair = SlotPair::at(4);
+        assert_eq!(pair.read(disk, tag_of), None, "{name}: two empty slots");
+        for v in 5..=6 {
+            pair.write(disk, v, tagged(v as u8)).expect("write");
+        }
+        assert_eq!(pair.read(disk, tag_of), Some((6, 6)), "{name}");
+        let write_v7 = |d: &mut Disk| pair.write(d, 7, tagged(7)).is_ok();
+
+        // a torn or lost write of version 7 leaves version 6
+        for cut in [1, 20, 100, FRAME_SIZE - 1] {
+            let plan = FaultPlan::new().tear_write(0, cut).crash_after_write(0);
+            let torn = crashed_copy(disk, plan, write_v7);
+            assert_eq!(pair.read(&torn, tag_of), Some((6, 6)), "{name}: cut {cut}");
+        }
+        let plan = FaultPlan::new().lose_write(0).crash_after_write(0);
+        let lost = crashed_copy(disk, plan, write_v7);
+        assert_eq!(pair.read(&lost, tag_of), Some((6, 6)), "{name}: lost write");
+
+        // a valid page in the wrong-parity slot is ignored
+        let mut stray = tagged(8);
+        stray.lsn = Lsn(8);
+        let mut wrong = disk.snapshot();
+        wrong.write_page(pair.slot(7), &stray).expect("stray write");
+        assert_eq!(pair.read(&wrong, tag_of), Some((6, 6)), "{name}: parity");
+
+        // a newest copy decode rejects falls back to the older one
+        pair.write(disk, 7, tagged(0xFF)).expect("write");
+        let reject = |p: &Page| tag_of(p).filter(|&t| t != 0xFF);
+        assert_eq!(pair.read(disk, reject), Some((6, 6)), "{name}: rejected");
+        assert_eq!(pair.read(disk, tag_of), Some((7, 0xFF)), "{name}");
+    });
+}
+
+#[test]
+fn commit_list_recovers_every_acked_id_on_every_backend() {
+    const BASE: u64 = 2;
+    for_each_backend(|disk, name| {
+        let mut list = CommitList::new(BASE, 2);
+        for n in 0..IDS_PER_FRAME as u64 + 3 {
+            // a torn append at the frame boundary and one past it
+            if n == IDS_PER_FRAME as u64 || n == IDS_PER_FRAME as u64 + 2 {
+                for cut in [20, 100] {
+                    let plan = FaultPlan::new().tear_write(0, cut).crash_after_write(0);
+                    let torn = crashed_copy(disk, plan, |d| list.clone().append(d, 7).is_ok());
+                    // the unacked append may have landed whole: a cut past
+                    // its last non-zero byte over a virgin frame loses
+                    // nothing
+                    let back = CommitList::recover(&torn, BASE, 2);
+                    assert!(
+                        back.ids().starts_with(list.ids())
+                            && back.ids().len() <= list.ids().len() + 1,
+                        "{name}: {n} ids, cut {cut}: recovered {}",
+                        back.ids().len()
+                    );
+                }
+            }
+            list.append(disk, 1_000 + n).expect("append");
+        }
+        let back = CommitList::recover(disk, BASE, 2);
+        assert_eq!(back.ids(), list.ids(), "{name}: round trip");
+        assert_eq!(back.ids().len(), IDS_PER_FRAME + 3, "{name}");
     });
 }

@@ -4,7 +4,8 @@
 //! in-memory oracle.
 
 use proptest::prelude::*;
-use recovery_machines::difffile::{DiffConfig, DiffDb, ScanStrategy, Tuple};
+use recovery_machines::difffile::{DiffConfig, DiffDb, DiffError, ScanStrategy, Tuple};
+use recovery_machines::storage::{FaultInjector, FaultPlan};
 use std::collections::BTreeMap;
 
 const KEYS: u64 = 12;
@@ -120,6 +121,63 @@ fn run_script(ops_list: Vec<Op>) {
             }
         }
         verify(&mut db, &oracle);
+    }
+}
+
+/// A store holding five acked one-insert commits (keys 1..=5).
+fn five_acked() -> DiffDb {
+    let mut db = DiffDb::new(cfg());
+    for key in 1..=5u64 {
+        let t = db.begin();
+        db.insert(t, key, &[key as u8; 8]).unwrap();
+        db.commit(t).unwrap();
+    }
+    db
+}
+
+/// Commit one transaction inserting keys 6 and 7.
+fn commit_two_keys(db: &mut DiffDb) -> Result<(), DiffError> {
+    let t = db.begin();
+    db.insert(t, 6, b"six").unwrap();
+    db.insert(t, 7, b"seven").unwrap();
+    db.commit(t)
+}
+
+/// Tear each write of a commit (its A-file tail rewrite, its commit-list
+/// append) at several cuts and crash with it: no acked key may be lost,
+/// and the torn commit lands all or nothing.
+#[test]
+fn torn_commit_writes_lose_no_acked_key() {
+    // a clean run counts the commit's writes
+    let counter = FaultInjector::handle(FaultPlan::new());
+    let mut db = five_acked();
+    db.attach_faults(&counter);
+    commit_two_keys(&mut db).unwrap();
+    let writes = counter.lock().writes();
+    assert!(writes >= 2, "the commit must rewrite a tail and append");
+
+    for w in 0..writes {
+        for cut in [20, 100, 2000] {
+            let mut db = five_acked();
+            let plan = FaultPlan::new().tear_write(w, cut).crash_after_write(w);
+            db.attach_faults(&FaultInjector::handle(plan));
+            assert!(commit_two_keys(&mut db).is_err(), "write {w}: no crash");
+            let mut db = DiffDb::recover(db.crash_image(), cfg()).unwrap();
+            let q = db.begin();
+            for key in 1..=5u64 {
+                assert_eq!(
+                    db.get(q, key).unwrap(),
+                    Some(vec![key as u8; 8]),
+                    "write {w} cut {cut}: acked key {key} lost"
+                );
+            }
+            let (six, seven) = (db.get(q, 6).unwrap(), db.get(q, 7).unwrap());
+            assert_eq!(
+                six.is_some(),
+                seven.is_some(),
+                "write {w} cut {cut}: the torn commit landed in part"
+            );
+        }
     }
 }
 

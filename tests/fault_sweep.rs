@@ -309,12 +309,18 @@ sweep_test!(
         .0
 );
 
+/// Cuts for a sweep that tears the crash write itself: inside the frame
+/// header, inside the first entries, and mid-payload.
+const CRASH_CUTS: [usize; 3] = [20, 100, 2000];
+
 /// Differential files are tuple-granular, not a [`PageStore`], so they get
 /// their own sweep: same seeded device faults, same crashpoints, with a
 /// key → value oracle over `R = (B ∪ A) − D` instead of a page oracle.
 /// Parameterized over the block-device backend so the identical storm
-/// runs on `MemDisk` and on a real pwrite/fdatasync file.
-fn difffile_sweep(backend: BackendKind, seeds: &[u64], crashpoints: &[u64]) {
+/// runs on `MemDisk` and on a real pwrite/fdatasync file. `tear_crash`
+/// also tears the write the crash follows — the one write a seeded plan
+/// tears only by chance.
+fn difffile_sweep(backend: BackendKind, seeds: &[u64], crashpoints: &[u64], tear_crash: bool) {
     let mut crash_hits = 0usize;
     for &seed in seeds {
         for &crashpoint in crashpoints {
@@ -324,7 +330,11 @@ fn difffile_sweep(backend: BackendKind, seeds: &[u64], crashpoints: &[u64]) {
             };
             let mut rng = StdRng::seed_from_u64(seed ^ (crashpoint << 32));
             let mut db = DiffDb::new(cfg.clone());
-            let plan = FaultPlan::seeded(seed, 1 << 20).crash_after_write(crashpoint);
+            let mut plan = FaultPlan::seeded(seed, 1 << 20).crash_after_write(crashpoint);
+            if tear_crash {
+                let cut = CRASH_CUTS[((seed + crashpoint) % 3) as usize];
+                plan = plan.tear_write(crashpoint, cut);
+            }
             let handle = FaultInjector::handle(plan);
             db.attach_faults(&handle);
 
@@ -415,12 +425,17 @@ fn difffile_sweep(backend: BackendKind, seeds: &[u64], crashpoints: &[u64]) {
 
 #[test]
 fn difffile_survives_fault_sweep() {
-    difffile_sweep(BackendKind::Mem, &SEEDS, &CRASHPOINTS);
+    difffile_sweep(BackendKind::Mem, &SEEDS, &CRASHPOINTS, false);
+}
+
+#[test]
+fn difffile_survives_torn_crash_write() {
+    difffile_sweep(BackendKind::Mem, &SEEDS, &CRASHPOINTS, true);
 }
 
 #[test]
 fn difffile_survives_fault_sweep_on_filedisk() {
-    difffile_sweep(BackendKind::file(), &FILE_SEEDS, &FILE_CRASHPOINTS);
+    difffile_sweep(BackendKind::file(), &FILE_SEEDS, &FILE_CRASHPOINTS, false);
 }
 
 // ---------------------------------------------------------------------------

@@ -149,7 +149,8 @@ fn recovery_reads_each_log_frame_once() {
     for streams in [1, 2, 4] {
         let db = build_crashed(streams, 0, 2_000);
         let image = db.crash_image();
-        // frames 0..3 are the header and the two tail slots
+        // frames 0..2 are the two header slots and 2..4 the tail slots, so
+        // `3..` also counts tail slot 3: one frame of slack per stream
         let home_frames: u64 = image
             .logs
             .iter()
