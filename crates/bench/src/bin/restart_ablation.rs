@@ -13,7 +13,8 @@
 //! instead and writes its JSON there: per-policy log bytes under 90/10
 //! hot-key traffic (physical / command / adaptive), and the page-sharded
 //! redo phase of one mixed command/physical log at K ∈ {1, 2, 4, 8} with
-//! a byte-identity check across every K. This is what `scripts/verify.sh`
+//! a byte-identity check across every K and, per K, the pages redo
+//! replayed and the pages the durable finish wrote. This is what `scripts/verify.sh`
 //! gates on (`results/BENCH_replay.json`).
 
 use rmdb_core::export::{tables_to_json, tables_to_text};
@@ -271,16 +272,22 @@ fn replay_sweep() -> String {
             }
         }
         let (reexecuted, redone) = (report.base.reexecuted_ops, report.base.redone_updates);
+        let replayed: u64 = report.per_worker.iter().map(|w| w.pages).sum();
+        let written = report.base.pages_written;
         if !cells.is_empty() {
             cells.push(',');
         }
         write!(
             cells,
             "\n    {{\"workers\": {k}, \"wall_redo_us\": {best_wall}, \
-             \"reexecuted_ops\": {reexecuted}, \"redone_updates\": {redone}}}"
+             \"reexecuted_ops\": {reexecuted}, \"redone_updates\": {redone}, \
+             \"pages_replayed\": {replayed}, \"pages_written\": {written}}}"
         )
         .expect("fmt");
-        println!("replay K={k}: wall={best_wall}us reexecuted={reexecuted} redone={redone}");
+        println!(
+            "replay K={k}: wall={best_wall}us reexecuted={reexecuted} redone={redone} \
+             pages replayed={replayed} written={written}"
+        );
     }
     println!("replay: equivalence violations={violations}");
 

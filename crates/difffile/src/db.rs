@@ -135,7 +135,7 @@ impl std::fmt::Display for DiffError {
 impl std::error::Error for DiffError {}
 
 /// Page-access statistics — the quantities the paper's Tables 9–11 track.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiffStats {
     /// Base pages scanned.
     pub base_pages_read: u64,
@@ -658,6 +658,7 @@ impl DiffDb {
         };
         struct WorkerOut {
             candidates: Vec<(u64, u64, Tuple)>,
+            pages: u64,
             pages_with_candidates: u64,
             tuples: u64,
         }
@@ -669,6 +670,7 @@ impl DiffDb {
                     s.spawn(move |_| {
                         let mut out = WorkerOut {
                             candidates: Vec::new(),
+                            pages: chunk.len() as u64,
                             pages_with_candidates: 0,
                             tuples: 0,
                         };
@@ -700,7 +702,7 @@ impl DiffDb {
         for w in &results {
             self.stats.tuples_examined += w.tuples;
             let setdiff_pages = match strategy {
-                ScanStrategy::Basic => self.base.len() as u64 / chunks.len().max(1) as u64,
+                ScanStrategy::Basic => w.pages,
                 ScanStrategy::Optimal => w.pages_with_candidates,
             };
             self.stats.set_difference_ops += setdiff_pages;
@@ -735,6 +737,8 @@ impl DiffDb {
             }
         }
         if strategy == ScanStrategy::Basic || !a_candidates.is_empty() {
+            self.stats.set_difference_ops += a_page_count;
+            self.stats.d_pages_read += d_page_count * a_page_count;
             for (key, seq, t) in a_candidates {
                 if Self::is_live(key, seq, &deletes, &latest) {
                     out.push(t);

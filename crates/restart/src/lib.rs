@@ -14,12 +14,13 @@
 //!    LSN ordering is the only order redo needs — for command records as
 //!    for fragments — so workers never coordinate on bytes.
 //! 3. **Backward undo of losers** — serial, in the coordinator, reading
-//!    any page the bounded redo map does not cover straight from the data
-//!    disk (with doublewrite repair), and logging compensations so the
-//!    restart itself is crash-safe and idempotent.
+//!    any page redo did not keep (behind the bound, or left unchanged)
+//!    straight from the data disk (with doublewrite repair), and logging
+//!    compensations so the restart itself is crash-safe and idempotent.
 //!
-//! Afterwards the coordinator truncates each stream behind its checkpoint
-//! bound, so the next restart scans even less.
+//! Afterwards the coordinator writes home the pages recovery changed, and
+//! only those, then truncates each stream behind its checkpoint bound, so
+//! the next restart scans even less.
 //!
 //! The recovered state is **byte-identical for every worker count K**,
 //! including on images produced under fault injection. A [`RestartReport`]

@@ -335,6 +335,11 @@ impl WalDb {
         &self.log
     }
 
+    /// The data disk (observability for tests/benches: its I/O counters).
+    pub fn data_disk(&self) -> &Disk {
+        &self.data
+    }
+
     /// The buffer pool (observability for tests/benches).
     pub fn pool(&self) -> &BufferPool {
         &self.pool

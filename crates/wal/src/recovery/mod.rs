@@ -20,7 +20,8 @@
 //! 2. **Redo** — apply every durable update, compensation and command op
 //!    ahead of the bound, per page in `new_lsn` order, skipping units
 //!    already reflected (`page.lsn >= new_lsn`). Pages are hashed into K
-//!    shards, one worker thread each (the `redo` module). A command
+//!    shards, one worker thread each (the `redo` module); a page read
+//!    clean whose every unit was skipped is dropped there. A command
 //!    record's ops each write the one page they read and carry their own
 //!    page LSN, so per-page LSN order replays command records as
 //!    completely as fragments: no cross-page order is needed.
@@ -28,9 +29,11 @@
 //!    not-yet-compensated updates in reverse LSN order, appending new
 //!    compensation records (so recovery itself is crash-safe and
 //!    idempotent), then an abort record.
-//! 4. **Durable finish** — force the logs, write recovered pages home, then
-//!    truncate each stream behind its checkpoint bound so the next restart
-//!    scans less.
+//! 4. **Durable finish** — force the logs, write home the pages recovery
+//!    changed (redo applied a unit, repaired a torn frame or started a
+//!    fresh one, or undo reverted it), then truncate each stream behind its
+//!    checkpoint bound so the next restart scans less. Every other page
+//!    redo examined already holds its recovered bytes at home.
 //!
 //! [`WalDb::recover`] runs the engine at K=1; rmdb-restart's `restart`
 //! runs it at `RestartConfig::workers`; and [`WalDb::recover_from_archive`]
@@ -50,7 +53,7 @@ use crate::db::{CrashImage, WalConfig, WalDb, WalError};
 use crate::manager::ParallelLogManager;
 use crate::record::LogRecord;
 use analysis::analyze;
-use redo::{load_redo_page, shard_redo, PageLoad};
+use redo::{load_redo_page, shard_redo, Origin, PageLoad};
 use rmdb_obs::{EventKind, Registry};
 use rmdb_storage::{Disk, Lsn, StorageError};
 use std::collections::btree_map::Entry;
@@ -110,7 +113,9 @@ pub fn recover_observed(
 /// `quarantined_log_pages`, `salvaged_records`, `redone_updates`,
 /// `reexecuted_ops`, `pages_replayed`, `undone_updates`,
 /// `torn_pages_repaired`, `quarantined_data_pages`, `pages_written` and
-/// `retried_ios`, each equal to its report field; histograms
+/// `retried_ios`, each equal to its report field (`pages_replayed`, which
+/// has none, counts the pages redo examined and did not quarantine,
+/// whether or not they changed and were written home); histograms
 /// `{analysis,redo,undo,flush,total}_us`; one
 /// [`EventKind::RecoveryPhase`] event per phase.
 pub fn run_engine(
@@ -155,6 +160,7 @@ pub fn run_engine(
     let t_redo = Instant::now();
     let out = shard_redo(&data, &doublewrite, a.redo, workers)?;
     let (mut pages, mut quarantined) = (out.pages, out.quarantined);
+    let replayed = out.per_worker.iter().map(|w| w.pages).sum::<u64>() - quarantined.len() as u64;
     let base = &mut report.base;
     base.redone_updates = out.redone;
     base.reexecuted_ops = out.reexecuted_ops;
@@ -164,7 +170,7 @@ pub fn run_engine(
     report.timings.redo = t_redo.elapsed();
     count("redone_updates", out.redone);
     count("reexecuted_ops", out.reexecuted_ops);
-    count("pages_replayed", pages.len() as u64);
+    count("pages_replayed", replayed);
     phase(1, "redo", report.timings.redo);
 
     // ---- Undo losers (serial) ----
@@ -190,15 +196,17 @@ pub fn run_engine(
                     "log fragment exceeds page payload",
                 )));
             }
-            // A candidate from behind the checkpoint bound may touch a page
-            // the bounded redo map never loaded: start from its home image.
+            // A page is missing from the map when redo left it unchanged
+            // (dropped it after skipping every unit) or when the candidate
+            // lies behind the checkpoint bound, where the bounded redo map
+            // never loaded it: either way start from its home image.
             let page = match pages.entry(cand.page) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(slot) => {
                     let base = &mut report.base;
                     match load_redo_page(&data, &doublewrite, cand.page, false)? {
-                        PageLoad::Ready(p, torn) => {
-                            base.torn_pages_repaired += u64::from(torn);
+                        PageLoad::Ready(p, origin) => {
+                            base.torn_pages_repaired += u64::from(origin == Origin::Repaired);
                             slot.insert(p)
                         }
                         PageLoad::Quarantined => {
@@ -621,6 +629,92 @@ mod tests {
             assert_eq!(counted, Some(retried), "K={workers}");
             assert_eq!(read_committed(&mut db2, 5, 0, 7), b"redo me");
         }
+    }
+
+    /// Recover `image` at K=1, returning the engine, the report and the
+    /// `recovery.pages_replayed` counter.
+    fn recover_counted(image: CrashImage, cfg: WalConfig) -> (WalDb, RecoveryReport, u64) {
+        let obs = Registry::new();
+        let (db, report) = recover_observed(image, cfg, &obs).unwrap();
+        let replayed = obs.snapshot().counter("recovery.pages_replayed");
+        (db, report, replayed.unwrap_or(0))
+    }
+
+    #[test]
+    fn page_home_after_its_last_commit_is_examined_not_written() {
+        let mut db = WalDb::new(cfg(2));
+        let t = db.begin();
+        db.write(t, 4, 0, b"home").unwrap();
+        db.write(t, 5, 0, b"old!").unwrap();
+        db.commit(t).unwrap();
+        // page 4 reaches home after its last commit; page 5 before its last
+        db.flush_all().unwrap();
+        let t = db.begin();
+        db.write(t, 5, 0, b"pool").unwrap();
+        db.commit(t).unwrap();
+        let image = db.crash_image();
+        let home = image.data.read_frame(4).unwrap();
+        let (mut db2, report, replayed) = recover_counted(image, cfg(2));
+        assert_eq!(replayed, 2, "redo examines both pages");
+        assert_eq!(report.redone_updates, 1);
+        assert_eq!(report.pages_written, 1, "only page 5 changed");
+        assert_eq!(db2.data_disk().writes(), report.pages_written);
+        assert!(db2.data_disk().read_frame(4).unwrap() == home);
+        assert_eq!(read_committed(&mut db2, 4, 0, 4), b"home");
+        assert_eq!(read_committed(&mut db2, 5, 0, 4), b"pool");
+    }
+
+    #[test]
+    fn torn_page_repaired_with_nothing_to_redo_is_still_written() {
+        let mut db = WalDb::new(cfg(2));
+        let t = db.begin();
+        db.write(t, 4, 0, b"data").unwrap();
+        db.commit(t).unwrap();
+        db.flush_all().unwrap();
+        let mut image = db.crash_image();
+        let mut other = image.data.read_page(4).unwrap();
+        other.write_at(0, b"XXXX");
+        other.write_at(3000, b"YYYY");
+        image
+            .data
+            .write_partial(4, &other.to_frame(), 2000)
+            .unwrap();
+        let tear_writes = image.data.writes();
+        let (db2, report, replayed) = recover_counted(image, cfg(2));
+        assert_eq!(replayed, 1);
+        assert_eq!(report.torn_pages_repaired, 1);
+        assert_eq!(report.redone_updates, 0, "the doublewrite copy is current");
+        assert_eq!(report.pages_written, 1, "the repair must reach home");
+        assert_eq!(db2.data_disk().writes() - tear_writes, 1);
+        let home = db2.data_disk().read_page(4).expect("home frame repaired");
+        assert_eq!(home.read_at(0, 4), b"data");
+    }
+
+    #[test]
+    fn loser_page_redo_left_unchanged_is_reverted_by_undo_and_written_once() {
+        let mut db = WalDb::new(cfg(1));
+        let t0 = db.begin();
+        db.write(t0, 1, 0, b"base").unwrap();
+        db.commit(t0).unwrap();
+        let loser = db.begin();
+        db.write(loser, 1, 0, b"evil").unwrap();
+        // the loser's update reaches home, and no checkpoint bounds redo
+        db.flush_all().unwrap();
+        let image = db.crash_image();
+        assert_eq!(image.data.read_page(1).unwrap().read_at(0, 4), b"evil");
+        let (mut db2, report, replayed) = recover_counted(image, cfg(1));
+        assert_eq!(replayed, 1, "redo examines the page");
+        assert_eq!(report.redone_updates, 0, "and has nothing to apply");
+        assert_eq!(report.loser_txns, vec![loser]);
+        assert_eq!(report.undone_updates, 1);
+        assert_eq!(report.pages_written, 1);
+        assert_eq!(db2.data_disk().writes(), 1, "written once");
+        assert_eq!(
+            db2.data_disk().read_page(1).unwrap().read_at(0, 4),
+            b"base",
+            "the reverted image is home"
+        );
+        assert_eq!(read_committed(&mut db2, 1, 0, 4), b"base");
     }
 
     #[test]

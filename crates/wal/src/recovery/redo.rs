@@ -9,8 +9,11 @@
 //! unmerged-log architecture), and no two pages share state. Pages are
 //! hashed into K shards; each shard is replayed by one worker thread reading
 //! the shared data disk through `&Disk` (its I/O counters are atomics, so
-//! the disk is `Sync`). Workers never write the disk — each returns its
-//! rebuilt page images, and the serial coordinator writes them home.
+//! the disk is `Sync`). Workers never write the disk — each returns the
+//! page images replay changed, and the serial coordinator writes them home.
+//! A page read clean whose every item the LSN check skipped is dropped on
+//! the spot: its home frame already holds the bytes a rewrite would
+//! produce (a frame that verifies re-encodes to itself).
 //!
 //! Determinism: the shard hash depends only on the page id, each worker
 //! replays its pages in ascending page order with items in LSN order, and
@@ -72,11 +75,22 @@ fn apply_item(page: &mut Page, item: &RedoItem) -> Result<bool, StorageError> {
     Ok(true)
 }
 
+/// Where a usable page image came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Origin {
+    /// The home frame, read clean: the image is the frame's own bytes.
+    Home,
+    /// A fresh page: the home frame was never allocated.
+    Fresh,
+    /// A torn home frame, repaired from the doublewrite buffer or rebuilt
+    /// from scratch.
+    Repaired,
+}
+
 /// Result of loading a page's home image for replay.
 pub(super) enum PageLoad {
-    /// A usable image (freshly allocated, read clean, or repaired; the
-    /// flag says a torn frame was repaired).
-    Ready(Page, bool),
+    /// A usable image and where it came from.
+    Ready(Page, Origin),
     /// Corrupt and unrebuildable: leave the torn frame so reads yield a
     /// typed error instead of invented contents.
     Quarantined,
@@ -93,19 +107,19 @@ pub(super) fn load_redo_page(
     rebuild_from_log: bool,
 ) -> Result<PageLoad, StorageError> {
     if !data.is_allocated(page_id.0) {
-        return Ok(PageLoad::Ready(Page::new(page_id), false));
+        return Ok(PageLoad::Ready(Page::new(page_id), Origin::Fresh));
     }
     match data.read_page_retry(page_id.0) {
-        Ok(p) => Ok(PageLoad::Ready(p, false)),
+        Ok(p) => Ok(PageLoad::Ready(p, Origin::Home)),
         Err(StorageError::Corrupt { .. }) => {
             if let Some(copy) = doublewrite.get(&page_id) {
                 // torn home write: the doublewrite buffer holds a verified
                 // full image written just before it
-                Ok(PageLoad::Ready(copy.clone(), true))
+                Ok(PageLoad::Ready(copy.clone(), Origin::Repaired))
             } else if rebuild_from_log {
                 // the earliest retained fragment is a full image, so replay
                 // rebuilds the page from scratch
-                Ok(PageLoad::Ready(Page::new(page_id), true))
+                Ok(PageLoad::Ready(Page::new(page_id), Origin::Repaired))
             } else {
                 Ok(PageLoad::Quarantined)
             }
@@ -117,7 +131,9 @@ pub(super) fn load_redo_page(
 /// What redo hands back to the engine.
 #[derive(Default)]
 pub(super) struct RedoOutcome {
-    /// Rebuilt page images, ready for the coordinator to write home.
+    /// The page images replay changed (an item applied, a torn frame
+    /// repaired, or a fresh frame), ready for the coordinator to write
+    /// home. Pages read clean with every item skipped are not kept.
     pub pages: BTreeMap<PageId, Page>,
     /// Pages that were corrupt and unrebuildable.
     pub quarantined: BTreeSet<PageId>,
@@ -182,7 +198,7 @@ pub(super) fn shard_redo(
 /// Replay one shard: for each page, load the home image (repairing torn
 /// frames from the doublewrite buffer or a full-image fragment, else
 /// quarantining), then apply its items in LSN order with the idempotence
-/// check.
+/// check, and keep the page only if that changed it.
 fn replay_shard(
     data: &Disk,
     doublewrite: &HashMap<PageId, Page>,
@@ -199,18 +215,18 @@ fn replay_shard(
         items.sort_by_key(|i| i.new_lsn);
         let rebuild = items.first().is_some_and(RedoItem::is_full_image);
         stats.pages += 1;
-        let mut page = match load_redo_page(data, doublewrite, page_id, rebuild)? {
-            PageLoad::Ready(p, torn) => {
-                out.torn_repaired += u64::from(torn);
-                p
-            }
+        let (mut page, origin) = match load_redo_page(data, doublewrite, page_id, rebuild)? {
+            PageLoad::Ready(p, origin) => (p, origin),
             PageLoad::Quarantined => {
                 out.quarantined.insert(page_id);
                 continue;
             }
         };
+        out.torn_repaired += u64::from(origin == Origin::Repaired);
+        let mut changed = origin != Origin::Home;
         for item in &items {
             if apply_item(&mut page, item)? {
+                changed = true;
                 out.redone += 1;
                 if matches!(item.body, RedoBody::Op(_)) {
                     out.reexecuted_ops += 1;
@@ -219,7 +235,9 @@ fn replay_shard(
                 stats.skipped_idempotent += 1;
             }
         }
-        out.pages.insert(page_id, page);
+        if changed {
+            out.pages.insert(page_id, page);
+        }
     }
     stats.redone = out.redone;
     stats.busy = start.elapsed();

@@ -21,7 +21,10 @@ pub struct RecoveryReport {
     pub redone_updates: u64,
     /// Loser fragments undone.
     pub undone_updates: u64,
-    /// Distinct pages recovery wrote back to the data disk.
+    /// Distinct pages recovery wrote back to the data disk: exactly the
+    /// pages it changed (redo applied a unit, repaired a torn frame or
+    /// started a fresh one, or undo reverted an update). A page redo read
+    /// clean and left as read is already home and is not rewritten.
     pub pages_written: u64,
     /// Torn data pages reconstructed from the doublewrite buffer or from
     /// full-page (physical) log images.

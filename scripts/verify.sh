@@ -92,6 +92,7 @@ cargo bench --no-run
 # code (test modules exempt); -D warnings promotes that to a hard failure
 cargo clippy -p rmdb-exec --lib -- -D warnings
 cargo test -q --release --test restart_equivalence smoke_k1_vs_k4
+cargo test -q --release --test restart_equivalence restart_writes_home_only_the_pages_it_changed
 cargo test -q --release --test exec_stress
 cargo test -q --release --test obs_properties
 cargo test -q --release --test fault_sweep recovery_obs_counters_match_report_at_every_crashpoint
@@ -239,7 +240,9 @@ EOF
 # of one mixed command/physical log are byte-identical for every K in
 # {1,2,4,8} (zero equivalence violations); (3) the redo accounting is the
 # same at every K, and that log really is mixed: some command ops were
-# re-executed and some fragments installed (redone units count both).
+# re-executed and some fragments installed (redone units count both);
+# (4) the durable finish writes the same number of pages at every K, never
+# more than redo replayed.
 "$bin/restart_ablation" --replay-json results/BENCH_replay.json
 python3 - <<'EOF'
 import json
@@ -257,6 +260,10 @@ for k, c in cells.items():
     assert (c["reexecuted_ops"], c["redone_updates"]) \
         == (base["reexecuted_ops"], base["redone_updates"]), \
         f"replay smoke: K={k} redo accounting differs from K=1"
+    assert c["pages_written"] == base["pages_written"], \
+        f"replay smoke: K={k} wrote {c['pages_written']} pages, K=1 wrote {base['pages_written']}"
+    assert c["pages_written"] <= c["pages_replayed"], \
+        f"replay smoke: K={k} wrote {c['pages_written']} of {c['pages_replayed']} pages replayed"
 installs = base["redone_updates"] - base["reexecuted_ops"]
 assert base["reexecuted_ops"] > 0 and installs > 0, \
     f"replay smoke: log not mixed: {base['reexecuted_ops']} re-executed ops, " \
@@ -264,7 +271,8 @@ assert base["reexecuted_ops"] > 0 and installs > 0, \
 walls = ", ".join(f"K={k} {c['wall_redo_us']}us" for k, c in sorted(cells.items()))
 print(f"replay smoke: adaptive={hot['adaptive_bytes']}B vs physical="
       f"{hot['physical_bytes']}B ({ratio:.2f}x), redo {base['reexecuted_ops']} "
-      f"re-executed + {installs} installed at every K, wall redo {walls} "
+      f"re-executed + {installs} installed and {base['pages_written']} of "
+      f"{base['pages_replayed']} replayed pages written at every K, wall redo {walls} "
       f"on {sc['host_cores']} cores, violations=0")
 EOF
 # scaling smoke: high-concurrency sweep over the pluggable block-device

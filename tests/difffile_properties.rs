@@ -4,7 +4,7 @@
 //! in-memory oracle.
 
 use proptest::prelude::*;
-use recovery_machines::difffile::{DiffConfig, DiffDb, DiffError, ScanStrategy, Tuple};
+use recovery_machines::difffile::{DiffConfig, DiffDb, DiffError, DiffStats, ScanStrategy, Tuple};
 use recovery_machines::storage::{FaultInjector, FaultPlan};
 use std::collections::BTreeMap;
 
@@ -181,6 +181,19 @@ fn torn_commit_writes_lose_no_acked_key() {
     }
 }
 
+/// What one scan charged: `after − before`, field by field.
+fn stats_delta(before: DiffStats, after: DiffStats) -> DiffStats {
+    DiffStats {
+        base_pages_read: after.base_pages_read - before.base_pages_read,
+        a_pages_read: after.a_pages_read - before.a_pages_read,
+        d_pages_read: after.d_pages_read - before.d_pages_read,
+        set_difference_ops: after.set_difference_ops - before.set_difference_ops,
+        tuples_examined: after.tuples_examined - before.tuples_examined,
+        diff_writes: after.diff_writes - before.diff_writes,
+        merges: after.merges - before.merges,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -210,6 +223,49 @@ proptest! {
             .unwrap();
         db.abort(q).unwrap();
         prop_assert_eq!(serial, parallel);
+    }
+
+    /// `query_parallel` charges exactly what the serial `query` charges,
+    /// whatever the worker count: the `DiffStats` deltas of the two scans
+    /// are equal, A-page set-differences and uneven base chunks included.
+    #[test]
+    fn parallel_query_statistics_match_serial(
+        base_tuples in 1u64..300,
+        changes in proptest::collection::vec((0u64..320, any::<bool>()), 0..24),
+        modulus in 1u64..9,
+        basic in any::<bool>(),
+    ) {
+        let base: Vec<Tuple> = (0..base_tuples)
+            .map(|k| Tuple { key: k, value: vec![3; 200] })
+            .collect();
+        let mut db = DiffDb::with_base(cfg(), base).unwrap();
+        let t = db.begin();
+        for (key, insert) in changes {
+            let _ = if insert {
+                db.insert(t, key, &[4; 200])
+            } else {
+                db.delete(t, key)
+            };
+        }
+        db.commit(t).unwrap();
+        let strategy = if basic { ScanStrategy::Basic } else { ScanStrategy::Optimal };
+        let pred = |t: &Tuple| t.key.is_multiple_of(modulus);
+        let q = db.begin();
+        for workers in [1usize, 2, 3, 7] {
+            let before = db.stats();
+            let serial = db.query(q, pred, strategy).unwrap();
+            let mid = db.stats();
+            let parallel = db.query_parallel(q, pred, strategy, workers).unwrap();
+            let after = db.stats();
+            prop_assert_eq!(serial, parallel, "results at {} workers", workers);
+            prop_assert_eq!(
+                stats_delta(before, mid),
+                stats_delta(mid, after),
+                "statistics at {} workers",
+                workers
+            );
+        }
+        db.abort(q).unwrap();
     }
 
     #[test]

@@ -933,6 +933,15 @@ fn recovery_obs_counters_match_report_at_every_crashpoint() {
                 ] {
                     assert_eq!(c(name), want, "{ctx}: {name}");
                 }
+                // the finish writes only changed pages: each is a page redo
+                // replayed or one undo reverted
+                assert!(
+                    report.pages_written <= c("pages_replayed") + report.undone_updates,
+                    "{ctx}: {} pages written > {} replayed + {} undone",
+                    report.pages_written,
+                    c("pages_replayed"),
+                    report.undone_updates
+                );
                 // phase structure: exactly one RecoveryPhase event per phase,
                 // in phase order, and every phase histogram saw one sample
                 let phases: Vec<_> = obs

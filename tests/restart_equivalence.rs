@@ -134,6 +134,65 @@ fn restart_matches_serial_recovery() {
     }
 }
 
+/// The durable finish writes exactly the pages recovery changed. At each
+/// K: every data frame the restart did not write is byte-identical to the
+/// crash image's, every write changed a frame (so the frames that differ
+/// number `pages_written`), the recovered payloads are the committed
+/// state, and recovering the recovered image again writes no data page.
+#[test]
+fn restart_writes_home_only_the_pages_it_changed() {
+    let mut left_unchanged = 0u64;
+    for (streams, ckpt_every, txns) in [(1, 0, 60), (3, 11, 150), (4, 17, 200)] {
+        let what = format!("streams={streams} ckpt_every={ckpt_every}");
+        let mut twin = build_crashed(streams, ckpt_every, txns);
+        for t in twin.active_txns() {
+            twin.abort(t).expect("abort in-flight txn");
+        }
+        let committed = payloads(&mut twin);
+        let db = build_crashed(streams, ckpt_every, txns);
+        let crashed = db.crash_image().data;
+        let mut written_at_k1 = None;
+        for k in [1usize, 2, 4] {
+            let rcfg = RestartConfig { workers: k };
+            let (mut db_k, report) =
+                restart(db.crash_image(), cfg(streams, ckpt_every), &rcfg).expect("restart");
+            let written = report.base.pages_written;
+            let examined: u64 = report.per_worker.iter().map(|w| w.pages).sum();
+            left_unchanged += examined.saturating_sub(written);
+            assert_eq!(
+                db_k.data_disk().writes(),
+                written,
+                "{what} K={k}: data-disk writes"
+            );
+            let recovered = db_k.crash_image().data;
+            let changed = (0..crashed.capacity())
+                .filter(|&a| {
+                    crashed.is_allocated(a) != recovered.is_allocated(a)
+                        || (crashed.is_allocated(a)
+                            && crashed.read_frame(a).ok() != recovered.read_frame(a).ok())
+                })
+                .count() as u64;
+            assert_eq!(changed, written, "{what} K={k}: frames changed vs written");
+            assert_eq!(
+                *written_at_k1.get_or_insert(written),
+                written,
+                "{what} K={k}: pages_written differs from K=1"
+            );
+            assert!(
+                payloads(&mut db_k) == committed,
+                "{what} K={k}: recovered payloads are not the committed state"
+            );
+            let (_, again) =
+                restart(db_k.crash_image(), cfg(streams, ckpt_every), &rcfg).expect("re-restart");
+            assert_eq!(
+                again.base.pages_written, 0,
+                "{what} K={k}: recovering the recovered image wrote pages"
+            );
+        }
+    }
+    assert!(left_unchanged > 0, "no examined page was already home");
+}
+
 /// Recovery reads each log frame once: the chain read that reopens a
 /// stream is also analysis's scan of it. Per stream, the log disk may
 /// serve its home frames plus `SLACK` more reads: the header, the two tail
