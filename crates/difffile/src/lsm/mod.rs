@@ -42,8 +42,9 @@
 //! [`rmdb_storage::FaultHandle`] the caller attached, so torn writes,
 //! device death mid-merge and crash-after-k exercise the compactor
 //! exactly as they exercise the commit path. Reads retry and writes
-//! verify through [`Disk::read_page_retry`](rmdb_storage::Disk::read_page_retry)
-//! and [`Disk::write_page_verified`](rmdb_storage::Disk::write_page_verified),
+//! verify through [`Disk::read_page_retry_with`](rmdb_storage::Disk::read_page_retry_with),
+//! which decodes a run or journal frame where it lies, and
+//! [`Disk::write_page_verified`](rmdb_storage::Disk::write_page_verified),
 //! under the device's one retry budget, and the disk counts every
 //! retry; [`LsmStats`] reports those counts.
 

@@ -62,11 +62,12 @@ impl FenceCache {
     }
 }
 
-/// Read and strictly decode frame `i` of a run.
+/// Read and strictly decode frame `i` of a run, from the verified frame
+/// where it lies.
 fn read_frame(disk: &Disk, desc: &RunDesc, i: u64) -> Result<Vec<LsmEntry>, StorageError> {
     let addr = desc.start + i;
-    let page = disk.read_page_retry(addr)?;
-    codec::decode_chunk(page.payload()).ok_or(StorageError::Corrupt { addr })
+    disk.read_page_retry_with(addr, |p| codec::decode_chunk(p.payload()))?
+        .ok_or(StorageError::Corrupt { addr })
 }
 
 /// Write one run chunk to `addr` (verified).

@@ -748,23 +748,25 @@ struct JournalHdr {
 }
 
 fn read_journal_frame(disk: &Disk, addr: u64) -> Option<(JournalHdr, Vec<LsmEntry>)> {
-    let page = disk.read_page_retry(addr).ok()?;
-    let b = page.payload();
-    let mut off = 0usize;
-    let gen = get_u64(b, &mut off)?;
-    let batch = get_u64(b, &mut off)?;
-    let idx = get_u32(b, &mut off)?;
-    let total = get_u32(b, &mut off)?;
-    let entries = codec::decode_chunk(&b[off..])?;
-    Some((
-        JournalHdr {
-            gen,
-            batch,
-            idx,
-            total,
-        },
-        entries,
-    ))
+    disk.read_page_retry_with(addr, |p| {
+        let b = p.payload();
+        let mut off = 0usize;
+        let gen = get_u64(b, &mut off)?;
+        let batch = get_u64(b, &mut off)?;
+        let idx = get_u32(b, &mut off)?;
+        let total = get_u32(b, &mut off)?;
+        let entries = codec::decode_chunk(&b[off..])?;
+        Some((
+            JournalHdr {
+                gen,
+                batch,
+                idx,
+                total,
+            },
+            entries,
+        ))
+    })
+    .ok()?
 }
 
 /// Paper-§3 "basic" plan: materialize the set-union of all Put entries

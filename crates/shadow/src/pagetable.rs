@@ -290,16 +290,17 @@ impl ShadowPager {
         let mut pt_reads = 0;
         let start = Self::area_start(&cfg, generation);
         for i in 0..Self::pt_pages(&cfg) {
-            let page = image.pt.read_page_retry(start + i)?;
-            pt_reads += 1;
-            for e in 0..ENTRIES_PER_PT_PAGE {
-                let idx = i * ENTRIES_PER_PT_PAGE + e;
-                if idx >= cfg.logical_pages {
-                    break;
+            image.pt.read_page_retry_with(start + i, |page| {
+                for e in 0..ENTRIES_PER_PT_PAGE {
+                    let idx = i * ENTRIES_PER_PT_PAGE + e;
+                    if idx >= cfg.logical_pages {
+                        break;
+                    }
+                    table[idx as usize] =
+                        u64::from_le_bytes(page.read_at((e * 8) as usize, 8).try_into().unwrap());
                 }
-                table[idx as usize] =
-                    u64::from_le_bytes(page.read_at((e * 8) as usize, 8).try_into().unwrap());
-            }
+            })?;
+            pt_reads += 1;
         }
         let mut free = vec![true; cfg.data_frames as usize];
         let mut mapped = 0;

@@ -150,8 +150,8 @@ impl VersionStore {
             if !disk.is_allocated(frame) {
                 continue;
             }
-            match disk.read_page_retry(frame) {
-                Ok(p) => max_stamp = max_stamp.max(p.lsn.0),
+            match disk.read_page_retry_with(frame, |p| p.lsn.0) {
+                Ok(stamp) => max_stamp = max_stamp.max(stamp),
                 Err(_) => report.torn_slots += 1,
             }
         }

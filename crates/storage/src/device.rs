@@ -32,13 +32,14 @@ use crate::fault::{FaultHandle, WriteApply};
 use crate::filedisk::FileDisk;
 use crate::memdisk::MemDisk;
 use crate::nvmedisk::{NvmeConfig, NvmeDisk, NvmeModel, ServiceGuard};
-use crate::page::{Page, FRAME_SIZE};
+use crate::page::{Page, PageRef, FRAME_SIZE};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Attempts in total for [`Disk::read_page_retry`] and
-/// [`Disk::write_page_verified`]: the one retry budget of every engine.
+/// Attempts in total for [`Disk::read_page_retry_with`] (and so
+/// [`Disk::read_page_retry`]) and [`Disk::write_page_verified`]: the one
+/// retry budget of every engine.
 const ATTEMPTS: u32 = 4;
 
 /// Which backend to provision when an engine creates its devices.
@@ -135,6 +136,14 @@ impl BackendKind {
 ///
 /// Checks 2–3 consume no fault-plan operation index, so a plan replays
 /// identically on every backend.
+///
+/// A read verifies the frame where it lies: [`Disk::read_page_retry_with`]
+/// hands the caller a [`PageRef`] borrowing the stored frame, and the
+/// read-back of [`Disk::write_page_verified`] compares in place. A read
+/// copies a frame only when the fault plan flips one of its bits (the flip
+/// lands on the copy, never on the stored frame) and on a file, which
+/// reads into a stack buffer. [`Disk::read_frame`], [`Disk::read_page`]
+/// and [`Disk::read_page_retry`] copy into a value they return.
 ///
 /// On top of those single attempts, [`Disk::read_page_retry`] and
 /// [`Disk::write_page_verified`] apply the one retry discipline — at most
@@ -243,6 +252,17 @@ impl Disk {
     /// Read the raw frame at `addr` — unless an attached fault plan fails
     /// the read or flips a bit of the returned copy.
     pub fn read_frame(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
+        self.with_frame(addr, |frame| Box::new(*frame))
+    }
+
+    /// Steps 1–6 of a read of `addr`, then `f` on the frame where it
+    /// lies. A scheduled bit flip lands on a copy, never on the stored
+    /// frame, so the next clean read sees the original bytes.
+    fn with_frame<R>(
+        &self,
+        addr: u64,
+        f: impl FnOnce(&[u8; FRAME_SIZE]) -> R,
+    ) -> Result<R, StorageError> {
         let _svc = self.service();
         self.check(addr)?;
         let flip = match &self.faults {
@@ -254,11 +274,20 @@ impl Disk {
             None => None,
         };
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let mut frame = each!(&self.backend, d => d.read(addr))?;
-        if let Some((byte, bit)) = flip {
-            frame[byte] ^= 1 << bit;
-        }
-        Ok(frame)
+        each!(&self.backend, d => d.with_frame(addr, |frame| match flip {
+            None => f(frame),
+            Some((byte, bit)) => {
+                let mut copy = *frame;
+                copy[byte] ^= 1 << bit;
+                f(&copy)
+            }
+        }))
+    }
+
+    /// One read of `addr`, verified in place: `f` on the page's
+    /// [`PageRef`], or the read's error.
+    fn view_once<R>(&self, addr: u64, f: impl FnOnce(PageRef<'_>) -> R) -> Result<R, StorageError> {
+        self.with_frame(addr, |frame| Page::view(frame, addr).map(f))?
     }
 
     /// Durably and atomically write the raw frame at `addr` — unless an
@@ -402,8 +431,7 @@ impl Disk {
 
     /// Read and decode a [`Page`], verifying its checksum.
     pub fn read_page(&self, addr: u64) -> Result<Page, StorageError> {
-        let frame = self.read_frame(addr)?;
-        Page::from_frame(&frame, addr)
+        self.view_once(addr, |v| v.to_page())
     }
 
     /// Encode and write a [`Page`].
@@ -411,17 +439,32 @@ impl Disk {
         self.write_frame(addr, &page.to_frame())
     }
 
-    /// [`Disk::read_page`] with bounded retry through transient faults.
+    /// [`Disk::read_page`] with bounded retry through transient faults:
+    /// [`Disk::read_page_retry_with`] keeping an owned copy.
+    pub fn read_page_retry(&self, addr: u64) -> Result<Page, StorageError> {
+        self.read_page_retry_with(addr, |v| v.to_page())
+    }
+
+    /// Read the page at `addr` with bounded retry through transient
+    /// faults, and run `f` on its verified frame where it lies — no page
+    /// is built unless `f` builds one.
     ///
     /// Retries [`StorageError::Io`] and [`StorageError::Corrupt`] — a bit
     /// flip during transfer fails the checksum although the platter is
     /// fine, so one clean re-read resolves it. Persistent corruption (a
     /// genuinely torn frame) still surfaces as the last error once the
-    /// attempts run out; any other error returns at once.
-    pub fn read_page_retry(&self, addr: u64) -> Result<Page, StorageError> {
+    /// attempts run out; any other error returns at once. `f` runs once,
+    /// on the attempt that verifies.
+    pub fn read_page_retry_with<R>(
+        &self,
+        addr: u64,
+        f: impl FnOnce(PageRef<'_>) -> R,
+    ) -> Result<R, StorageError> {
+        let mut f = Some(f);
         let mut attempt = 1;
         loop {
-            match self.read_page(addr) {
+            let got = self.view_once(addr, |v| f.take().expect("runs on one attempt")(v));
+            match got {
                 Err(StorageError::Io { .. } | StorageError::Corrupt { .. })
                     if attempt < ATTEMPTS =>
                 {
@@ -440,21 +483,21 @@ impl Disk {
     /// frames (master records, commit lists, log pages): a silently dropped
     /// write would otherwise let commit report durability it does not
     /// have. The page is encoded once, and the read-back is compared byte
-    /// for byte with that frame, not decoded: equal bytes carry the valid
-    /// checksum just written, so the check is as strict as decoding and
-    /// comparing pages. A mismatch is [`StorageError::Corrupt`].
-    /// [`StorageError::Offline`] returns at once; otherwise the last error
-    /// returns once the attempts run out.
+    /// for byte with that frame where the frame lies, not copied or
+    /// decoded: equal bytes carry the valid checksum just written, so the
+    /// check is as strict as decoding and comparing pages. A mismatch is
+    /// [`StorageError::Corrupt`]. [`StorageError::Offline`] returns at
+    /// once; otherwise the last error returns once the attempts run out.
     pub fn write_page_verified(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
         let frame = page.to_frame();
         let mut attempt = 1;
         loop {
             let err = match self
                 .write_frame(addr, &frame)
-                .and_then(|()| self.read_frame(addr))
+                .and_then(|()| self.with_frame(addr, |got| got == &*frame))
             {
-                Ok(got) if got == frame => return Ok(()),
-                Ok(_) => StorageError::Corrupt { addr },
+                Ok(true) => return Ok(()),
+                Ok(false) => StorageError::Corrupt { addr },
                 Err(e) => e,
             };
             if err == StorageError::Offline || attempt == ATTEMPTS {

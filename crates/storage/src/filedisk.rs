@@ -82,16 +82,21 @@ impl FileDisk {
         (addr as usize) < self.allocated.len() && self.allocated[addr as usize]
     }
 
-    /// Read the in-range frame at `addr` with one positioned read.
-    pub(crate) fn read(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
+    /// Read the in-range frame at `addr` with one positioned read into a
+    /// stack buffer, and run `f` on it.
+    pub(crate) fn with_frame<R>(
+        &self,
+        addr: u64,
+        f: impl FnOnce(&[u8; FRAME_SIZE]) -> R,
+    ) -> Result<R, StorageError> {
         if !self.allocated[addr as usize] {
             return Err(StorageError::Unallocated { addr });
         }
-        let mut frame = Box::new([0u8; FRAME_SIZE]);
+        let mut frame = [0u8; FRAME_SIZE];
         self.file
-            .read_exact_at(&mut frame[..], addr * FRAME_SIZE as u64)
+            .read_exact_at(&mut frame, addr * FRAME_SIZE as u64)
             .map_err(|_| StorageError::Io { addr })?;
-        Ok(frame)
+        Ok(f(&frame))
     }
 
     /// pwrite the first `bytes` bytes of `frame` at the in-range `addr`;

@@ -6,7 +6,8 @@
 //! yet written to disk is lost in a crash. This crate provides that
 //! substrate:
 //!
-//! * [`page::Page`] — a 4 KB page with id, LSN and checksum header;
+//! * [`page::Page`] — a 4 KB page with id, LSN and checksum header, and
+//!   [`page::PageRef`], a verified frame borrowed where it lies;
 //! * [`device::Disk`] — the one device front every engine holds: an
 //!   addressable array of frames whose writes are durable, with
 //!   [`device::Disk::snapshot`] capturing the exact durable state at an
@@ -47,4 +48,4 @@ pub use fault::{FaultHandle, FaultInjector, FaultPlan, ReadFault, WriteFault};
 pub use filedisk::FileDisk;
 pub use memdisk::MemDisk;
 pub use nvmedisk::{NvmeConfig, NvmeDisk, NvmeModel};
-pub use page::{Lsn, Page, PageId, FRAME_SIZE, PAYLOAD_SIZE};
+pub use page::{Lsn, Page, PageId, PageRef, FRAME_SIZE, PAYLOAD_SIZE};

@@ -12,8 +12,8 @@
 //! [`Disk`](crate::Disk) front, which applies bounds checks, fault injection and I/O
 //! counting. A torn write ([`Disk::write_partial`](crate::Disk::write_partial)) deposits only a prefix
 //! of a frame over the old contents, as a crash in the middle of a sector
-//! transfer would; [`crate::page::Page::from_frame`]'s checksum then flags
-//! the frame.
+//! transfer would; [`crate::page::Page::view`]'s checksum then flags the
+//! frame.
 
 use crate::error::StorageError;
 use crate::page::FRAME_SIZE;
@@ -53,10 +53,15 @@ impl MemDisk {
         (addr as usize) < self.frames.len() && self.frames[addr as usize].is_some()
     }
 
-    /// A copy of the in-range frame at `addr`.
-    pub(crate) fn read(&self, addr: u64) -> Result<Box<[u8; FRAME_SIZE]>, StorageError> {
+    /// Run `f` on the in-range frame at `addr`, where it lies.
+    pub(crate) fn with_frame<R>(
+        &self,
+        addr: u64,
+        f: impl FnOnce(&[u8; FRAME_SIZE]) -> R,
+    ) -> Result<R, StorageError> {
         self.frames[addr as usize]
-            .clone()
+            .as_deref()
+            .map(f)
             .ok_or(StorageError::Unallocated { addr })
     }
 

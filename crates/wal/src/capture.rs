@@ -420,13 +420,13 @@ impl Doublewrite {
             if !disk.is_allocated(slot) {
                 continue;
             }
-            if let Ok(p) = disk.read_page_retry(slot) {
-                match images.get(&p.id) {
-                    Some(have) if have.lsn >= p.lsn => {}
-                    _ => {
-                        images.insert(p.id, p);
-                    }
-                }
+            // only a copy newer than the one kept is copied out
+            let newer = disk.read_page_retry_with(slot, |p| {
+                let kept = images.get(&p.id).is_some_and(|have| have.lsn >= p.lsn);
+                (!kept).then(|| p.to_page())
+            });
+            if let Ok(Some(p)) = newer {
+                images.insert(p.id, p);
             }
         }
         images

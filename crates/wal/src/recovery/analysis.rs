@@ -35,21 +35,50 @@ use crate::capture::UndoEntry;
 use crate::db::TxnId;
 use crate::record::LogRecord;
 use crate::stream::{IndexedRecord, ScanStats};
-use rmdb_storage::PageId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes the integer keys analysis looks up once per record — LSNs and
+/// transaction ids — with one multiply instead of SipHash. The keys come
+/// from the log this program wrote, so there is no adversary to pick
+/// colliding ones. Consecutive keys land in distinct buckets: multiplying
+/// by an odd constant permutes the low bits.
+#[derive(Default)]
+pub(super) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0.rotate_left(5) ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed through [`KeyHasher`].
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+/// A set keyed through [`KeyHasher`].
+type KeySet<K> = HashSet<K, BuildHasherDefault<KeyHasher>>;
 
 /// Everything the redo/undo phases need.
 #[derive(Default)]
 pub(super) struct Analysis {
-    /// Per-page redo work, pages in deterministic order; items in stream
-    /// append order (sorted by LSN before replay).
-    pub redo: BTreeMap<PageId, Vec<RedoItem>>,
+    /// Every redo unit ahead of the bound, in scan order (redo orders
+    /// them by page and LSN).
+    pub redo: Vec<RedoItem>,
     /// Per-transaction undo candidates of every transaction with no
     /// commit record, each with the stream it was logged on (its
     /// compensation goes to the same stream).
-    pub updates_by_txn: HashMap<TxnId, Vec<(usize, UndoEntry)>>,
+    pub updates_by_txn: KeyMap<TxnId, Vec<(usize, UndoEntry)>>,
     /// `undoes` LSNs of every durable compensation record.
-    pub compensated: HashSet<u64>,
+    pub compensated: KeySet<u64>,
     /// High-water marks for the reopened engine.
     pub max_lsn: u64,
     pub max_txn: TxnId,
@@ -75,7 +104,7 @@ pub(super) fn analyze(
     // `new_lsn`s are globally unique, so a second update/compensation with
     // the same one is a rerouted duplicate of a fragment that was durable
     // on the quarantined stream after all — analyse it exactly once.
-    let mut seen_lsns: HashSet<u64> = HashSet::new();
+    let mut seen_lsns: KeySet<u64> = KeySet::default();
     for (stream_idx, (records, stats)) in scans.into_iter().enumerate() {
         base.quarantined_log_pages += stats.corrupt_pages;
         if stats.corrupt_pages > 0 {
@@ -88,7 +117,7 @@ pub(super) fn analyze(
         } else {
             None
         };
-        let (bound_idx, active): (usize, HashSet<TxnId>) = match bound {
+        let (bound_idx, active): (usize, KeySet<TxnId>) = match bound {
             Some((bi, act)) => {
                 // Truncation cut: records span log pages, so the Begin's own
                 // frame may start mid-record; walk back to the nearest
@@ -104,7 +133,7 @@ pub(super) fn analyze(
             }
             None => {
                 a.bounds.push(None);
-                (0, HashSet::new())
+                (0, KeySet::default())
             }
         };
 
@@ -136,7 +165,8 @@ pub(super) fn analyze(
                             continue;
                         }
                     } else {
-                        a.redo.entry(page).or_default().push(RedoItem {
+                        a.redo.push(RedoItem {
+                            page,
                             new_lsn,
                             body: RedoBody::Install {
                                 offset,
@@ -174,7 +204,8 @@ pub(super) fn analyze(
                     } else if behind {
                         report.records_skipped += 1;
                     } else {
-                        a.redo.entry(page).or_default().push(RedoItem {
+                        a.redo.push(RedoItem {
+                            page,
                             new_lsn,
                             body: RedoBody::Install { offset, data },
                         });
@@ -204,7 +235,8 @@ pub(super) fn analyze(
                         continue;
                     }
                     for op in ops {
-                        a.redo.entry(op.page()).or_default().push(RedoItem {
+                        a.redo.push(RedoItem {
+                            page: op.page(),
                             new_lsn: op.lsn(),
                             body: RedoBody::Op(op),
                         });
@@ -226,7 +258,7 @@ pub(super) fn analyze(
 /// The commit-set prepass: every transaction with a durable commit
 /// record — a `Commit`, or a `Logical` record, which is its own commit —
 /// on any stream. The main pass keeps undo candidates only for the rest.
-fn committed_txns(scans: &[(Vec<IndexedRecord>, ScanStats)]) -> HashSet<TxnId> {
+fn committed_txns(scans: &[(Vec<IndexedRecord>, ScanStats)]) -> KeySet<TxnId> {
     scans
         .iter()
         .flat_map(|(records, _)| records)

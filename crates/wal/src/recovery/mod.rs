@@ -198,17 +198,18 @@ pub fn run_engine(
             }
             // A page is missing from the map when redo left it unchanged
             // (dropped it after skipping every unit) or when the candidate
-            // lies behind the checkpoint bound, where the bounded redo map
+            // lies behind the checkpoint bound, where the bounded redo list
             // never loaded it: either way start from its home image.
             let page = match pages.entry(cand.page) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(slot) => {
                     let base = &mut report.base;
-                    match load_redo_page(&data, &doublewrite, cand.page, false)? {
+                    match load_redo_page(&data, &doublewrite, cand.page, false, None)? {
                         PageLoad::Ready(p, origin) => {
                             base.torn_pages_repaired += u64::from(origin == Origin::Repaired);
                             slot.insert(p)
                         }
+                        PageLoad::Current => unreachable!("undo loads with no cover"),
                         PageLoad::Quarantined => {
                             base.quarantined_data_pages += 1;
                             quarantined.insert(cand.page);
@@ -715,6 +716,105 @@ mod tests {
             "the reverted image is home"
         );
         assert_eq!(read_committed(&mut db2, 1, 0, 4), b"base");
+    }
+
+    #[test]
+    fn overrunning_install_is_refused_even_when_home_covers_it() {
+        use crate::stream::LogStream;
+        use rmdb_storage::{PageId, PAYLOAD_SIZE};
+        for workers in [1, 4] {
+            let mut db = WalDb::new(cfg(1));
+            let t = db.begin();
+            db.write(t, 3, 0, b"base").unwrap();
+            db.commit(t).unwrap();
+            db.flush_all().unwrap();
+            let mut image = db.crash_image();
+            // the home frame's LSN covers every unit the log holds for it
+            let mut home = image.data.read_page(3).unwrap();
+            home.lsn = Lsn(100);
+            image.data.write_page(3, &home).unwrap();
+            let mut log = LogStream::open(image.logs.remove(0)).unwrap();
+            let overrun = LogRecord::Update {
+                txn: 99,
+                page: PageId(3),
+                prev_lsn: Lsn(1),
+                new_lsn: Lsn(50),
+                offset: PAYLOAD_SIZE as u32 - 2,
+                before: vec![0; 4],
+                after: vec![1; 4],
+            };
+            log.append(&overrun).unwrap();
+            log.append(&LogRecord::Commit { txn: 99 }).unwrap();
+            log.force().unwrap();
+            image.logs.push(log.into_disk());
+            let run = EngineRun {
+                workers,
+                bounded: true,
+                metrics: "restart",
+            };
+            let got = run_engine(image, cfg(1), run, &Registry::new()).map(|_| ());
+            assert!(
+                matches!(got, Err(WalError::Storage(StorageError::Protocol(_)))),
+                "K={workers}: an overrunning install must fail, got {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn recovery_reads_each_redo_page_once() {
+        // data reads = doublewrite-slot reads + pages redo examined + pages
+        // undo reloaded + the durable finish's read-backs (one per verified
+        // write), on a clean image where every page redo examines is
+        // allocated at home
+        for workers in [1, 4] {
+            let mut db = WalDb::new(cfg(2));
+            for page in 0..12 {
+                let t = db.begin();
+                db.write(t, page, 0, b"base").unwrap();
+                db.commit(t).unwrap();
+            }
+            db.flush_all().unwrap();
+            // newer commits: some reach home through eviction, some stay
+            // in the pool
+            for page in 0..6 {
+                let t = db.begin();
+                db.write(t, page, 8, b"newer").unwrap();
+                db.commit(t).unwrap();
+            }
+            // a loser whose two pages reach home: redo leaves them as they
+            // lie, so undo reloads each
+            let loser = db.begin();
+            db.write(loser, 8, 0, b"evil").unwrap();
+            db.write(loser, 9, 0, b"evil").unwrap();
+            db.flush_all().unwrap();
+            let image = db.crash_image();
+            let cfg = cfg(2);
+            let dw_reads = (cfg.data_pages..image.data.capacity())
+                .filter(|&slot| image.data.is_allocated(slot))
+                .count() as u64;
+            assert!(dw_reads > 0, "test setup: the doublewrite buffer is used");
+            let obs = Registry::new();
+            let run = EngineRun {
+                workers,
+                bounded: true,
+                metrics: "restart",
+            };
+            let (db2, report) = run_engine(image, cfg, run, &obs).unwrap();
+            let examined = obs.snapshot().counter("restart.pages_replayed").unwrap();
+            assert_eq!(report.base.quarantined_data_pages, 0);
+            assert_eq!(report.base.loser_txns, vec![loser]);
+            assert_eq!(examined, 12, "K={workers}: redo examines every page");
+            let undo_reloads = 2;
+            assert_eq!(
+                report.base.pages_written, 2,
+                "K={workers}: the reverted pages"
+            );
+            assert_eq!(
+                db2.data_disk().reads(),
+                dw_reads + examined + undo_reloads + report.base.pages_written,
+                "K={workers}: a page read more than once"
+            );
+        }
     }
 
     #[test]

@@ -11,15 +11,23 @@
 //! the shared data disk through `&Disk` (its I/O counters are atomics, so
 //! the disk is `Sync`). Workers never write the disk — each returns the
 //! page images replay changed, and the serial coordinator writes them home.
-//! A page read clean whose every item the LSN check skipped is dropped on
-//! the spot: its home frame already holds the bytes a rewrite would
-//! produce (a frame that verifies re-encodes to itself).
+//! Redo never builds a page it leaves unchanged: a home frame that
+//! verifies with an LSN at or above the page's newest unit is checked
+//! where it lies, every unit skipped, and nothing copied. Its home frame
+//! already holds the bytes a rewrite would produce (a frame that verifies
+//! re-encodes to itself).
+//!
+//! Analysis hands over its units in scan order, each naming its page.
+//! Replay walks an index of them sorted by page, then LSN, and the units
+//! themselves never move: once replay is done they are dropped in the
+//! order their payloads were decoded, which frees them far faster than a
+//! per-page order would.
 //!
 //! Determinism: the shard hash depends only on the page id, each worker
 //! replays its pages in ascending page order with items in LSN order, and
 //! shard outcomes are merged over disjoint page sets — so the recovered
-//! state is byte-identical for every worker count K. K=1 replays the redo
-//! map in place, without spawning a thread.
+//! state is byte-identical for every worker count K. K=1 replays the
+//! sorted index in place, without spawning a thread.
 
 use super::report::WorkerStats;
 use crate::record::LogicalOp;
@@ -31,6 +39,8 @@ use std::time::Instant;
 /// re-execution, applied iff the page is older than `new_lsn`.
 #[derive(Debug, Clone)]
 pub(super) struct RedoItem {
+    /// The page it updates.
+    pub page: PageId,
     /// The page LSN this unit produced when first executed.
     pub new_lsn: Lsn,
     pub body: RedoBody,
@@ -53,17 +63,23 @@ impl RedoItem {
     }
 }
 
+/// Refuse an install that overruns the payload: such a fragment was never
+/// writable.
+fn check_bounds(item: &RedoItem) -> Result<(), StorageError> {
+    match &item.body {
+        RedoBody::Install { offset, data } if *offset as usize + data.len() > PAYLOAD_SIZE => {
+            Err(StorageError::Protocol("log fragment exceeds page payload"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Apply one redo unit with the per-page idempotence check. Returns whether
 /// the unit was applied (`false`: the image already reflected it). Installs
 /// bounds-check before the LSN check, ops bounds-check inside
 /// [`LogicalOp::apply`].
 fn apply_item(page: &mut Page, item: &RedoItem) -> Result<bool, StorageError> {
-    if let RedoBody::Install { offset, data } = &item.body {
-        if *offset as usize + data.len() > PAYLOAD_SIZE {
-            // a fragment that was never writable; refuse rather than panic
-            return Err(StorageError::Protocol("log fragment exceeds page payload"));
-        }
-    }
+    check_bounds(item)?;
     if page.lsn >= item.new_lsn {
         return Ok(false);
     }
@@ -91,26 +107,36 @@ pub(super) enum Origin {
 pub(super) enum PageLoad {
     /// A usable image and where it came from.
     Ready(Page, Origin),
+    /// The home frame verifies and its LSN already covers every unit:
+    /// left where it lies, no page built.
+    Current,
     /// Corrupt and unrebuildable: leave the torn frame so reads yield a
     /// typed error instead of invented contents.
     Quarantined,
 }
 
-/// Load the home image of `page_id`, repairing a torn frame from the
-/// doublewrite buffer or — when `rebuild_from_log` says the earliest
-/// retained item is a full-image install — from scratch. Redo and undo
-/// share this decision tree.
+/// Load the home image of `page_id` with one read, repairing a torn frame
+/// from the doublewrite buffer or — when `rebuild_from_log` says the
+/// earliest retained item is a full-image install — from scratch. A home
+/// frame that verifies with an LSN at or above `covers` is
+/// [`PageLoad::Current`]. Redo and undo share this decision tree; undo
+/// passes no `covers`, as it always needs the image.
 pub(super) fn load_redo_page(
     data: &Disk,
     doublewrite: &HashMap<PageId, Page>,
     page_id: PageId,
     rebuild_from_log: bool,
+    covers: Option<Lsn>,
 ) -> Result<PageLoad, StorageError> {
     if !data.is_allocated(page_id.0) {
         return Ok(PageLoad::Ready(Page::new(page_id), Origin::Fresh));
     }
-    match data.read_page_retry(page_id.0) {
-        Ok(p) => Ok(PageLoad::Ready(p, Origin::Home)),
+    let home = data.read_page_retry_with(page_id.0, |p| {
+        covers.is_none_or(|lsn| p.lsn < lsn).then(|| p.to_page())
+    });
+    match home {
+        Ok(Some(p)) => Ok(PageLoad::Ready(p, Origin::Home)),
+        Ok(None) => Ok(PageLoad::Current),
         Err(StorageError::Corrupt { .. }) => {
             if let Some(copy) = doublewrite.get(&page_id) {
                 // torn home write: the doublewrite buffer holds a verified
@@ -152,28 +178,44 @@ fn shard_of(page: PageId, k: usize) -> usize {
     ((page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % k as u64) as usize
 }
 
-/// Replay the per-page redo map (pages ascending, items in scan order)
-/// across `workers` threads, one shard each, reading home images from
-/// `data` and repairing torn ones from the `doublewrite` harvest.
+/// A unit's place in the replay order: its page, its LSN, and its index
+/// in the scan-ordered unit list.
+type Slot = (PageId, Lsn, usize);
+
+/// Replay the redo units (in scan order) across `workers` threads, one
+/// shard each, reading home images from `data` and repairing torn ones
+/// from the `doublewrite` harvest.
+///
+/// The units stay where analysis put them: replay walks an index sorted
+/// by page, then LSN, then scan position, and the units are dropped in
+/// scan order, the order their payloads were allocated in, once every
+/// shard is done.
 pub(super) fn shard_redo(
     data: &Disk,
     doublewrite: &HashMap<PageId, Page>,
-    redo: BTreeMap<PageId, Vec<RedoItem>>,
+    units: Vec<RedoItem>,
     workers: usize,
 ) -> Result<RedoOutcome, StorageError> {
+    let mut order: Vec<Slot> = units
+        .iter()
+        .enumerate()
+        .map(|(i, u)| (u.page, u.new_lsn, i))
+        .collect();
+    order.sort_unstable();
     let k = workers.max(1);
     if k == 1 {
-        return replay_shard(data, doublewrite, 0, redo);
+        return replay_shard(data, doublewrite, 0, &units, &order);
     }
-    let mut plans: Vec<Vec<(PageId, Vec<RedoItem>)>> = (0..k).map(|_| Vec::new()).collect();
-    for (page, items) in redo {
-        plans[shard_of(page, k)].push((page, items));
+    let mut plans: Vec<Vec<Slot>> = vec![Vec::new(); k];
+    for slot in order {
+        plans[shard_of(slot.0, k)].push(slot);
     }
+    let units = &units;
     let shards = std::thread::scope(|scope| {
         let handles: Vec<_> = plans
-            .into_iter()
+            .iter()
             .enumerate()
-            .map(|(i, plan)| scope.spawn(move || replay_shard(data, doublewrite, i, plan)))
+            .map(|(i, plan)| scope.spawn(move || replay_shard(data, doublewrite, i, units, plan)))
             .collect();
         handles
             .into_iter()
@@ -195,15 +237,18 @@ pub(super) fn shard_redo(
     Ok(out)
 }
 
-/// Replay one shard: for each page, load the home image (repairing torn
-/// frames from the doublewrite buffer or a full-image fragment, else
-/// quarantining), then apply its items in LSN order with the idempotence
-/// check, and keep the page only if that changed it.
+/// Replay one shard's slots, pages ascending: for each page, read the
+/// home frame once. A frame that verifies with an LSN covering every unit
+/// skips them all without a page being built. Otherwise load the image
+/// (repairing torn frames from the doublewrite buffer or a full-image
+/// fragment, else quarantining), apply the units in LSN order with the
+/// idempotence check, and keep the page only if that changed it.
 fn replay_shard(
     data: &Disk,
     doublewrite: &HashMap<PageId, Page>,
     shard: usize,
-    plan: impl IntoIterator<Item = (PageId, Vec<RedoItem>)>,
+    units: &[RedoItem],
+    plan: &[Slot],
 ) -> Result<RedoOutcome, StorageError> {
     let start = Instant::now();
     let mut out = RedoOutcome::default();
@@ -211,20 +256,30 @@ fn replay_shard(
         shard,
         ..WorkerStats::default()
     };
-    for (page_id, mut items) in plan {
-        items.sort_by_key(|i| i.new_lsn);
-        let rebuild = items.first().is_some_and(RedoItem::is_full_image);
+    for run in plan.chunk_by(|a, b| a.0 == b.0) {
+        let page_id = run[0].0;
+        let items = || run.iter().map(|&(_, _, i)| &units[i]);
+        let rebuild = units[run[0].2].is_full_image();
+        let newest = run[run.len() - 1].1;
         stats.pages += 1;
-        let (mut page, origin) = match load_redo_page(data, doublewrite, page_id, rebuild)? {
-            PageLoad::Ready(p, origin) => (p, origin),
-            PageLoad::Quarantined => {
-                out.quarantined.insert(page_id);
-                continue;
-            }
-        };
+        let (mut page, origin) =
+            match load_redo_page(data, doublewrite, page_id, rebuild, Some(newest))? {
+                PageLoad::Ready(p, origin) => (p, origin),
+                PageLoad::Current => {
+                    // the home frame covers every unit: each is skipped, and
+                    // installs are still bounds-checked
+                    items().try_for_each(check_bounds)?;
+                    stats.skipped_idempotent += run.len() as u64;
+                    continue;
+                }
+                PageLoad::Quarantined => {
+                    out.quarantined.insert(page_id);
+                    continue;
+                }
+            };
         out.torn_repaired += u64::from(origin == Origin::Repaired);
         let mut changed = origin != Origin::Home;
-        for item in &items {
+        for item in items() {
             if apply_item(&mut page, item)? {
                 changed = true;
                 out.redone += 1;
@@ -251,6 +306,7 @@ mod tests {
 
     fn install(lsn: u64, offset: u32, data: &[u8]) -> RedoItem {
         RedoItem {
+            page: PageId(1),
             new_lsn: Lsn(lsn),
             body: RedoBody::Install {
                 offset,
@@ -283,6 +339,7 @@ mod tests {
             delta: 5,
         };
         let item = RedoItem {
+            page: PageId(2),
             new_lsn: Lsn(9),
             body: RedoBody::Op(op.clone()),
         };

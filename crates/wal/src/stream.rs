@@ -50,6 +50,11 @@
 //! page of the same frame supersedes it: that is how a reopen replaces a
 //! full page whose tail the crash cut.
 //!
+//! A scan copies each log page once: a home page is verified and decoded
+//! where the device holds it, and its record bytes go straight into the
+//! chain. The chain is then decoded once, each record tagged with its
+//! page's home frame as it comes off the bytes.
+//!
 //! # Reopen
 //!
 //! A record spanning pages can be *cut* by a crash (its head pages
@@ -133,16 +138,18 @@ struct LogPage<'a> {
     data: &'a [u8],
 }
 
-/// Decode a log page, or `None` for garbage.
-fn decode_page(p: &Page) -> Option<LogPage<'_>> {
-    let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
-    let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
-    let first = u16::from_le_bytes(p.read_at(12, 2).try_into().unwrap());
+/// Decode a log page from its payload, or `None` for garbage. Home
+/// frames and tail slots share this decoder.
+fn decode_page(payload: &[u8; PAYLOAD_SIZE]) -> Option<LogPage<'_>> {
+    let field = |at: usize, len: usize| &payload[at..at + len];
+    let used = u32::from_le_bytes(field(0, 4).try_into().unwrap()) as usize;
+    let epoch = u64::from_le_bytes(field(4, 8).try_into().unwrap());
+    let first = u16::from_le_bytes(field(12, 2).try_into().unwrap());
     let first = (first != NO_START).then_some(first as usize);
     (used <= USABLE && first.is_none_or(|f| f < used)).then(|| LogPage {
         epoch,
         first,
-        data: p.read_at(PAGE_HDR, used),
+        data: field(PAGE_HDR, used),
     })
 }
 
@@ -196,23 +203,23 @@ struct Chain {
 
 impl Chain {
     /// Read the chain from `start`, accepting epochs from `floor` up to
-    /// `max_epoch`.
+    /// `max_epoch`. A home page's record bytes go from the verified frame
+    /// straight into the chain: one copy per log page.
     fn read(disk: &Disk, start: u64, floor: u64, max_epoch: u64) -> Chain {
         let mut corrupt_slots = [false; 2];
-        let slots = [0, 1].map(|i| match disk.read_page_retry(SLOTS[i]) {
-            Ok(p) if (FIRST_HOME..HEADER_ID.0).contains(&p.id.0) => {
-                decode_page(&p).map(|lp| SlotCopy {
-                    home: p.id.0,
+        let slots = [0, 1].map(|i| {
+            let copy = disk.read_page_retry_with(SLOTS[i], |p| {
+                let home = p.id.0;
+                let lp = decode_page(p.payload())?;
+                (FIRST_HOME..HEADER_ID.0).contains(&home).then(|| SlotCopy {
+                    home,
                     epoch: lp.epoch,
                     first: lp.first,
                     data: lp.data.to_vec(),
                 })
-            }
-            Err(StorageError::Corrupt { .. }) => {
-                corrupt_slots[i] = true;
-                None
-            }
-            _ => None,
+            });
+            corrupt_slots[i] = matches!(copy, Err(StorageError::Corrupt { .. }));
+            copy.ok().flatten()
         });
         let mut chain = Chain {
             extents: Vec::new(),
@@ -236,28 +243,28 @@ impl Chain {
                 })
                 .max_by_key(|&i| slots[i].as_ref().map(SlotCopy::age));
             let slot_epoch = slot.and_then(|i| slots[i].as_ref()).map(|s| s.epoch);
+            // a full page of this frame the chain accepts, pushed where it
+            // lies; its epoch
             let home = if frame < disk.capacity() {
-                match disk.read_page_retry(frame) {
-                    Ok(p) if p.id == PageId(frame) => Some(p),
-                    Err(StorageError::Corrupt { .. }) => {
-                        // a corrupt home frame always ends the chain
-                        chain.corrupt_stop = true;
-                        None
-                    }
-                    _ => None,
-                }
+                let read = disk.read_page_retry_with(frame, |p| {
+                    let lp = decode_page(p.payload()).filter(|lp| {
+                        p.id == PageId(frame)
+                            && lp.data.len() == USABLE
+                            && accepts(lp.epoch)
+                            && slot_epoch.is_none_or(|s| s <= lp.epoch)
+                    })?;
+                    chain.push(frame, lp.first, lp.data);
+                    Some(lp.epoch)
+                });
+                // a corrupt home frame always ends the chain
+                chain.corrupt_stop = matches!(read, Err(StorageError::Corrupt { .. }));
+                read.ok().flatten()
             } else {
                 None
             };
-            let full = home.as_ref().and_then(decode_page).filter(|lp| {
-                lp.data.len() == USABLE
-                    && accepts(lp.epoch)
-                    && slot_epoch.is_none_or(|s| s <= lp.epoch)
-            });
-            if let Some(lp) = full {
-                chain.push(frame, lp.first, lp.data);
+            if let Some(epoch) = home {
                 chain.homes += 1;
-                prev = lp.epoch;
+                prev = epoch;
                 frame += 1;
                 continue;
             }
@@ -298,49 +305,54 @@ impl Chain {
     }
 
     /// Decode the chain's complete records from the first record start,
-    /// each with its offset in the chain, and the end of the last one.
-    /// Bytes before the first start are the tail of a record that began
-    /// before the truncation point.
-    fn decode(&self) -> (Vec<(usize, LogRecord)>, usize) {
+    /// each tagged with its page's home frame as it is decoded. Bytes
+    /// before the first start are the tail of a record that began before
+    /// the truncation point.
+    fn decode(&self) -> Decoded {
         let lead = self
             .extents
             .iter()
             .find_map(|e| e.first.map(|f| e.off + f))
             .unwrap_or(self.bytes.len());
-        let mut records = Vec::new();
-        let mut cursor = &self.bytes[lead..];
-        loop {
-            let start = self.bytes.len() - cursor.len();
-            match LogRecord::decode(&mut cursor) {
-                Some(rec) => records.push((start, rec)),
-                None => return (records, start),
-            }
-        }
-    }
-
-    /// Decode the chain's records, each tagged with its page's home frame.
-    fn records(&self) -> Vec<IndexedRecord> {
-        self.tag(self.decode().0)
-    }
-
-    /// Tag records [`Chain::decode`] returned with their pages' home frames.
-    fn tag(&self, records: Vec<(usize, LogRecord)>) -> Vec<IndexedRecord> {
+        let mut out = Decoded {
+            records: Vec::new(),
+            valid: lead,
+            last_page_start: None,
+        };
+        // the page holding the cursor: the last one beginning at or before it
+        let mut page = 0;
         let mut prev_page = usize::MAX;
-        records
-            .into_iter()
-            .map(|(start, rec)| {
-                // the page holding `start`: the last one beginning at or before it
-                let i = self.extents.partition_point(|e| e.off <= start) - 1;
-                let frame_start = i != prev_page;
-                prev_page = i;
-                IndexedRecord {
-                    rec,
-                    frame: self.extents[i].frame,
-                    frame_start,
-                }
-            })
-            .collect()
+        let mut cursor = &self.bytes[lead..];
+        while let Some(rec) = LogRecord::decode(&mut cursor) {
+            let start = out.valid;
+            out.valid = self.bytes.len() - cursor.len();
+            while self.extents.get(page + 1).is_some_and(|e| e.off <= start) {
+                page += 1;
+            }
+            let frame_start = page != prev_page;
+            if frame_start {
+                out.last_page_start = Some(start);
+            }
+            prev_page = page;
+            out.records.push(IndexedRecord {
+                rec,
+                frame: self.extents[page].frame,
+                frame_start,
+            });
+        }
+        out
     }
+}
+
+/// What [`Chain::decode`] found.
+struct Decoded {
+    /// The complete records, in chain order.
+    records: Vec<IndexedRecord>,
+    /// Chain offset just past the last complete record.
+    valid: usize,
+    /// Chain offset of the first record beginning in the last page any
+    /// record begins in.
+    last_page_start: Option<usize>,
 }
 
 /// A single sequential log on its own disk.
@@ -439,17 +451,21 @@ impl LogStream {
         let mut chain = Chain::read(&disk, start_page, floor, u64::MAX);
 
         // find the end of the last complete record
-        let (records, valid) = chain.decode();
+        let Decoded {
+            records,
+            valid,
+            last_page_start,
+        } = chain.decode();
 
         // resume the page holding that end: a home page the cut ran
-        // through, or the tail
+        // through, or the tail. Every record start at or past `base` lies
+        // in that page, so the first of them is the last page's first.
         let pages = (valid / USABLE).min(chain.homes as usize);
         let base = pages * USABLE;
         let page = chain.bytes[base..valid].to_vec();
-        let first = records
-            .iter()
-            .find(|(start, _)| *start >= base)
-            .map_or(page.len(), |(start, _)| start - base);
+        let first = last_page_start
+            .filter(|&start| start >= base)
+            .map_or(page.len(), |start| start - base);
         let tail_intact = chain.tail_slot.is_some() && valid == chain.bytes.len();
         let mut s = LogStream {
             disk,
@@ -476,7 +492,7 @@ impl LogStream {
             chain.corrupt_stop &= pages == chain.homes as usize;
         }
         s.write_header()?;
-        Ok((s, chain.tag(records), chain.stats()))
+        Ok((s, records, chain.stats()))
     }
 
     /// Attach a fault injector to the underlying log disk.
@@ -643,7 +659,7 @@ impl LogStream {
     /// checkpoint-bounded restart analysis (see [`IndexedRecord`]).
     pub fn scan_indexed(&self) -> (Vec<IndexedRecord>, ScanStats) {
         let chain = self.chain();
-        (chain.records(), chain.stats())
+        (chain.decode().records, chain.stats())
     }
 
     /// Advance the durable truncation point past everything written so far.
@@ -693,7 +709,8 @@ impl LogStream {
     fn assert_record_aligned(&self, target: u64) {
         assert!(
             self.chain()
-                .records()
+                .decode()
+                .records
                 .iter()
                 .any(|r| r.frame == target && r.frame_start),
             "truncate_to({target}): no record begins in frame {target}"

@@ -45,7 +45,8 @@
 # break the benchmark without failing this gate (the build writes to the
 # git-ignored perfbench/target/, and the committed perfbench/Cargo.lock is
 # put back after it). It fails if a retry budget constant is defined
-# outside rmdb-storage. Last, it prints non-test LOC per crate
+# outside rmdb-storage, or if non-test code outside rmdb-storage decodes
+# a frame itself with `Page::from_frame`. Last, it prints non-test LOC per crate
 # (scripts/loc.sh) for the record. A verify run leaves `git status` as
 # it found it. Run from anywhere inside the repo.
 set -euo pipefail
@@ -57,6 +58,17 @@ cargo fmt --all -- --check
 # anywhere else in the workspace fails here
 if grep -rnE 'const (IO_RETRIES|ATTEMPTS)\b' crates --include=*.rs | grep -v '^crates/storage/'; then
     echo "verify: retry budget defined outside crates/storage" >&2
+    exit 1
+fi
+# one decode path: outside rmdb-storage a page is read through the `Disk`
+# front (read_page_retry_with and friends), which verifies the frame where
+# it lies; a copied frame decoded by hand in non-test code (everything
+# before a file's `#[cfg(test)]` module) fails here
+hand_decoded=$(find crates src examples perfbench/src -name '*.rs' -not -path 'crates/storage/*' -print0 |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /Page::from_frame/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$hand_decoded" ]; then
+    echo "$hand_decoded" >&2
+    echo "verify: Page::from_frame used outside crates/storage" >&2
     exit 1
 fi
 cargo build --release

@@ -19,6 +19,10 @@
 //! * the commit-point primitives hold: a `SlotPair` reads back its newest
 //!   valid copy past a torn, lost, misplaced or rejected write, and a
 //!   `CommitList` recovers every id an acked append made durable.
+//! * a borrowed read (`read_page_retry_with`) and a copied one
+//!   (`read_page_retry`, or `read_frame` + `Page::from_frame`) return the
+//!   same outcomes and leave the same counts under one fault plan, and a
+//!   flipped read never touches the stored frame.
 
 use recovery_machines::storage::{
     BackendKind, CommitList, Disk, FaultInjector, FaultPlan, Lsn, NvmeConfig, Page, PageId,
@@ -488,5 +492,178 @@ fn commit_list_recovers_every_acked_id_on_every_backend() {
         let back = CommitList::recover(disk, BASE, 2);
         assert_eq!(back.ids(), list.ids(), "{name}: round trip");
         assert_eq!(back.ids().len(), IDS_PER_FRAME + 3, "{name}");
+    });
+}
+
+/// The reads the parity test makes, in order: clean frames, a torn frame
+/// (5), a virgin frame (6) and an out-of-range address, twice round.
+const PARITY_READS: [u64; 18] = [
+    0, 1, 2, 3, 4, 5, 6, FRAMES, 7, 0, 1, 2, 3, 4, 5, 6, FRAMES, 7,
+];
+
+/// A plan over [`PARITY_READS`] (operation indices count attempts):
+/// transient read errors that retries ride out and ones that outlast the
+/// budget, bit flips in the header, the payload and the tail word, a read
+/// flipped on every attempt but the last, and one flipped on every attempt.
+fn parity_plan() -> FaultPlan {
+    FaultPlan::new()
+        .transient_read(1, 2)
+        .flip_on_read(4, 3, 0)
+        .flip_on_read(6, 2000, 7)
+        .flip_on_read(7, FRAME_SIZE - 1, 4)
+        .transient_read(15, 9)
+        .flip_on_read(22, 16, 1)
+        .flip_on_read(23, 40, 2)
+        .flip_on_read(24, 4000, 5)
+        .flip_on_read(26, 9, 6)
+        .flip_on_read(27, 24, 3)
+        .flip_on_read(28, 100, 0)
+        .flip_on_read(29, 4090, 1)
+}
+
+/// `disk` with frames 0..=7 but 6 written, frame 5 torn.
+fn parity_image(disk: &mut Disk) {
+    for addr in (0..8).filter(|&a| a != 6) {
+        disk.write_page(addr, &filled_page(addr, addr as u8 + 1))
+            .expect("write");
+    }
+    let mut torn = filled_page(5, 0xEE);
+    torn.write_at(3000, &[0xEE; 64]);
+    disk.write_partial(5, &torn.to_frame(), 512).expect("tear");
+}
+
+#[test]
+fn borrowed_and_copied_reads_agree_under_faults_on_every_backend() {
+    type Outcome = Result<Page, StorageError>;
+    for_each_backend(|disk, name| {
+        parity_image(disk);
+        // each strategy reads a fresh copy of the image through the plan;
+        // the reference retries read_frame + Page::from_frame itself, with
+        // the device's budget of four attempts, and counts its own retries
+        let run = |read: &dyn Fn(&Disk, u64, &mut u64) -> Outcome| {
+            let mut copy = disk.snapshot();
+            copy.attach_faults(FaultInjector::handle(parity_plan()));
+            let mut own_retries = 0;
+            let outcomes: Vec<Outcome> = PARITY_READS
+                .iter()
+                .map(|&addr| read(&copy, addr, &mut own_retries))
+                .collect();
+            (outcomes, copy.reads(), copy.read_retries() + own_retries)
+        };
+        let borrowed = run(&|d, addr, _| d.read_page_retry_with(addr, |v| v.to_page()));
+        let owned = run(&|d, addr, _| d.read_page_retry(addr));
+        let reference = run(&|d, addr, retries| {
+            let mut attempt = 1;
+            loop {
+                match d.read_frame(addr).and_then(|f| Page::from_frame(&f, addr)) {
+                    Err(StorageError::Io { .. } | StorageError::Corrupt { .. }) if attempt < 4 => {
+                        attempt += 1;
+                        *retries += 1;
+                    }
+                    other => return other,
+                }
+            }
+        });
+        assert_eq!(
+            borrowed, reference,
+            "{name}: borrowed vs frame + from_frame"
+        );
+        assert_eq!(
+            owned, reference,
+            "{name}: read_page_retry vs frame + from_frame"
+        );
+
+        // the plan exercised every outcome
+        let (outcomes, reads, retries) = &reference;
+        let clean = |addr: u64| Ok(filled_page(addr, addr as u8 + 1));
+        assert_eq!(outcomes[0], clean(0), "{name}");
+        assert_eq!(outcomes[1], clean(1), "{name}: transient read retried");
+        assert_eq!(outcomes[2], clean(2), "{name}: header flip retried");
+        assert_eq!(
+            outcomes[3],
+            clean(3),
+            "{name}: payload and tail flips retried"
+        );
+        assert_eq!(
+            outcomes[5],
+            Err(StorageError::Corrupt { addr: 5 }),
+            "{name}: torn"
+        );
+        assert_eq!(
+            outcomes[6],
+            Err(StorageError::Unallocated { addr: 6 }),
+            "{name}"
+        );
+        assert!(
+            matches!(outcomes[7], Err(StorageError::OutOfRange { .. })),
+            "{name}: out of range"
+        );
+        assert_eq!(
+            outcomes[8],
+            Err(StorageError::Io { addr: 7 }),
+            "{name}: budget spent"
+        );
+        assert_eq!(outcomes[12], clean(3), "{name}: clean on the last attempt");
+        assert_eq!(
+            outcomes[13],
+            Err(StorageError::Corrupt { addr: 4 }),
+            "{name}: all flipped"
+        );
+        assert_eq!(
+            outcomes[17],
+            Err(StorageError::Io { addr: 7 }),
+            "{name}: still failing"
+        );
+        // 39 plan operations, 10 of them failed transfers; 9 reads retried
+        assert_eq!((*reads, *retries), (29, 23), "{name}: counts");
+
+        // single attempts agree too
+        let mut a = disk.snapshot();
+        let mut b = disk.snapshot();
+        a.attach_faults(FaultInjector::handle(parity_plan()));
+        b.attach_faults(FaultInjector::handle(parity_plan()));
+        for addr in PARITY_READS {
+            let framed = b.read_frame(addr).and_then(|f| Page::from_frame(&f, addr));
+            assert_eq!(a.read_page(addr), framed, "{name}: read_page({addr})");
+        }
+        assert_eq!((a.reads(), a.read_retries()), (b.reads(), 0), "{name}");
+    });
+}
+
+#[test]
+fn a_flipped_read_leaves_the_stored_frame_intact_on_every_backend() {
+    for_each_backend(|disk, name| {
+        let p = filled_page(2, 0x5A);
+        disk.write_page(2, &p).expect("write");
+        let stored = disk.read_frame(2).expect("clean read");
+        // read 0 flips a payload bit, read 1 a header bit under the retry
+        let plan = FaultPlan::new()
+            .flip_on_read(0, 1000, 1)
+            .flip_on_read(1, 8, 0)
+            .flip_on_read(3, 30, 5);
+        disk.attach_faults(FaultInjector::handle(plan));
+        let flipped = disk.read_frame(2).expect("flipped read");
+        assert_ne!(
+            flipped[1000], stored[1000],
+            "{name}: the flip reached the copy"
+        );
+        assert!(
+            disk.read_frame(2).expect("flipped read")[..] != stored[..],
+            "{name}"
+        );
+        assert!(
+            disk.read_frame(2).expect("clean read")[..] == stored[..],
+            "{name}: the next clean read returns the original bytes"
+        );
+        // a flip under the borrowed read is retried, and the stored frame
+        // still holds the page
+        let got = disk.read_page_retry_with(2, |v| (v.id, v.lsn, v.payload().to_vec()));
+        assert_eq!(got, Ok((p.id, p.lsn, p.payload().to_vec())), "{name}");
+        assert_eq!(disk.read_retries(), 1, "{name}");
+        assert!(
+            disk.read_frame(2).expect("clean read")[..] == stored[..],
+            "{name}: a flip under the borrowed read stayed on its copy"
+        );
+        assert_eq!(disk.read_page(2), Ok(p), "{name}");
     });
 }
