@@ -43,7 +43,7 @@ fn bench_scan_strategies(c: &mut Criterion) {
             let mut db = populated(2000, 200);
             b.iter(|| {
                 let t = db.begin();
-                let r = db.query(t, |tp| tp.key % 97 == 0, s).unwrap();
+                let r = db.query(t, |tp| tp.key % 97 == 0, s, 1).unwrap();
                 db.abort(t).unwrap();
                 black_box(r.len())
             })
@@ -60,7 +60,7 @@ fn bench_parallel_scan(c: &mut Criterion) {
             b.iter(|| {
                 let t = db.begin();
                 let r = db
-                    .query_parallel(t, |tp| tp.key % 31 == 0, ScanStrategy::Optimal, w)
+                    .query(t, |tp| tp.key % 31 == 0, ScanStrategy::Optimal, w)
                     .unwrap();
                 db.abort(t).unwrap();
                 black_box(r.len())

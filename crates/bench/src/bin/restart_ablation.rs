@@ -215,13 +215,10 @@ fn replay_sweep() -> String {
         let t = db.begin();
         let cluster = (i % (SCALE_PAGES / 8)) * 8;
         if i % 4 == 3 {
-            // read-heavy writer: its read set makes the command record
-            // dearer than the fragment, so the policy logs it physically
-            for r in 1..=12u64 {
-                db.read(t, (cluster + r * 8) % SCALE_PAGES, 0, 8)
-                    .expect("read");
-            }
-            db.write(t, cluster + rng.below(8), 3_300, &[i as u8; 16])
+            // one-byte writer: the command record's fixed header (48 bytes
+            // in all) is dearer than the 47-byte fragment, so the policy
+            // logs it physically
+            db.write(t, cluster + rng.below(8), 3_300, &[i as u8])
                 .expect("write");
         } else {
             // wide writer over its own cluster: one command record

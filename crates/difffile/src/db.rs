@@ -13,10 +13,12 @@
 //! the operation's global sequence number and its transaction; commit is a
 //! single atomic append to the [`CommitList`]. A tuple is *live* when it is
 //! the newest visible version of its key and no newer visible deletion
-//! covers it. The master and every logical `A`/`D` frame is a
-//! [`SlotPair`] (two physical frames), so no write lands on acked state.
+//! covers it. One scan decides that rule for [`DiffDb::query`],
+//! [`DiffDb::get`] and [`DiffDb::merge`] alike. The master and every
+//! logical `A`/`D` frame is a [`SlotPair`] (two physical frames), so no
+//! write lands on acked state.
 
-use crate::tuple::{read_entries, write_entries, Entry, Tuple};
+use crate::tuple::{fits, read_entries, write_entries, Entry, Tuple, FIRST_ENTRY};
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
     AppendError, BackendKind, CommitList, Disk, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE,
@@ -153,6 +155,18 @@ pub struct DiffStats {
     pub merges: u64,
 }
 
+impl std::ops::AddAssign for DiffStats {
+    fn add_assign(&mut self, o: DiffStats) {
+        self.base_pages_read += o.base_pages_read;
+        self.a_pages_read += o.a_pages_read;
+        self.d_pages_read += o.d_pages_read;
+        self.set_difference_ops += o.set_difference_ops;
+        self.tuples_examined += o.tuples_examined;
+        self.diff_writes += o.diff_writes;
+        self.merges += o.merges;
+    }
+}
+
 /// One differential file (`A` or `D`): its entries, durable or not, and
 /// the region they flush to, where logical frame `f` is the [`SlotPair`]
 /// at `start + 2f`.
@@ -239,19 +253,85 @@ impl DiffFile {
         Ok(())
     }
 
-    /// Pages the entries fill (mirrors the flush packing).
+    /// Pages the entries fill, packed by the rule [`DiffFile::flush`]
+    /// packs them by.
     fn pages(&self) -> u64 {
         let mut pages = 0u64;
-        let mut used = PAYLOAD_SIZE; // forces a fresh page on first entry
+        let mut end = PAYLOAD_SIZE; // no page open: the first entry opens one
         for e in &self.all {
-            let need = e.encoded_len();
-            if used + need > PAYLOAD_SIZE - 4 {
+            let len = e.encoded_len();
+            if !fits(end, len) {
                 pages += 1;
-                used = 0;
+                end = FIRST_ENTRY;
             }
-            used += need;
+            end += len;
         }
         pages
+    }
+}
+
+/// The newest visible insert and delete seq of each key, as one viewer
+/// sees the `A` and `D` files (a key with none counts as 0).
+struct Liveness {
+    inserts: HashMap<u64, u64>,
+    deletes: HashMap<u64, u64>,
+}
+
+impl Liveness {
+    /// Whether the `B` or `A` entry of `key` at `seq` is live: no newer
+    /// visible insert supersedes it and no newer visible delete covers it.
+    fn is_live(&self, key: u64, seq: u64) -> bool {
+        let newest = |m: &HashMap<u64, u64>| m.get(&key).copied().unwrap_or(0);
+        newest(&self.inserts) <= seq && newest(&self.deletes) <= seq
+    }
+}
+
+/// One evaluation of `R = (B ∪ A) − D`: the viewer's liveness, the
+/// predicate, the strategy, and the `D` pages each set-difference reads.
+struct Scan<'a, F> {
+    live: Liveness,
+    pred: &'a F,
+    strategy: ScanStrategy,
+    d_pages: u64,
+}
+
+impl<F: Fn(&Tuple) -> bool> Scan<'_, F> {
+    /// Scan one set-difference unit, `entries` read as `pages` pages: the
+    /// live candidates go to `out`, the charges to `stats`.
+    fn unit<'e>(
+        &self,
+        entries: impl Iterator<Item = &'e Entry>,
+        pages: u64,
+        out: &mut Vec<Tuple>,
+        stats: &mut DiffStats,
+    ) {
+        let mut candidates = false;
+        for e in entries {
+            stats.tuples_examined += 1;
+            if (self.pred)(&e.tuple) {
+                candidates = true;
+                if self.live.is_live(e.tuple.key, e.seq) {
+                    out.push(e.tuple.clone());
+                }
+            }
+        }
+        if candidates || self.strategy == ScanStrategy::Basic {
+            stats.set_difference_ops += pages;
+            stats.d_pages_read += self.d_pages * pages;
+        }
+    }
+
+    /// Scan a run of base pages, each its own set-difference unit.
+    fn base_chunk(&self, pages: &[Vec<Entry>]) -> (Vec<Tuple>, DiffStats) {
+        let mut out = Vec::new();
+        let mut stats = DiffStats {
+            base_pages_read: pages.len() as u64,
+            ..DiffStats::default()
+        };
+        for page in pages {
+            self.unit(page.iter(), 1, &mut out, &mut stats);
+        }
+        (out, stats)
     }
 }
 
@@ -275,7 +355,7 @@ pub struct DiffImage {
 /// db.commit(t).unwrap();                // one atomic commit-list append
 ///
 /// let t = db.begin();
-/// let all = db.query(t, |_| true, ScanStrategy::Optimal).unwrap();
+/// let all = db.query(t, |_| true, ScanStrategy::Optimal, 1).unwrap();
 /// assert_eq!(all.len(), 1);
 /// assert_eq!(all[0].key, 2);            // R = (B ∪ A) − D
 /// ```
@@ -334,15 +414,7 @@ impl DiffDb {
     /// transaction machinery — the read-only `B` of the paper).
     pub fn with_base(cfg: DiffConfig, tuples: Vec<Tuple>) -> Result<Self, DiffError> {
         let mut db = DiffDb::new(cfg);
-        let entries: Vec<Entry> = tuples
-            .into_iter()
-            .map(|t| Entry {
-                seq: 0,
-                txn: 0,
-                key: t.key,
-                value: t.value,
-            })
-            .collect();
+        let entries: Vec<Entry> = tuples.into_iter().map(Entry::base).collect();
         db.write_base(&entries, 0)?;
         db.write_master()?;
         Ok(db)
@@ -467,8 +539,10 @@ impl DiffDb {
         self.a.all.push(Entry {
             seq,
             txn,
-            key,
-            value: value.to_vec(),
+            tuple: Tuple {
+                key,
+                value: value.to_vec(),
+            },
         });
         Ok(())
     }
@@ -482,8 +556,10 @@ impl DiffDb {
         self.d.all.push(Entry {
             seq,
             txn,
-            key,
-            value: Vec::new(),
+            tuple: Tuple {
+                key,
+                value: Vec::new(),
+            },
         });
         Ok(())
     }
@@ -498,141 +574,92 @@ impl DiffDb {
         e.txn == 0 || e.txn == viewer || self.commits.position(e.txn).is_some()
     }
 
-    /// The visible D entries for `viewer`, as (key, seq) pairs.
-    fn visible_deletes(&self, viewer: TxnId) -> Vec<(u64, u64)> {
-        self.d
-            .all
-            .iter()
-            .filter(|e| e.seq >= self.merge_floor && self.visible(viewer, e))
-            .map(|e| (e.key, e.seq))
-            .collect()
-    }
-
-    /// Latest visible A-insert seq per key (for supersession checks).
-    fn latest_inserts(&self, viewer: TxnId) -> HashMap<u64, u64> {
-        let mut m = HashMap::new();
-        for e in &self.a.all {
-            if e.seq >= self.merge_floor && self.visible(viewer, e) {
-                let s = m.entry(e.key).or_insert(0u64);
+    /// Evaluate `R = (B ∪ A) − D` as `viewer` sees it: the live tuples
+    /// matching `pred`, sorted by key, and what the scan charged. The base
+    /// pages split into `workers` chunks; the first chunk runs on the
+    /// calling thread and each other one on a scoped thread. The visible
+    /// `A` entries are one set-difference unit of [`DiffDb::a_pages`]
+    /// pages.
+    fn scan<F>(
+        &self,
+        viewer: TxnId,
+        pred: &F,
+        strategy: ScanStrategy,
+        workers: usize,
+    ) -> (Vec<Tuple>, DiffStats)
+    where
+        F: Fn(&Tuple) -> bool + Sync,
+    {
+        assert!(workers > 0, "a scan needs at least one worker");
+        let sees = |e: &&Entry| e.seq >= self.merge_floor && self.visible(viewer, e);
+        let newest = |file: &DiffFile| {
+            let mut m = HashMap::new();
+            for e in file.all.iter().filter(sees) {
+                let s = m.entry(e.tuple.key).or_insert(0);
                 *s = (*s).max(e.seq);
             }
+            m
+        };
+        let scan = &Scan {
+            live: Liveness {
+                inserts: newest(&self.a),
+                deletes: newest(&self.d),
+            },
+            pred,
+            strategy,
+            d_pages: self.d.pages().max(1),
+        };
+        let mut chunks = self.base.chunks(self.base.len().div_ceil(workers).max(1));
+        let first = chunks.next().unwrap_or_default();
+        let parts = std::thread::scope(|s| {
+            let spawned: Vec<_> = chunks
+                .map(|chunk| s.spawn(move || scan.base_chunk(chunk)))
+                .collect();
+            let mut parts = vec![scan.base_chunk(first)];
+            parts.extend(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("scan worker panicked")),
+            );
+            parts
+        });
+        let (mut out, mut stats) = (Vec::new(), DiffStats::default());
+        for (found, charged) in parts {
+            out.extend(found);
+            stats += charged;
         }
-        m
+        let a_pages = self.a.pages();
+        stats.a_pages_read += a_pages;
+        scan.unit(
+            self.a.all.iter().filter(sees),
+            a_pages,
+            &mut out,
+            &mut stats,
+        );
+        out.sort_by_key(|t| t.key);
+        (out, stats)
     }
 
-    fn is_live(
-        candidate_key: u64,
-        candidate_seq: u64,
-        deletes: &[(u64, u64)],
-        latest: &HashMap<u64, u64>,
-    ) -> bool {
-        if deletes
-            .iter()
-            .any(|&(k, s)| k == candidate_key && s > candidate_seq)
-        {
-            return false;
-        }
-        // superseded by a newer insert of the same key?
-        match latest.get(&candidate_key) {
-            Some(&s) => s <= candidate_seq,
-            None => true,
-        }
-    }
-
-    /// Point lookup of the live value for `key`.
+    /// Point lookup of the live value for `key` (a one-worker
+    /// [`DiffDb::query`]).
     pub fn get(&mut self, txn: TxnId, key: u64) -> Result<Option<Vec<u8>>, DiffError> {
-        let found = self.query(txn, |t| t.key == key, ScanStrategy::Optimal)?;
+        let found = self.query(txn, |t| t.key == key, ScanStrategy::Optimal, 1)?;
         Ok(found.into_iter().next().map(|t| t.value))
     }
 
-    /// Scan the relation `R = (B ∪ A) − D` for tuples matching `pred`.
+    /// Scan the relation `R = (B ∪ A) − D` for tuples matching `pred`,
+    /// with `workers` query processors dividing the base pages among
+    /// themselves, the way the companion paper \[21\] describes (at 1 the
+    /// scan runs on the calling thread).
     ///
     /// The strategy controls when the set-difference against `D` is paid;
-    /// statistics record the page-access pattern either way.
+    /// statistics record the page-access pattern either way, the same at
+    /// any worker count.
+    ///
+    /// # Panics
+    ///
+    /// If `workers` is 0.
     pub fn query<F>(
-        &mut self,
-        txn: TxnId,
-        pred: F,
-        strategy: ScanStrategy,
-    ) -> Result<Vec<Tuple>, DiffError>
-    where
-        F: Fn(&Tuple) -> bool,
-    {
-        self.check_txn(txn)?;
-        let deletes = self.visible_deletes(txn);
-        let latest = self.latest_inserts(txn);
-        let d_page_count = self.d_pages().max(1);
-        let mut out: Vec<Tuple> = Vec::new();
-
-        // --- base pages ---
-        let base_pages = self.base.clone();
-        for page_entries in &base_pages {
-            self.stats.base_pages_read += 1;
-            let mut candidates = Vec::new();
-            for e in page_entries {
-                self.stats.tuples_examined += 1;
-                let t = Tuple {
-                    key: e.key,
-                    value: e.value.clone(),
-                };
-                if pred(&t) {
-                    candidates.push((e.key, 0u64, t));
-                }
-            }
-            let pay_setdiff = strategy == ScanStrategy::Basic || !candidates.is_empty();
-            if pay_setdiff {
-                self.stats.set_difference_ops += 1;
-                self.stats.d_pages_read += d_page_count;
-                for (key, seq, t) in candidates {
-                    if Self::is_live(key, seq, &deletes, &latest) {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-
-        // --- A pages (mirror; page boundaries follow the flush packing) ---
-        let a_entries: Vec<Entry> = self
-            .a
-            .all
-            .iter()
-            .filter(|e| e.seq >= self.merge_floor && self.visible(txn, e))
-            .cloned()
-            .collect();
-        let a_page_count = self.a_pages().max(if a_entries.is_empty() { 0 } else { 1 });
-        self.stats.a_pages_read += a_page_count;
-        let mut a_candidates = Vec::new();
-        for e in &a_entries {
-            self.stats.tuples_examined += 1;
-            let t = Tuple {
-                key: e.key,
-                value: e.value.clone(),
-            };
-            if pred(&t) {
-                a_candidates.push((e.key, e.seq, t));
-            }
-        }
-        if strategy == ScanStrategy::Basic || !a_candidates.is_empty() {
-            if a_page_count > 0 {
-                self.stats.set_difference_ops += a_page_count;
-                self.stats.d_pages_read += d_page_count * a_page_count;
-            }
-            for (key, seq, t) in a_candidates {
-                if Self::is_live(key, seq, &deletes, &latest) {
-                    out.push(t);
-                }
-            }
-        }
-
-        out.sort_by_key(|t| t.key);
-        Ok(out)
-    }
-
-    /// Parallel base scan using scoped worker threads — the database
-    /// machine's query processors dividing the `B ∪ A` pages among
-    /// themselves. Results and liveness match [`DiffDb::query`] exactly;
-    /// statistics are accounted identically.
-    pub fn query_parallel<F>(
         &mut self,
         txn: TxnId,
         pred: F,
@@ -643,109 +670,8 @@ impl DiffDb {
         F: Fn(&Tuple) -> bool + Sync,
     {
         self.check_txn(txn)?;
-        assert!(workers > 0);
-        let deletes = self.visible_deletes(txn);
-        let latest = self.latest_inserts(txn);
-        let d_page_count = self.d_pages().max(1);
-
-        // partition base pages among workers
-        let chunks: Vec<&[Vec<Entry>]> = if self.base.is_empty() {
-            Vec::new()
-        } else {
-            self.base
-                .chunks(self.base.len().div_ceil(workers))
-                .collect()
-        };
-        struct WorkerOut {
-            candidates: Vec<(u64, u64, Tuple)>,
-            pages: u64,
-            pages_with_candidates: u64,
-            tuples: u64,
-        }
-        let results: Vec<WorkerOut> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    let pred = &pred;
-                    s.spawn(move |_| {
-                        let mut out = WorkerOut {
-                            candidates: Vec::new(),
-                            pages: chunk.len() as u64,
-                            pages_with_candidates: 0,
-                            tuples: 0,
-                        };
-                        for page in *chunk {
-                            let before = out.candidates.len();
-                            for e in page {
-                                out.tuples += 1;
-                                let t = Tuple {
-                                    key: e.key,
-                                    value: e.value.clone(),
-                                };
-                                if pred(&t) {
-                                    out.candidates.push((e.key, 0, t));
-                                }
-                            }
-                            if out.candidates.len() > before {
-                                out.pages_with_candidates += 1;
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("worker panicked");
-
-        let mut out = Vec::new();
-        for w in &results {
-            self.stats.tuples_examined += w.tuples;
-            let setdiff_pages = match strategy {
-                ScanStrategy::Basic => w.pages,
-                ScanStrategy::Optimal => w.pages_with_candidates,
-            };
-            self.stats.set_difference_ops += setdiff_pages;
-            self.stats.d_pages_read += d_page_count * setdiff_pages;
-            for (key, seq, t) in &w.candidates {
-                if Self::is_live(*key, *seq, &deletes, &latest) {
-                    out.push(t.clone());
-                }
-            }
-        }
-        self.stats.base_pages_read += self.base.len() as u64;
-
-        // A file handled on the caller thread (it is small by construction)
-        let a_entries: Vec<Entry> = self
-            .a
-            .all
-            .iter()
-            .filter(|e| e.seq >= self.merge_floor && self.visible(txn, e))
-            .cloned()
-            .collect();
-        let a_page_count = self.a_pages().max(if a_entries.is_empty() { 0 } else { 1 });
-        self.stats.a_pages_read += a_page_count;
-        let mut a_candidates = Vec::new();
-        for e in &a_entries {
-            self.stats.tuples_examined += 1;
-            let t = Tuple {
-                key: e.key,
-                value: e.value.clone(),
-            };
-            if pred(&t) {
-                a_candidates.push((e.key, e.seq, t));
-            }
-        }
-        if strategy == ScanStrategy::Basic || !a_candidates.is_empty() {
-            self.stats.set_difference_ops += a_page_count;
-            self.stats.d_pages_read += d_page_count * a_page_count;
-            for (key, seq, t) in a_candidates {
-                if Self::is_live(key, seq, &deletes, &latest) {
-                    out.push(t);
-                }
-            }
-        }
-        out.sort_by_key(|t| t.key);
+        let (out, stats) = self.scan(txn, &pred, strategy, workers);
+        self.stats += stats;
         Ok(out)
     }
 
@@ -777,32 +703,11 @@ impl DiffDb {
         if !self.active.is_empty() {
             return Err(DiffError::NotQuiescent);
         }
-        let viewer = 0; // no transaction: committed-only view
-        let deletes = self.visible_deletes(viewer);
-        let latest = self.latest_inserts(viewer);
-        let mut live: Vec<Entry> = Vec::new();
-        for page in &self.base {
-            for e in page {
-                if Self::is_live(e.key, 0, &deletes, &latest) {
-                    live.push(e.clone());
-                }
-            }
-        }
-        for e in &self.a.all {
-            if e.seq >= self.merge_floor
-                && self.visible(viewer, e)
-                && Self::is_live(e.key, e.seq, &deletes, &latest)
-            {
-                live.push(Entry {
-                    seq: 0,
-                    txn: 0,
-                    key: e.key,
-                    value: e.value.clone(),
-                });
-            }
-        }
-        live.sort_by_key(|e| e.key);
-        live.dedup_by_key(|e| e.key);
+        // viewer 0 is no transaction: the committed-only view; a merge
+        // charges no scan statistics
+        let (tuples, _) = self.scan(0, &|_: &Tuple| true, ScanStrategy::Optimal, 1);
+        let mut live: Vec<Entry> = tuples.into_iter().map(Entry::base).collect();
+        live.dedup_by_key(|e| e.tuple.key); // the scan sorted them by key
         let new_area = 1 - self.base_area;
         self.write_base(&live, new_area)?;
         self.merge_floor = self.next_seq;
@@ -913,7 +818,7 @@ mod tests {
 
     fn all_of(db: &mut DiffDb) -> Vec<Tuple> {
         let t = db.begin();
-        let v = db.query(t, |_| true, ScanStrategy::Optimal).unwrap();
+        let v = db.query(t, |_| true, ScanStrategy::Optimal, 1).unwrap();
         db.abort(t).unwrap();
         v
     }
@@ -933,13 +838,13 @@ mod tests {
         db.insert(t, 100, b"new").unwrap();
         // own view sees it
         let own = db
-            .query(t, |x| x.key == 100, ScanStrategy::Optimal)
+            .query(t, |x| x.key == 100, ScanStrategy::Optimal, 1)
             .unwrap();
         assert_eq!(own.len(), 1);
         // other txn does not
         let o = db.begin();
         assert!(db
-            .query(o, |x| x.key == 100, ScanStrategy::Optimal)
+            .query(o, |x| x.key == 100, ScanStrategy::Optimal, 1)
             .unwrap()
             .is_empty());
         db.abort(o).unwrap();
@@ -1119,10 +1024,11 @@ mod tests {
         db.commit(t).unwrap();
         let q = db.begin();
         let s0 = db.stats();
-        db.query(q, |t| t.key == 1, ScanStrategy::Basic).unwrap();
+        db.query(q, |t| t.key == 1, ScanStrategy::Basic, 1).unwrap();
         let basic_ops = db.stats().set_difference_ops - s0.set_difference_ops;
         let s1 = db.stats();
-        db.query(q, |t| t.key == 1, ScanStrategy::Optimal).unwrap();
+        db.query(q, |t| t.key == 1, ScanStrategy::Optimal, 1)
+            .unwrap();
         let optimal_ops = db.stats().set_difference_ops - s1.set_difference_ops;
         db.abort(q).unwrap();
         assert!(
@@ -1142,10 +1048,15 @@ mod tests {
         db.commit(t).unwrap();
         let q = db.begin();
         let serial = db
-            .query(q, |t| t.key % 3 == 0 || t.key >= 400, ScanStrategy::Optimal)
+            .query(
+                q,
+                |t| t.key % 3 == 0 || t.key >= 400,
+                ScanStrategy::Optimal,
+                1,
+            )
             .unwrap();
         let parallel = db
-            .query_parallel(
+            .query(
                 q,
                 |t| t.key % 3 == 0 || t.key >= 400,
                 ScanStrategy::Optimal,
@@ -1179,11 +1090,47 @@ mod tests {
     fn stats_track_page_reads() {
         let mut db = DiffDb::with_base(small(), base_tuples(100)).unwrap();
         let q = db.begin();
-        db.query(q, |_| true, ScanStrategy::Basic).unwrap();
+        db.query(q, |_| true, ScanStrategy::Basic, 1).unwrap();
         db.abort(q).unwrap();
         let s = db.stats();
         assert!(s.base_pages_read > 0);
         assert!(s.tuples_examined >= 100);
         assert!(s.set_difference_ops >= s.base_pages_read);
+    }
+
+    proptest::proptest! {
+        /// `pages()` counts exactly the frames a flush from empty writes.
+        /// A `None` length asks for the entry that fills the rest of the
+        /// current page exactly, so page-filling entries are common.
+        #[test]
+        fn pages_count_the_frames_a_flush_writes(
+            asks in proptest::collection::vec(proptest::option::of(0usize..600), 1..40)
+        ) {
+            const HEAD: usize = 28; // seq, txn, key, vlen
+            let mut file = DiffFile::new(0, 64);
+            let mut end = FIRST_ENTRY;
+            for (i, ask) in asks.into_iter().enumerate() {
+                let left = PAYLOAD_SIZE - end;
+                let vlen = match ask {
+                    Some(v) => v,
+                    None if left >= HEAD => left - HEAD,
+                    None => PAYLOAD_SIZE - FIRST_ENTRY - HEAD,
+                };
+                if end + HEAD + vlen > PAYLOAD_SIZE {
+                    end = FIRST_ENTRY;
+                }
+                end += HEAD + vlen;
+                let key = i as u64;
+                file.all.push(Entry {
+                    seq: key + 1,
+                    txn: 1,
+                    tuple: Tuple { key, value: vec![7; vlen] },
+                });
+            }
+            let mut disk = BackendKind::Mem.provision(128).unwrap();
+            let mut stats = DiffStats::default();
+            file.flush(&mut disk, &mut stats).unwrap();
+            proptest::prop_assert_eq!(stats.diff_writes, file.pages());
+        }
     }
 }

@@ -18,10 +18,11 @@
 //! turns into a set-union plus set-difference. [`ScanStrategy::Basic`]
 //! performs the set-difference against the `D` file for **every** `B ∪ A`
 //! page; [`ScanStrategy::Optimal`] — the paper's optimization — only for
-//! pages that produced at least one candidate tuple. The parallel scan
-//! ([`DiffDb::query_parallel`]) exploits the database machine's query
-//! processors the way the companion paper \[21\] describes.
-
+//! pages that produced at least one candidate tuple. One scan evaluates
+//! the view for [`DiffDb::query`], [`DiffDb::get`] and [`DiffDb::merge`];
+//! its `workers` argument divides the base pages among the database
+//! machine's query processors, the way the companion paper \[21\]
+//! describes.
 //!
 //! The [`lsm`] module grows the single A/D pair into a **leveled**
 //! differential store — memtable, journal, L0 runs, compacted levels,
@@ -30,7 +31,6 @@
 
 pub mod db;
 pub mod lsm;
-pub mod ops;
 pub mod tuple;
 
 pub use db::{DiffConfig, DiffDb, DiffError, DiffImage, DiffStats, ScanStrategy};
@@ -38,5 +38,4 @@ pub use lsm::{
     CrashSite, Extent, LsmConfig, LsmEntry, LsmError, LsmImage, LsmOp, LsmRecoveryReport, LsmStats,
     LsmStore, Manifest, RunDesc,
 };
-pub use ops::{difference, par_difference, par_union, union, view};
 pub use tuple::{Entry, Tuple};

@@ -27,34 +27,52 @@ pub struct Entry {
     pub seq: u64,
     /// Tagging transaction (0 for base tuples, always visible).
     pub txn: u64,
-    /// Tuple key.
-    pub key: u64,
-    /// Tuple value; empty for `D` entries.
-    pub value: Vec<u8>,
+    /// The tuple; its value is empty for `D` entries.
+    pub tuple: Tuple,
 }
 
 impl Entry {
+    /// A base-file entry: sequence number and transaction 0.
+    pub fn base(tuple: Tuple) -> Entry {
+        Entry {
+            seq: 0,
+            txn: 0,
+            tuple,
+        }
+    }
+
     /// Bytes this entry occupies on a page.
     pub fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + 4 + self.value.len()
+        8 + 8 + 8 + 4 + self.tuple.value.len()
     }
+}
+
+/// Payload offset of a page's first entry (after the `count` word).
+pub(crate) const FIRST_ENTRY: usize = 4;
+
+/// The packing rule: an entry of `len` bytes fits on a page whose entries
+/// so far end at payload offset `end`. [`write_entries`] packs by it, and
+/// the differential files count their pages by it.
+pub(crate) fn fits(end: usize, len: usize) -> bool {
+    end + len <= PAYLOAD_SIZE
 }
 
 /// Pack as many of `entries` as fit onto `page`, starting from
 /// `entries[0]`. Returns how many were written.
 pub fn write_entries(page: &mut Page, entries: &[Entry]) -> usize {
-    let mut offset = 4;
+    let mut offset = FIRST_ENTRY;
     let mut count = 0u32;
     for e in entries {
         let need = e.encoded_len();
-        if offset + need > PAYLOAD_SIZE {
+        if !fits(offset, need) {
             break;
         }
+        let Tuple { key, value } = &e.tuple;
         page.write_at(offset, &e.seq.to_le_bytes());
         page.write_at(offset + 8, &e.txn.to_le_bytes());
-        page.write_at(offset + 16, &e.key.to_le_bytes());
-        page.write_at(offset + 24, &(e.value.len() as u32).to_le_bytes());
-        page.write_at(offset + 28, &e.value);
+        page.write_at(offset + 16, &key.to_le_bytes());
+        page.write_at(offset + 24, &(value.len() as u32).to_le_bytes());
+        page.write_at(offset + 28, value);
         offset += need;
         count += 1;
     }
@@ -69,7 +87,7 @@ pub fn write_entries(page: &mut Page, entries: &[Entry]) -> usize {
 /// bounds) truncates the decode instead of panicking.
 pub fn read_entries(page: &Page) -> Vec<Entry> {
     let count = u32::from_le_bytes(page.read_at(0, 4).try_into().unwrap());
-    let mut offset = 4;
+    let mut offset = FIRST_ENTRY;
     let mut out = Vec::with_capacity((count as usize).min(PAYLOAD_SIZE / 28));
     for _ in 0..count {
         if offset + 28 > PAYLOAD_SIZE {
@@ -87,8 +105,7 @@ pub fn read_entries(page: &Page) -> Vec<Entry> {
         out.push(Entry {
             seq,
             txn,
-            key,
-            value,
+            tuple: Tuple { key, value },
         });
     }
     out
@@ -104,8 +121,10 @@ mod tests {
         Entry {
             seq: key * 2,
             txn: key + 1,
-            key,
-            value: vec![key as u8; vlen],
+            tuple: Tuple {
+                key,
+                value: vec![key as u8; vlen],
+            },
         }
     }
 
@@ -155,8 +174,10 @@ mod tests {
                 .map(|(i, (k, vlen))| Entry {
                     seq: i as u64,
                     txn: i as u64 % 7,
-                    key: k,
-                    value: vec![(k % 251) as u8; vlen],
+                    tuple: Tuple {
+                        key: k,
+                        value: vec![(k % 251) as u8; vlen],
+                    },
                 })
                 .collect();
             let mut page = Page::new(PageId(0));

@@ -352,13 +352,10 @@ mod tests {
                 db.add_u64(t, i % 4, 0, 1 + i).unwrap();
                 db.add_u64(t, (i + 1) % 4, 8, 7).unwrap();
             } else {
-                // read-heavy writers: the read set is pure logical-record
-                // overhead, so the cost policy spills these to fragments
-                for r in 0..6u64 {
-                    db.read(t, 8 + ((i + r) % 8), 0, 4).unwrap();
-                }
-                db.write(t, 8 + (i % 8), 0, format!("v{i:06}").as_bytes())
-                    .unwrap();
+                // one-byte writers: the command record's fixed header (48
+                // bytes in all) outweighs the 47-byte fragment, so the cost
+                // policy spills these to fragments
+                db.write(t, 8 + (i % 8), 0, &[i as u8]).unwrap();
             }
             db.commit(t).unwrap();
             if i == 11 {

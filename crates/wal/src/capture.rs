@@ -21,7 +21,7 @@
 use crate::db::{LogMode, LoggingPolicy, TxnId, WalConfig};
 use crate::record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
 use rmdb_storage::{BufferPool, Disk, Lsn, Page, PageId, ShardedPool, StorageError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// One undoable update: enough to restore the bytes it overwrote and to
 /// name it in a compensation record.
@@ -185,9 +185,6 @@ pub struct Deferred {
     /// Pinned pages, each with the index of the first capture touching
     /// it, in first-touch order.
     pins: Vec<(usize, PageId)>,
-    /// Pages read under shared locks — the command record's read set,
-    /// which the replay DAG turns into write→read precedence edges.
-    reads: BTreeSet<PageId>,
     /// Encoded size of `frags`: the physical side of the cost rule.
     phys_bytes: usize,
 }
@@ -209,7 +206,6 @@ impl Deferred {
             frags: Vec::new(),
             ops: Vec::new(),
             pins: Vec::new(),
-            reads: BTreeSet::new(),
             phys_bytes: 0,
         })
     }
@@ -223,11 +219,6 @@ impl Deferred {
     /// the engine spills the capture before writing.
     pub fn admits(&self, page: PageId) -> bool {
         self.pins.len() < self.budget || self.pins.iter().any(|&(_, p)| p == page)
-    }
-
-    /// Note a page read under a shared lock.
-    pub fn note_read(&mut self, page: PageId) {
-        self.reads.insert(page);
     }
 
     /// Retain one write: its fragment (appended through `route` on a
@@ -278,7 +269,6 @@ impl Deferred {
             } else {
                 DECISION_FORCED
             },
-            reads: self.reads.iter().copied().collect(),
             ops: self.ops.clone(),
         };
         if let Some(pct) = self.threshold {

@@ -412,9 +412,6 @@ impl WalDb {
     ) -> Result<Vec<u8>, WalError> {
         let id = self.lock_access(txn, page, offset, len, LockMode::Shared)?;
         self.fetch_spilling(id)?;
-        if let Some(d) = self.active.get_mut(&txn).and_then(|s| s.deferred.as_mut()) {
-            d.note_read(id);
-        }
         let p = self.pool.get(id).expect("fetched page resident");
         Ok(p.read_at(offset, len).to_vec())
     }
@@ -1299,18 +1296,15 @@ mod tests {
             count_recs(&db, |r| matches!(r, LogRecord::Logical { .. })),
             1
         );
-        // a read-heavy txn with one tiny write: the read-set (8 bytes per
-        // page, logical-only overhead) outweighs the fragment, so it spills
+        // one one-byte write: the command record's fixed header (48 bytes
+        // in all) outweighs the 47-byte fragment, so it spills
         let big = db.begin();
-        for p in 2..12 {
-            db.read(big, p, 0, 1).unwrap();
-        }
         db.write(big, 2, 0, b"x").unwrap();
         db.commit(big).unwrap();
         assert_eq!(
             count_recs(&db, |r| matches!(r, LogRecord::Logical { .. })),
             1,
-            "read-heavy txn must spill to fragments"
+            "one-byte write must spill to fragments"
         );
         assert_eq!(
             count_recs(&db, |r| matches!(r, LogRecord::Update { .. })),

@@ -330,14 +330,11 @@ pub enum LogRecord {
         /// Committing transaction.
         txn: RawTxnId,
         /// Commit LSN — allocated from the same global LSN counter as
-        /// fragment LSNs, so it both dedups rerouted duplicates and keys the
-        /// txn's position in the replay precedence DAG.
+        /// fragment LSNs, so it dedups rerouted duplicates.
         commit_lsn: Lsn,
         /// Why this txn was command-logged (`DECISION_*`): recovery is
         /// self-describing, no policy config needed to replay.
         decision: u8,
-        /// Pages the txn read (for replay-DAG read→write edges).
-        reads: Vec<PageId>,
         /// The txn's writes, in execution order.
         ops: Vec<LogicalOp>,
     },
@@ -431,17 +428,12 @@ impl LogRecord {
                 txn,
                 commit_lsn,
                 decision,
-                reads,
                 ops,
             } => {
                 out.put_u8(TAG_LOGICAL);
                 out.put_u64_le(*txn);
                 out.put_u64_le(commit_lsn.0);
                 out.put_u8(*decision);
-                out.put_u32_le(reads.len() as u32);
-                for p in reads {
-                    out.put_u64_le(p.0);
-                }
                 out.put_u32_le(ops.len() as u32);
                 for op in ops {
                     op.encode(out);
@@ -460,14 +452,8 @@ impl LogRecord {
             LogRecord::Commit { .. } | LogRecord::Abort { .. } => 9,
             LogRecord::CheckpointBegin { active } => 5 + 8 * active.len(),
             LogRecord::CheckpointEnd => 1,
-            LogRecord::Logical { reads, ops, .. } => {
-                1 + 8
-                    + 8
-                    + 1
-                    + 4
-                    + 8 * reads.len()
-                    + 4
-                    + ops.iter().map(LogicalOp::encoded_len).sum::<usize>()
+            LogRecord::Logical { ops, .. } => {
+                1 + 8 + 8 + 1 + 4 + ops.iter().map(LogicalOp::encoded_len).sum::<usize>()
             }
         }
     }
@@ -534,17 +520,12 @@ impl LogRecord {
                     return None;
                 }
                 b.advance(8 + 8 + 1);
-                let nreads = b.get_u32_le() as usize;
-                if b.remaining() < 8 * nreads + 4 {
-                    return None;
-                }
-                b.advance(8 * nreads);
                 let nops = b.get_u32_le() as usize;
                 let mut ops_len = 0usize;
                 for _ in 0..nops {
                     ops_len += LogicalOp::peek_len(&mut b)?;
                 }
-                1 + 8 + 8 + 1 + 4 + 8 * nreads + 4 + ops_len
+                1 + 8 + 8 + 1 + 4 + ops_len
             }
             _ => return None,
         };
@@ -654,11 +635,6 @@ impl LogRecord {
                 let txn = b.get_u64_le();
                 let commit_lsn = Lsn(b.get_u64_le());
                 let decision = b.get_u8();
-                let nreads = b.get_u32_le() as usize;
-                if b.remaining() < 8 * nreads + 4 {
-                    return None;
-                }
-                let reads = (0..nreads).map(|_| PageId(b.get_u64_le())).collect();
                 let nops = b.get_u32_le() as usize;
                 let mut ops = Vec::with_capacity(nops.min(1024));
                 for _ in 0..nops {
@@ -668,7 +644,6 @@ impl LogRecord {
                     txn,
                     commit_lsn,
                     decision,
-                    reads,
                     ops,
                 }
             }
@@ -729,7 +704,6 @@ mod tests {
             txn: 12,
             commit_lsn: Lsn(99),
             decision: DECISION_COST,
-            reads: vec![PageId(3), PageId(9)],
             ops: vec![
                 LogicalOp::Put {
                     page: PageId(3),
@@ -756,7 +730,6 @@ mod tests {
             txn: 13,
             commit_lsn: Lsn(100),
             decision: DECISION_FORCED,
-            reads: vec![],
             ops: vec![],
         });
     }
@@ -909,7 +882,6 @@ mod tests {
             txn in any::<u64>(),
             commit in any::<u64>(),
             decision in any::<u8>(),
-            reads in proptest::collection::vec(any::<u64>(), 0..8),
             ops in proptest::collection::vec(
                 prop_oneof![
                     (any::<u64>(), any::<u64>(), any::<u32>(),
@@ -933,7 +905,6 @@ mod tests {
                 txn,
                 commit_lsn: Lsn(commit),
                 decision,
-                reads: reads.into_iter().map(PageId).collect(),
                 ops,
             });
         }

@@ -29,7 +29,7 @@ fn main() {
         db.insert(what_if, sku, b"qty=200 (proposed)").unwrap();
     }
     let hypothetical = db
-        .query(what_if, |t| t.key >= 95, ScanStrategy::Optimal)
+        .query(what_if, |t| t.key >= 95, ScanStrategy::Optimal, 1)
         .unwrap();
     println!(
         "hypothetical view of SKUs ≥ 95 ({} tuples):",
@@ -49,7 +49,7 @@ fn main() {
 
     let reader = db.begin();
     let count = db
-        .query(reader, |_| true, ScanStrategy::Optimal)
+        .query(reader, |_| true, ScanStrategy::Optimal, 1)
         .unwrap()
         .len();
     assert_eq!(count, 99, "100 base - 1 delete");
@@ -83,7 +83,7 @@ fn main() {
     let reader = db.begin();
     assert_eq!(db.get(reader, 13).unwrap(), None);
     assert_eq!(
-        db.query(reader, |_| true, ScanStrategy::Optimal)
+        db.query(reader, |_| true, ScanStrategy::Optimal, 1)
             .unwrap()
             .len(),
         99

@@ -33,7 +33,11 @@
 # compaction count above zero, a finite write amplification figure, and
 # a bounded read fan-in: optimal frames read per point get at most
 # l0_limit + max_levels, one frame per run the hierarchy can hold
-# (results/BENCH_lsm.json), and the packed log-tail
+# (results/BENCH_lsm.json), and beside it, in release, the single-pair
+# `DiffDb` gate: its property suite (every query and point get at
+# workers 1, 2, 3 and 7 and under both strategies against a
+# per-transaction model, and identical scan statistics at every worker
+# count) and its crashpoint sweeps, and the packed log-tail
 # gate in release: the crashpoint sweep that tears every log write of a
 # force-per-commit run through several page fills (tail-slot rewrites and
 # home-page writes, MemDisk and FileDisk) without losing an acked commit,
@@ -123,6 +127,11 @@ cargo test -q --release --test fault_sweep filedisk
 # basic/optimal strategy-equivalence properties over multi-level stores
 cargo test -q --release --test fault_sweep lsm_
 cargo test -q --release --test lsm_properties
+# single-pair differential file: one scan answers query, get and merge;
+# the model oracle and the statistics property hold at every worker
+# count, and the crashpoint sweeps lose no acked key
+cargo test -q --release --test difffile_properties
+cargo test -q --release --test fault_sweep difffile_
 # packed log tail: a forced partial log page is rewritten through two
 # ping-pong tail slots; no torn write may cost an acked record
 cargo test -q --release --test fault_sweep log_tail_

@@ -387,7 +387,7 @@ fn difffile_sweep(backend: BackendKind, seeds: &[u64], crashpoints: &[u64], tear
             let mut db = DiffDb::recover(db.crash_image(), cfg).expect("recover");
             let t = db.begin();
             let got: HashMap<u64, Vec<u8>> = db
-                .query(t, |_| true, ScanStrategy::Optimal)
+                .query(t, |_| true, ScanStrategy::Optimal, 1)
                 .expect("query after recovery")
                 .into_iter()
                 .map(|tp| (tp.key, tp.value))
@@ -1215,7 +1215,7 @@ fn recovery_never_panics_on_scribbled_images() {
         scribble(&mut image.disk, rng, 6);
         if let Ok(mut db) = DiffDb::recover(image, DiffConfig::default()) {
             let t = db.begin();
-            let _ = db.query(t, |_| true, ScanStrategy::Optimal);
+            let _ = db.query(t, |_| true, ScanStrategy::Optimal, 1);
         }
     }
 }
