@@ -191,7 +191,7 @@ fn replay_sweep() -> String {
     };
     let (phys_bytes, _) = run_hotkey(LoggingPolicy::Fragments);
     let (cmd_bytes, _) = run_hotkey(LoggingPolicy::Command);
-    let (adaptive_bytes, committed) = run_hotkey(LoggingPolicy::Adaptive { threshold_pct: 100 });
+    let (adaptive_bytes, committed) = run_hotkey(LoggingPolicy::Adaptive);
     let byte_ratio = adaptive_bytes as f64 / phys_bytes as f64;
     println!(
         "hot-key 90/10 ({committed} txns): physical={phys_bytes}B command={cmd_bytes}B \
@@ -206,7 +206,7 @@ fn replay_sweep() -> String {
         pool_frames: 512,
         log_streams: 4,
         log_frames: 1 << 16,
-        logging: LoggingPolicy::Adaptive { threshold_pct: 100 },
+        logging: LoggingPolicy::Adaptive,
         ..WalConfig::default()
     };
     let mut db = WalDb::new(scale_cfg());

@@ -81,7 +81,7 @@ use rmdb_storage::{
     Disk, FaultHandle, FaultInjector, FaultPlan, Page, PageId, PoolShard, ShardGuard, ShardedPool,
     StorageError,
 };
-use rmdb_wal::capture::{self, Deferred, Doublewrite, UndoEntry};
+use rmdb_wal::capture::{self, Doublewrite, Write, WriteLog};
 use rmdb_wal::db::{LoggingPolicy, WalConfig};
 use rmdb_wal::lock::LockMode;
 use rmdb_wal::record::LogRecord;
@@ -326,33 +326,20 @@ impl WaitTable {
     }
 }
 
-/// One not-yet-committed fragment, retained so failover can re-append it
-/// to a surviving stream if its original stream dies. Fragments at or
-/// below the dead stream's durable high-water ticket never move — their
-/// stream's disk outlives its thread and recovery reads them from it.
-struct PendingFrag {
-    stream: usize,
-    seq: u64,
-    page: PageId,
-    rec: LogRecord,
-}
-
 /// An in-flight transaction, owned by the worker driving it.
 pub struct Txn {
     id: u64,
     /// Home stream for the commit/abort record.
     home: usize,
-    /// Per-stream high-water fragment tickets.
-    tickets: HashMap<usize, u64>,
-    /// The undo chain. Travels with the transaction: worker-local while
-    /// the body runs, handed to the group-commit daemon at submit so a
-    /// commit that fails mid-batch can be rolled back daemon-side.
-    undo: Vec<UndoEntry>,
-    /// Volatile fragments, kept for failover rerouting.
-    pending: Vec<PendingFrag>,
-    /// Deferred-capture state; `Some` exactly while the logging policy
-    /// is still deciding (a spill resets it to `None` for good).
-    deferred: Option<Deferred>,
+    /// Its writes, each with the `(stream, ticket)` of its fragment. The
+    /// log travels with the transaction: worker-local while the body
+    /// runs, handed to the group-commit daemon at submit so a commit that
+    /// fails mid-batch can be rolled back daemon-side. Failover re-appends
+    /// a write's fragment, rebuilt from the write, when its stream dies;
+    /// fragments at or below a dead stream's durable high-water ticket
+    /// never move — the stream's disk outlives its thread and recovery
+    /// reads them from it.
+    log: WriteLog,
     /// Why the last lock request failed, for the retry's tag.
     conflict: Option<ConflictCause>,
 }
@@ -366,25 +353,6 @@ impl Txn {
     /// Current home stream (may change if the original home dies).
     pub fn home(&self) -> usize {
         self.home
-    }
-
-    /// The highest ticket among this transaction's fragments on `stream`.
-    fn pending_high(&self, stream: usize) -> Option<u64> {
-        let on_stream = self.pending.iter().filter(|f| f.stream == stream);
-        on_stream.map(|f| f.seq).max()
-    }
-
-    /// Note a fragment appended at `(stream, seq)`: raise the stream's
-    /// ticket high-water mark and keep the fragment for rerouting.
-    fn note_frag(&mut self, stream: usize, seq: u64, page: PageId, rec: LogRecord) {
-        let high = self.tickets.entry(stream).or_insert(0);
-        *high = (*high).max(seq);
-        self.pending.push(PendingFrag {
-            stream,
-            seq,
-            page,
-            rec,
-        });
     }
 }
 
@@ -778,9 +746,7 @@ impl Inner {
     /// residency path (its fragment was forced at eviction per the WAL
     /// rule, so the disk copy is the locked content).
     pub(crate) fn capture_images(&self, txn: &Txn) -> Result<Vec<Arc<Page>>, ExecError> {
-        let mut pages: Vec<PageId> = txn.undo.iter().map(|u| u.page).collect();
-        pages.sort_unstable();
-        pages.dedup();
+        let pages = txn.log.pages();
         let mut images = Vec::with_capacity(pages.len());
         for id in pages {
             let mut shard = self.shards.lock(id);
@@ -798,15 +764,15 @@ impl Inner {
     /// or the logical commit record (the daemon calls this before the
     /// home force). The pages are still pinned, so no eviction can race
     /// the re-pin.
-    pub(crate) fn cover_pages(&self, pages: &[PageId], stream: usize, seq: u64) {
-        for &id in pages {
+    pub(crate) fn cover_pages(&self, pages: impl Iterator<Item = PageId>, stream: usize, seq: u64) {
+        for id in pages {
             self.shards.lock(id).meta.insert(id, (stream, seq));
         }
     }
 
     /// Drop the deferred-capture pins on `pages` (one pin per page).
-    pub(crate) fn unpin_pages(&self, pages: &[PageId]) {
-        for &id in pages {
+    pub(crate) fn unpin_pages(&self, pages: impl Iterator<Item = PageId>) {
+        for id in pages {
             self.shards.lock(id).pool.unpin(id);
         }
     }
@@ -873,101 +839,80 @@ impl Inner {
         data.dw.flush(&mut data.disk, page).map_err(ExecError::from)
     }
 
-    /// Move `txn` off any quarantined stream: re-pick its home and
-    /// re-append the volatile tail of its fragments (everything above
-    /// the dead stream's durable high-water ticket) to the new home,
-    /// re-pinning each page's WAL-rule entry. Fragments within the
-    /// durable prefix keep their ticket, clamped so commit-time forces
-    /// against the dead stream are satisfied without touching it —
-    /// recovery reads them from the quarantined disk and dedups the
+    /// Move transaction `txn` (its `home` stream and write `log`) off any
+    /// quarantined stream: re-pick its home and re-append the volatile
+    /// tail of its fragments (everything above the dead stream's durable
+    /// high-water ticket) to the new home, re-pinning each page's
+    /// WAL-rule entry. Fragments within the durable prefix stay in place:
+    /// their stream's high-water is already forced, so the commit-time
+    /// force against it resolves through `is_forced` without touching it
+    /// — recovery reads them from the quarantined disk and dedups the
     /// rerouted copies by LSN. Idempotent; cheap no-op when nothing the
     /// transaction touched is dead.
-    pub(crate) fn reroute_if_needed(&self, txn: &mut Txn) -> Result<(), ExecError> {
+    pub(crate) fn reroute_if_needed(
+        &self,
+        txn: u64,
+        home: &mut usize,
+        log: &mut WriteLog,
+    ) -> Result<(), ExecError> {
         // Streams a rejoin has orphaned fragments of this transaction on:
         // the fragment's ticket was issued by a dead incarnation and
         // never forced, so it can never read as durable again — on a
         // stream that is otherwise perfectly live.
-        let orphaned: Vec<usize> = {
-            let mut streams: Vec<usize> = txn.pending.iter().map(|f| f.stream).collect();
-            streams.sort_unstable();
-            streams.dedup();
-            streams
-                .into_iter()
-                .filter(|&s| {
-                    let app = self.appenders.get(s);
-                    txn.pending
-                        .iter()
-                        .any(|f| f.stream == s && app.orphaned(f.seq))
-                })
-                .collect()
-        };
+        let mut orphaned: Vec<usize> = log
+            .writes()
+            .iter()
+            .filter_map(|w| w.logged)
+            .filter(|&(s, seq)| self.appenders.get(s).orphaned(seq))
+            .map(|(s, _)| s)
+            .collect();
+        orphaned.sort_unstable();
+        orphaned.dedup();
         let (dead, new_home) = {
             let mut sel = lock_ok(&self.selector);
-            let mut dead: Vec<usize> = txn
-                .tickets
-                .keys()
-                .copied()
+            let mut dead: Vec<usize> = log
+                .high_water()
+                .into_keys()
                 .filter(|&s| sel.is_dead(s))
                 .collect();
-            if sel.is_dead(txn.home) && !dead.contains(&txn.home) {
-                dead.push(txn.home);
+            if sel.is_dead(*home) && !dead.contains(home) {
+                dead.push(*home);
             }
             if dead.is_empty() && orphaned.is_empty() {
                 return Ok(());
             }
-            let home = if sel.is_dead(txn.home) {
-                sel.pick(txn.home, txn.id)
+            let new_home = if sel.is_dead(*home) {
+                sel.pick(*home, txn)
             } else {
-                txn.home
+                *home
             };
-            (dead, home)
+            (dead, new_home)
         };
         let t0 = Instant::now();
-        txn.home = new_home;
+        *home = new_home;
+        let target = self.appenders.get(new_home);
         // Pass 1 — orphans, before the dead-stream pass: a rejoined
         // incarnation's forced watermark sweeps past the orphan range as
         // soon as it forces new work, so the `seq > forced` partition
         // below would mistake orphans for durable prefix. Re-append them
-        // under fresh tickets and recompute the source ticket exactly
-        // (clamping cannot excise a hole in the middle of the range).
+        // under fresh tickets.
         for s in orphaned {
             let app = self.appenders.get(s);
-            let target = self.appenders.get(new_home);
-            for frag in txn.pending.iter_mut().filter(|f| f.stream == s) {
-                if app.orphaned(frag.seq) {
-                    self.move_frag(txn.id, frag, &target, new_home)?;
+            for w in log.writes_mut() {
+                if matches!(w.logged, Some((ws, seq)) if ws == s && app.orphaned(seq)) {
+                    self.move_write(txn, w, &target, new_home)?;
                 }
-            }
-            match txn.pending_high(s) {
-                Some(high) => txn.tickets.insert(s, high),
-                None => txn.tickets.remove(&s),
-            };
-            if let Some(high) = txn.pending_high(new_home) {
-                let t = txn.tickets.entry(new_home).or_insert(0);
-                *t = (*t).max(high);
             }
         }
         // Pass 2 — quarantined streams: move the volatile tail, keep the
-        // durable prefix in place.
+        // durable prefix in place. The prefix is already forced, so the
+        // commit-time force against the dead stream resolves via
+        // `is_forced` without waking its (possibly dead) thread.
         for s in dead {
             let forced = self.appenders.get(s).forced_high();
-            let target = self.appenders.get(new_home);
-            for frag in txn
-                .pending
-                .iter_mut()
-                .filter(|f| f.stream == s && f.seq > forced)
-            {
-                self.move_frag(txn.id, frag, &target, new_home)?;
-                let high = txn.tickets.entry(new_home).or_insert(0);
-                *high = (*high).max(frag.seq);
-            }
-            // The durable prefix is already forced: clamp the ticket so
-            // the commit-time force against the dead stream resolves via
-            // `is_forced` without waking its (possibly dead) thread.
-            if let Some(high) = txn.tickets.get_mut(&s) {
-                *high = (*high).min(forced);
-                if *high == 0 {
-                    txn.tickets.remove(&s);
+            for w in log.writes_mut() {
+                if matches!(w.logged, Some((ws, seq)) if ws == s && seq > forced) {
+                    self.move_write(txn, w, &target, new_home)?;
                 }
             }
         }
@@ -978,60 +923,61 @@ impl Inner {
         Ok(())
     }
 
-    /// Re-append `frag` through `target` (now serving stream `to`) and
-    /// re-pin its page's WAL-rule entry — but only if the entry still
-    /// names the fragment being moved; a newer fragment (or a CLR) may
-    /// have superseded it.
-    fn move_frag(
+    /// Re-append `w`'s fragment through `target` (now serving stream
+    /// `to`) and re-pin its page's WAL-rule entry — but only if the entry
+    /// still names the fragment being moved; a newer fragment (or a CLR)
+    /// may have superseded it.
+    fn move_write(
         &self,
         txn: u64,
-        frag: &mut PendingFrag,
+        w: &mut Write,
         target: &LogAppender,
         to: usize,
     ) -> Result<(), ExecError> {
-        let new_seq = target.append(frag.rec.clone())?;
-        let mut shard = self.shards.lock(frag.page);
-        if shard.meta.get(&frag.page) == Some(&(frag.stream, frag.seq)) {
-            shard.meta.insert(frag.page, (to, new_seq));
+        let old = w.logged.expect("only a logged write moves");
+        let new_seq = target.append(w.fragment(txn))?;
+        let page = w.page();
+        let mut shard = self.shards.lock(page);
+        if shard.meta.get(&page) == Some(&old) {
+            shard.meta.insert(page, (to, new_seq));
         }
         drop(shard);
-        let from = frag.stream as u64;
         self.obs.emit(
             EventKind::FragmentRerouted,
             txn,
             to as u64,
-            frag.page.0,
-            from,
+            page.0,
+            old.0 as u64,
         );
         self.obs.counter("failover.rerouted_fragments").inc();
-        frag.stream = to;
-        frag.seq = new_seq;
+        w.logged = Some((to, new_seq));
         Ok(())
     }
 
-    /// Roll back and release: compensations, lock release, abort count.
-    /// Used by the worker abort path and by the daemon when a batch
-    /// member's commit fails (the worker no longer owns the undo chain
-    /// by then — it travelled with the [`CommitReq`]).
-    pub(crate) fn undo_and_release(&self, txn_id: u64, home: usize, undo: Vec<UndoEntry>) {
-        self.undo_apply(txn_id, home, undo);
+    /// Roll back and release: compensations, deferred-capture pins, lock
+    /// release, abort count. Used by the worker abort path and by the
+    /// daemon when a batch member's commit fails (the worker no longer
+    /// owns the write log by then — it travelled with the [`CommitReq`]).
+    pub(crate) fn undo_and_release(&self, txn_id: u64, home: usize, log: WriteLog) {
+        self.undo_apply(txn_id, home, log.writes());
+        self.unpin_pages(log.pinned());
         self.release_locks(txn_id);
         self.stats.aborted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Walk the undo chain backwards, logging a compensation per undone
+    /// Walk `writes` backwards, logging a compensation per undone
     /// update and restoring before-images in the pool. Best-effort with
     /// respect to the log: CLRs route around dead streams, and when no
     /// stream survives the bytes are still restored — but the page LSN
     /// is left untouched, since advancing it to an LSN that exists on no
     /// durable log could defeat redo idempotence after recovery.
-    fn undo_apply(&self, txn_id: u64, home: usize, mut undo: Vec<UndoEntry>) {
+    fn undo_apply(&self, txn_id: u64, home: usize, writes: &[Write]) {
         let mut clr_stream = if !self.is_stream_dead(home) {
             Some(home)
         } else {
             self.pick_live(txn_id)
         };
-        for entry in undo.drain(..).rev() {
+        for entry in writes.iter().rev().map(|w| &w.undo) {
             let clr_lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::Relaxed));
             let rec = entry.compensation(txn_id, clr_lsn);
             let mut appended: Option<(usize, u64)> = None;
@@ -1253,10 +1199,7 @@ impl ExecDb {
         Txn {
             id,
             home,
-            tickets: HashMap::new(),
-            undo: Vec::new(),
-            pending: Vec::new(),
-            deferred: Deferred::arm(self.inner.cfg.wal.logging, self.inner.shard_frames),
+            log: WriteLog::new(self.inner.cfg.wal.logging, self.inner.shard_frames),
             conflict: None,
         }
     }
@@ -1347,7 +1290,7 @@ impl ExecDb {
 
     /// Lock `id`'s shard with the page resident. When this transaction's
     /// own deferred pins may be what starved the shard, spill them
-    /// (logging the retained fragments, dropping the pins) and retry the
+    /// (logging their writes' fragments, dropping the pins) and retry the
     /// residency once.
     fn resident_shard(
         &self,
@@ -1356,7 +1299,7 @@ impl ExecDb {
     ) -> Result<ShardGuard<'_, PageMeta>, ExecError> {
         let mut shard = self.inner.shards.lock(id);
         if let Err(e) = self.inner.ensure_resident(&mut shard, id) {
-            let self_pinned = txn.deferred.as_ref().is_some_and(|d| !d.is_empty());
+            let self_pinned = txn.log.is_deferred() && !txn.log.is_empty();
             if !is_pool_exhausted(&e) || !self_pinned {
                 return Err(e);
             }
@@ -1431,42 +1374,48 @@ impl ExecDb {
     ) -> Result<(), ExecError> {
         // a deferred transaction must never pin a pool shard solid, or its
         // own next page could find nothing to evict
-        if txn.deferred.as_ref().is_some_and(|d| !d.admits(id)) {
+        if !txn.log.admits(id) {
             self.spill_deferred(txn)?;
         }
         let mut shard = self.resident_shard(txn, id)?;
         let new_lsn = Lsn(self.inner.next_lsn.fetch_add(1, Ordering::Relaxed));
         let mode = self.inner.cfg.wal.log_mode;
         let p = shard.pool.get(id).expect("resident page");
-        let (rec, undo) = capture::update_fragment(txn.id, p, offset, data, mode, new_lsn);
-        if let Some(d) = txn.deferred.as_mut() {
-            if d.capture(0, rec, capture::logical_op(id, new_lsn, offset, data, add)) {
+        let mut w = Write::new(p, offset, data, add, mode, new_lsn, 0);
+        if txn.log.is_deferred() {
+            if txn.log.push(w) {
                 shard.pool.pin(id);
             }
-            txn.undo.push(undo);
         } else {
             drop(shard);
-            let (stream, seq) = self.append_routed(txn, &rec)?;
-            txn.note_frag(stream, seq, id, rec);
-            txn.undo.push(undo);
+            let at =
+                self.append_routed(txn.id, &mut txn.home, &mut txn.log, || w.fragment(txn.id))?;
+            w.logged = Some(at);
+            txn.log.push(w);
             shard = self.inner.shards.lock(id);
             self.inner.ensure_resident(&mut shard, id)?;
-            shard.meta.insert(id, (stream, seq));
+            shard.meta.insert(id, at);
         }
         let p = shard.pool.get_mut(id).expect("resident page");
-        p.write_at(offset, data);
-        p.lsn = new_lsn;
+        txn.log.writes().last().expect("just pushed").apply(p);
         Ok(())
     }
 
-    /// Append `rec` to the transaction's home stream, routing around
-    /// streams that die mid-append (classify → quarantine → reroute →
-    /// retry on the new home). Returns the stream + ticket.
-    fn append_routed(&self, txn: &mut Txn, rec: &LogRecord) -> Result<(usize, u64), ExecError> {
+    /// Append the record `rec` builds to the transaction's home stream,
+    /// routing around streams that die mid-append (classify → quarantine
+    /// → reroute → retry on the new home; each attempt builds afresh).
+    /// Returns the stream + ticket.
+    fn append_routed(
+        &self,
+        txn: u64,
+        home: &mut usize,
+        log: &mut WriteLog,
+        rec: impl Fn() -> LogRecord,
+    ) -> Result<(usize, u64), ExecError> {
         let mut attempts = 0usize;
         loop {
-            let stream = txn.home;
-            match self.inner.appenders.get(stream).append(rec.clone()) {
+            let stream = *home;
+            match self.inner.appenders.get(stream).append(rec()) {
                 Ok(seq) => return Ok((stream, seq)),
                 Err(e) => {
                     self.inner.note_appender_failure(&e);
@@ -1474,14 +1423,14 @@ impl ExecDb {
                     if attempts >= self.inner.cfg.wal.log_streams {
                         return Err(e);
                     }
-                    if let Err(re) = self.inner.reroute_if_needed(txn) {
+                    if let Err(re) = self.inner.reroute_if_needed(txn, home, log) {
                         // the survivor we rerouted to may itself have
                         // just died — classify it so this site
                         // quarantines it too, like the commit path
                         self.inner.note_appender_failure(&re);
                         return Err(re);
                     }
-                    if txn.home == stream {
+                    if *home == stream {
                         // no live alternative was found
                         return Err(e);
                     }
@@ -1491,25 +1440,22 @@ impl ExecDb {
     }
 
     /// Spill a deferred transaction to ordinary fragments
-    /// ([`Deferred::spill`]), appending through the routed path and
-    /// publishing tickets, pending entries and WAL-rule meta. After this
-    /// the transaction is a plain fragments transaction for good.
+    /// ([`WriteLog::spill`]), appending each write's fragment through the
+    /// routed path and publishing its WAL-rule meta. After this the
+    /// transaction is a plain fragments transaction for good.
     fn spill_deferred(&self, txn: &mut Txn) -> Result<(), ExecError> {
-        let Some(d) = txn.deferred.take() else {
+        if !txn.log.is_deferred() {
             return Ok(());
-        };
-        if !d.is_empty() {
+        }
+        if !txn.log.is_empty() {
             self.inner.obs.counter("wal.deferred_spills").inc();
         }
-        let mut undo = std::mem::take(&mut txn.undo);
-        let out = d.spill(&mut undo, &self.inner.shards, |_, page, rec| {
-            let (stream, seq) = self.append_routed(txn, &rec)?;
-            txn.note_frag(stream, seq, page, rec);
-            self.inner.cover_pages(&[page], stream, seq);
-            Ok(())
-        });
-        txn.undo = undo;
-        out
+        txn.log.spill(txn.id, &self.inner.shards, |log, i, rec| {
+            let page = log.writes()[i].page();
+            let (stream, seq) = self.append_routed(txn.id, &mut txn.home, log, || rec.clone())?;
+            self.inner.cover_pages(std::iter::once(page), stream, seq);
+            Ok((stream, seq))
+        })
     }
 
     /// Commit: submit to the group-commit daemon and return a handle the
@@ -1522,7 +1468,7 @@ impl ExecDb {
     pub fn commit(&self, mut txn: Txn) -> Result<CommitHandle, ExecError> {
         let timeout = Duration::from_millis(self.inner.cfg.commit_timeout_ms.max(1));
         let (reply, rx) = sync_channel(1);
-        if txn.tickets.is_empty() && txn.deferred.as_ref().is_none_or(Deferred::is_empty) {
+        if txn.log.is_empty() {
             // read-only fast path: nothing to force — and no ack counter,
             // so `txn.commits_acked` stays paired with the daemon's
             // `group.completions`
@@ -1532,32 +1478,31 @@ impl ExecDb {
             return Ok(CommitHandle::new(rx, None, timeout));
         }
         // The logging decision: one Logical record for a deferred txn the
-        // cost policy keeps (it doubles as the commit record), or a spill
-        // to fragments plus the plain Commit record.
+        // cost policy keeps (it doubles as the commit record; its pages
+        // stay pinned until the daemon has it in their WAL-rule meta), or
+        // a spill to fragments plus the plain Commit record.
         let next_lsn = &self.inner.next_lsn;
-        let logical = txn.deferred.as_ref().and_then(|d| {
-            d.command_record(txn.id, || Lsn(next_lsn.fetch_add(1, Ordering::Relaxed)))
-        });
-        let (commit_rec, unpin, bytes_saved) = match logical {
-            Some(rec) => {
-                let d = txn.deferred.take().expect("command-logged txn is deferred");
-                let saved = (d.phys_bytes() as u64).saturating_sub(rec.encoded_len() as u64);
-                (rec, d.pinned().collect(), saved)
-            }
+        let logical = txn
+            .log
+            .command_record(txn.id, || Lsn(next_lsn.fetch_add(1, Ordering::Relaxed)));
+        let commit_rec = match logical {
+            Some(rec) => rec,
             None => {
                 if let Err(e) = self.spill_deferred(&mut txn) {
                     // the spill already reverted the un-appended suffix
                     // and dropped the pins — roll back what was logged
-                    self.inner.undo_and_release(txn.id, txn.home, txn.undo);
+                    self.inner.undo_and_release(txn.id, txn.home, txn.log);
                     return Err(e);
                 }
-                (LogRecord::Commit { txn: txn.id }, Vec::new(), 0)
+                LogRecord::Commit { txn: txn.id }
             }
         };
-        if let Err(e) = self.inner.reroute_if_needed(&mut txn) {
+        if let Err(e) = self
+            .inner
+            .reroute_if_needed(txn.id, &mut txn.home, &mut txn.log)
+        {
             self.inner.note_appender_failure(&e);
-            self.inner.undo_and_release(txn.id, txn.home, txn.undo);
-            self.inner.unpin_pages(&unpin);
+            self.inner.undo_and_release(txn.id, txn.home, txn.log);
             return Err(e);
         }
         // capture page images for MVCC publication while this txn's X
@@ -1566,28 +1511,23 @@ impl ExecDb {
         let images = match self.inner.capture_images(&txn) {
             Ok(images) => images,
             Err(e) => {
-                self.inner.undo_and_release(txn.id, txn.home, txn.undo);
-                self.inner.unpin_pages(&unpin);
+                self.inner.undo_and_release(txn.id, txn.home, txn.log);
                 return Err(e);
             }
         };
         let req = CommitReq {
             txn: txn.id,
             home: txn.home,
-            tickets: txn.tickets.into_iter().collect(),
-            undo: txn.undo,
+            log: txn.log,
             images,
             commit_rec,
-            unpin,
-            bytes_saved,
             submitted: Instant::now(),
             reply,
         };
         let tx = self.commit_tx.as_ref().expect("pipeline running");
         if let Err(send_err) = tx.send(req) {
             let req = send_err.0;
-            self.inner.undo_and_release(req.txn, req.home, req.undo);
-            self.inner.unpin_pages(&req.unpin);
+            self.inner.undo_and_release(req.txn, req.home, req.log);
             return Err(ExecError::Wal(WalError::Storage(StorageError::Protocol(
                 "group-commit daemon gone",
             ))));
@@ -1599,21 +1539,20 @@ impl ExecDb {
         ))
     }
 
-    /// Abort: walk the undo chain backwards, logging a compensation per
+    /// Abort: walk the writes backwards, logging a compensation per
     /// undone update, append the `Abort` record (no force needed), then
     /// release locks. Compensations route around quarantined streams. A
     /// still-deferred transaction takes a cheaper exit: none of its
     /// writes ever reached a log, so there is nothing to compensate —
     /// its bytes are reverted in memory, its pins dropped, and no log
     /// stream hears of it at all.
-    pub fn abort(&self, txn: Txn) -> Result<(), ExecError> {
-        match txn.deferred {
-            Some(d) => {
-                d.discard(&txn.undo, &self.inner.shards);
-                self.inner.release_locks(txn.id);
-                self.inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
-            }
-            None => self.inner.undo_and_release(txn.id, txn.home, txn.undo),
+    pub fn abort(&self, mut txn: Txn) -> Result<(), ExecError> {
+        if txn.log.is_deferred() {
+            txn.log.end_deferral(0, &self.inner.shards);
+            self.inner.release_locks(txn.id);
+            self.inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.inner.undo_and_release(txn.id, txn.home, txn.log);
         }
         Ok(())
     }
@@ -2393,7 +2332,7 @@ mod tests {
         let mut t = db.begin(0);
         db.write(&mut t, 40, 0, b"orphan-me").unwrap();
         let victim = t.home();
-        let old_seq = *t.tickets.get(&victim).expect("fragment ticket");
+        let old_seq = *t.log.high_water().get(&victim).expect("fragment ticket");
         db.inner
             .quarantine_stream(victim, &AppenderError::ThreadDeath("induced".into()));
         let report = db.rejoin_stream(victim).unwrap();
@@ -2767,7 +2706,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_decides_per_txn() {
-        let cfg = policy_cfg(LoggingPolicy::Adaptive { threshold_pct: 100 });
+        let cfg = policy_cfg(LoggingPolicy::Adaptive);
         let db = ExecDb::new(cfg.clone());
         // small write: the command record undercuts its fragment
         db.run_txn(0, |ctx| ctx.add_u64(1, 0, 9)).unwrap();
@@ -2835,7 +2774,7 @@ mod tests {
 
     #[test]
     fn mixed_policy_workload_recovers_under_concurrency() {
-        let cfg = policy_cfg(LoggingPolicy::Adaptive { threshold_pct: 100 });
+        let cfg = policy_cfg(LoggingPolicy::Adaptive);
         let db = Arc::new(ExecDb::new(cfg.clone()));
         crossbeam::thread::scope(|s| {
             for w in 0..4usize {

@@ -26,7 +26,7 @@
 //! force errors are kept per stream and mapped back per member, so a
 //! batch spanning four streams loses one stream's transactions, not all
 //! of them. Failed members are rolled back **daemon-side** — the worker
-//! handed over the undo chain with the [`CommitReq`] — before their
+//! handed over its write log with the [`CommitReq`] — before their
 //! locks release, so strict 2PL holds even for commits that die in the
 //! daemon. Each failure is also reported to the failover machinery,
 //! which quarantines the stream so retries route around it.
@@ -35,8 +35,7 @@ use crate::db::Inner;
 use crate::error::ExecError;
 use crate::sync::lock_ok;
 use rmdb_obs::{Counter, EventKind};
-use rmdb_storage::PageId;
-use rmdb_wal::capture::UndoEntry;
+use rmdb_wal::capture::WriteLog;
 use rmdb_wal::record::LogRecord;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -50,11 +49,15 @@ pub(crate) struct CommitReq {
     pub txn: u64,
     /// Home stream for the commit record.
     pub home: usize,
-    /// Per-stream high-water fragment tickets: `(stream, max seq)`.
-    pub tickets: Vec<(usize, u64)>,
-    /// The undo chain, surrendered at submit so the daemon can roll the
-    /// transaction back if its commit fails mid-batch.
-    pub undo: Vec<UndoEntry>,
+    /// The transaction's writes, surrendered at submit: their tickets are
+    /// what the batch forces, and the daemon rolls them back if the
+    /// commit fails mid-batch. Under command logging the pages stay
+    /// pinned; the daemon unpins them only after the appended commit
+    /// record's ticket is in their WAL-rule meta entries (success) or
+    /// after rollback restored their before-images (failure) — either
+    /// way, no un-logged dirty byte can reach the data disk through an
+    /// eviction.
+    pub log: WriteLog,
     /// Full images of every page this transaction wrote, captured at
     /// submit under its X locks. On success the daemon installs them in
     /// the MVCC version pool (before releasing locks), making the commit
@@ -65,15 +68,6 @@ pub(crate) struct CommitReq {
     /// `Commit`, or the transaction's `Logical` record under command
     /// logging — in which case the one record IS the commit record.
     pub commit_rec: LogRecord,
-    /// Pages the worker left pinned under deferred capture. The daemon
-    /// unpins them only after the appended commit record's ticket is in
-    /// their WAL-rule meta entries (success) or after rollback restored
-    /// their before-images (failure) — either way, no un-logged dirty
-    /// byte can reach the data disk through an eviction.
-    pub unpin: Vec<PageId>,
-    /// Log bytes command logging saved vs the retained fragments
-    /// (`wal.bytes_saved`; 0 for physical commits).
-    pub bytes_saved: u64,
     /// When the worker submitted; `group.dwell_us` measures the oldest
     /// member's queue wait from here to batch close.
     pub submitted: Instant,
@@ -165,13 +159,15 @@ pub(crate) fn run_daemon(inner: Arc<Inner>, rx: Receiver<CommitReq>, max_group: 
                     // daemon thread is commit order
                     inner.mvcc.commit(&req.images);
                     if matches!(req.commit_rec, LogRecord::Logical { .. }) {
+                        // log bytes command logging saved vs the fragments
+                        let rec = req.commit_rec.encoded_len();
                         logical_records.inc();
-                        bytes_saved.add(req.bytes_saved);
+                        bytes_saved.add(req.log.fragment_bytes().saturating_sub(rec) as u64);
                     }
                     // deferred pins drop only now: the durable logical
                     // record is in the pages' WAL-rule meta entries (set
                     // at append time), so eviction forces through it
-                    inner.unpin_pages(&req.unpin);
+                    inner.unpin_pages(req.log.pinned());
                     // strict 2PL: release only once the outcome is decided
                     inner.release_locks(req.txn);
                     inner.stats.committed.fetch_add(1, Ordering::Relaxed);
@@ -181,8 +177,7 @@ pub(crate) fn run_daemon(inner: Arc<Inner>, rx: Receiver<CommitReq>, max_group: 
                 Err(e) => {
                     // roll the member back before its locks release, so
                     // no other transaction ever reads its dirty writes
-                    inner.undo_and_release(req.txn, req.home, req.undo);
-                    inner.unpin_pages(&req.unpin);
+                    inner.undo_and_release(req.txn, req.home, req.log);
                     let _ = req.reply.send(Err(e));
                 }
             }
@@ -199,9 +194,10 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
     // commit record is appended to that stream *after* them, so the home
     // force in phase 2 covers them for free (stream-local append order) —
     // the durable-commit ⇒ durable-fragments invariant still holds.
+    let tickets: Vec<BTreeMap<usize, u64>> = batch.iter().map(|r| r.log.high_water()).collect();
     let mut frag_high: BTreeMap<usize, u64> = BTreeMap::new();
-    for req in batch {
-        for &(stream, seq) in &req.tickets {
+    for (req, tickets) in batch.iter().zip(&tickets) {
+        for (&stream, &seq) in tickets {
             if stream == req.home {
                 continue;
             }
@@ -212,8 +208,9 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
     let stream_res = force_streams(inner, &frag_high);
     let mut results: Vec<Result<(), ExecError>> = batch
         .iter()
-        .map(|req| {
-            for &(stream, _) in &req.tickets {
+        .zip(&tickets)
+        .map(|(req, tickets)| {
+            for &stream in tickets.keys() {
                 if stream == req.home {
                     continue;
                 }
@@ -239,7 +236,7 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
                 // a command-logged member's deferred pages now answer to
                 // this record: re-pin their WAL-rule meta before any
                 // unpin can expose them to the evicting flusher
-                inner.cover_pages(&req.unpin, req.home, seq);
+                inner.cover_pages(req.log.pinned(), req.home, seq);
                 let high = home_high.entry(req.home).or_insert(0);
                 *high = (*high).max(seq);
             }

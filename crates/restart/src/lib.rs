@@ -340,7 +340,7 @@ mod tests {
             data_pages: 32,
             pool_frames: 16,
             log_streams: 3,
-            logging: rmdb_wal::LoggingPolicy::Adaptive { threshold_pct: 100 },
+            logging: rmdb_wal::LoggingPolicy::Adaptive,
             ..WalConfig::default()
         });
         let drone = db.begin();
@@ -375,7 +375,7 @@ mod tests {
             data_pages: 32,
             pool_frames: 16,
             log_streams: 3,
-            logging: rmdb_wal::LoggingPolicy::Adaptive { threshold_pct: 100 },
+            logging: rmdb_wal::LoggingPolicy::Adaptive,
             ..WalConfig::default()
         };
         let mut images = Vec::new();

@@ -14,7 +14,7 @@
 //! Buffer management is STEAL/NO-FORCE (the general case): dirty pages may
 //! reach the data disk before commit, and need not reach it at commit.
 
-use crate::capture::{self, Deferred, Doublewrite, UndoEntry};
+use crate::capture::{self, Doublewrite, Write, WriteLog};
 use crate::lock::{LockMode, LockTable};
 use crate::manager::{LogPos, ParallelLogManager};
 use crate::record::LogRecord;
@@ -44,7 +44,7 @@ pub enum LogMode {
 ///
 /// Under [`Command`](LoggingPolicy::Command) and
 /// [`Adaptive`](LoggingPolicy::Adaptive), writes are *deferred-captured*
-/// ([`crate::capture::Deferred`]): nothing is appended while the
+/// ([`crate::capture::WriteLog`]): nothing is appended while the
 /// transaction runs, and at commit it either appends one
 /// [`LogRecord::Logical`] record or spills its fragments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,13 +55,9 @@ pub enum LoggingPolicy {
     /// Always command-log: every deferred transaction commits with one
     /// logical record, regardless of relative size.
     Command,
-    /// Choose per transaction at commit: command-log iff
-    /// `logical_bytes * 100 <= threshold_pct * fragment_bytes`.
-    Adaptive {
-        /// Percentage threshold; 100 means "whenever the logical record is
-        /// no bigger than the fragments it replaces".
-        threshold_pct: u32,
-    },
+    /// Choose per transaction at commit: command-log iff the logical
+    /// record is no bigger than the fragments it replaces.
+    Adaptive,
 }
 
 /// Configuration for a [`WalDb`].
@@ -190,17 +186,13 @@ pub struct CrashImage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Savepoint {
     txn: TxnId,
-    undo_len: usize,
+    writes: usize,
 }
 
 #[derive(Debug)]
 struct TxnState {
     home: usize,
-    streams: BTreeSet<usize>,
-    undo: Vec<UndoEntry>,
-    /// `Some` while the transaction is deferred-captured; spilling to
-    /// fragment mode takes it.
-    deferred: Option<Deferred>,
+    log: WriteLog,
 }
 
 /// The parallel-logging database engine.
@@ -299,9 +291,7 @@ impl WalDb {
             txn,
             TxnState {
                 home,
-                streams: BTreeSet::new(),
-                undo: Vec::new(),
-                deferred: Deferred::arm(self.cfg.logging, self.cfg.pool_frames),
+                log: WriteLog::new(self.cfg.logging, self.cfg.pool_frames),
             },
         );
         txn
@@ -465,40 +455,31 @@ impl WalDb {
         let id = self.lock_access(txn, page, offset, data.len(), LockMode::Exclusive)?;
         // a deferred txn pinning the whole pool would wedge every fetch —
         // convert it to fragment mode before its pins fill the last frame
-        if let Some(d) = self.active.get(&txn).and_then(|s| s.deferred.as_ref()) {
-            if !d.admits(id) {
-                self.spill_deferred(txn)?;
-            }
+        if !self.active[&txn].log.admits(id) {
+            self.spill_deferred(txn)?;
         }
         self.fetch_spilling(id)?;
 
         let new_lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
         let p = self.pool.get(id).expect("fetched page resident");
-        let (rec, undo) =
-            capture::update_fragment(txn, p, offset, data, self.cfg.log_mode, new_lsn);
+        let mut w = Write::new(p, offset, data, add_delta, self.cfg.log_mode, new_lsn, qp);
 
         let state = self.active.get_mut(&txn).expect("txn checked active");
-        if let Some(d) = state.deferred.as_mut() {
-            // Deferred capture: retain the fragment instead of appending it
-            // and pin the page on first touch, so STEAL can never put
-            // un-logged bytes on disk. The LSN sequence is identical to
-            // fragment mode, so per-page ordering — and therefore replay
-            // equivalence — is policy-independent.
-            let op = capture::logical_op(id, new_lsn, offset, data, add_delta);
-            if d.capture(qp, rec, op) {
-                self.pool.pin(id);
-            }
-        } else {
-            let pos = self.log.append_routed(qp, txn, &rec)?;
-            state.streams.insert(pos.stream);
+        if !state.log.is_deferred() {
+            let pos = self.log.append_routed(qp, txn, &w.fragment(txn))?;
             self.page_last_log.insert(id, pos);
+            w.logged = Some((pos.stream, pos.pos));
         }
-        state.undo.push(undo);
-
-        let p = self.pool.get_mut(id).expect("fetched page resident");
-        p.write_at(offset, data);
-        p.lsn = new_lsn;
+        w.apply(self.pool.get_mut(id).expect("fetched page resident"));
+        // Deferred capture retains the write instead of appending it and
+        // pins the page on first touch, so STEAL can never put un-logged
+        // bytes on disk. The LSN sequence is identical to fragment mode,
+        // so per-page ordering — and therefore replay equivalence — is
+        // policy-independent.
+        if state.log.push(w) {
+            self.pool.pin(id);
+        }
         Ok(())
     }
 
@@ -514,23 +495,23 @@ impl WalDb {
         }
     }
 
-    /// Convert a deferred transaction to fragment mode: append every
-    /// retained fragment (routed through the qp recorded at write time),
-    /// release its pins, and drop the logical capture. After this the
+    /// Convert a deferred transaction to fragment mode: [`WriteLog::spill`]
+    /// appends each write's fragment, routed through the qp recorded at
+    /// write time, and releases its pins. After this the
     /// transaction commits/aborts exactly like a
     /// [`LoggingPolicy::Fragments`] one.
     fn spill_deferred(&mut self, txn: TxnId) -> Result<(), WalError> {
         let Some(state) = self.active.get_mut(&txn) else {
             return Ok(());
         };
-        let Some(d) = state.deferred.take() else {
+        if !state.log.is_deferred() {
             return Ok(());
-        };
-        d.spill(&mut state.undo, &mut self.pool, |qp, page, rec| {
-            let pos = self.log.append_routed(qp, txn, &rec)?;
-            state.streams.insert(pos.stream);
-            self.page_last_log.insert(page, pos);
-            Ok::<_, WalError>(())
+        }
+        state.log.spill(txn, &mut self.pool, |wl, i, rec| {
+            let w = &wl.writes()[i];
+            let pos = self.log.append_routed(w.route, txn, &rec)?;
+            self.page_last_log.insert(w.page(), pos);
+            Ok::<_, WalError>((pos.stream, pos.pos))
         })
     }
 
@@ -565,21 +546,18 @@ impl WalDb {
     pub fn commit(&mut self, txn: TxnId) -> Result<(), WalError> {
         let state = self.active.get(&txn).ok_or(WalError::UnknownTxn(txn))?;
         let next_lsn = &mut self.next_lsn;
-        let logical = state.deferred.as_ref().and_then(|d| {
-            d.command_record(txn, || {
-                *next_lsn += 1;
-                Lsn(*next_lsn - 1)
-            })
+        let logical = state.log.command_record(txn, || {
+            *next_lsn += 1;
+            Lsn(*next_lsn - 1)
         });
         if let Some(rec) = logical {
-            let state = self.active.remove(&txn).expect("checked active");
-            let d = state.deferred.expect("command-logged txn is deferred");
+            let mut state = self.active.remove(&txn).expect("checked active");
             let pos = match self.log.append_to(state.home, &rec) {
                 Ok(pos) => pos,
                 Err(e) => {
                     // nothing was logged: revert and unpin, as a deferred
                     // abort would
-                    d.discard(&state.undo, &mut self.pool);
+                    state.log.end_deferral(0, &mut self.pool);
                     self.locks.release_all(txn);
                     self.aborted += 1;
                     return Err(e.into());
@@ -588,7 +566,7 @@ impl WalDb {
             // pins drop before the force: page_last_log now names the
             // logical record, so a later eviction re-forces under the WAL
             // rule even if this force fails
-            for page in d.pinned() {
+            for page in state.log.pinned() {
                 self.page_last_log.insert(page, pos);
                 self.pool.unpin(page);
             }
@@ -640,7 +618,7 @@ impl WalDb {
         // one force per distinct fragment stream across the whole group
         let mut streams: BTreeSet<usize> = BTreeSet::new();
         for (_, state) in &states {
-            streams.extend(state.streams.iter().copied());
+            streams.extend(state.log.high_water().into_keys());
         }
         for s in streams {
             self.log.force(s)?;
@@ -666,14 +644,14 @@ impl WalDb {
     /// record. No force is needed — if the tail is lost, recovery simply
     /// re-undoes the remainder.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), WalError> {
-        let state = self.active.remove(&txn).ok_or(WalError::UnknownTxn(txn))?;
-        if let Some(d) = state.deferred {
+        let mut state = self.active.remove(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        if state.log.is_deferred() {
             // Deferred abort: nothing was ever logged, so there is nothing
             // to compensate — restore the before-images in memory, release
             // the pins, and vanish without a trace in the log.
-            d.discard(&state.undo, &mut self.pool);
+            state.log.end_deferral(0, &mut self.pool);
         } else {
-            self.compensate(txn, state.home, &state.undo)?;
+            self.compensate(txn, state.home, state.log.writes())?;
             self.log.append_to(state.home, &LogRecord::Abort { txn })?;
         }
         self.locks.release_all(txn);
@@ -681,10 +659,10 @@ impl WalDb {
         Ok(())
     }
 
-    /// Logged undo: revert `undo` newest-first, logging a compensation on
-    /// `home` for each entry so the rollback itself is crash-safe.
-    fn compensate(&mut self, txn: TxnId, home: usize, undo: &[UndoEntry]) -> Result<(), WalError> {
-        for entry in undo.iter().rev() {
+    /// Logged undo: revert `writes` newest-first, logging a compensation
+    /// on `home` for each so the rollback itself is crash-safe.
+    fn compensate(&mut self, txn: TxnId, home: usize, writes: &[Write]) -> Result<(), WalError> {
+        for entry in writes.iter().rev().map(|w| &w.undo) {
             self.fetch(entry.page)?;
             let new_lsn = Lsn(self.next_lsn);
             self.next_lsn += 1;
@@ -748,7 +726,7 @@ impl WalDb {
         let state = self.active.get(&txn).ok_or(WalError::UnknownTxn(txn))?;
         Ok(Savepoint {
             txn,
-            undo_len: state.undo.len(),
+            writes: state.log.len(),
         })
     }
 
@@ -758,21 +736,20 @@ impl WalDb {
     /// survive.
     pub fn rollback_to(&mut self, sp: Savepoint) -> Result<(), WalError> {
         let txn = sp.txn;
-        let state = self.active.get(&txn).ok_or(WalError::UnknownTxn(txn))?;
-        if sp.undo_len > state.undo.len() {
+        let state = self.active.get_mut(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        if sp.writes > state.log.len() {
             return Err(WalError::Storage(StorageError::Protocol(
                 "savepoint from a different transaction incarnation",
             )));
         }
-        let home = state.home;
-        let state = self.active.get_mut(&txn).expect("checked active");
-        if let Some(d) = state.deferred.as_mut() {
+        if state.log.is_deferred() {
             // Deferred partial rollback: the undone suffix was never logged
-            d.rollback_to(sp.undo_len, &mut state.undo, &mut self.pool);
+            state.log.revert_to(sp.writes, &mut self.pool);
             return Ok(());
         }
-        let to_undo = state.undo.split_off(sp.undo_len);
-        self.compensate(txn, home, &to_undo)
+        let home = state.home;
+        let undone = state.log.split_off(sp.writes);
+        self.compensate(txn, home, &undone)
     }
 
     /// Take an archive copy of the database for media recovery: flushes
@@ -1002,6 +979,37 @@ mod tests {
         // and the data page is durable on the data disk
         let img = db.crash_image();
         assert_eq!(img.data.read_page(1).unwrap().read_at(0, 4), b"data");
+    }
+
+    #[test]
+    fn quiescent_checkpoints_reuse_log_frames() {
+        // 2 streams of 64 frames with a checkpoint every 100 commits: each
+        // whole-log truncation rewinds the streams, so ten times the
+        // commits that used to exhaust them still fit
+        let cfg = WalConfig {
+            data_pages: 16,
+            log_streams: 2,
+            log_frames: 64,
+            ckpt_every_commits: 100,
+            ..WalConfig::default()
+        };
+        let mut db = WalDb::new(cfg.clone());
+        let mut oracle = [0u64; 16];
+        for i in 1..=60_660u64 {
+            let t = db.begin();
+            let page = i % 16;
+            db.write(t, page, 0, &i.to_le_bytes()).unwrap();
+            db.commit(t).unwrap();
+            oracle[page as usize] = i;
+        }
+        // a loser the crash cuts
+        let t = db.begin();
+        db.write(t, 3, 0, &u64::MAX.to_le_bytes()).unwrap();
+        let (mut db, _) = WalDb::recover(db.crash_image(), cfg).unwrap();
+        let t = db.begin();
+        for (page, &want) in oracle.iter().enumerate() {
+            assert_eq!(db.read(t, page as u64, 0, 8).unwrap(), want.to_le_bytes());
+        }
     }
 
     #[test]
@@ -1282,7 +1290,7 @@ mod tests {
     #[test]
     fn adaptive_policy_decides_per_txn() {
         let cfg = WalConfig {
-            logging: LoggingPolicy::Adaptive { threshold_pct: 100 },
+            logging: LoggingPolicy::Adaptive,
             ..tiny()
         };
         let mut db = WalDb::new(cfg.clone());
@@ -1504,7 +1512,7 @@ mod tests {
             (0..8).map(|p| db2.read(q, p, 0, 64).unwrap()).collect()
         };
         let physical = run(LoggingPolicy::Fragments);
-        let adaptive = run(LoggingPolicy::Adaptive { threshold_pct: 100 });
+        let adaptive = run(LoggingPolicy::Adaptive);
         let command = run(LoggingPolicy::Command);
         assert_eq!(physical, adaptive, "adaptive != fragments after recovery");
         assert_eq!(physical, command, "command != fragments after recovery");

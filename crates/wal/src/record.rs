@@ -169,44 +169,6 @@ impl LogicalOp {
         }
     }
 
-    /// Length of the op at the front of `buf`; `None` on a torn prefix.
-    fn peek_len(b: &mut &[u8]) -> Option<usize> {
-        if b.is_empty() {
-            return None;
-        }
-        let tag = b.get_u8();
-        let len = match tag {
-            OP_PUT => {
-                if b.remaining() < 8 + 8 + 4 + 4 {
-                    return None;
-                }
-                b.advance(8 + 8 + 4);
-                let dlen = b.get_u32_le() as usize;
-                if b.remaining() < dlen {
-                    return None;
-                }
-                b.advance(dlen);
-                1 + 8 + 8 + 4 + 4 + dlen
-            }
-            OP_ADD_U64 => {
-                if b.remaining() < 8 + 8 + 4 + 8 {
-                    return None;
-                }
-                b.advance(8 + 8 + 4 + 8);
-                1 + 8 + 8 + 4 + 8
-            }
-            OP_FILL => {
-                if b.remaining() < 8 + 8 + 4 + 4 + 1 {
-                    return None;
-                }
-                b.advance(8 + 8 + 4 + 4 + 1);
-                1 + 8 + 8 + 4 + 4 + 1
-            }
-            _ => return None,
-        };
-        Some(len)
-    }
-
     fn decode(b: &mut &[u8]) -> Option<LogicalOp> {
         if b.is_empty() {
             return None;
@@ -442,12 +404,16 @@ impl LogRecord {
         }
     }
 
+    /// [`LogRecord::encoded_len`] of an `Update` whose before- and
+    /// after-images are `before` and `after` bytes long.
+    pub fn update_len(before: usize, after: usize) -> usize {
+        1 + 8 * 4 + 4 + 4 + before + 4 + after
+    }
+
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
-            LogRecord::Update { before, after, .. } => {
-                1 + 8 * 4 + 4 + 4 + before.len() + 4 + after.len()
-            }
+            LogRecord::Update { before, after, .. } => Self::update_len(before.len(), after.len()),
             LogRecord::Compensation { data, .. } => 1 + 8 * 4 + 4 + 4 + data.len(),
             LogRecord::Commit { .. } | LogRecord::Abort { .. } => 9,
             LogRecord::CheckpointBegin { active } => 5 + 8 * active.len(),
@@ -456,80 +422,6 @@ impl LogRecord {
                 1 + 8 + 8 + 1 + 4 + ops.iter().map(LogicalOp::encoded_len).sum::<usize>()
             }
         }
-    }
-
-    /// Length of the complete encoded record at the front of `buf`,
-    /// without materialising it (no payload allocation). `None` exactly
-    /// when [`LogRecord::decode`] would return `None`.
-    ///
-    /// This is what lets log truncation walk record boundaries over
-    /// megabytes of log without paying decode's per-record allocations.
-    pub fn peek_len(buf: &[u8]) -> Option<usize> {
-        let mut b = buf;
-        if b.is_empty() {
-            return None;
-        }
-        let tag = b.get_u8();
-        let len = match tag {
-            TAG_UPDATE => {
-                if b.remaining() < 8 * 4 + 4 + 4 {
-                    return None;
-                }
-                b.advance(8 * 4 + 4);
-                let blen = b.get_u32_le() as usize;
-                if b.remaining() < blen + 4 {
-                    return None;
-                }
-                b.advance(blen);
-                let alen = b.get_u32_le() as usize;
-                if b.remaining() < alen {
-                    return None;
-                }
-                1 + 8 * 4 + 4 + 4 + blen + 4 + alen
-            }
-            TAG_COMPENSATION => {
-                if b.remaining() < 8 * 4 + 4 + 4 {
-                    return None;
-                }
-                b.advance(8 * 4 + 4);
-                let dlen = b.get_u32_le() as usize;
-                if b.remaining() < dlen {
-                    return None;
-                }
-                1 + 8 * 4 + 4 + 4 + dlen
-            }
-            TAG_COMMIT | TAG_ABORT => {
-                if b.remaining() < 8 {
-                    return None;
-                }
-                9
-            }
-            TAG_CKPT_BEGIN => {
-                if b.remaining() < 4 {
-                    return None;
-                }
-                let n = b.get_u32_le() as usize;
-                if b.remaining() < 8 * n {
-                    return None;
-                }
-                5 + 8 * n
-            }
-            TAG_CKPT_END => 1,
-            TAG_LOGICAL => {
-                if b.remaining() < 8 + 8 + 1 + 4 {
-                    return None;
-                }
-                b.advance(8 + 8 + 1);
-                let nops = b.get_u32_le() as usize;
-                let mut ops_len = 0usize;
-                for _ in 0..nops {
-                    ops_len += LogicalOp::peek_len(&mut b)?;
-                }
-                1 + 8 + 8 + 1 + 4 + ops_len
-            }
-            _ => return None,
-        };
-        Some(len)
     }
 
     /// Decode one record from the front of `buf`, consuming its bytes.
@@ -663,11 +555,6 @@ mod tests {
         let mut bytes = Vec::new();
         rec.encode(&mut bytes);
         assert_eq!(bytes.len(), rec.encoded_len());
-        assert_eq!(LogRecord::peek_len(&bytes), Some(bytes.len()));
-        // peek_len agrees with decode on every strict prefix too
-        for cut in 0..bytes.len() {
-            assert_eq!(LogRecord::peek_len(&bytes[..cut]), None, "cut at {cut}");
-        }
         let mut cursor = bytes.as_slice();
         let decoded = LogRecord::decode(&mut cursor).expect("decodes");
         assert!(cursor.is_empty(), "trailing bytes");

@@ -27,6 +27,16 @@
 //! Each reopen and each truncation bumps the epoch; a truncation also
 //! raises the floor to it.
 //!
+//! # Truncation
+//!
+//! [`LogStream::truncate_to`] moves the truncation point forward to a
+//! frame a record begins in. [`LogStream::truncate`] drops the whole log
+//! and rewinds: the truncation point and the next home frame both go back
+//! to the first home frame, so a log checkpointed while quiescent reuses
+//! its frames forever. The raised floor is what makes that safe: every
+//! page and slot copy written before the truncation carries an older
+//! epoch, so the scan rejects the first one it meets.
+//!
 //! # Slot rule
 //!
 //! A force rewrites the whole partial page into one of the two tail slots,
@@ -42,13 +52,15 @@
 //!
 //! A scan walks home frames from the truncation point while each holds a
 //! full page of its own frame whose epoch is at least the previous page's
-//! (the floor, for the first) and at most the current one. At the first
-//! frame past that run it takes the newest valid slot copy stamped with
-//! that frame and an epoch the chain accepts, and stops. Slots left from
-//! earlier epochs or from before a truncation fail that test and are
-//! never read as live. A slot copy with a *newer* epoch than the home
-//! page of the same frame supersedes it: that is how a reopen replaces a
-//! full page whose tail the crash cut.
+//! (the floor, for the first) and at most the current one. After a
+//! whole-log truncation the frames past the new log still hold the old
+//! one's pages, whose epochs are below the floor: the run ends there.
+//! At the first frame past that run it takes the newest valid slot copy
+//! stamped with that frame and an epoch the chain accepts, and stops.
+//! Slots left from earlier epochs or from before a truncation fail that
+//! test and are never read as live. A slot copy with a *newer* epoch
+//! than the home page of the same frame supersedes it: that is how a
+//! reopen replaces a full page whose tail the crash cut.
 //!
 //! A scan copies each log page once: a home page is verified and decoded
 //! where the device holds it, and its record bytes go straight into the
@@ -363,9 +375,11 @@ pub struct LogStream {
     /// That page's record bytes, forced or not (at most one page, except
     /// after a failed home write, which leaves a full page buffered).
     page: Vec<u8>,
-    /// Offset in `page` of the first record beginning in it; `page.len()`
-    /// until one does.
-    first: usize,
+    /// Offsets in `page` of the records beginning in it, ascending. The
+    /// first is the page's first-record field; when the page goes home,
+    /// the starts past it carry over to the next page, so no buffered
+    /// byte is ever parsed again.
+    starts: Vec<usize>,
     /// Index into [`SLOTS`] of the next tail rewrite; the other slot holds
     /// the newest acked tail.
     slot: usize,
@@ -377,6 +391,9 @@ pub struct LogStream {
     epoch: u64,
     /// Header writes so far: the version the next header write takes.
     headers: u64,
+    /// A whole-log truncation's header write failed: it must land before
+    /// any log page, which may reuse a frame the old log still needs.
+    header_pending: bool,
     /// Total bytes ever appended (volatile position).
     appended: u64,
     /// Total bytes on stable storage.
@@ -401,12 +418,13 @@ impl LogStream {
             disk,
             home: FIRST_HOME,
             page: Vec::new(),
-            first: 0,
+            starts: Vec::new(),
             slot: 0,
             start_page: FIRST_HOME,
             floor: 1,
             epoch: 1,
             headers: 0,
+            header_pending: false,
             appended: 0,
             durable: 0,
             pages_written: 0,
@@ -463,20 +481,23 @@ impl LogStream {
         let pages = (valid / USABLE).min(chain.homes as usize);
         let base = pages * USABLE;
         let page = chain.bytes[base..valid].to_vec();
-        let first = last_page_start
+        let starts = last_page_start
             .filter(|&start| start >= base)
-            .map_or(page.len(), |start| start - base);
+            .map(|start| start - base)
+            .into_iter()
+            .collect();
         let tail_intact = chain.tail_slot.is_some() && valid == chain.bytes.len();
         let mut s = LogStream {
             disk,
             home: start_page + pages as u64,
             page,
-            first,
+            starts,
             slot: chain.spare_slot,
             start_page,
             floor,
             epoch: old_epoch.max(chain.max_epoch).saturating_add(1),
             headers,
+            header_pending: false,
             appended: valid as u64,
             durable: valid as u64,
             pages_written: 0,
@@ -527,7 +548,8 @@ impl LogStream {
         Ok(())
     }
 
-    /// Write the header as its next version.
+    /// Write the header as its next version. A failed write is retried as
+    /// the same version, never over the newest copy the disk surely holds.
     fn write_header(&mut self) -> Result<(), StorageError> {
         let mut h = Page::new(HEADER_ID);
         h.write_at(0, &self.start_page.to_le_bytes());
@@ -535,21 +557,32 @@ impl LogStream {
         h.write_at(16, &self.floor.to_le_bytes());
         HEADER.write(&mut self.disk, self.headers, h)?;
         self.headers += 1;
+        self.header_pending = false;
         Ok(())
     }
 
     /// Write one log frame, read-back verified: a silently lost or torn log
     /// page write would otherwise lose committed records that `force`
-    /// already promised were durable.
+    /// already promised were durable. A whole-log truncation's header
+    /// lands first.
     fn write_frame(&mut self, addr: u64, page: &Page) -> Result<(), StorageError> {
+        if self.header_pending {
+            self.write_header()?;
+        }
         self.disk.write_page_verified(addr, page)?;
         self.pages_written += 1;
         Ok(())
     }
 
+    /// Offset in `page` of the first record beginning in it; `page.len()`
+    /// when none does.
+    fn first(&self) -> usize {
+        self.starts.first().copied().unwrap_or(self.page.len())
+    }
+
     /// Rewrite the partial page into the spare tail slot.
     fn write_tail(&mut self) -> Result<(), StorageError> {
-        let p = log_page(self.home, self.epoch, self.first, &self.page);
+        let p = log_page(self.home, self.epoch, self.first(), &self.page);
         self.write_frame(SLOTS[self.slot], &p)?;
         self.slot ^= 1;
         Ok(())
@@ -561,15 +594,11 @@ impl LogStream {
     /// later retry.
     fn write_full_pages(&mut self) -> Result<(), StorageError> {
         while self.page.len() >= USABLE {
-            let p = log_page(self.home, self.epoch, self.first, &self.page[..USABLE]);
+            let p = log_page(self.home, self.epoch, self.first(), &self.page[..USABLE]);
             self.write_frame(self.home, &p)?;
-            // the next page's first record start: walk the buffered
-            // records from this page's first to past the boundary
-            let mut next = self.first;
-            while next < USABLE {
-                next += LogRecord::peek_len(&self.page[next..]).unwrap_or(self.page.len() - next);
-            }
-            self.first = next - USABLE;
+            // the records beginning past this page begin in the next one
+            self.starts.retain(|&start| start >= USABLE);
+            self.starts.iter_mut().for_each(|start| *start -= USABLE);
             self.page.drain(..USABLE);
             self.home += 1;
             // the page is durable at home, forced or not
@@ -587,6 +616,7 @@ impl LogStream {
     /// this value.
     pub fn append(&mut self, rec: &LogRecord) -> Result<u64, StorageError> {
         let before = self.page.len();
+        self.starts.push(before);
         rec.encode(&mut self.page);
         self.appended += (self.page.len() - before) as u64;
         self.write_full_pages()?;
@@ -662,20 +692,25 @@ impl LogStream {
         (chain.decode().records, chain.stats())
     }
 
-    /// Advance the durable truncation point past everything written so far.
+    /// Truncate the whole log: drop everything written so far and start
+    /// packing again at the first home frame.
     ///
     /// The caller (checkpoint logic) must have ensured the truncated prefix
     /// is no longer needed: all its updates are on the data disk and no
     /// live transaction may need undo from it.
     pub fn truncate(&mut self) -> Result<(), StorageError> {
         self.force()?;
-        // the partial page is dropped too: its frame is packed afresh, and
-        // the raised floor makes its slot copies stale
         self.page.clear();
-        self.first = 0;
-        self.start_page = self.home;
+        self.starts.clear();
+        self.home = FIRST_HOME;
+        self.start_page = FIRST_HOME;
         self.epoch += 1;
         self.floor = self.epoch;
+        // The header write is the commit point. A failed one may still
+        // have landed, and a read-back cannot always tell; until it
+        // surely has, no log page is written, so either header copy
+        // finds a consistent log.
+        self.header_pending = true;
         self.write_header()
     }
 
@@ -879,6 +914,68 @@ mod tests {
         // truncation survives crash
         let recovered = LogStream::open(s.disk_snapshot()).unwrap();
         assert_eq!(recovered.scan(), vec![commit(2)]);
+    }
+
+    #[test]
+    fn truncate_reuses_frames_from_the_first_home() {
+        // 12 home frames; each round fills about 3 of them, so only frame
+        // reuse lets 100 rounds through
+        let mut s = LogStream::create(16);
+        let mut kept = Vec::new();
+        for round in 0..100 {
+            kept = (0..12).map(|i| big_update(round * 12 + i, 900)).collect();
+            for r in &kept {
+                s.append(r).unwrap();
+            }
+            s.force().unwrap();
+            if round < 99 {
+                s.truncate().unwrap();
+            }
+        }
+        assert_eq!(s.scan(), kept);
+        assert_eq!(LogStream::open(s.disk_snapshot()).unwrap().scan(), kept);
+    }
+
+    #[test]
+    fn a_failed_truncate_header_leaves_a_consistent_log() {
+        let new: Vec<LogRecord> = (6..12).map(|i| big_update(i, 900)).collect();
+        // the header write fails on every attempt and nothing lands; or it
+        // lands but no read-back can tell, through the truncation's write
+        // and the retry at the next page write
+        let plans = [
+            FaultPlan::new().transient_write(0, 4),
+            FaultPlan::new().transient_read(0, 8),
+        ];
+        for plan in plans {
+            // an old log that no longer starts at the first home frame, so
+            // a page written there under the old header would be misread
+            let mut s = LogStream::create(64);
+            for i in 0..6 {
+                s.append(&big_update(i, 900)).unwrap();
+            }
+            s.force().unwrap();
+            let (indexed, _) = s.scan_indexed();
+            let second = indexed
+                .iter()
+                .find(|r| r.frame_start && r.frame > FIRST_HOME);
+            s.truncate_to(second.unwrap().frame).unwrap();
+            let old = s.scan();
+            s.attach_faults(FaultInjector::handle(plan));
+            assert!(s.truncate().is_err());
+            // a crash at any point recovers the old log or a prefix of the
+            // new one, never frames reused under the old header
+            let recovered = |s: &LogStream| LogStream::open(s.disk_snapshot()).unwrap().scan();
+            let consistent = |got: Vec<LogRecord>| got == old || new.starts_with(&got);
+            assert!(consistent(recovered(&s)));
+            for r in &new {
+                // a failed page write keeps the record buffered
+                let _ = s.append(r);
+                assert!(consistent(recovered(&s)));
+            }
+            s.force().unwrap();
+            assert_eq!(s.scan(), new);
+            assert_eq!(recovered(&s), new);
+        }
     }
 
     #[test]

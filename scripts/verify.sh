@@ -92,7 +92,8 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml || {
     exit 1
 }
 cp target/perfbench.Cargo.lock perfbench/Cargo.lock
-cargo test -q
+# the root package is a workspace member: one run covers its integration
+# tests and every crate's
 cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
 # every intra-doc link must resolve: a rename or deletion that leaves a

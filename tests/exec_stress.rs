@@ -493,7 +493,7 @@ fn serial_script_matches_waldb_under_every_policy() {
     let policies = [
         LoggingPolicy::Fragments,
         LoggingPolicy::Command,
-        LoggingPolicy::Adaptive { threshold_pct: 100 },
+        LoggingPolicy::Adaptive,
     ];
     for logging in policies {
         for log_mode in [LogMode::Logical, LogMode::Physical] {
@@ -572,7 +572,7 @@ fn serial_script_matches_waldb_under_every_policy() {
                 LoggingPolicy::Command => {
                     assert!(counts.0 == 0 && counts.1 > 0 && counts.2 == 0, "{case}")
                 }
-                LoggingPolicy::Adaptive { .. } => assert!(counts.1 > 0, "{case}"),
+                LoggingPolicy::Adaptive => assert!(counts.1 > 0, "{case}"),
             }
             assert!(
                 recovered_payloads(wal_image, &cfg) == recovered_payloads(exec_image, &cfg),

@@ -712,7 +712,7 @@ fn mixed_logical_physical_log_recovers_at_every_crashpoint() {
                 pool_frames: 6,
                 log_streams: 3,
                 policy: SelectionPolicy::Cyclic,
-                logging: LoggingPolicy::Adaptive { threshold_pct: 100 },
+                logging: LoggingPolicy::Adaptive,
                 ..WalConfig::default()
             };
             let mut rng = StdRng::seed_from_u64(seed ^ (crashpoint << 32));

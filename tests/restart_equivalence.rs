@@ -343,7 +343,7 @@ proptest! {
         ckpt_every in 0u64..16,
         txns in 30u64..140,
     ) {
-        let adaptive = LoggingPolicy::Adaptive { threshold_pct: 100 };
+        let adaptive = LoggingPolicy::Adaptive;
         let db = build_mixed_crashed(seed, txns, ckpt_every, adaptive);
 
         // page-sharded redo of the mixed log is byte-identical for every
