@@ -19,7 +19,6 @@ fn populated(base_tuples: u64, diff_ops: u64) -> DiffDb {
             base_capacity: 256,
             a_capacity: 128,
             d_capacity: 128,
-            commit_frames: 8,
             ..Default::default()
         },
         base,

@@ -386,7 +386,7 @@ fn run_failover(
                 before.push(Sample { ..*s });
             } else if s.done_ms <= quarantined_at_ms {
                 during.push(Sample { ..*s });
-            } else if rejoin_boundary.map_or(true, |r| s.done_ms < r) {
+            } else if rejoin_boundary.is_none_or(|r| s.done_ms < r) {
                 after.push(Sample { ..*s });
             } else {
                 post_rejoin.push(Sample { ..*s });

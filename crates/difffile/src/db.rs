@@ -3,15 +3,18 @@
 //! Disk layout (one [`Disk`], backend chosen by [`DiffConfig::backend`]):
 //!
 //! ```text
-//! [ base area 0 | base area 1 | A file | D file | commit list | master ]
+//! [ base area 0 | base area 1 | A file | D file | master ]
 //! ```
 //!
 //! The base file is read-only; a quiescent [`DiffDb::merge`] builds the new
 //! base `(B ∪ A) − D` in the inactive area and flips the master frame
 //! atomically (the same dual-area trick the shadow pager uses for its page
 //! table). Additions and deletions append to the `A`/`D` files, tagged with
-//! the operation's global sequence number and its transaction; commit is a
-//! single atomic append to the [`CommitList`]. A tuple is *live* when it is
+//! the operation's global sequence number and its transaction. The master
+//! also holds the [`CommitRecord`], so a commit is a single atomic master
+//! write. The record lists the ids below its high mark that did not commit
+//! but may have entries in the files; a merge leaves none of those
+//! readable and empties the list. A tuple is *live* when it is
 //! the newest visible version of its key and no newer visible deletion
 //! covers it. One scan decides that rule for [`DiffDb::query`],
 //! [`DiffDb::get`] and [`DiffDb::merge`] alike. The master and every
@@ -21,12 +24,28 @@
 use crate::tuple::{fits, read_entries, write_entries, Entry, Tuple, FIRST_ENTRY};
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
-    AppendError, BackendKind, CommitList, Disk, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE,
+    BackendKind, CommitRecord, Disk, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE,
 };
 use std::collections::HashMap;
 
 /// Transaction id.
 pub type TxnId = u64;
+
+/// Fewest base pages a scan hands one worker. On a 2-core host one worker
+/// scanned `difffile_bench`'s 91 pages in ≈24 µs and two took ≈65 µs; a
+/// second worker first paid off at 728 pages, two chunks of 364.
+const MIN_CHUNK_PAGES: usize = 256;
+
+/// Pages per scan chunk: up to `workers` even chunks of at least
+/// [`MIN_CHUNK_PAGES`], or one chunk when the base is smaller.
+fn chunk_pages(pages: usize, workers: usize) -> usize {
+    let parts = workers.min(pages / MIN_CHUNK_PAGES).max(1);
+    pages.div_ceil(parts).max(1)
+}
+
+/// Master byte the [`CommitRecord`] starts at, after the base area, page
+/// count and merge floor.
+const RECORD_AT: usize = 17;
 
 /// Query-processing strategy (paper §4.3: *basic* vs *optimal*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +67,6 @@ pub struct DiffConfig {
     pub a_capacity: u64,
     /// Logical frames in the `D` file (two physical frames each).
     pub d_capacity: u64,
-    /// Logical frames for the commit list (two physical frames each).
-    pub commit_frames: u64,
     /// Which block-device backend holds the single durable disk.
     pub backend: BackendKind,
 }
@@ -60,7 +77,6 @@ impl Default for DiffConfig {
             base_capacity: 64,
             a_capacity: 32,
             d_capacity: 32,
-            commit_frames: 4,
             backend: BackendKind::Mem,
         }
     }
@@ -73,15 +89,12 @@ impl DiffConfig {
     fn d_start(&self) -> u64 {
         self.a_start() + 2 * self.a_capacity
     }
-    fn commit_start(&self) -> u64 {
-        self.d_start() + 2 * self.d_capacity
-    }
     /// The master record's two slots.
     fn master(&self) -> SlotPair {
-        SlotPair::at(self.commit_start() + CommitList::footprint(self.commit_frames))
+        SlotPair::at(self.d_start() + 2 * self.d_capacity)
     }
     fn total_frames(&self) -> u64 {
-        self.commit_start() + CommitList::footprint(self.commit_frames) + 2
+        self.d_start() + 2 * self.d_capacity + 2
     }
 }
 
@@ -99,7 +112,8 @@ pub enum DiffError {
         /// Holder.
         holder: TxnId,
     },
-    /// A/D file or commit list is full — merge required.
+    /// The A/D file is full, or the commit record cannot list every
+    /// undecided id — merge required.
     SpaceExhausted,
     /// Merge attempted while transactions were active.
     NotQuiescent,
@@ -108,15 +122,6 @@ pub enum DiffError {
 impl From<StorageError> for DiffError {
     fn from(e: StorageError) -> Self {
         DiffError::Storage(e)
-    }
-}
-
-impl From<AppendError> for DiffError {
-    fn from(e: AppendError) -> Self {
-        match e {
-            AppendError::Full => DiffError::SpaceExhausted,
-            AppendError::Storage(e) => DiffError::Storage(e),
-        }
     }
 }
 
@@ -352,7 +357,7 @@ pub struct DiffImage {
 /// let t = db.begin();
 /// db.insert(t, 2, b"two").unwrap();     // appends to the A file
 /// db.delete(t, 1).unwrap();             // appends to the D file
-/// db.commit(t).unwrap();                // one atomic commit-list append
+/// db.commit(t).unwrap();                // one atomic master write
 ///
 /// let t = db.begin();
 /// let all = db.query(t, |_| true, ScanStrategy::Optimal, 1).unwrap();
@@ -373,8 +378,8 @@ pub struct DiffDb {
     /// The A and D files.
     a: DiffFile,
     d: DiffFile,
-    /// The durable commit list.
-    commits: CommitList,
+    /// The commit record, as the master last wrote it.
+    record: CommitRecord,
     active: HashMap<TxnId, ()>,
     key_locks: HashMap<u64, TxnId>,
     locks_by_txn: HashMap<TxnId, Vec<u64>>,
@@ -397,7 +402,7 @@ impl DiffDb {
             merge_floor: 0,
             a: DiffFile::new(cfg.a_start(), cfg.a_capacity),
             d: DiffFile::new(cfg.d_start(), cfg.d_capacity),
-            commits: CommitList::new(cfg.commit_start(), cfg.commit_frames),
+            record: CommitRecord::default(),
             active: HashMap::new(),
             key_locks: HashMap::new(),
             locks_by_txn: HashMap::new(),
@@ -406,7 +411,8 @@ impl DiffDb {
             stats: DiffStats::default(),
             cfg,
         };
-        db.write_master().expect("fresh disk fits the master frame");
+        db.write_master(CommitRecord::default())
+            .expect("fresh disk fits the master frame");
         db
     }
 
@@ -416,18 +422,22 @@ impl DiffDb {
         let mut db = DiffDb::new(cfg);
         let entries: Vec<Entry> = tuples.into_iter().map(Entry::base).collect();
         db.write_base(&entries, 0)?;
-        db.write_master()?;
+        db.write_master(db.record.clone())?;
         Ok(db)
     }
 
-    fn write_master(&mut self) -> Result<(), DiffError> {
+    /// Write the master with `record`, which is then the one in force.
+    fn write_master(&mut self, record: CommitRecord) -> Result<(), DiffError> {
         let seq = self.master_seq + 1;
         let mut m = Page::new(PageId(u64::MAX));
         m.write_at(0, &[self.base_area]);
         m.write_at(1, &(self.base.len() as u64).to_le_bytes());
         m.write_at(9, &self.merge_floor.to_le_bytes());
+        if !record.encode(&mut m, RECORD_AT) {
+            return Err(DiffError::SpaceExhausted);
+        }
         self.cfg.master().write(&mut self.disk, seq, m)?;
-        self.master_seq = seq;
+        (self.master_seq, self.record) = (seq, record);
         Ok(())
     }
 
@@ -571,13 +581,13 @@ impl DiffDb {
     }
 
     fn visible(&self, viewer: TxnId, e: &Entry) -> bool {
-        e.txn == 0 || e.txn == viewer || self.commits.position(e.txn).is_some()
+        e.txn == viewer || self.record.committed(e.txn)
     }
 
     /// Evaluate `R = (B ∪ A) − D` as `viewer` sees it: the live tuples
     /// matching `pred`, sorted by key, and what the scan charged. The base
-    /// pages split into `workers` chunks; the first chunk runs on the
-    /// calling thread and each other one on a scoped thread. The visible
+    /// pages split into chunks by [`chunk_pages`]; the first chunk runs on
+    /// the calling thread and each other one on a scoped thread. The visible
     /// `A` entries are one set-difference unit of [`DiffDb::a_pages`]
     /// pages.
     fn scan<F>(
@@ -609,7 +619,7 @@ impl DiffDb {
             strategy,
             d_pages: self.d.pages().max(1),
         };
-        let mut chunks = self.base.chunks(self.base.len().div_ceil(workers).max(1));
+        let mut chunks = self.base.chunks(chunk_pages(self.base.len(), workers));
         let first = chunks.next().unwrap_or_default();
         let parts = std::thread::scope(|s| {
             let spawned: Vec<_> = chunks
@@ -648,9 +658,9 @@ impl DiffDb {
     }
 
     /// Scan the relation `R = (B ∪ A) − D` for tuples matching `pred`,
-    /// with `workers` query processors dividing the base pages among
-    /// themselves, the way the companion paper \[21\] describes (at 1 the
-    /// scan runs on the calling thread).
+    /// with up to `workers` query processors dividing the base pages among
+    /// themselves, the way the companion paper \[21\] describes (fewer
+    /// when the base is small; one runs on the calling thread).
     ///
     /// The strategy controls when the set-difference against `D` is paid;
     /// statistics record the page-access pattern either way, the same at
@@ -675,20 +685,26 @@ impl DiffDb {
         Ok(out)
     }
 
-    /// Commit: flush the A/D tails, then atomically append to the durable
-    /// commit list.
+    /// Commit: flush the A/D tails, then atomically write the master with
+    /// the commit record, which lists every other open id and every id
+    /// with uncommitted entries in the files. On any error the
+    /// transaction stays open.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), DiffError> {
         self.check_txn(txn)?;
         self.flush_tails()?;
-        self.commits.append(&mut self.disk, txn)?;
+        let tagged = self.a.all.iter().chain(&self.d.all).map(|e| e.txn);
+        let open = self.active.keys().copied();
+        let pending = open.chain(tagged.filter(|&t| !self.record.committed(t)));
+        let record = self.record.commit(txn, pending);
+        self.write_master(record)?;
         self.active.remove(&txn);
         self.release_locks(txn);
         Ok(())
     }
 
-    /// Abort: the transaction's appended entries stay in the files but are
-    /// forever invisible (its id never joins the commit list); the next
-    /// merge reclaims them.
+    /// Abort: no write. The transaction's appended entries stay in the
+    /// files but are forever invisible (every record written while they
+    /// are readable lists its id); the next merge reclaims them.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), DiffError> {
         self.check_txn(txn)?;
         self.active.remove(&txn);
@@ -711,7 +727,12 @@ impl DiffDb {
         let new_area = 1 - self.base_area;
         self.write_base(&live, new_area)?;
         self.merge_floor = self.next_seq;
-        self.write_master()?; // ← atomic install of the merged base
+        // ← atomic install of the merged base; past the new floor no entry
+        // of an undecided id is readable, so none needs listing
+        self.write_master(CommitRecord {
+            high: self.record.high,
+            ..CommitRecord::default()
+        })?;
         for file in [&mut self.a, &mut self.d] {
             file.all.clear();
             file.durable = 0;
@@ -727,25 +748,26 @@ impl DiffDb {
         }
     }
 
-    /// Rebuild from a crash image: reload the master (base location and
-    /// merge floor), the commit list, and the durable A/D files. Entries
-    /// tagged by transactions missing from the commit list stay invisible.
+    /// Rebuild from a crash image: reload the master (base location,
+    /// merge floor and commit record) and the durable A/D files. Entries
+    /// tagged by transactions the record does not count committed stay
+    /// invisible.
     pub fn recover(image: DiffImage, cfg: DiffConfig) -> Result<Self, DiffError> {
         let disk = image.disk;
         // Fields are clamped so a corrupted-but-checksum-valid master can
         // never index out of bounds.
-        let Some((master_seq, master)) = cfg
-            .master()
-            .read(&disk, |m| (m.read_at(0, 1)[0] <= 1).then(|| m.clone()))
+        let Some((master_seq, (base_area, base_pages, merge_floor, record))) =
+            cfg.master().read(&disk, |m| {
+                let word = |at| u64::from_le_bytes(m.read_at(at, 8).try_into().expect("8"));
+                let area = m.read_at(0, 1)[0];
+                let record = CommitRecord::decode(m, RECORD_AT).filter(|_| area <= 1)?;
+                Some((area, word(1).min(cfg.base_capacity), word(9), record))
+            })
         else {
             return Err(DiffError::Storage(StorageError::Protocol(
                 "no valid differential-file master frame",
             )));
         };
-        let base_area = master.read_at(0, 1)[0];
-        let base_pages =
-            u64::from_le_bytes(master.read_at(1, 8).try_into().unwrap()).min(cfg.base_capacity);
-        let merge_floor = u64::from_le_bytes(master.read_at(9, 8).try_into().unwrap());
 
         let base_start = base_area as u64 * cfg.base_capacity;
         let mut base = Vec::with_capacity(base_pages as usize);
@@ -755,23 +777,10 @@ impl DiffDb {
 
         let a = DiffFile::recover(&disk, cfg.a_start(), cfg.a_capacity, merge_floor);
         let d = DiffFile::recover(&disk, cfg.d_start(), cfg.d_capacity, merge_floor);
-        let commits = CommitList::recover(&disk, cfg.commit_start(), cfg.commit_frames);
 
-        let max_txn = a
-            .all
-            .iter()
-            .chain(&d.all)
-            .map(|e| e.txn)
-            .chain(commits.ids().iter().copied())
-            .max()
-            .unwrap_or(0);
-        let max_seq = a
-            .all
-            .iter()
-            .chain(&d.all)
-            .map(|e| e.seq)
-            .max()
-            .unwrap_or(merge_floor);
+        let entries = || a.all.iter().chain(&d.all);
+        let next_txn = entries().map(|e| e.txn).fold(record.high, u64::max) + 1;
+        let next_seq = entries().map(|e| e.seq).fold(merge_floor, u64::max) + 1;
 
         Ok(DiffDb {
             disk,
@@ -781,12 +790,12 @@ impl DiffDb {
             merge_floor,
             a,
             d,
-            commits,
+            record,
             active: HashMap::new(),
             key_locks: HashMap::new(),
             locks_by_txn: HashMap::new(),
-            next_txn: max_txn + 1,
-            next_seq: max_seq + 1,
+            next_txn,
+            next_seq,
             stats: DiffStats::default(),
             cfg,
         })
@@ -802,7 +811,6 @@ mod tests {
             base_capacity: 16,
             a_capacity: 16,
             d_capacity: 16,
-            commit_frames: 2,
             ..Default::default()
         }
     }
@@ -943,7 +951,7 @@ mod tests {
         db.insert(t, 21, b"inflight").unwrap();
         db.delete(t, 0).unwrap();
         // crash: t's entries may or may not be durable; either way the
-        // commit list decides
+        // commit record decides
         let mut db2 = DiffDb::recover(db.crash_image(), small()).unwrap();
         let q = db2.begin();
         assert_eq!(db2.get(q, 20).unwrap(), Some(b"committed".to_vec()));
@@ -967,6 +975,94 @@ mod tests {
         assert_eq!(db2.get(q, 31).unwrap(), Some(b"winner".to_vec()));
         assert_eq!(db2.get(q, 30).unwrap(), None, "uncommitted tag ignored");
         db2.abort(q).unwrap();
+    }
+
+    #[test]
+    fn a_commit_past_an_open_txn_lists_it_until_it_commits() {
+        let mut db = DiffDb::with_base(small(), base_tuples(3)).unwrap();
+        let early = db.begin();
+        db.insert(early, 40, b"early").unwrap();
+        let late = db.begin();
+        db.insert(late, 41, b"late").unwrap();
+        db.commit(late).unwrap(); // flushes `early`'s entry too
+        assert_eq!(
+            db.record.undecided.iter().copied().collect::<Vec<_>>(),
+            [early]
+        );
+        let mut crashed = DiffDb::recover(db.crash_image(), small()).unwrap();
+        let q = crashed.begin();
+        assert_eq!(
+            crashed.get(q, 40).unwrap(),
+            None,
+            "open below the high mark"
+        );
+        assert_eq!(crashed.get(q, 41).unwrap(), Some(b"late".to_vec()));
+        crashed.abort(q).unwrap();
+        // a later commit keeps the loser listed: its entry is still there
+        let t = crashed.begin();
+        crashed.insert(t, 42, b"after").unwrap();
+        crashed.commit(t).unwrap();
+        assert!(crashed.record.undecided.contains(&early));
+        assert_eq!(all_of(&mut crashed).len(), 5);
+        // live, the open txn commits below the high mark and leaves the list
+        db.commit(early).unwrap();
+        assert!(db.record.undecided.is_empty());
+        let mut db = DiffDb::recover(db.crash_image(), small()).unwrap();
+        assert_eq!(all_of(&mut db).len(), 5);
+    }
+
+    #[test]
+    fn commits_run_past_the_old_commit_list_capacity() {
+        // 2 frames of 508 ids once filled at commit 1,016
+        let mut db = DiffDb::with_base(small(), base_tuples(64)).unwrap();
+        for i in 0..2_000u64 {
+            let key = i * 7 % 64;
+            loop {
+                let t = db.begin();
+                db.update(t, key, &i.to_le_bytes()).unwrap();
+                if i % 4 == 3 {
+                    db.abort(t).unwrap();
+                    break;
+                }
+                match db.commit(t) {
+                    Ok(()) => break,
+                    Err(DiffError::SpaceExhausted) => {
+                        db.abort(t).unwrap();
+                        db.merge().unwrap();
+                    }
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }
+        assert_eq!(db.stats().merges, 1, "1,500 commits fill the A file once");
+        let mut db = DiffDb::recover(db.crash_image(), small()).unwrap();
+        let t = db.begin();
+        // key 7·1998 % 64 = 34 was last written by i = 1998
+        assert_eq!(
+            db.get(t, 34).unwrap(),
+            Some(1_998u64.to_le_bytes().to_vec())
+        );
+        db.abort(t).unwrap();
+    }
+
+    #[test]
+    fn aborts_that_overflow_the_record_wait_for_a_merge() {
+        let mut db = DiffDb::with_base(small(), base_tuples(3)).unwrap();
+        for k in 0..600 {
+            let t = db.begin();
+            db.insert(t, 100 + k, b"gone").unwrap();
+            db.abort(t).unwrap(); // no write
+        }
+        let t = db.begin();
+        db.insert(t, 9, b"kept").unwrap();
+        assert_eq!(db.commit(t), Err(DiffError::SpaceExhausted));
+        db.abort(t).unwrap();
+        db.merge().unwrap();
+        let t = db.begin();
+        db.insert(t, 9, b"kept").unwrap();
+        db.commit(t).unwrap();
+        assert!(db.record.undecided.is_empty());
+        assert_eq!(all_of(&mut db).len(), 4);
     }
 
     #[test]
@@ -1070,12 +1166,52 @@ mod tests {
     }
 
     #[test]
+    fn scans_split_only_past_the_chunk_floor() {
+        assert_eq!(chunk_pages(0, 4), 1);
+        assert_eq!(chunk_pages(91, 4), 91, "a small base stays on one thread");
+        assert_eq!(
+            chunk_pages(2 * MIN_CHUNK_PAGES - 1, 4),
+            2 * MIN_CHUNK_PAGES - 1
+        );
+        assert_eq!(chunk_pages(2 * MIN_CHUNK_PAGES, 4), MIN_CHUNK_PAGES);
+        assert_eq!(chunk_pages(3 * MIN_CHUNK_PAGES + 2, 2), 385);
+        assert_eq!(chunk_pages(10 * MIN_CHUNK_PAGES, 4), 640);
+        // three chunks of real pages: any worker count returns the same
+        // tuples and charges the same pages
+        let pages = 3 * MIN_CHUNK_PAGES as u64;
+        let cfg = DiffConfig {
+            base_capacity: pages,
+            ..small()
+        };
+        let base = (0..pages)
+            .map(|k| Tuple {
+                key: k,
+                value: vec![k as u8; 3_000], // one tuple a page
+            })
+            .collect();
+        let mut db = DiffDb::with_base(cfg, base).unwrap();
+        assert_eq!(db.base_pages(), pages as usize);
+        let t = db.begin();
+        db.delete(t, 5).unwrap();
+        db.update(t, 700, b"moved").unwrap();
+        db.commit(t).unwrap();
+        let q = db.begin();
+        let pred = |t: &Tuple| t.key.is_multiple_of(5);
+        let (one, one_stats) = db.scan(q, &pred, ScanStrategy::Optimal, 1);
+        for workers in 2..=4 {
+            let (many, stats) = db.scan(q, &pred, ScanStrategy::Optimal, workers);
+            assert_eq!((&many, stats), (&one, one_stats), "{workers} workers");
+        }
+        assert!(!one.iter().any(|t| t.key == 5));
+        assert!(one.iter().any(|t| t.key == 700 && t.value == b"moved"));
+    }
+
+    #[test]
     fn a_file_exhaustion_reports() {
         let mut db = DiffDb::new(DiffConfig {
             base_capacity: 2,
             a_capacity: 1,
             d_capacity: 1,
-            commit_frames: 1,
             ..Default::default()
         });
         let t = db.begin();

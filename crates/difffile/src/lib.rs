@@ -10,9 +10,9 @@
 //! where `B` is a read-only base file, additions are appended to the `A`
 //! file and deletions to the `D` file. The base file is never written in
 //! place, which is the whole recovery story: transaction durability is one
-//! atomic append to a commit list, aborted transactions simply leave
-//! invisible tagged tuples behind, and crash recovery is a reload of the
-//! commit list.
+//! atomic write of the master frame that holds the commit record, aborted
+//! transactions simply leave invisible tagged tuples behind, and crash
+//! recovery is a reload of that record.
 //!
 //! The costs the paper measures fall out of the query path: every retrieval
 //! turns into a set-union plus set-difference. [`ScanStrategy::Basic`]

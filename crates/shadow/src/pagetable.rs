@@ -16,9 +16,7 @@
 //! sequential workloads.
 
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{
-    AppendError, BackendKind, Disk, Lsn, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE,
-};
+use rmdb_storage::{BackendKind, Disk, Lsn, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE};
 use std::collections::{BTreeMap, HashMap};
 
 /// The master record: frames 0 and 1 of the page-table disk. Its version
@@ -92,22 +90,13 @@ pub enum ShadowError {
         /// Offending page.
         page: u64,
     },
-    /// No free data frame (or scratch slot) available.
+    /// No free data frame, scratch slot or commit-record room.
     SpaceExhausted,
 }
 
 impl From<StorageError> for ShadowError {
     fn from(e: StorageError) -> Self {
         ShadowError::Storage(e)
-    }
-}
-
-impl From<AppendError> for ShadowError {
-    fn from(e: AppendError) -> Self {
-        match e {
-            AppendError::Full => ShadowError::SpaceExhausted,
-            AppendError::Storage(e) => ShadowError::Storage(e),
-        }
     }
 }
 

@@ -4,11 +4,19 @@
 //! Each logical page owns two physically adjacent disk blocks. A read
 //! fetches **both** blocks (the paper's bet: an extra block on the same
 //! track is nearly free) and a *version-selection algorithm* picks the
-//! current one: the candidate stamped by the most recently **committed**
-//! transaction. Updates write the non-current block, stamped with the
-//! writing transaction's id; the single-frame append to the durable commit
-//! list is the atomic commit point that turns every block the transaction
-//! wrote current, all at once.
+//! current one: of the blocks whose writer committed, the newer. Updates
+//! write the non-current block, stamped with the writing transaction's id
+//! and the page's next version (the paper's timestamp); the single write
+//! of the durable [`CommitRecord`] is the atomic commit point that turns
+//! every block the transaction wrote current, all at once.
+//!
+//! Ids do not give commit order (T5 may commit a page while T4 is open,
+//! and T4 then commits the same page), so the stamp carries a page
+//! version: under the page's lock a writer writes the current version + 1,
+//! so two committed twins differ by exactly one, and two bits order them.
+//! The record lists the uncommitted ids below its high mark that may have
+//! a stamp on disk; a page has one non-current twin, so an abort's id
+//! leaves the list once the writers after it have overwritten its blocks.
 //!
 //! The scheme doubles disk space — the cost the paper holds against it —
 //! and as a bonus tolerates a torn write to one block: the checksum rejects
@@ -17,7 +25,7 @@
 
 use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId};
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{CommitList, Disk, Lsn, MemDisk, Page, PageId, PAYLOAD_SIZE};
+use rmdb_storage::{CommitRecord, Disk, Lsn, MemDisk, Page, PageId, SlotPair, PAYLOAD_SIZE};
 use std::collections::{BTreeMap, HashMap};
 
 /// Configuration for a [`VersionStore`].
@@ -25,34 +33,31 @@ use std::collections::{BTreeMap, HashMap};
 pub struct VersionConfig {
     /// Logical pages.
     pub logical_pages: u64,
-    /// Frames reserved for the durable commit list (508 commits each).
-    pub commit_frames: u64,
 }
 
 impl Default for VersionConfig {
     fn default() -> Self {
-        VersionConfig {
-            logical_pages: 128,
-            commit_frames: 8,
-        }
+        VersionConfig { logical_pages: 128 }
     }
 }
 
 /// Crash image of a [`VersionStore`]: one disk holds everything.
 #[derive(Debug)]
 pub struct VersionImage {
-    /// Twin slots followed by the [`CommitList`] frames (two physical
-    /// slots per logical commit frame, so the atomic commit point survives
-    /// a crash-torn append).
+    /// Twin slots followed by the [`CommitRecord`]'s [`SlotPair`], so the
+    /// atomic commit point survives a crash-torn record write.
     pub disk: Disk,
 }
 
 /// Recovery findings.
 #[derive(Debug, Clone, Default)]
 pub struct VersionRecoveryReport {
-    /// Committed transactions found in the durable list.
-    pub committed: u64,
-    /// Highest transaction stamp seen on any slot (fixes the id counter).
+    /// The durable record's high mark: the largest committed id.
+    pub high: u64,
+    /// Ids that stamped a surviving block and did not commit (aborts and
+    /// crash losers), found by the slot scan.
+    pub undecided: u64,
+    /// Highest transaction id stamped on any slot (fixes the id counter).
     pub max_stamp: u64,
     /// Slots whose frames failed their checksum (torn writes survived by
     /// selecting the twin).
@@ -66,13 +71,21 @@ pub struct VersionStats {
     pub slot_reads: u64,
     /// Slot frames written.
     pub slot_writes: u64,
-    /// Commit-list frame writes.
+    /// Commit-record frame writes.
     pub commit_writes: u64,
 }
 
-struct VsTxn {
-    /// page → (slot frame being written, working copy)
-    delta: BTreeMap<u64, (u64, Page)>,
+/// Page id the commit record's frames carry, clear of any logical page.
+const RECORD_ID: PageId = PageId(u64::MAX);
+
+/// A block's stamp (its LSN) holds the writer's id over the page
+/// version's low two bits.
+fn writer(lsn: Lsn) -> TxnId {
+    lsn.0 >> 2
+}
+
+fn version(lsn: Lsn) -> u64 {
+    lsn.0 & 3
 }
 
 /// Twin-block version-selection store.
@@ -83,7 +96,7 @@ struct VsTxn {
 /// let mut store = VersionStore::new(VersionConfig::default());
 /// let t = store.begin();
 /// store.write(t, 2, 0, b"twin").unwrap();   // written to the non-current block
-/// store.commit(t).unwrap();                 // one commit-list append flips it
+/// store.commit(t).unwrap();                 // one commit-record write flips it
 /// let t = store.begin();
 /// assert_eq!(store.read(t, 2, 0, 4).unwrap(), b"twin");
 /// // reads fetched BOTH blocks — the cost the paper holds against it
@@ -92,9 +105,15 @@ struct VsTxn {
 pub struct VersionStore {
     cfg: VersionConfig,
     disk: Disk,
-    /// The durable commit list: commit order of each txn.
-    commits: CommitList,
-    active: HashMap<TxnId, VsTxn>,
+    /// The durable commit record, as last written.
+    record: CommitRecord,
+    /// Version of the record's newest copy (0: never written).
+    record_version: u64,
+    /// Open transactions: page → (twin slot written, stamped working copy).
+    active: HashMap<TxnId, BTreeMap<u64, (u64, Page)>>,
+    /// Blocks still stamped by each id that did not commit (aborts and
+    /// crash losers); ids at 0 leave at the next commit.
+    aborted: HashMap<TxnId, u64>,
     locks: ExclusiveLocks,
     next_txn: TxnId,
     stats: VersionStats,
@@ -105,20 +124,16 @@ impl VersionStore {
         2 * cfg.logical_pages
     }
 
-    /// A fresh store.
+    fn record_pair(cfg: &VersionConfig) -> SlotPair {
+        SlotPair::at(Self::slot_frames(cfg))
+    }
+
+    /// A fresh store: the recovery of an empty disk.
     pub fn new(cfg: VersionConfig) -> Self {
-        let disk = Disk::from(MemDisk::new(
-            Self::slot_frames(&cfg) + CommitList::footprint(cfg.commit_frames),
-        ));
-        VersionStore {
-            commits: CommitList::new(Self::slot_frames(&cfg), cfg.commit_frames),
-            active: HashMap::new(),
-            locks: ExclusiveLocks::default(),
-            next_txn: 1,
-            stats: VersionStats::default(),
-            disk,
-            cfg,
-        }
+        let disk = Disk::from(MemDisk::new(Self::slot_frames(&cfg) + 2));
+        Self::recover(VersionImage { disk }, cfg)
+            .expect("an empty disk recovers")
+            .0
     }
 
     /// Attach one shared fault injector to the disk.
@@ -133,42 +148,48 @@ impl VersionStore {
         }
     }
 
-    /// Rebuild from a crash image: reload the commit list, then scan the
-    /// twin slots once to restore the transaction-id high-water mark (a
-    /// pre-crash *uncommitted* stamp must never alias a future commit).
+    /// Rebuild from a crash image: reload the commit record, then scan the
+    /// twin slots once. The scan restores the transaction-id high-water
+    /// mark (a pre-crash *uncommitted* stamp must never alias a future
+    /// commit) and the blocks each uncommitted id still stamps.
     pub fn recover(
         image: VersionImage,
         cfg: VersionConfig,
     ) -> Result<(Self, VersionRecoveryReport), ShadowError> {
         let disk = image.disk;
         let mut report = VersionRecoveryReport::default();
-        let commits = CommitList::recover(&disk, Self::slot_frames(&cfg), cfg.commit_frames);
-        report.committed = commits.ids().len() as u64;
-
-        let mut max_stamp = 0u64;
+        let decode = |p: &Page| CommitRecord::decode(p, 0).filter(|_| p.id == RECORD_ID);
+        let pair = Self::record_pair(&cfg);
+        let (record_version, record) = pair.read(&disk, decode).unwrap_or_default();
+        let mut aborted: HashMap<TxnId, u64> = HashMap::new();
         for frame in 0..Self::slot_frames(&cfg) {
             if !disk.is_allocated(frame) {
                 continue;
             }
-            match disk.read_page_retry_with(frame, |p| p.lsn.0) {
-                Ok(stamp) => max_stamp = max_stamp.max(stamp),
+            match disk.read_page_retry_with(frame, |p| writer(p.lsn)) {
+                Ok(txn) => {
+                    report.max_stamp = report.max_stamp.max(txn);
+                    if !record.committed(txn) {
+                        *aborted.entry(txn).or_default() += 1;
+                    }
+                }
                 Err(_) => report.torn_slots += 1,
             }
         }
-        report.max_stamp = max_stamp;
-        let next_txn = max_stamp.max(commits.ids().iter().copied().max().unwrap_or(0)) + 1;
-        Ok((
-            VersionStore {
-                commits,
-                active: HashMap::new(),
-                locks: ExclusiveLocks::default(),
-                next_txn,
-                stats: VersionStats::default(),
-                disk,
-                cfg,
-            },
-            report,
-        ))
+        report.high = record.high;
+        report.undecided = aborted.len() as u64;
+        let store = VersionStore {
+            next_txn: report.max_stamp.max(record.high) + 1,
+            cfg,
+            disk,
+            record,
+            record_version,
+            active: HashMap::new(),
+            aborted,
+            locks: ExclusiveLocks::default(),
+            stats: VersionStats::default(),
+        };
+        Ok((store, report))
     }
 
     /// Accumulated statistics.
@@ -180,12 +201,7 @@ impl VersionStore {
     pub fn begin(&mut self) -> TxnId {
         let t = self.next_txn;
         self.next_txn += 1;
-        self.active.insert(
-            t,
-            VsTxn {
-                delta: BTreeMap::new(),
-            },
-        );
+        self.active.insert(t, BTreeMap::new());
         t
     }
 
@@ -199,28 +215,35 @@ impl VersionStore {
         Ok(())
     }
 
-    /// The version-selection algorithm: read both twin blocks and pick the
-    /// newest committed one. Returns `(slot_index, page)`; `None` if the
-    /// page was never committed.
-    fn select_current(&mut self, page: u64) -> Option<(u64, Page)> {
-        let mut best: Option<(u64, u64, Page)> = None; // (seq, slot, page)
-        for slot in [2 * page, 2 * page + 1] {
+    /// Read both twin blocks of `page`: each one that is allocated, passes
+    /// its checksum and belongs to `page` (a torn twin reads as `None`).
+    fn twins(&mut self, page: u64) -> [Option<Page>; 2] {
+        [2 * page, 2 * page + 1].map(|slot| {
             self.stats.slot_reads += 1;
             if !self.disk.is_allocated(slot) {
-                continue;
+                return None;
             }
-            let candidate = match self.disk.read_page_retry(slot) {
-                Ok(p) if p.id == PageId(page) => p,
-                _ => continue, // torn or foreign frame: the twin survives
-            };
-            let Some(seq) = self.commits.position(candidate.lsn.0) else {
-                continue; // stamped by an uncommitted transaction
-            };
-            if best.as_ref().is_none_or(|(s, _, _)| seq > *s) {
-                best = Some((seq, slot, candidate));
-            }
+            self.disk
+                .read_page_retry(slot)
+                .ok()
+                .filter(|p| p.id == PageId(page))
+        })
+    }
+
+    /// The version-selection algorithm: of the twins whose writer
+    /// committed, the one whose version follows the other's. `None` if
+    /// the page was never committed.
+    fn current(&self, twins: &[Option<Page>; 2]) -> Option<usize> {
+        let committed = |i: usize| {
+            let p = twins[i].as_ref()?;
+            self.record.committed(writer(p.lsn)).then_some(p)
+        };
+        match (committed(0), committed(1)) {
+            (Some(a), Some(b)) => Some(usize::from(version(b.lsn) == (version(a.lsn) + 1) & 3)),
+            (Some(_), None) => Some(0),
+            (None, Some(_)) => Some(1),
+            (None, None) => None,
         }
-        best.map(|(_, slot, page)| (slot, page))
     }
 
     /// Read bytes: own uncommitted version if present, else version-select
@@ -233,17 +256,19 @@ impl VersionStore {
         len: usize,
     ) -> Result<Vec<u8>, ShadowError> {
         self.check(txn, page)?;
-        if let Some((_, p)) = self.active[&txn].delta.get(&page) {
+        if let Some((_, p)) = self.active[&txn].get(&page) {
             return Ok(p.read_at(offset, len).to_vec());
         }
-        Ok(match self.select_current(page) {
-            Some((_, p)) => p.read_at(offset, len).to_vec(),
+        let twins = self.twins(page);
+        Ok(match self.current(&twins).and_then(|i| twins[i].as_ref()) {
+            Some(p) => p.read_at(offset, len).to_vec(),
             None => vec![0; len],
         })
     }
 
     /// Write bytes under an exclusive page lock; the non-current twin block
-    /// is written through immediately, stamped with this transaction's id.
+    /// is written through immediately, stamped with this transaction's id
+    /// and the page's next version.
     pub fn write(
         &mut self,
         txn: TxnId,
@@ -256,55 +281,67 @@ impl VersionStore {
             return Err(ShadowError::OutOfBounds { page });
         }
         self.locks.acquire(txn, page)?;
-        if !self.active[&txn].delta.contains_key(&page) {
-            let (target_slot, base) = match self.select_current(page) {
-                Some((current_slot, p)) => {
-                    // write the twin of the current block
-                    let twin = if current_slot == 2 * page {
-                        2 * page + 1
-                    } else {
-                        2 * page
-                    };
-                    (twin, p)
-                }
-                None => (2 * page, Page::new(PageId(page))),
+        // the id whose block the first write of the page replaces
+        let mut displaced = None;
+        if !self.active[&txn].contains_key(&page) {
+            let mut twins = self.twins(page);
+            // write the twin of the current block
+            let (twin, mut base) = match self.current(&twins) {
+                Some(i) => (1 - i, twins[i].take().expect("selected")),
+                None => (0, Page::new(PageId(page))),
             };
-            self.active
-                .get_mut(&txn)
-                .expect("txn checked")
-                .delta
-                .insert(page, (target_slot, base));
+            displaced = twins[twin].as_ref().map(|p| writer(p.lsn));
+            base.lsn = Lsn(txn << 2 | (version(base.lsn) + 1) & 3);
+            let pages = self.active.get_mut(&txn).expect("txn checked");
+            pages.insert(page, (2 * page + twin as u64, base));
         }
-        let state = self.active.get_mut(&txn).expect("txn checked");
-        let (slot, work) = state.delta.get_mut(&page).expect("just materialized");
+        let (slot, work) = self
+            .active
+            .get_mut(&txn)
+            .and_then(|pages| pages.get_mut(&page))
+            .expect("just materialized");
         work.write_at(offset, data);
-        work.id = PageId(page);
-        work.lsn = Lsn(txn); // the stamp: valid only once txn commits
-        let (slot, copy) = (*slot, work.clone());
-        self.disk.write_page_verified(slot, &copy)?;
+        self.disk.write_page_verified(*slot, work)?;
         self.stats.slot_writes += 1;
+        // that block is gone (after a failed write it stays counted)
+        if let Some(left) = displaced.and_then(|w| self.aborted.get_mut(&w)) {
+            *left -= 1;
+        }
         Ok(())
     }
 
-    /// Commit: one atomic append to the durable commit list makes every
-    /// block the transaction stamped current simultaneously.
+    /// Commit: one atomic commit-record write makes every block the
+    /// transaction stamped current at once. On any error, including
+    /// [`ShadowError::SpaceExhausted`] when the undecided ids overflow the
+    /// record's frame, the transaction stays open.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        if self.active.remove(&txn).is_none() {
+        if !self.active.contains_key(&txn) {
             return Err(ShadowError::UnknownTxn(txn));
         }
-        self.commits.append(&mut self.disk, txn)?;
+        self.aborted.retain(|_, blocks| *blocks > 0);
+        let pending = self.active.keys().chain(self.aborted.keys()).copied();
+        let record = self.record.commit(txn, pending);
+        let mut page = Page::new(RECORD_ID);
+        if !record.encode(&mut page, 0) {
+            return Err(ShadowError::SpaceExhausted);
+        }
+        let version = self.record_version + 1;
+        Self::record_pair(&self.cfg).write(&mut self.disk, version, page)?;
+        (self.record, self.record_version) = (record, version);
         self.stats.commit_writes += 1;
+        self.active.remove(&txn);
         self.locks.release_all(txn);
         Ok(())
     }
 
-    /// Abort: discard the working set and release locks. The stamped twin
-    /// blocks are invalid forever (the stamp never commits) and will be
-    /// recycled by the next writer.
+    /// Abort: discard the working set and release locks. Zero writes: the
+    /// stamped twin blocks never become current, and the next writer of
+    /// each page recycles them.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        if self.active.remove(&txn).is_none() {
+        let Some(pages) = self.active.remove(&txn) else {
             return Err(ShadowError::UnknownTxn(txn));
-        }
+        };
+        self.aborted.insert(txn, pages.len() as u64);
         self.locks.release_all(txn);
         Ok(())
     }
@@ -316,10 +353,7 @@ mod tests {
     use rmdb_storage::FRAME_SIZE;
 
     fn cfg() -> VersionConfig {
-        VersionConfig {
-            logical_pages: 16,
-            commit_frames: 4,
-        }
+        VersionConfig { logical_pages: 16 }
     }
 
     fn committed_read(s: &mut VersionStore, page: u64, off: usize, len: usize) -> Vec<u8> {
@@ -377,7 +411,7 @@ mod tests {
         s.write(t, 3, 0, b"half").unwrap(); // written through to the twin!
         let (mut s2, report) = VersionStore::recover(s.crash_image(), cfg()).unwrap();
         assert_eq!(committed_read(&mut s2, 3, 0, 4), b"base");
-        assert_eq!(report.committed, 1);
+        assert_eq!((report.high, report.undecided), (t0, 1));
         assert!(
             report.max_stamp >= t,
             "uncommitted stamp must raise the txn counter"
@@ -398,7 +432,7 @@ mod tests {
 
     #[test]
     fn multi_page_commit_is_atomic() {
-        // Crash between slot writes and the commit-list append: no page
+        // Crash between slot writes and the commit-record write: no page
         // shows the new value. (Slot writes happen during write(); the
         // crash image before commit() captures exactly that state.)
         let mut s = VersionStore::new(cfg());
@@ -437,7 +471,7 @@ mod tests {
                 s.crash_image()
                     .disk
                     .read_page(slot)
-                    .map(|p| p.lsn.0 == t1)
+                    .map(|p| writer(p.lsn) == t1)
                     .unwrap_or(false)
             })
             .expect("t1's slot exists");
@@ -478,28 +512,94 @@ mod tests {
     }
 
     #[test]
-    fn many_commits_roll_over_commit_frames() {
-        let mut s = VersionStore::new(VersionConfig {
-            logical_pages: 4,
-            commit_frames: 3,
-        });
-        // 508 commits per frame; we do a few hundred to cross a boundary
-        for i in 0..600u32 {
+    fn commits_run_past_the_old_commit_list_capacity() {
+        // 8 frames of 508 ids once held the whole run; the record holds
+        // only the undecided ids, so the count no longer matters
+        let cfg = VersionConfig { logical_pages: 4 };
+        let mut s = VersionStore::new(cfg.clone());
+        for i in 0..4_200u32 {
             let t = s.begin();
             s.write(t, (i % 4) as u64, 0, &i.to_le_bytes()).unwrap();
+            if i % 5 == 4 {
+                s.abort(t).unwrap();
+            } else {
+                s.commit(t).unwrap();
+            }
+        }
+        assert_eq!(committed_read(&mut s, 3, 0, 4), 4_195u32.to_le_bytes());
+        assert!(s.record.undecided.len() <= 4, "one stale twin per page");
+        let (mut s2, report) = VersionStore::recover(s.crash_image(), cfg).unwrap();
+        assert_eq!(report.high, 4_199);
+        assert!(report.undecided <= 4);
+        assert_eq!(committed_read(&mut s2, 3, 0, 4), 4_195u32.to_le_bytes());
+    }
+
+    #[test]
+    fn twins_committed_out_of_id_order_pick_the_later_commit() {
+        let mut s = VersionStore::new(cfg());
+        let t0 = s.begin();
+        s.write(t0, 2, 0, b"zero").unwrap();
+        s.commit(t0).unwrap();
+        // T4 and T5 open; T5 writes the page and commits first
+        let t4 = s.begin();
+        let t5 = s.begin();
+        s.write(t5, 2, 0, b"five").unwrap();
+        s.commit(t5).unwrap();
+        assert_eq!(s.record.undecided.iter().copied().collect::<Vec<_>>(), [t4]);
+        // T4 writes the other twin and commits: both twins are committed,
+        // and the newer one has the smaller id
+        s.write(t4, 2, 0, b"four").unwrap();
+        s.commit(t4).unwrap();
+        assert!(s.record.undecided.is_empty());
+        assert_eq!(committed_read(&mut s, 2, 0, 4), b"four");
+        let (mut s2, _) = VersionStore::recover(s.crash_image(), cfg()).unwrap();
+        assert_eq!(committed_read(&mut s2, 2, 0, 4), b"four");
+    }
+
+    #[test]
+    fn an_abort_leaves_the_record_once_its_blocks_are_overwritten() {
+        let mut s = VersionStore::new(cfg());
+        let t = s.begin();
+        s.write(t, 1, 0, b"a").unwrap();
+        s.commit(t).unwrap();
+        let loser = s.begin();
+        s.write(loser, 1, 0, b"x").unwrap();
+        s.write(loser, 2, 0, b"x").unwrap();
+        s.abort(loser).unwrap();
+        // a commit past it lists it while its two blocks survive
+        let t = s.begin();
+        s.write(t, 3, 0, b"c").unwrap();
+        s.commit(t).unwrap();
+        assert!(s.record.undecided.contains(&loser));
+        // page 1's next writer overwrites one block; page 2's the other
+        for page in [1, 2] {
+            let t = s.begin();
+            s.write(t, page, 0, b"n").unwrap();
             s.commit(t).unwrap();
         }
-        assert_eq!(committed_read(&mut s, 3, 0, 4), 599u32.to_le_bytes());
-        let (mut s2, report) = VersionStore::recover(
-            s.crash_image(),
-            VersionConfig {
-                logical_pages: 4,
-                commit_frames: 3,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.committed, 600);
-        assert_eq!(committed_read(&mut s2, 3, 0, 4), 599u32.to_le_bytes());
+        let t = s.begin();
+        s.write(t, 3, 0, b"d").unwrap();
+        s.commit(t).unwrap();
+        assert!(s.record.undecided.is_empty());
+        assert_eq!(committed_read(&mut s, 2, 0, 1), b"n");
+        // an abort that wrote nothing leaves at the next commit
+        let idle = s.begin();
+        s.abort(idle).unwrap();
+        let t = s.begin();
+        s.commit(t).unwrap();
+        assert!(s.record.undecided.is_empty() && s.aborted.is_empty());
+    }
+
+    #[test]
+    fn a_full_record_fails_the_commit_and_leaves_it_open() {
+        let mut s = VersionStore::new(cfg());
+        let open: Vec<_> = (0..600).map(|_| s.begin()).collect();
+        let last = s.begin();
+        assert_eq!(s.commit(last), Err(ShadowError::SpaceExhausted));
+        for t in open {
+            s.abort(t).unwrap();
+        }
+        s.commit(last).unwrap();
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! the frame that does *not* hold its newest copy, and a reader takes the
 //! newest valid copy. A write torn or lost by a crash then destroys only
 //! the copy being written, and the transition it described did not
-//! happen. Neither type forces the device; callers keep their own
-//! [`Disk::force`] discipline.
+//! happen. [`SlotPair`] is that rule; [`CommitRecord`] is the bounded
+//! answer to "did transaction `id` commit?" that the version store and
+//! the differential file write through it, one frame write per commit.
+//! Neither type forces the device; callers keep their own [`Disk::force`]
+//! discipline.
 
 use crate::device::Disk;
 use crate::error::StorageError;
-use crate::page::{Lsn, Page, PageId, PAYLOAD_SIZE};
-use std::collections::HashMap;
+use crate::page::{Lsn, Page, PAYLOAD_SIZE};
+use std::collections::BTreeSet;
 
 /// A record alternating between frames `base` and `base + 1`: version `v`
 /// is stamped into the page LSN and lands in frame `base + v % 2`.
@@ -63,116 +66,74 @@ impl SlotPair {
     }
 }
 
-/// Committed ids per [`CommitList`] frame: the payload after a `u32`
-/// count.
-pub const IDS_PER_FRAME: usize = (PAYLOAD_SIZE - 4) / 8;
-
-/// Page ids of commit-list frames start here, clear of any data page.
-const LIST_ID: u64 = 1 << 62;
-
-/// Why a [`CommitList`] append failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AppendError {
-    /// Every frame holds [`IDS_PER_FRAME`] ids.
-    Full,
-    /// The frame write failed.
-    Storage(StorageError),
+/// Whether a transaction committed, in bounded space. Ids are handed out
+/// in increasing order, so `id` committed exactly when `id ≤ high` and
+/// `id` is not undecided.
+///
+/// The rule that keeps the answer right: a record write that raises
+/// `high` past an id that may have left anything on disk lists that id in
+/// the same write ([`CommitRecord::commit`] takes them as `pending`). An
+/// id leaves the list when it commits, or when nothing of it is left on
+/// disk to misread.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CommitRecord {
+    /// The largest committed id (0: none).
+    pub high: u64,
+    /// The ids at or below `high` that did not commit but may have left a
+    /// stamp or entry on disk: open transactions, aborts, crash losers.
+    pub undecided: BTreeSet<u64>,
 }
 
-impl From<StorageError> for AppendError {
-    fn from(e: StorageError) -> Self {
-        AppendError::Storage(e)
+impl CommitRecord {
+    /// Whether `id` committed.
+    pub fn committed(&self, id: u64) -> bool {
+        id <= self.high && !self.undecided.contains(&id)
     }
-}
 
-/// An append-only durable list of committed ids over `frames` logical
-/// frames from `base`: frame `f` is the [`SlotPair`] at `base + 2f`, and
-/// its version is the number of ids it holds. An append rebuilds the
-/// frame from the ids in memory, never from a read of the disk.
-#[derive(Debug, Clone)]
-pub struct CommitList {
-    base: u64,
-    frames: u64,
-    ids: Vec<u64>,
-    /// Commit position of each id.
-    position: HashMap<u64, u64>,
-}
-
-impl CommitList {
-    /// An empty list.
-    pub fn new(base: u64, frames: u64) -> Self {
-        CommitList {
-            base,
-            frames,
-            ids: Vec::new(),
-            position: HashMap::new(),
+    /// The record once `id` commits, while every id in `pending` (every
+    /// other open transaction, and every abort or loser that may still
+    /// have something on disk) stays undecided. Pending ids above the new
+    /// `high` need no entry yet.
+    pub fn commit(&self, id: u64, pending: impl IntoIterator<Item = u64>) -> CommitRecord {
+        let high = self.high.max(id);
+        CommitRecord {
+            high,
+            undecided: pending
+                .into_iter()
+                .filter(|&p| p < high && p != id)
+                .collect(),
         }
     }
 
-    /// Physical frames a list of `frames` logical frames occupies.
-    pub const fn footprint(frames: u64) -> u64 {
-        2 * frames
-    }
-
-    fn pair(&self, frame: u64) -> SlotPair {
-        SlotPair::at(self.base + 2 * frame)
-    }
-
-    /// Reload the durable list: each frame's newest valid copy, up to the
-    /// first partial (or missing) frame.
-    pub fn recover(disk: &Disk, base: u64, frames: u64) -> Self {
-        let mut list = CommitList::new(base, frames);
-        for f in 0..frames {
-            let Some((count, page)) = list.pair(f).read(disk, |p| {
-                let count = u32::from_le_bytes(p.read_at(0, 4).try_into().expect("4 bytes"));
-                let valid = p.id == PageId(LIST_ID + f) && u64::from(count) == p.lsn.0;
-                (valid && count as usize <= IDS_PER_FRAME).then(|| p.clone())
-            }) else {
-                break;
-            };
-            let id =
-                |i| u64::from_le_bytes(page.read_at(4 + 8 * i, 8).try_into().expect("8 bytes"));
-            for id in (0..count as usize).map(id) {
-                list.push(id);
-            }
-            if count < IDS_PER_FRAME as u64 {
-                break;
-            }
+    /// Encode into `page` from payload byte `at`: `high`, a `u32` count,
+    /// then the undecided ids. `false` (and `page` untouched) when they do
+    /// not fit.
+    #[must_use]
+    pub fn encode(&self, page: &mut Page, at: usize) -> bool {
+        let n = self.undecided.len();
+        if at + 12 + 8 * n > PAYLOAD_SIZE {
+            return false;
         }
-        list
-    }
-
-    /// Durably append `id`: the commit point. On any error the list is
-    /// unchanged.
-    pub fn append(&mut self, disk: &mut Disk, id: u64) -> Result<(), AppendError> {
-        let frame = (self.ids.len() / IDS_PER_FRAME) as u64;
-        if frame >= self.frames {
-            return Err(AppendError::Full);
+        page.write_at(at, &self.high.to_le_bytes());
+        page.write_at(at + 8, &(n as u32).to_le_bytes());
+        for (i, id) in self.undecided.iter().enumerate() {
+            page.write_at(at + 12 + 8 * i, &id.to_le_bytes());
         }
-        let held = &self.ids[frame as usize * IDS_PER_FRAME..];
-        let mut page = Page::new(PageId(LIST_ID + frame));
-        page.write_at(0, &(held.len() as u32 + 1).to_le_bytes());
-        for (i, t) in held.iter().chain([&id]).enumerate() {
-            page.write_at(4 + 8 * i, &t.to_le_bytes());
+        true
+    }
+
+    /// Decode what [`CommitRecord::encode`] wrote at `at`; `None` if the
+    /// count overruns the payload.
+    pub fn decode(page: &Page, at: usize) -> Option<CommitRecord> {
+        let word = |off: usize| u64::from_le_bytes(page.read_at(off, 8).try_into().expect("8"));
+        let n = u32::from_le_bytes(page.read_at(at + 8, 4).try_into().expect("4")) as usize;
+        if at + 12 + 8 * n > PAYLOAD_SIZE {
+            return None;
         }
-        self.pair(frame).write(disk, held.len() as u64 + 1, page)?;
-        self.push(id);
-        Ok(())
-    }
-
-    fn push(&mut self, id: u64) {
-        self.position.insert(id, self.ids.len() as u64);
-        self.ids.push(id);
-    }
-
-    /// Where `id` stands in commit order, if it committed.
-    pub fn position(&self, id: u64) -> Option<u64> {
-        self.position.get(&id).copied()
-    }
-
-    /// The committed ids, in commit order.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
+        Some(CommitRecord {
+            high: word(at),
+            undecided: (0..n).map(|i| word(at + 12 + 8 * i)).collect(),
+        })
     }
 }
 
@@ -180,6 +141,7 @@ impl CommitList {
 mod tests {
     use super::*;
     use crate::memdisk::MemDisk;
+    use crate::page::PageId;
 
     fn tagged(tag: u8) -> Page {
         let mut p = Page::new(PageId(7));
@@ -205,23 +167,28 @@ mod tests {
     }
 
     #[test]
-    fn commit_list_spans_frames_and_reloads() {
-        let mut disk = Disk::from(MemDisk::new(CommitList::footprint(2)));
-        let mut list = CommitList::new(0, 2);
-        let n = IDS_PER_FRAME as u64 + 3;
-        for id in 0..n {
-            list.append(&mut disk, 100 + id).unwrap();
-        }
-        let back = CommitList::recover(&disk, 0, 2);
-        assert_eq!(back.ids(), list.ids());
-        assert_eq!(back.ids().len(), n as usize);
-        // a smaller list fills up
-        let mut small = CommitList::new(0, 1);
-        let mut disk = Disk::from(MemDisk::new(2));
-        for id in 0..IDS_PER_FRAME as u64 {
-            small.append(&mut disk, id).unwrap();
-        }
-        assert_eq!(small.append(&mut disk, 9), Err(AppendError::Full));
-        assert_eq!(small.ids().len(), IDS_PER_FRAME);
+    fn commit_record_lists_what_it_passes_and_round_trips() {
+        let empty = CommitRecord::default();
+        assert!(empty.committed(0) && !empty.committed(1));
+        // 4 and 5 open; 5 commits past 4, which stays undecided
+        let r = empty.commit(5, [4, 5, 9]);
+        assert_eq!(r.high, 5);
+        assert!(r.committed(5) && r.committed(3) && !r.committed(4) && !r.committed(9));
+        assert_eq!(r.undecided.iter().copied().collect::<Vec<_>>(), [4]);
+        // 4 commits below the high mark: it leaves the list
+        let r = r.commit(4, [9]);
+        assert_eq!((r.high, r.undecided.len()), (5, 0));
+        assert!(r.committed(4));
+        let r = r.commit(12, [9, 11, 13]);
+        assert_eq!(r.undecided.iter().copied().collect::<Vec<_>>(), [9, 11]);
+
+        let mut page = Page::new(PageId(1));
+        assert!(r.encode(&mut page, 17));
+        assert_eq!(CommitRecord::decode(&page, 17), Some(r));
+        // a list that overruns the payload does not encode
+        let full = CommitRecord::default().commit(2_000, 0..600);
+        assert!(!full.encode(&mut page, 0));
+        page.write_at(8, &u32::MAX.to_le_bytes());
+        assert_eq!(CommitRecord::decode(&page, 0), None);
     }
 }

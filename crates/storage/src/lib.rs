@@ -20,8 +20,10 @@
 //! * [`fault::FaultPlan`] / [`fault::FaultInjector`] — a deterministic,
 //!   seeded schedule of torn/lost/transient write faults, read bit flips,
 //!   and crash-after-k-writes, attachable to any [`device::Disk`];
-//! * [`commit::SlotPair`] / [`commit::CommitList`] — the one commit-point
-//!   rule: write the slot not holding the newest copy, read the newest;
+//! * [`commit::SlotPair`] — the one commit-point rule: write the slot not
+//!   holding the newest copy, read the newest — and
+//!   [`commit::CommitRecord`], the bounded "did it commit?" record both
+//!   the version store and the differential file write through it;
 //! * [`buffer::BufferPool`] — a pin-counted page cache with LRU eviction
 //!   that reports evicted dirty pages to the caller so each recovery
 //!   manager can enforce its own write-ahead rule.
@@ -41,7 +43,7 @@ pub mod nvmedisk;
 pub mod page;
 
 pub use buffer::{BufferPool, Evicted, PoolShard, ShardGuard, ShardStats, ShardedPool};
-pub use commit::{AppendError, CommitList, SlotPair, IDS_PER_FRAME};
+pub use commit::{CommitRecord, SlotPair};
 pub use device::{BackendKind, Disk};
 pub use error::StorageError;
 pub use fault::{FaultHandle, FaultInjector, FaultPlan, ReadFault, WriteFault};

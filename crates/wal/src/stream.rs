@@ -1257,7 +1257,7 @@ mod tests {
         let c = encoded_len(&commit(0));
         let update = (USABLE / 2 - 64..)
             .map(|n| big_update(0, n))
-            .find(|r| (USABLE - encoded_len(r)) % c == 0)
+            .find(|r| (USABLE - encoded_len(r)).is_multiple_of(c))
             .unwrap();
         let pad = (USABLE - encoded_len(&update)) / c;
         let mut s = LogStream::create(64);

@@ -122,7 +122,6 @@ fn main() {
     {
         let cfg = VersionConfig {
             logical_pages: PAGES,
-            commit_frames: 8,
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut db = VersionStore::new(cfg.clone());

@@ -95,7 +95,7 @@ cp target/perfbench.Cargo.lock perfbench/Cargo.lock
 # the root package is a workspace member: one run covers its integration
 # tests and every crate's
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # every intra-doc link must resolve: a rename or deletion that leaves a
 # dangling [`Item`] behind fails here, not in a reader's browser
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace

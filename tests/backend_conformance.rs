@@ -18,15 +18,16 @@
 //!   fault-plan operation, and only I/O the plan lets through is counted;
 //! * the commit-point primitives hold: a `SlotPair` reads back its newest
 //!   valid copy past a torn, lost, misplaced or rejected write, and a
-//!   `CommitList` recovers every id an acked append made durable.
+//!   `CommitRecord` written through one reads back as the last acked
+//!   record or the torn one whole, never anything between.
 //! * a borrowed read (`read_page_retry_with`) and a copied one
 //!   (`read_page_retry`, or `read_frame` + `Page::from_frame`) return the
 //!   same outcomes and leave the same counts under one fault plan, and a
 //!   flipped read never touches the stored frame.
 
 use recovery_machines::storage::{
-    BackendKind, CommitList, Disk, FaultInjector, FaultPlan, Lsn, NvmeConfig, Page, PageId,
-    SlotPair, StorageError, FRAME_SIZE, IDS_PER_FRAME, PAYLOAD_SIZE,
+    BackendKind, CommitRecord, Disk, FaultInjector, FaultPlan, Lsn, NvmeConfig, Page, PageId,
+    SlotPair, StorageError, FRAME_SIZE, PAYLOAD_SIZE,
 };
 
 const FRAMES: u64 = 16;
@@ -403,8 +404,8 @@ fn verified_write_retries_flips_and_lost_writes_on_every_backend() {
 
 // ---------------------------------------------------------------------------
 // The commit-point primitives: a `SlotPair` reads back its newest valid
-// copy and a `CommitList` every id an acked append made durable, whatever
-// the backend and however the newest write was cut.
+// copy and a `CommitRecord` the last one an acked write made durable,
+// whatever the backend and however the newest write was cut.
 // ---------------------------------------------------------------------------
 
 /// A page whose whole payload carries `tag`, so a write cut anywhere
@@ -465,33 +466,54 @@ fn slot_pair_reads_the_newest_valid_copy_on_every_backend() {
 }
 
 #[test]
-fn commit_list_recovers_every_acked_id_on_every_backend() {
-    const BASE: u64 = 2;
+fn commit_record_recovers_every_acked_commit_on_every_backend() {
+    let pair = SlotPair::at(2);
+    let read = |d: &Disk| pair.read(d, |p| CommitRecord::decode(p, 0)).map(|(_, r)| r);
+    let write = |d: &mut Disk, version: u64, r: &CommitRecord| {
+        let mut page = Page::new(PageId(9));
+        assert!(r.encode(&mut page, 0));
+        pair.write(d, version, page).is_ok()
+    };
+    // ids commit out of order: every third one stays open past the next
+    // two, so the records list it while it is open
+    let mut order = Vec::new();
+    for n in 1..=30u64 {
+        if n % 3 != 0 {
+            order.push(n);
+        }
+        if n % 3 == 2 && n > 2 {
+            order.push(n - 2);
+        }
+    }
     for_each_backend(|disk, name| {
-        let mut list = CommitList::new(BASE, 2);
-        for n in 0..IDS_PER_FRAME as u64 + 3 {
-            // a torn append at the frame boundary and one past it
-            if n == IDS_PER_FRAME as u64 || n == IDS_PER_FRAME as u64 + 2 {
-                for cut in [20, 100] {
+        assert_eq!(read(disk), None, "{name}: two empty slots");
+        let mut acked = CommitRecord::default();
+        let mut done = Vec::new();
+        for (k, &id) in order.iter().enumerate() {
+            let begun = order[..=k].iter().copied().max().expect("one id");
+            let pending = (1..=begun).filter(|i| !done.contains(i));
+            let next = acked.commit(id, pending);
+            let version = k as u64 + 1;
+            // a torn write of the record, with the first listed id and
+            // past it, reads back as the acked record or the new one whole
+            if k == 3 || k == 12 {
+                for cut in [20, 100, 2000] {
                     let plan = FaultPlan::new().tear_write(0, cut).crash_after_write(0);
-                    let torn = crashed_copy(disk, plan, |d| list.clone().append(d, 7).is_ok());
-                    // the unacked append may have landed whole: a cut past
-                    // its last non-zero byte over a virgin frame loses
-                    // nothing
-                    let back = CommitList::recover(&torn, BASE, 2);
+                    let torn = crashed_copy(disk, plan, |d| write(d, version, &next));
+                    let back = read(&torn).unwrap_or_default();
                     assert!(
-                        back.ids().starts_with(list.ids())
-                            && back.ids().len() <= list.ids().len() + 1,
-                        "{name}: {n} ids, cut {cut}: recovered {}",
-                        back.ids().len()
+                        back == acked || back == next,
+                        "{name}: commit {id}, cut {cut}: recovered {back:?}"
                     );
                 }
             }
-            list.append(disk, 1_000 + n).expect("append");
+            assert!(write(disk, version, &next), "{name}: commit {id}");
+            assert_eq!(read(disk).as_ref(), Some(&next), "{name}: commit {id}");
+            done.push(id);
+            acked = next;
         }
-        let back = CommitList::recover(disk, BASE, 2);
-        assert_eq!(back.ids(), list.ids(), "{name}: round trip");
-        assert_eq!(back.ids().len(), IDS_PER_FRAME + 3, "{name}");
+        assert!((1..=29).all(|id| acked.committed(id)), "{name}");
+        assert!(!acked.committed(30) && acked.undecided.is_empty(), "{name}");
     });
 }
 

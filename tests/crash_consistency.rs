@@ -155,7 +155,6 @@ crash_cycle_test!(
     VersionStore,
     VersionConfig {
         logical_pages: PAGES,
-        commit_frames: 8,
     },
     VersionStore::new,
     |db: &VersionStore, cfg| VersionStore::recover(db.crash_image(), cfg)
@@ -226,7 +225,6 @@ fn architectures_agree_with_each_other() {
     let version = final_state(
         &mut VersionStore::new(VersionConfig {
             logical_pages: PAGES,
-            commit_frames: 8,
         }),
         seed,
     );

@@ -39,7 +39,6 @@ fn cfg() -> DiffConfig {
         base_capacity: 32,
         a_capacity: 64,
         d_capacity: 64,
-        commit_frames: 8,
         ..Default::default()
     }
 }
@@ -145,8 +144,8 @@ fn commit_two_keys(db: &mut DiffDb) -> Result<(), DiffError> {
     db.commit(t)
 }
 
-/// Tear each write of a commit (its A-file tail rewrite, its commit-list
-/// append) at several cuts and crash with it: no acked key may be lost,
+/// Tear each write of a commit (its A-file tail rewrite, its master
+/// write) at several cuts and crash with it: no acked key may be lost,
 /// and the torn commit lands all or nothing.
 #[test]
 fn torn_commit_writes_lose_no_acked_key() {
@@ -156,7 +155,7 @@ fn torn_commit_writes_lose_no_acked_key() {
     db.attach_faults(&counter);
     commit_two_keys(&mut db).unwrap();
     let writes = counter.lock().writes();
-    assert!(writes >= 2, "the commit must rewrite a tail and append");
+    assert!(writes >= 2, "the commit must rewrite a tail and the master");
 
     for w in 0..writes {
         for cut in [20, 100, 2000] {
@@ -200,8 +199,9 @@ fn stats_delta(before: DiffStats, after: DiffStats) -> DiffStats {
 const MODEL_KEYS: u64 = 16;
 const MODEL_BASE: u64 = 12;
 
-/// Values are long enough that the base spans several pages, so the
-/// scan splits it into more than one chunk.
+/// Values are long enough that the base spans several pages (one scan
+/// chunk still: `db.rs`'s `scans_split_only_past_the_chunk_floor` covers
+/// bases that split).
 fn model_value(v: u8) -> Vec<u8> {
     vec![v; 600]
 }
@@ -442,8 +442,7 @@ proptest! {
 
     /// A parallel `query` charges exactly what the one-worker `query`
     /// charges, whatever the worker count: the `DiffStats` deltas of the
-    /// two scans are equal, A-page set-differences and uneven base chunks
-    /// included.
+    /// two scans are equal, A-page set-differences included.
     #[test]
     fn parallel_query_statistics_match_serial(
         base_tuples in 1u64..300,

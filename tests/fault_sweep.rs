@@ -6,7 +6,7 @@
 //! This goes beyond `crash_consistency.rs` (which crashes only between
 //! transaction bursts, on a clean device): here the crash lands in the
 //! middle of whatever multi-frame protocol the engine happens to be
-//! running — half-written shadow tables, torn commit-list appends,
+//! running — half-written shadow tables, torn commit-record writes,
 //! partially installed no-undo directories — and the device lies on the
 //! way down.
 //!
@@ -275,7 +275,6 @@ sweep_test!(
     VersionStore,
     VersionConfig {
         logical_pages: PAGES,
-        commit_frames: 8,
     },
     VersionStore::new,
     |db: &VersionStore, cfg| VersionStore::recover(db.crash_image(), cfg)
@@ -1138,7 +1137,6 @@ fn recovery_never_panics_on_scribbled_images() {
             rng,
             VersionStore::new(VersionConfig {
                 logical_pages: PAGES,
-                commit_frames: 8,
             }),
             |i: &mut recovery_machines::shadow::VersionImage, rng: &mut StdRng| {
                 scribble(&mut i.disk, rng, 4);
@@ -1148,7 +1146,6 @@ fn recovery_never_panics_on_scribbled_images() {
                     image,
                     VersionConfig {
                         logical_pages: PAGES,
-                        commit_frames: 8,
                     },
                 ) {
                     read_all(&mut db);

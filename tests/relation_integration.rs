@@ -94,10 +94,7 @@ fn identical_behaviour_on_all_architectures() {
     assert_consistent("shadow", &h, &i);
     assert_eq!(h, reference, "shadow vs wal");
 
-    let (h, i) = workload(&mut VersionStore::new(VersionConfig {
-        logical_pages: 128,
-        commit_frames: 8,
-    }));
+    let (h, i) = workload(&mut VersionStore::new(VersionConfig { logical_pages: 128 }));
     assert_consistent("version", &h, &i);
     assert_eq!(h, reference, "version vs wal");
 

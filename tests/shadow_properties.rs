@@ -111,7 +111,6 @@ script_runner!(
     VersionStore,
     VersionConfig {
         logical_pages: PAGES,
-        commit_frames: 16,
     },
     VersionStore::new,
     |db: &VersionStore, cfg| VersionStore::recover(db.crash_image(), cfg).unwrap().0
