@@ -203,7 +203,11 @@ fn replay_sweep() -> String {
     const SCALE_PAGES: u64 = 1_600;
     let scale_cfg = || WalConfig {
         data_pages: 2_048,
-        pool_frames: 512,
+        // the pool holds every page the workload touches, so nothing is
+        // flushed before the crash and redo replays the whole log; its
+        // pin budget of pool_frames - 1 pages spills a writer of every
+        // page to fragments
+        pool_frames: SCALE_PAGES as usize + 1,
         log_streams: 4,
         log_frames: 1 << 16,
         logging: LoggingPolicy::Adaptive,
@@ -214,12 +218,12 @@ fn replay_sweep() -> String {
     for i in 0..SCALE_TXNS {
         let t = db.begin();
         let cluster = (i % (SCALE_PAGES / 8)) * 8;
-        if i % 4 == 3 {
-            // one-byte writer: the command record's fixed header (48 bytes
-            // in all) is dearer than the 47-byte fragment, so the policy
-            // logs it physically
-            db.write(t, cluster + rng.below(8), 3_300, &[i as u8])
-                .expect("write");
+        if i % 50 == 49 {
+            // one-byte writes to every page, one past the pin budget: the
+            // capture spills and the transaction logs fragments
+            for page in 0..=SCALE_PAGES {
+                db.write(t, page, 3_300, &[i as u8]).expect("write");
+            }
         } else {
             // wide writer over its own cluster: one command record
             for w in 0..90u64 {

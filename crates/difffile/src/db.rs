@@ -24,9 +24,10 @@
 use crate::tuple::{fits, read_entries, write_entries, Entry, Tuple, FIRST_ENTRY};
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
-    BackendKind, CommitRecord, Disk, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE,
+    BackendKind, CommitRecord, Disk, LockMode, Page, PageId, SlotPair, StorageError, TxnError,
+    TxnTable, PAYLOAD_SIZE,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Transaction id.
 pub type TxnId = u64;
@@ -141,6 +142,18 @@ impl std::fmt::Display for DiffError {
 
 impl std::error::Error for DiffError {}
 
+impl From<TxnError> for DiffError {
+    fn from(e: TxnError) -> Self {
+        match e {
+            TxnError::Unknown(txn) => DiffError::UnknownTxn(txn),
+            TxnError::Conflict(c) => DiffError::KeyLocked {
+                key: c.page.0,
+                holder: c.holder,
+            },
+        }
+    }
+}
+
 /// Page-access statistics — the quantities the paper's Tables 9–11 track.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiffStats {
@@ -183,6 +196,10 @@ struct DiffFile {
     durable: usize,
     /// Version of each frame's newest copy (0: never written).
     versions: Vec<u64>,
+    /// The last frame written and the index of its first entry: every
+    /// frame before it is full and never changes, so a flush packs from
+    /// here.
+    tail: (u64, usize),
 }
 
 impl DiffFile {
@@ -193,7 +210,15 @@ impl DiffFile {
             all: Vec::new(),
             durable: 0,
             versions: vec![0; capacity as usize],
+            tail: (0, 0),
         }
+    }
+
+    /// Drop every entry: a merge folded them into the base.
+    fn clear(&mut self) {
+        self.all.clear();
+        self.durable = 0;
+        self.tail = (0, 0);
     }
 
     fn pair(&self, frame: u64) -> SlotPair {
@@ -222,6 +247,9 @@ impl DiffFile {
             if open {
                 file.all.extend(fresh);
                 open = file.all.len() > before;
+                if open {
+                    file.tail = (f, before);
+                }
             }
         }
         file.durable = file.all.len();
@@ -229,13 +257,14 @@ impl DiffFile {
     }
 
     /// Write the frames holding entries that are not yet durable, each as
-    /// the next version of its pair. Packing is deterministic, so the
-    /// frames before the one holding entry `durable` are unchanged.
+    /// the next version of its pair. Packing is deterministic, so packing
+    /// from the tail frame packs every later frame as a flush from frame 0
+    /// would.
     fn flush(&mut self, disk: &mut Disk, stats: &mut DiffStats) -> Result<(), DiffError> {
         if self.durable == self.all.len() {
             return Ok(());
         }
-        let (mut frame, mut first) = (0u64, 0usize);
+        let (mut frame, mut first) = self.tail;
         while first < self.all.len() {
             if frame >= self.capacity {
                 return Err(DiffError::SpaceExhausted);
@@ -249,6 +278,7 @@ impl DiffFile {
                 let version = self.versions[frame as usize] + 1;
                 self.pair(frame).write(disk, version, page)?;
                 self.versions[frame as usize] = version;
+                self.tail = (frame, first);
                 stats.diff_writes += 1;
             }
             first += n;
@@ -380,10 +410,11 @@ pub struct DiffDb {
     d: DiffFile,
     /// The commit record, as the master last wrote it.
     record: CommitRecord,
-    active: HashMap<TxnId, ()>,
-    key_locks: HashMap<u64, TxnId>,
-    locks_by_txn: HashMap<TxnId, Vec<u64>>,
-    next_txn: TxnId,
+    /// Open transactions; the lock keys are tuple keys.
+    txns: TxnTable<()>,
+    /// Ids with entries in the files that did not commit: open
+    /// transactions, aborts and crash losers since the last merge.
+    uncommitted: BTreeSet<TxnId>,
     next_seq: u64,
     stats: DiffStats,
 }
@@ -403,10 +434,8 @@ impl DiffDb {
             a: DiffFile::new(cfg.a_start(), cfg.a_capacity),
             d: DiffFile::new(cfg.d_start(), cfg.d_capacity),
             record: CommitRecord::default(),
-            active: HashMap::new(),
-            key_locks: HashMap::new(),
-            locks_by_txn: HashMap::new(),
-            next_txn: 1,
+            txns: TxnTable::new(1),
+            uncommitted: BTreeSet::new(),
             next_seq: 1,
             stats: DiffStats::default(),
             cfg,
@@ -503,36 +532,15 @@ impl DiffDb {
 
     /// Begin a transaction.
     pub fn begin(&mut self) -> TxnId {
-        let t = self.next_txn;
-        self.next_txn += 1;
-        self.active.insert(t, ());
-        t
+        self.txns.begin(|_| ())
     }
 
-    fn check_txn(&self, txn: TxnId) -> Result<(), DiffError> {
-        if self.active.contains_key(&txn) {
-            Ok(())
-        } else {
-            Err(DiffError::UnknownTxn(txn))
-        }
-    }
-
-    fn lock_key(&mut self, txn: TxnId, key: u64) -> Result<(), DiffError> {
-        match self.key_locks.get(&key) {
-            Some(&h) if h != txn => Err(DiffError::KeyLocked { key, holder: h }),
-            Some(_) => Ok(()),
-            None => {
-                self.key_locks.insert(key, txn);
-                self.locks_by_txn.entry(txn).or_default().push(key);
-                Ok(())
-            }
-        }
-    }
-
-    fn release_locks(&mut self, txn: TxnId) {
-        for key in self.locks_by_txn.remove(&txn).unwrap_or_default() {
-            self.key_locks.remove(&key);
-        }
+    /// Write-lock `key` for `txn` and tag the next sequence number.
+    fn write_seq(&mut self, txn: TxnId, key: u64) -> Result<u64, DiffError> {
+        self.txns.lock(txn, key, LockMode::Exclusive)?;
+        self.uncommitted.insert(txn);
+        self.next_seq += 1;
+        Ok(self.next_seq - 1)
     }
 
     fn flush_tails(&mut self) -> Result<(), DiffError> {
@@ -542,10 +550,7 @@ impl DiffDb {
 
     /// Insert a tuple (appends to the A file).
     pub fn insert(&mut self, txn: TxnId, key: u64, value: &[u8]) -> Result<(), DiffError> {
-        self.check_txn(txn)?;
-        self.lock_key(txn, key)?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.write_seq(txn, key)?;
         self.a.all.push(Entry {
             seq,
             txn,
@@ -559,10 +564,7 @@ impl DiffDb {
 
     /// Delete a key (appends to the D file).
     pub fn delete(&mut self, txn: TxnId, key: u64) -> Result<(), DiffError> {
-        self.check_txn(txn)?;
-        self.lock_key(txn, key)?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.write_seq(txn, key)?;
         self.d.all.push(Entry {
             seq,
             txn,
@@ -679,7 +681,7 @@ impl DiffDb {
     where
         F: Fn(&Tuple) -> bool + Sync,
     {
-        self.check_txn(txn)?;
+        self.txns.get(txn)?;
         let (out, stats) = self.scan(txn, &pred, strategy, workers);
         self.stats += stats;
         Ok(out)
@@ -690,15 +692,13 @@ impl DiffDb {
     /// with uncommitted entries in the files. On any error the
     /// transaction stays open.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), DiffError> {
-        self.check_txn(txn)?;
+        self.txns.get(txn)?;
         self.flush_tails()?;
-        let tagged = self.a.all.iter().chain(&self.d.all).map(|e| e.txn);
-        let open = self.active.keys().copied();
-        let pending = open.chain(tagged.filter(|&t| !self.record.committed(t)));
+        let pending = self.txns.ids().chain(self.uncommitted.iter().copied());
         let record = self.record.commit(txn, pending);
         self.write_master(record)?;
-        self.active.remove(&txn);
-        self.release_locks(txn);
+        self.uncommitted.remove(&txn);
+        self.txns.end(txn)?;
         Ok(())
     }
 
@@ -706,9 +706,7 @@ impl DiffDb {
     /// files but are forever invisible (every record written while they
     /// are readable lists its id); the next merge reclaims them.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), DiffError> {
-        self.check_txn(txn)?;
-        self.active.remove(&txn);
-        self.release_locks(txn);
+        self.txns.end(txn)?;
         Ok(())
     }
 
@@ -716,7 +714,7 @@ impl DiffDb {
     /// `B' = (B ∪ A) − D`, built in the inactive base area and installed
     /// with one atomic master write. Requires quiescence.
     pub fn merge(&mut self) -> Result<(), DiffError> {
-        if !self.active.is_empty() {
+        if !self.txns.is_empty() {
             return Err(DiffError::NotQuiescent);
         }
         // viewer 0 is no transaction: the committed-only view; a merge
@@ -733,10 +731,9 @@ impl DiffDb {
             high: self.record.high,
             ..CommitRecord::default()
         })?;
-        for file in [&mut self.a, &mut self.d] {
-            file.all.clear();
-            file.durable = 0;
-        }
+        self.a.clear();
+        self.d.clear();
+        self.uncommitted.clear();
         self.stats.merges += 1;
         Ok(())
     }
@@ -781,6 +778,8 @@ impl DiffDb {
         let entries = || a.all.iter().chain(&d.all);
         let next_txn = entries().map(|e| e.txn).fold(record.high, u64::max) + 1;
         let next_seq = entries().map(|e| e.seq).fold(merge_floor, u64::max) + 1;
+        let tagged = entries().map(|e| e.txn);
+        let uncommitted = tagged.filter(|&t| !record.committed(t)).collect();
 
         Ok(DiffDb {
             disk,
@@ -791,10 +790,8 @@ impl DiffDb {
             a,
             d,
             record,
-            active: HashMap::new(),
-            key_locks: HashMap::new(),
-            locks_by_txn: HashMap::new(),
-            next_txn,
+            txns: TxnTable::new(next_txn),
+            uncommitted,
             next_seq,
             stats: DiffStats::default(),
             cfg,

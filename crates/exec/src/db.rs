@@ -76,14 +76,12 @@ use crate::group::{run_daemon, CommitHandle, CommitReq};
 use crate::sync::lock_ok;
 use rmdb_mvcc::{Mvcc, Snapshot};
 use rmdb_obs::{Counter, EventKind, Histogram, MetricsSnapshot, Registry};
-use rmdb_storage::Lsn;
 use rmdb_storage::{
-    Disk, FaultHandle, FaultInjector, FaultPlan, Page, PageId, PoolShard, ShardGuard, ShardedPool,
-    StorageError,
+    Disk, FaultHandle, FaultInjector, FaultPlan, LockMode, Lsn, Page, PageId, PoolShard,
+    ShardGuard, ShardedPool, StorageError,
 };
 use rmdb_wal::capture::{self, Doublewrite, Write, WriteLog};
 use rmdb_wal::db::{LoggingPolicy, WalConfig};
-use rmdb_wal::lock::LockMode;
 use rmdb_wal::record::LogRecord;
 use rmdb_wal::scheduler::{Decision, Scheduler, WaitStats};
 use rmdb_wal::select::Selector;
@@ -958,9 +956,22 @@ impl Inner {
     /// release, abort count. Used by the worker abort path and by the
     /// daemon when a batch member's commit fails (the worker no longer
     /// owns the write log by then — it travelled with the [`CommitReq`]).
-    pub(crate) fn undo_and_release(&self, txn_id: u64, home: usize, log: WriteLog) {
-        self.undo_apply(txn_id, home, log.writes());
-        self.unpin_pages(log.pinned());
+    /// A deferred capture whose command record was not `appended` reached
+    /// no log, so it is abandoned in memory as a deferred abort is; once
+    /// appended, the compensations that roll it back at recovery are logged.
+    pub(crate) fn undo_and_release(
+        &self,
+        txn_id: u64,
+        home: usize,
+        mut log: WriteLog,
+        appended: bool,
+    ) {
+        if log.is_deferred() && !appended {
+            log.end_deferral(0, &self.shards);
+        } else {
+            self.undo_apply(txn_id, home, log.writes());
+            self.unpin_pages(log.pinned());
+        }
         self.release_locks(txn_id);
         self.stats.aborted.fetch_add(1, Ordering::Relaxed);
     }
@@ -1491,7 +1502,8 @@ impl ExecDb {
                 if let Err(e) = self.spill_deferred(&mut txn) {
                     // the spill already reverted the un-appended suffix
                     // and dropped the pins — roll back what was logged
-                    self.inner.undo_and_release(txn.id, txn.home, txn.log);
+                    self.inner
+                        .undo_and_release(txn.id, txn.home, txn.log, false);
                     return Err(e);
                 }
                 LogRecord::Commit { txn: txn.id }
@@ -1502,7 +1514,8 @@ impl ExecDb {
             .reroute_if_needed(txn.id, &mut txn.home, &mut txn.log)
         {
             self.inner.note_appender_failure(&e);
-            self.inner.undo_and_release(txn.id, txn.home, txn.log);
+            self.inner
+                .undo_and_release(txn.id, txn.home, txn.log, false);
             return Err(e);
         }
         // capture page images for MVCC publication while this txn's X
@@ -1511,7 +1524,8 @@ impl ExecDb {
         let images = match self.inner.capture_images(&txn) {
             Ok(images) => images,
             Err(e) => {
-                self.inner.undo_and_release(txn.id, txn.home, txn.log);
+                self.inner
+                    .undo_and_release(txn.id, txn.home, txn.log, false);
                 return Err(e);
             }
         };
@@ -1527,7 +1541,8 @@ impl ExecDb {
         let tx = self.commit_tx.as_ref().expect("pipeline running");
         if let Err(send_err) = tx.send(req) {
             let req = send_err.0;
-            self.inner.undo_and_release(req.txn, req.home, req.log);
+            self.inner
+                .undo_and_release(req.txn, req.home, req.log, false);
             return Err(ExecError::Wal(WalError::Storage(StorageError::Protocol(
                 "group-commit daemon gone",
             ))));
@@ -1546,14 +1561,9 @@ impl ExecDb {
     /// writes ever reached a log, so there is nothing to compensate —
     /// its bytes are reverted in memory, its pins dropped, and no log
     /// stream hears of it at all.
-    pub fn abort(&self, mut txn: Txn) -> Result<(), ExecError> {
-        if txn.log.is_deferred() {
-            txn.log.end_deferral(0, &self.inner.shards);
-            self.inner.release_locks(txn.id);
-            self.inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.undo_and_release(txn.id, txn.home, txn.log);
-        }
+    pub fn abort(&self, txn: Txn) -> Result<(), ExecError> {
+        self.inner
+            .undo_and_release(txn.id, txn.home, txn.log, false);
         Ok(())
     }
 
@@ -1963,7 +1973,7 @@ impl SnapshotCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmdb_wal::WalDb;
+    use rmdb_wal::{ParallelLogManager, SelectionPolicy, WalDb};
 
     fn small_cfg() -> ExecConfig {
         ExecConfig {
@@ -2712,21 +2722,21 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_decides_per_txn() {
+    fn adaptive_policy_command_logs_small_writes() {
         let cfg = policy_cfg(LoggingPolicy::Adaptive);
         let db = ExecDb::new(cfg.clone());
         // small write: the command record undercuts its fragment
         db.run_txn(0, |ctx| ctx.add_u64(1, 0, 9)).unwrap();
-        // one one-byte write: the command record's fixed header (48 bytes
-        // in all) outweighs the 47-byte fragment, so this txn spills
+        // one one-byte write: the 48-byte command record replaces a
+        // 47-byte fragment and the 9-byte Commit record
         db.run_txn(1, |ctx| ctx.write(2, 0, b"p")).unwrap();
         let snap = db.obs().snapshot();
-        assert!(snap.counter("wal.logical_records") >= Some(1));
-        assert!(snap.counter("wal.deferred_spills") >= Some(1));
+        assert_eq!(snap.counter("wal.logical_records"), Some(2));
+        assert_eq!(snap.counter("wal.deferred_spills").unwrap_or(0), 0);
         let image = db.crash_image().unwrap();
         let (mut recovered, report) = WalDb::recover(image, cfg.wal).unwrap();
-        assert!(report.logical_commits >= 1);
-        assert!(report.redone_updates >= 1, "spilled txn logged fragments");
+        assert_eq!(report.logical_commits, 2);
+        assert_eq!(report.redone_updates, report.reexecuted_ops, "no fragments");
         let t = recovered.begin();
         assert_eq!(recovered.read(t, 1, 0, 8).unwrap(), 9u64.to_le_bytes());
         assert_eq!(recovered.read(t, 2, 0, 1).unwrap(), b"p");
@@ -2755,6 +2765,38 @@ mod tests {
         let t2 = recovered.begin();
         assert_eq!(recovered.read(t2, 6, 0, 4).unwrap(), b"base");
         assert_eq!(recovered.read(t2, 7, 0, 8).unwrap(), 0u64.to_le_bytes());
+    }
+
+    #[test]
+    fn a_command_record_no_stream_took_is_abandoned_in_memory() {
+        let mut cfg = policy_cfg(LoggingPolicy::Command);
+        cfg.wal.log_streams = 2;
+        let db = ExecDb::new(cfg);
+        db.run_txn(0, |ctx| ctx.write(6, 0, b"base")).unwrap();
+        let mut t = db.begin(0);
+        while t.home() != 0 {
+            db.abort(t).unwrap();
+            t = db.begin(0);
+        }
+        let id = t.id();
+        db.write(&mut t, 6, 0, b"gone").unwrap();
+        // stream 0 refuses records before routing hears of it, so the
+        // command record fails at its append and stream 1 survives
+        db.appender(0).quarantine();
+        assert!(db.commit(t).and_then(|h| h.wait()).is_err());
+        // its bytes are reverted and its lock is free
+        let mut t = db.begin(0);
+        assert_eq!(db.read(&mut t, 6, 0, 4).unwrap(), b"base");
+        db.write(&mut t, 6, 0, b"next").unwrap();
+        // this commit's force on the survivor covers all it holds before
+        db.commit(t).unwrap().wait().unwrap();
+        // and no stream heard of it: no compensation, no Abort record
+        let image = db.crash_image().unwrap();
+        let logs =
+            ParallelLogManager::open(image.logs, SelectionPolicy::Cyclic, 0).expect("reopen logs");
+        let scanned = logs.scan_all();
+        assert!(scanned.iter().flatten().any(|r| r.txn().is_some()));
+        assert!(scanned.iter().flatten().all(|r| r.txn() != Some(id)));
     }
 
     #[test]

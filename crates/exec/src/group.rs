@@ -140,7 +140,7 @@ pub(crate) fn run_daemon(inner: Arc<Inner>, rx: Receiver<CommitReq>, max_group: 
         queue_us.record(batch[0].submitted.elapsed().as_micros() as u64);
         batch_size.record(batch.len() as u64);
         obs.emit(EventKind::GroupCommitBatch, 0, 0, 0, batch.len() as u64);
-        let results = commit_batch(&inner, &batch);
+        let (results, appended) = commit_batch(&inner, &batch);
         inner.stats.group_commits.fetch_add(1, Ordering::Relaxed);
         inner
             .stats
@@ -150,7 +150,7 @@ pub(crate) fn run_daemon(inner: Arc<Inner>, rx: Receiver<CommitReq>, max_group: 
             .stats
             .max_group_size
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        for (req, result) in batch.into_iter().zip(results) {
+        for ((req, result), appended) in batch.into_iter().zip(results).zip(appended) {
             match result {
                 Ok(()) => {
                     // publish the commit's page versions to the MVCC pool
@@ -177,7 +177,7 @@ pub(crate) fn run_daemon(inner: Arc<Inner>, rx: Receiver<CommitReq>, max_group: 
                 Err(e) => {
                     // roll the member back before its locks release, so
                     // no other transaction ever reads its dirty writes
-                    inner.undo_and_release(req.txn, req.home, req.log);
+                    inner.undo_and_release(req.txn, req.home, req.log, appended);
                     let _ = req.reply.send(Err(e));
                 }
             }
@@ -186,9 +186,10 @@ pub(crate) fn run_daemon(inner: Arc<Inner>, rx: Receiver<CommitReq>, max_group: 
 }
 
 /// Force fragments for the whole batch, then gate + append + force the
-/// commit records. Returns one result per batch member, in order; a
-/// stream failure condemns only the members that needed that stream.
-fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>> {
+/// commit records. Returns one result per batch member, in order, and
+/// whether its commit record was appended; a stream failure condemns only
+/// the members that needed that stream.
+fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> (Vec<Result<(), ExecError>>, Vec<bool>) {
     // Phase 1: one fragment force per distinct stream across the group.
     // Fragments on a transaction's own home stream are skipped: its
     // commit record is appended to that stream *after* them, so the home
@@ -254,7 +255,7 @@ fn commit_batch(inner: &Inner, batch: &[CommitReq]) -> Vec<Result<(), ExecError>
             }
         }
     }
-    results
+    (results, appended)
 }
 
 /// Force every stream in `high` up to its ticket: request all forces

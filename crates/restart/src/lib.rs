@@ -347,15 +347,17 @@ mod tests {
         db.write(drone, 30, 0, b"open").unwrap();
         for i in 0..24u64 {
             let t = db.begin();
-            if i % 3 == 0 {
-                // hot-key counter bumps: command-logged
+            if i % 3 == 0 || i >= 20 {
+                // hot-key counter bumps: command-logged (the last ones
+                // after every wide writer, which evicts the counter pages)
                 db.add_u64(t, i % 4, 0, 1 + i).unwrap();
                 db.add_u64(t, (i + 1) % 4, 8, 7).unwrap();
             } else {
-                // one-byte writers: the command record's fixed header (48
-                // bytes in all) outweighs the 47-byte fragment, so the cost
-                // policy spills these to fragments
-                db.write(t, 8 + (i % 8), 0, &[i as u8]).unwrap();
+                // one-byte writers over 16 pages: past the pin budget of
+                // pool_frames - 1 = 15 pages, so these spill to fragments
+                for p in 0..16 {
+                    db.write(t, 8 + (i + p) % 16, 0, &[i as u8]).unwrap();
+                }
             }
             db.commit(t).unwrap();
             if i == 11 {

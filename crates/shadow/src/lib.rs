@@ -23,6 +23,12 @@
 //! Each store exposes the same begin/read/write/commit/abort lifecycle plus
 //! `crash_image`/`recover`, and each recovers exactly the semantics its
 //! architecture promises (no-redo never redoes, no-undo never undoes).
+//! All four keep their transactions in one
+//! [`TxnTable`](rmdb_storage::TxnTable): ids, open state, and exclusive
+//! page locks taken by writes (reads of committed state never block under
+//! shadowing). A commit that fails before its commit-point write leaves
+//! the transaction open, so an abort frees its frames, slots and locks; a
+//! failed commit-point write strands it until restart.
 
 pub mod overwrite;
 pub mod pagetable;

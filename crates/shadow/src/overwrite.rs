@@ -23,11 +23,13 @@
 //! (un)committed transactions that must survive a crash" is exactly the
 //! set of live directories.
 
-use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId};
+use crate::pagetable::{check_bounds, ShadowError, TxnId};
 use crate::scratch::ScratchRing;
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{Disk, Lsn, MemDisk, Page, PageId, StorageError, PAYLOAD_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use rmdb_storage::{
+    Disk, LockMode, Lsn, MemDisk, Page, PageId, StorageError, TxnTable, PAYLOAD_SIZE,
+};
+use std::collections::BTreeMap;
 
 /// High bit marking a frame as a transaction directory.
 const DIR_ID_BIT: u64 = 1 << 63;
@@ -159,19 +161,14 @@ fn scan_directories(disk: &Disk, ring: &ScratchRing) -> DirScan {
 // No-undo
 // ---------------------------------------------------------------------------
 
-struct NoUndoTxn {
-    delta: BTreeMap<u64, Page>,
-}
-
 /// The no-undo overwriting store: commit = stage to scratch, write intent,
 /// install over shadows.
 pub struct NoUndoStore {
     cfg: OverwriteConfig,
     disk: Disk,
     ring: ScratchRing,
-    active: HashMap<TxnId, NoUndoTxn>,
-    locks: ExclusiveLocks,
-    next_txn: TxnId,
+    /// Open transactions: page → working copy.
+    txns: TxnTable<BTreeMap<u64, Page>>,
     stats: OverwriteStats,
 }
 
@@ -181,9 +178,7 @@ impl NoUndoStore {
         let disk = Disk::from(MemDisk::new(cfg.logical_pages + cfg.scratch_slots));
         let ring = ScratchRing::new(cfg.logical_pages, cfg.scratch_slots);
         NoUndoStore {
-            active: HashMap::new(),
-            locks: ExclusiveLocks::default(),
-            next_txn: 1,
+            txns: TxnTable::new(1),
             stats: OverwriteStats::default(),
             disk,
             ring,
@@ -240,9 +235,7 @@ impl NoUndoStore {
         let _ = &mut ring;
         Ok((
             NoUndoStore {
-                active: HashMap::new(),
-                locks: ExclusiveLocks::default(),
-                next_txn: max_txn + 1,
+                txns: TxnTable::new(max_txn + 1),
                 stats: OverwriteStats::default(),
                 disk,
                 ring,
@@ -259,25 +252,7 @@ impl NoUndoStore {
 
     /// Begin a transaction.
     pub fn begin(&mut self) -> TxnId {
-        let t = self.next_txn;
-        self.next_txn += 1;
-        self.active.insert(
-            t,
-            NoUndoTxn {
-                delta: BTreeMap::new(),
-            },
-        );
-        t
-    }
-
-    fn check(&self, txn: TxnId, page: u64) -> Result<(), ShadowError> {
-        if page >= self.cfg.logical_pages {
-            return Err(ShadowError::OutOfBounds { page });
-        }
-        if !self.active.contains_key(&txn) {
-            return Err(ShadowError::UnknownTxn(txn));
-        }
-        Ok(())
+        self.txns.begin(|_| BTreeMap::new())
     }
 
     /// Read bytes (own working version, else the home copy — the shadow
@@ -289,8 +264,8 @@ impl NoUndoStore {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, ShadowError> {
-        self.check(txn, page)?;
-        if let Some(p) = self.active[&txn].delta.get(&page) {
+        check_bounds(page, offset, len, self.cfg.logical_pages)?;
+        if let Some(p) = self.txns.get(txn)?.get(&page) {
             return Ok(p.read_at(offset, len).to_vec());
         }
         if self.disk.is_allocated(page) {
@@ -310,69 +285,71 @@ impl NoUndoStore {
         offset: usize,
         data: &[u8],
     ) -> Result<(), ShadowError> {
-        self.check(txn, page)?;
-        if offset + data.len() > PAYLOAD_SIZE {
-            return Err(ShadowError::OutOfBounds { page });
-        }
-        self.locks.acquire(txn, page)?;
-        if !self.active[&txn].delta.contains_key(&page) {
+        check_bounds(page, offset, data.len(), self.cfg.logical_pages)?;
+        let delta = self.txns.lock(txn, page, LockMode::Exclusive)?;
+        if !delta.contains_key(&page) {
+            if delta.len() >= MAX_TXN_PAGES {
+                return Err(ShadowError::SpaceExhausted);
+            }
             let base = if self.disk.is_allocated(page) {
                 self.disk.read_page_retry(page)?
             } else {
                 Page::new(PageId(page))
             };
-            if self.active[&txn].delta.len() >= MAX_TXN_PAGES {
-                return Err(ShadowError::SpaceExhausted);
-            }
-            self.active
-                .get_mut(&txn)
-                .expect("txn checked")
-                .delta
-                .insert(page, base);
+            delta.insert(page, base);
         }
-        let p = self
-            .active
-            .get_mut(&txn)
-            .expect("txn checked")
-            .delta
+        delta
             .get_mut(&page)
-            .expect("just materialized");
-        p.write_at(offset, data);
+            .expect("materialized")
+            .write_at(offset, data);
         Ok(())
     }
 
     /// Stage + intent: the first half of commit (everything up to and
     /// including the atomic commit point). Split out so tests can inject a
     /// crash between commit and install.
+    ///
+    /// A failure before the intent write returns the slots to the ring
+    /// and leaves the transaction open, so [`NoUndoStore::abort`] releases
+    /// its locks. A failed intent write strands it
+    /// ([`TxnTable::strand`]): the directory may be on disk, so its slots
+    /// and locks stay held.
     #[doc(hidden)]
     pub fn commit_stage(&mut self, txn: TxnId) -> Result<(u64, Vec<(u64, u64)>), ShadowError> {
-        let state = self
-            .active
-            .remove(&txn)
-            .ok_or(ShadowError::UnknownTxn(txn))?;
-        let n = state.delta.len();
-        let Some(slots) = self.ring.alloc_many(n + 1) else {
-            // put the txn back; the caller may retry after others finish
-            self.active.insert(txn, state);
-            return Err(ShadowError::SpaceExhausted);
-        };
+        let delta = self.txns.get_mut(txn)?;
+        let n = delta.len();
+        // the caller may retry after others finish
+        let slots = self
+            .ring
+            .alloc_many(n + 1)
+            .ok_or(ShadowError::SpaceExhausted)?;
         let dir_addr = slots[n];
         let mut entries = Vec::with_capacity(n);
-        for ((page, mut work), &slot) in state.delta.into_iter().zip(&slots) {
+        for ((&page, work), &slot) in delta.iter_mut().zip(&slots) {
             work.id = PageId(page);
             work.lsn = Lsn(txn);
-            self.disk.write_page_verified(slot, &work)?;
+            if let Err(e) = self.disk.write_page_verified(slot, work) {
+                // no directory names the slots yet
+                for slot in slots {
+                    self.ring.release(slot);
+                }
+                return Err(e.into());
+            }
             self.stats.scratch_writes += 1;
             entries.push((page, slot));
         }
         // the atomic commit point: one frame write
         let dir = encode_dir(DIR_LIVE, txn, &entries, dir_addr - self.cfg.logical_pages);
-        self.disk.write_page_verified(dir_addr, &dir)?;
+        if let Err(e) = self.disk.write_page_verified(dir_addr, &dir) {
+            self.txns.strand(txn)?;
+            return Err(e.into());
+        }
         self.stats.dir_writes += 1;
         Ok((dir_addr, entries))
     }
 
-    /// Install + retire: the second half of commit.
+    /// Install + retire: the second half of commit. Past the commit point,
+    /// so a failure strands the transaction; recovery finishes the install.
     #[doc(hidden)]
     pub fn commit_install(
         &mut self,
@@ -380,21 +357,35 @@ impl NoUndoStore {
         dir_addr: u64,
         entries: Vec<(u64, u64)>,
     ) -> Result<(), ShadowError> {
-        for &(page, slot) in &entries {
-            let staged = self.disk.read_page_retry(slot)?;
-            self.disk.write_page_verified(page, &staged)?;
-            self.stats.overwrites += 1;
+        if let Err(e) = self.install(txn, dir_addr, &entries) {
+            self.txns.strand(txn)?;
+            return Err(e);
         }
-        let done = encode_dir(DIR_DONE, txn, &entries, dir_addr - self.cfg.logical_pages);
-        self.disk.write_page_verified(dir_addr, &done)?;
-        self.stats.dir_writes += 1;
         for &(_, slot) in &entries {
             self.ring.release(slot);
         }
         self.ring.release(dir_addr);
         // locks release only after the shadows are overwritten (paper)
-        self.locks.release_all(txn);
+        self.txns.end(txn)?;
         self.stats.commits += 1;
+        Ok(())
+    }
+
+    /// Copy the staged pages over their shadows, then retire the directory.
+    fn install(
+        &mut self,
+        txn: TxnId,
+        dir_addr: u64,
+        entries: &[(u64, u64)],
+    ) -> Result<(), ShadowError> {
+        for &(page, slot) in entries {
+            let staged = self.disk.read_page_retry(slot)?;
+            self.disk.write_page_verified(page, &staged)?;
+            self.stats.overwrites += 1;
+        }
+        let done = encode_dir(DIR_DONE, txn, entries, dir_addr - self.cfg.logical_pages);
+        self.disk.write_page_verified(dir_addr, &done)?;
+        self.stats.dir_writes += 1;
         Ok(())
     }
 
@@ -407,10 +398,7 @@ impl NoUndoStore {
 
     /// Abort: drop the in-memory working set. The disk never saw anything.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        if self.active.remove(&txn).is_none() {
-            return Err(ShadowError::UnknownTxn(txn));
-        }
-        self.locks.release_all(txn);
+        self.txns.end(txn)?;
         self.stats.aborts += 1;
         Ok(())
     }
@@ -420,6 +408,7 @@ impl NoUndoStore {
 // No-redo
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct NoRedoTxn {
     /// The pair of scratch slots this transaction's directory ping-pongs
     /// between (`None` until the first write). The directory grows on every
@@ -443,9 +432,7 @@ pub struct NoRedoStore {
     cfg: OverwriteConfig,
     disk: Disk,
     ring: ScratchRing,
-    active: HashMap<TxnId, NoRedoTxn>,
-    locks: ExclusiveLocks,
-    next_txn: TxnId,
+    txns: TxnTable<NoRedoTxn>,
     stats: OverwriteStats,
 }
 
@@ -455,9 +442,7 @@ impl NoRedoStore {
         let disk = Disk::from(MemDisk::new(cfg.logical_pages + cfg.scratch_slots));
         let ring = ScratchRing::new(cfg.logical_pages, cfg.scratch_slots);
         NoRedoStore {
-            active: HashMap::new(),
-            locks: ExclusiveLocks::default(),
-            next_txn: 1,
+            txns: TxnTable::new(1),
             stats: OverwriteStats::default(),
             disk,
             ring,
@@ -535,9 +520,7 @@ impl NoRedoStore {
         }
         Ok((
             NoRedoStore {
-                active: HashMap::new(),
-                locks: ExclusiveLocks::default(),
-                next_txn: max_txn + 1,
+                txns: TxnTable::new(max_txn + 1),
                 stats: OverwriteStats::default(),
                 disk,
                 ring,
@@ -555,28 +538,7 @@ impl NoRedoStore {
     /// Begin a transaction: allocates its directory slot lazily on first
     /// write.
     pub fn begin(&mut self) -> TxnId {
-        let t = self.next_txn;
-        self.next_txn += 1;
-        self.active.insert(
-            t,
-            NoRedoTxn {
-                dir_slots: None,
-                dir_writes: 0,
-                saved: BTreeMap::new(),
-                working: BTreeMap::new(),
-            },
-        );
-        t
-    }
-
-    fn check(&self, txn: TxnId, page: u64) -> Result<(), ShadowError> {
-        if page >= self.cfg.logical_pages {
-            return Err(ShadowError::OutOfBounds { page });
-        }
-        if !self.active.contains_key(&txn) {
-            return Err(ShadowError::UnknownTxn(txn));
-        }
-        Ok(())
+        self.txns.begin(|_| NoRedoTxn::default())
     }
 
     /// Read bytes (home copies are always current under no-redo).
@@ -587,8 +549,8 @@ impl NoRedoStore {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, ShadowError> {
-        self.check(txn, page)?;
-        if let Some(p) = self.active[&txn].working.get(&page) {
+        check_bounds(page, offset, len, self.cfg.logical_pages)?;
+        if let Some(p) = self.txns.get(txn)?.working.get(&page) {
             return Ok(p.read_at(offset, len).to_vec());
         }
         if self.disk.is_allocated(page) {
@@ -602,7 +564,7 @@ impl NoRedoStore {
     /// Write the next version of the transaction's directory into the slot
     /// the previous version did NOT use.
     fn write_dir(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        let state = self.active.get(&txn).expect("txn active");
+        let state = self.txns.get_mut(txn)?;
         let (a, b) = state
             .dir_slots
             .expect("dir slots allocated before write_dir");
@@ -614,7 +576,7 @@ impl NoRedoStore {
         let entries: Vec<(u64, u64)> = state.saved.iter().map(|(&p, &s)| (p, s)).collect();
         let dir = encode_dir(DIR_LIVE, txn, &entries, addr - self.cfg.logical_pages);
         self.disk.write_page_verified(addr, &dir)?;
-        self.active.get_mut(&txn).expect("txn active").dir_writes += 1;
+        state.dir_writes += 1;
         self.stats.dir_writes += 1;
         Ok(())
     }
@@ -630,23 +592,19 @@ impl NoRedoStore {
         offset: usize,
         data: &[u8],
     ) -> Result<(), ShadowError> {
-        self.check(txn, page)?;
-        if offset + data.len() > PAYLOAD_SIZE {
-            return Err(ShadowError::OutOfBounds { page });
-        }
-        self.locks.acquire(txn, page)?;
-        let first_touch = !self.active[&txn].saved.contains_key(&page);
-        if first_touch {
-            if self.active[&txn].saved.len() >= MAX_TXN_PAGES {
+        check_bounds(page, offset, data.len(), self.cfg.logical_pages)?;
+        let state = self.txns.lock(txn, page, LockMode::Exclusive)?;
+        if !state.saved.contains_key(&page) {
+            if state.saved.len() >= MAX_TXN_PAGES {
                 return Err(ShadowError::SpaceExhausted);
             }
-            let needs_dir = self.active[&txn].dir_slots.is_none();
+            let needs_dir = state.dir_slots.is_none();
             let Some(slots) = self.ring.alloc_many(1 + 2 * usize::from(needs_dir)) else {
                 return Err(ShadowError::SpaceExhausted);
             };
             let save_slot = slots[0];
             if needs_dir {
-                self.active.get_mut(&txn).expect("active").dir_slots = Some((slots[1], slots[2]));
+                state.dir_slots = Some((slots[1], slots[2]));
             }
             // 1. save the shadow
             let original = if self.disk.is_allocated(page) {
@@ -657,15 +615,12 @@ impl NoRedoStore {
             self.disk.write_page_verified(save_slot, &original)?;
             self.stats.scratch_writes += 1;
             // 2. record it in the directory (durable before the overwrite)
-            {
-                let st = self.active.get_mut(&txn).expect("active");
-                st.saved.insert(page, save_slot);
-                st.working.insert(page, original);
-            }
+            state.saved.insert(page, save_slot);
+            state.working.insert(page, original);
             self.write_dir(txn)?;
         }
         // 3. update the home copy in place
-        let st = self.active.get_mut(&txn).expect("active");
+        let st = self.txns.get_mut(txn)?;
         let work = st.working.get_mut(&page).expect("saved implies working");
         work.write_at(offset, data);
         work.lsn = Lsn(txn);
@@ -675,14 +630,23 @@ impl NoRedoStore {
         Ok(())
     }
 
-    /// Stamp `DONE` into both directory slots (so no stale `LIVE` version
+    /// Restore every saved shadow over its home copy when `undo`, then
+    /// stamp `DONE` into both directory slots (so no stale `LIVE` version
     /// can survive the slots' release) and return the scratch space.
     fn retire_dirs(
         &mut self,
         txn: TxnId,
         slots: (u64, u64),
         saved: BTreeMap<u64, u64>,
+        undo: bool,
     ) -> Result<(), ShadowError> {
+        if undo {
+            for (&page, &slot) in &saved {
+                let shadow = self.disk.read_page_retry(slot)?;
+                self.disk.write_page_verified(page, &shadow)?;
+                self.stats.overwrites += 1;
+            }
+        }
         let entries: Vec<(u64, u64)> = saved.iter().map(|(&p, &s)| (p, s)).collect();
         for addr in [slots.0, slots.1] {
             let done = encode_dir(DIR_DONE, txn, &entries, addr - self.cfg.logical_pages);
@@ -698,37 +662,34 @@ impl NoRedoStore {
     }
 
     /// Commit: everything is already on disk; retiring the directory is
-    /// the atomic commit point. Locks release after.
+    /// the atomic commit point. Locks release after; a failed retire
+    /// strands the transaction ([`TxnTable::strand`]).
     pub fn commit(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        let state = self
-            .active
-            .remove(&txn)
-            .ok_or(ShadowError::UnknownTxn(txn))?;
-        if let Some(slots) = state.dir_slots {
-            self.retire_dirs(txn, slots, state.saved)?;
-        }
-        self.locks.release_all(txn);
+        self.finish(txn, false)?;
         self.stats.commits += 1;
         Ok(())
     }
 
     /// Abort: restore every shadow from scratch over the home copy, then
-    /// retire the directory.
+    /// retire the directory. A failure part-way strands the transaction:
+    /// its live directory lets recovery finish the undo.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        let state = self
-            .active
-            .remove(&txn)
-            .ok_or(ShadowError::UnknownTxn(txn))?;
-        if let Some(slots) = state.dir_slots {
-            for (&page, &slot) in &state.saved {
-                let shadow = self.disk.read_page_retry(slot)?;
-                self.disk.write_page_verified(page, &shadow)?;
-                self.stats.overwrites += 1;
-            }
-            self.retire_dirs(txn, slots, state.saved)?;
-        }
-        self.locks.release_all(txn);
+        self.finish(txn, true)?;
         self.stats.aborts += 1;
+        Ok(())
+    }
+
+    /// End `txn`, restoring its shadows first when `undo`.
+    fn finish(&mut self, txn: TxnId, undo: bool) -> Result<(), ShadowError> {
+        let state = self.txns.get_mut(txn)?;
+        let (slots, saved) = (state.dir_slots, std::mem::take(&mut state.saved));
+        if let Some(slots) = slots {
+            if let Err(e) = self.retire_dirs(txn, slots, saved, undo) {
+                self.txns.strand(txn)?;
+                return Err(e);
+            }
+        }
+        self.txns.end(txn)?;
         Ok(())
     }
 }
@@ -882,6 +843,32 @@ mod tests {
             assert_eq!(s.commit(t), Err(ShadowError::SpaceExhausted));
             // transaction is still alive and can be aborted cleanly
             s.abort(t).unwrap();
+        }
+
+        #[test]
+        fn a_failed_stage_stays_open_and_its_abort_frees_everything() {
+            use rmdb_storage::{FaultInjector, FaultPlan};
+            // each commit takes 3 of the 4 slots: slots leaked by a failed
+            // stage would leave the next commit without room
+            let mut s = NoUndoStore::new(OverwriteConfig {
+                logical_pages: 8,
+                scratch_slots: 4,
+            });
+            for round in 0..20u32 {
+                let t = s.begin();
+                s.write(t, 0, 0, b"lost").unwrap();
+                s.write(t, 1, 0, b"lost").unwrap();
+                // the first scratch write fails, before the intent write
+                s.attach_faults(&FaultInjector::handle(FaultPlan::new().fail_from_write(0)));
+                assert!(matches!(s.commit(t), Err(ShadowError::Storage(_))));
+                s.attach_faults(&FaultInjector::handle(FaultPlan::new()));
+                s.abort(t).unwrap();
+                let t = s.begin();
+                s.write(t, 0, 0, &round.to_le_bytes()).unwrap();
+                s.write(t, 1, 0, &round.to_le_bytes()).unwrap();
+                s.commit(t).unwrap();
+            }
+            assert_eq!(committed_read(&mut s, 1, 0, 4), 19u32.to_le_bytes());
         }
 
         #[test]

@@ -16,8 +16,11 @@
 //! sequential workloads.
 
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{BackendKind, Disk, Lsn, Page, PageId, SlotPair, StorageError, PAYLOAD_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use rmdb_storage::{
+    BackendKind, Disk, LockMode, Lsn, Page, PageId, SlotPair, StorageError, TxnError, TxnTable,
+    PAYLOAD_SIZE,
+};
+use std::collections::BTreeMap;
 
 /// The master record: frames 0 and 1 of the page-table disk. Its version
 /// is the committed generation, whose table lives in area
@@ -116,32 +119,30 @@ impl std::fmt::Display for ShadowError {
 
 impl std::error::Error for ShadowError {}
 
-/// Minimal exclusive page-lock table (page-level locking per the paper;
-/// the shadow stores only need X locks because reads of committed state
-/// never block under shadowing — readers always see the committed table).
-#[derive(Debug, Default)]
-pub(crate) struct ExclusiveLocks {
-    held: HashMap<u64, TxnId>,
-    by_txn: HashMap<TxnId, Vec<u64>>,
-}
-
-impl ExclusiveLocks {
-    pub(crate) fn acquire(&mut self, txn: TxnId, page: u64) -> Result<(), ShadowError> {
-        match self.held.get(&page) {
-            Some(&h) if h != txn => Err(ShadowError::LockConflict { page, holder: h }),
-            Some(_) => Ok(()),
-            None => {
-                self.held.insert(page, txn);
-                self.by_txn.entry(txn).or_default().push(page);
-                Ok(())
-            }
+impl From<TxnError> for ShadowError {
+    fn from(e: TxnError) -> Self {
+        match e {
+            TxnError::Unknown(txn) => ShadowError::UnknownTxn(txn),
+            TxnError::Conflict(c) => ShadowError::LockConflict {
+                page: c.page.0,
+                holder: c.holder,
+            },
         }
     }
+}
 
-    pub(crate) fn release_all(&mut self, txn: TxnId) {
-        for page in self.by_txn.remove(&txn).unwrap_or_default() {
-            self.held.remove(&page);
-        }
+/// Reject a `len`-byte access at `offset` of `page` in a store of
+/// `pages` logical pages.
+pub(crate) fn check_bounds(
+    page: u64,
+    offset: usize,
+    len: usize,
+    pages: u64,
+) -> Result<(), ShadowError> {
+    if page >= pages || offset + len > PAYLOAD_SIZE {
+        Err(ShadowError::OutOfBounds { page })
+    } else {
+        Ok(())
     }
 }
 
@@ -184,10 +185,9 @@ pub struct ShadowStats {
     pub aborts: u64,
 }
 
-struct ShadowTxn {
-    /// logical page → (newly allocated frame, in-memory current version)
-    delta: BTreeMap<u64, (u64, Page)>,
-}
+/// A transaction's updates: logical page → (newly allocated frame,
+/// in-memory current version).
+type Delta = BTreeMap<u64, (u64, Page)>;
 
 /// The thru-page-table shadow store.
 ///
@@ -215,9 +215,7 @@ pub struct ShadowPager {
     /// Scrambled-allocation cursor.
     cursor: u64,
     generation: u64,
-    locks: ExclusiveLocks,
-    active: HashMap<TxnId, ShadowTxn>,
-    next_txn: TxnId,
+    txns: TxnTable<Delta>,
     stats: ShadowStats,
 }
 
@@ -244,9 +242,7 @@ impl ShadowPager {
             free: vec![true; cfg.data_frames as usize],
             cursor: 0,
             generation: 0,
-            locks: ExclusiveLocks::default(),
-            active: HashMap::new(),
-            next_txn: 1,
+            txns: TxnTable::new(1),
             stats: ShadowStats::default(),
             data: cfg.backend.provision(cfg.data_frames)?,
             pt: cfg.backend.provision(pt_frames)?,
@@ -316,9 +312,7 @@ impl ShadowPager {
                 free,
                 cursor: 0,
                 generation,
-                locks: ExclusiveLocks::default(),
-                active: HashMap::new(),
-                next_txn: 1,
+                txns: TxnTable::new(1),
                 stats: ShadowStats::default(),
                 data: image.data,
                 pt: image.pt,
@@ -427,25 +421,7 @@ impl ShadowPager {
 
     /// Begin a transaction.
     pub fn begin(&mut self) -> TxnId {
-        let t = self.next_txn;
-        self.next_txn += 1;
-        self.active.insert(
-            t,
-            ShadowTxn {
-                delta: BTreeMap::new(),
-            },
-        );
-        t
-    }
-
-    fn check(&self, txn: TxnId, page: u64) -> Result<(), ShadowError> {
-        if page >= self.cfg.logical_pages {
-            return Err(ShadowError::OutOfBounds { page });
-        }
-        if !self.active.contains_key(&txn) {
-            return Err(ShadowError::UnknownTxn(txn));
-        }
-        Ok(())
+        self.txns.begin(|_| Delta::new())
     }
 
     /// Read bytes; the transaction sees its own uncommitted version, other
@@ -457,8 +433,8 @@ impl ShadowPager {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, ShadowError> {
-        self.check(txn, page)?;
-        if let Some((_, p)) = self.active[&txn].delta.get(&page) {
+        check_bounds(page, offset, len, self.cfg.logical_pages)?;
+        if let Some((_, p)) = self.txns.get(txn)?.get(&page) {
             return Ok(p.read_at(offset, len).to_vec());
         }
         self.stats.pt_reads += 1; // indirection through the page table
@@ -481,12 +457,12 @@ impl ShadowPager {
         offset: usize,
         data: &[u8],
     ) -> Result<(), ShadowError> {
-        self.check(txn, page)?;
-        if offset + data.len() > PAYLOAD_SIZE {
-            return Err(ShadowError::OutOfBounds { page });
-        }
-        self.locks.acquire(txn, page)?;
-        if !self.active[&txn].delta.contains_key(&page) {
+        check_bounds(page, offset, data.len(), self.cfg.logical_pages)?;
+        let first_touch = !self
+            .txns
+            .lock(txn, page, LockMode::Exclusive)?
+            .contains_key(&page);
+        if first_touch {
             // materialize the current version and allocate the new frame
             self.stats.pt_reads += 1;
             let current = match self.table[page as usize] {
@@ -505,57 +481,52 @@ impl ShadowPager {
                 frame => frame,
             };
             let new_frame = self.alloc_frame(hint)?;
-            self.active
-                .get_mut(&txn)
-                .expect("txn checked")
-                .delta
-                .insert(page, (new_frame, current));
+            self.txns.get_mut(txn)?.insert(page, (new_frame, current));
         }
-        let entry = self
-            .active
-            .get_mut(&txn)
-            .expect("txn checked")
-            .delta
+        let (_, work) = self
+            .txns
+            .get_mut(txn)?
             .get_mut(&page)
-            .expect("just materialized");
-        entry.1.write_at(offset, data);
+            .expect("materialized");
+        work.write_at(offset, data);
         Ok(())
     }
 
     /// Commit: write current versions to their new frames, write the new
     /// page table into the inactive area, flip the master. Shadows become
     /// free only after the flip.
+    ///
+    /// A failure before the master write leaves the transaction open, its
+    /// frames and locks held, so [`ShadowPager::abort`] frees them. A
+    /// failed master write strands it ([`TxnTable::strand`]): the flip may
+    /// have reached the disk, so its frames and locks stay held.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        let state = self
-            .active
-            .remove(&txn)
-            .ok_or(ShadowError::UnknownTxn(txn))?;
+        let delta = self.txns.get_mut(txn)?;
         let generation = self.generation + 1;
         // Stage every durable write before mutating in-memory state, so a
         // failure mid-commit leaves the pager still describing the old
         // committed state — exactly what recovery would reconstruct.
-        let mut new_map = Vec::new();
-        for (logical, (frame, mut page)) in state.delta {
+        let mut table = self.table.clone();
+        for (&logical, (frame, page)) in delta.iter_mut() {
             page.id = PageId(logical);
             page.lsn = Lsn(generation);
-            self.data.write_page_verified(frame, &page)?;
+            self.data.write_page_verified(*frame, page)?;
             self.stats.data_writes += 1;
-            new_map.push((logical, frame));
-        }
-        let mut table = self.table.clone();
-        for &(logical, frame) in &new_map {
-            table[logical as usize] = frame;
+            table[logical as usize] = *frame;
         }
         Self::write_table_frames(&mut self.pt, &self.cfg, &mut self.stats, &table, generation)?;
-        MASTER.write(&mut self.pt, generation, Page::new(MASTER_ID))?; // ← the atomic commit point
-        for (logical, frame) in new_map {
+        // ← the atomic commit point
+        if let Err(e) = MASTER.write(&mut self.pt, generation, Page::new(MASTER_ID)) {
+            self.txns.strand(txn)?;
+            return Err(e.into());
+        }
+        for (logical, (frame, _)) in self.txns.end(txn)? {
             let old = std::mem::replace(&mut self.table[logical as usize], frame);
             if old != FREE {
                 self.free[old as usize] = true;
             }
         }
         self.generation = generation;
-        self.locks.release_all(txn);
         self.stats.commits += 1;
         Ok(())
     }
@@ -563,14 +534,9 @@ impl ShadowPager {
     /// Abort: drop the delta, free its frames, release locks. Nothing was
     /// visible, nothing touches disk.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        let state = self
-            .active
-            .remove(&txn)
-            .ok_or(ShadowError::UnknownTxn(txn))?;
-        for (_, (frame, _)) in state.delta {
+        for (_, (frame, _)) in self.txns.end(txn)? {
             self.free[frame as usize] = true;
         }
-        self.locks.release_all(txn);
         self.stats.aborts += 1;
         Ok(())
     }
@@ -787,6 +753,35 @@ mod tests {
             p.commit(t).unwrap();
         }
         assert_eq!(committed_read(&mut p, 0, 0, 4), 19u32.to_le_bytes());
+    }
+
+    #[test]
+    fn a_failed_commit_stays_open_and_its_abort_frees_everything() {
+        use rmdb_storage::{FaultInjector, FaultPlan};
+        // 2 pages written per round in 8 frames: frames leaked by a failed
+        // commit would run the disk out within a few rounds
+        let mut p = ShadowPager::new(ShadowConfig {
+            logical_pages: 4,
+            data_frames: 8,
+            alloc: AllocPolicy::Clustered,
+            ..ShadowConfig::default()
+        })
+        .unwrap();
+        for round in 0..20u32 {
+            let t = p.begin();
+            p.write(t, 0, 0, b"lost").unwrap();
+            p.write(t, 1, 0, b"lost").unwrap();
+            // the first data-frame write fails, before the master flip
+            p.attach_faults(&FaultInjector::handle(FaultPlan::new().fail_from_write(0)));
+            assert!(matches!(p.commit(t), Err(ShadowError::Storage(_))));
+            p.attach_faults(&FaultInjector::handle(FaultPlan::new()));
+            p.abort(t).unwrap();
+            let t = p.begin();
+            p.write(t, 0, 0, &round.to_le_bytes()).unwrap();
+            p.write(t, 1, 0, &round.to_le_bytes()).unwrap();
+            p.commit(t).unwrap();
+        }
+        assert_eq!(committed_read(&mut p, 1, 0, 4), 19u32.to_le_bytes());
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! the torn copy and selection falls back to the surviving shadow, which is
 //! exactly the recovery argument of Reuter's TWIST scheme the paper cites.
 
-use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId};
+use crate::pagetable::{check_bounds, ShadowError, TxnId};
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{CommitRecord, Disk, Lsn, MemDisk, Page, PageId, SlotPair, PAYLOAD_SIZE};
+use rmdb_storage::{CommitRecord, Disk, LockMode, Lsn, MemDisk, Page, PageId, SlotPair, TxnTable};
 use std::collections::{BTreeMap, HashMap};
 
 /// Configuration for a [`VersionStore`].
@@ -110,12 +110,10 @@ pub struct VersionStore {
     /// Version of the record's newest copy (0: never written).
     record_version: u64,
     /// Open transactions: page → (twin slot written, stamped working copy).
-    active: HashMap<TxnId, BTreeMap<u64, (u64, Page)>>,
+    txns: TxnTable<BTreeMap<u64, (u64, Page)>>,
     /// Blocks still stamped by each id that did not commit (aborts and
     /// crash losers); ids at 0 leave at the next commit.
     aborted: HashMap<TxnId, u64>,
-    locks: ExclusiveLocks,
-    next_txn: TxnId,
     stats: VersionStats,
 }
 
@@ -179,14 +177,12 @@ impl VersionStore {
         report.high = record.high;
         report.undecided = aborted.len() as u64;
         let store = VersionStore {
-            next_txn: report.max_stamp.max(record.high) + 1,
+            txns: TxnTable::new(report.max_stamp.max(record.high) + 1),
             cfg,
             disk,
             record,
             record_version,
-            active: HashMap::new(),
             aborted,
-            locks: ExclusiveLocks::default(),
             stats: VersionStats::default(),
         };
         Ok((store, report))
@@ -199,20 +195,7 @@ impl VersionStore {
 
     /// Begin a transaction.
     pub fn begin(&mut self) -> TxnId {
-        let t = self.next_txn;
-        self.next_txn += 1;
-        self.active.insert(t, BTreeMap::new());
-        t
-    }
-
-    fn check(&self, txn: TxnId, page: u64) -> Result<(), ShadowError> {
-        if page >= self.cfg.logical_pages {
-            return Err(ShadowError::OutOfBounds { page });
-        }
-        if !self.active.contains_key(&txn) {
-            return Err(ShadowError::UnknownTxn(txn));
-        }
-        Ok(())
+        self.txns.begin(|_| BTreeMap::new())
     }
 
     /// Read both twin blocks of `page`: each one that is allocated, passes
@@ -255,8 +238,8 @@ impl VersionStore {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, ShadowError> {
-        self.check(txn, page)?;
-        if let Some((_, p)) = self.active[&txn].get(&page) {
+        check_bounds(page, offset, len, self.cfg.logical_pages)?;
+        if let Some((_, p)) = self.txns.get(txn)?.get(&page) {
             return Ok(p.read_at(offset, len).to_vec());
         }
         let twins = self.twins(page);
@@ -276,14 +259,14 @@ impl VersionStore {
         offset: usize,
         data: &[u8],
     ) -> Result<(), ShadowError> {
-        self.check(txn, page)?;
-        if offset + data.len() > PAYLOAD_SIZE {
-            return Err(ShadowError::OutOfBounds { page });
-        }
-        self.locks.acquire(txn, page)?;
+        check_bounds(page, offset, data.len(), self.cfg.logical_pages)?;
         // the id whose block the first write of the page replaces
         let mut displaced = None;
-        if !self.active[&txn].contains_key(&page) {
+        let first_touch = !self
+            .txns
+            .lock(txn, page, LockMode::Exclusive)?
+            .contains_key(&page);
+        if first_touch {
             let mut twins = self.twins(page);
             // write the twin of the current block
             let (twin, mut base) = match self.current(&twins) {
@@ -292,14 +275,15 @@ impl VersionStore {
             };
             displaced = twins[twin].as_ref().map(|p| writer(p.lsn));
             base.lsn = Lsn(txn << 2 | (version(base.lsn) + 1) & 3);
-            let pages = self.active.get_mut(&txn).expect("txn checked");
-            pages.insert(page, (2 * page + twin as u64, base));
+            self.txns
+                .get_mut(txn)?
+                .insert(page, (2 * page + twin as u64, base));
         }
         let (slot, work) = self
-            .active
-            .get_mut(&txn)
-            .and_then(|pages| pages.get_mut(&page))
-            .expect("just materialized");
+            .txns
+            .get_mut(txn)?
+            .get_mut(&page)
+            .expect("materialized");
         work.write_at(offset, data);
         self.disk.write_page_verified(*slot, work)?;
         self.stats.slot_writes += 1;
@@ -315,11 +299,9 @@ impl VersionStore {
     /// [`ShadowError::SpaceExhausted`] when the undecided ids overflow the
     /// record's frame, the transaction stays open.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        if !self.active.contains_key(&txn) {
-            return Err(ShadowError::UnknownTxn(txn));
-        }
+        self.txns.get(txn)?;
         self.aborted.retain(|_, blocks| *blocks > 0);
-        let pending = self.active.keys().chain(self.aborted.keys()).copied();
+        let pending = self.txns.ids().chain(self.aborted.keys().copied());
         let record = self.record.commit(txn, pending);
         let mut page = Page::new(RECORD_ID);
         if !record.encode(&mut page, 0) {
@@ -329,8 +311,7 @@ impl VersionStore {
         Self::record_pair(&self.cfg).write(&mut self.disk, version, page)?;
         (self.record, self.record_version) = (record, version);
         self.stats.commit_writes += 1;
-        self.active.remove(&txn);
-        self.locks.release_all(txn);
+        self.txns.end(txn)?;
         Ok(())
     }
 
@@ -338,11 +319,8 @@ impl VersionStore {
     /// stamped twin blocks never become current, and the next writer of
     /// each page recycles them.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), ShadowError> {
-        let Some(pages) = self.active.remove(&txn) else {
-            return Err(ShadowError::UnknownTxn(txn));
-        };
+        let pages = self.txns.end(txn)?;
         self.aborted.insert(txn, pages.len() as u64);
-        self.locks.release_all(txn);
         Ok(())
     }
 }

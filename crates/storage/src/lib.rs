@@ -26,7 +26,11 @@
 //!   the version store and the differential file write through it;
 //! * [`buffer::BufferPool`] — a pin-counted page cache with LRU eviction
 //!   that reports evicted dirty pages to the caller so each recovery
-//!   manager can enforce its own write-ahead rule.
+//!   manager can enforce its own write-ahead rule;
+//! * [`lock::LockTable`] — the page-level strict two-phase lock table of
+//!   the paper's back-end controller scheduler — and [`txn::TxnTable`],
+//!   the transaction bookkeeping every single-threaded engine keeps on it:
+//!   id allocation, each open transaction's state, and no-wait locks.
 //!
 //! Volatile state lives in the recovery managers (buffer pools, in-memory
 //! tables); a crash is modelled by discarding the manager and rebuilding
@@ -38,9 +42,11 @@ pub mod device;
 pub mod error;
 pub mod fault;
 pub mod filedisk;
+pub mod lock;
 pub mod memdisk;
 pub mod nvmedisk;
 pub mod page;
+pub mod txn;
 
 pub use buffer::{BufferPool, Evicted, PoolShard, ShardGuard, ShardStats, ShardedPool};
 pub use commit::{CommitRecord, SlotPair};
@@ -48,6 +54,8 @@ pub use device::{BackendKind, Disk};
 pub use error::StorageError;
 pub use fault::{FaultHandle, FaultInjector, FaultPlan, ReadFault, WriteFault};
 pub use filedisk::FileDisk;
+pub use lock::{LockConflict, LockMode, LockTable};
 pub use memdisk::MemDisk;
 pub use nvmedisk::{NvmeConfig, NvmeDisk, NvmeModel};
 pub use page::{Lsn, Page, PageId, PageRef, FRAME_SIZE, PAYLOAD_SIZE};
+pub use txn::{TxnError, TxnTable};

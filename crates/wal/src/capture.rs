@@ -337,7 +337,8 @@ impl WriteLog {
     /// its commit record; `commit_lsn` is called for its commit LSN only
     /// when the record is kept. `None` means spill: the log is not
     /// deferred or holds no write, or under [`LoggingPolicy::Adaptive`]
-    /// the command record would be bigger than the fragments it replaces.
+    /// the command record would be bigger than what it replaces: the
+    /// fragments and the `Commit` record.
     /// The decision is stamped in the record, so recovery needs no policy
     /// configuration to replay it.
     pub fn command_record(
@@ -359,7 +360,8 @@ impl WriteLog {
             },
             ops: self.writes.iter().map(Write::op).collect(),
         };
-        if adaptive && rec.encoded_len() > self.fragment_bytes() {
+        let replaced = self.fragment_bytes() + LogRecord::Commit { txn }.encoded_len();
+        if adaptive && rec.encoded_len() > replaced {
             return None;
         }
         if let LogRecord::Logical {
@@ -586,6 +588,33 @@ mod tests {
             LogicalOp::AddU64 {
                 delta: 3,
                 offset: 8,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn a_command_record_is_weighed_against_fragments_and_commit() {
+        // one one-byte write: a 47-byte fragment plus the 9-byte Commit
+        // record, against a 48-byte command record that replaces both
+        let mut log = WriteLog::new(LoggingPolicy::Adaptive, 8);
+        log.push(Write::new(
+            &page(),
+            0,
+            b"p",
+            None,
+            LogMode::Logical,
+            Lsn(41),
+            0,
+        ));
+        let commit = LogRecord::Commit { txn: 9 }.encoded_len();
+        assert_eq!((log.fragment_bytes(), commit), (47, 9));
+        let rec = log.command_record(9, || Lsn(42)).expect("command-logged");
+        assert_eq!(rec.encoded_len(), 48);
+        assert!(matches!(
+            rec,
+            LogRecord::Logical {
+                commit_lsn: Lsn(42),
                 ..
             }
         ));

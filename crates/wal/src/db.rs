@@ -15,14 +15,16 @@
 //! reach the data disk before commit, and need not reach it at commit.
 
 use crate::capture::{self, Doublewrite, Write, WriteLog};
-use crate::lock::{LockMode, LockTable};
 use crate::manager::{LogPos, ParallelLogManager};
 use crate::record::LogRecord;
 use crate::recovery;
 use crate::select::SelectionPolicy;
 use rmdb_obs::Registry;
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{BackendKind, BufferPool, Disk, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE};
+use rmdb_storage::{
+    BackendKind, BufferPool, Disk, LockMode, Lsn, Page, PageId, StorageError, TxnError, TxnTable,
+    PAYLOAD_SIZE,
+};
 use std::collections::{BTreeSet, HashMap};
 
 /// Transaction identifier handed out by [`WalDb::begin`].
@@ -156,6 +158,18 @@ impl From<StorageError> for WalError {
     }
 }
 
+impl From<TxnError> for WalError {
+    fn from(e: TxnError) -> Self {
+        match e {
+            TxnError::Unknown(txn) => WalError::UnknownTxn(txn),
+            TxnError::Conflict(c) => WalError::LockConflict {
+                page: c.page,
+                holder: c.holder,
+            },
+        }
+    }
+}
+
 impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -195,18 +209,40 @@ struct TxnState {
     log: WriteLog,
 }
 
+impl TxnState {
+    /// Convert a deferred capture to fragment mode: [`WriteLog::spill`]
+    /// appends each write's fragment, routed through the qp recorded at
+    /// write time, and releases its pins. After this the transaction
+    /// commits/aborts exactly like a [`LoggingPolicy::Fragments`] one.
+    fn spill(
+        &mut self,
+        txn: TxnId,
+        log: &mut ParallelLogManager,
+        pool: &mut BufferPool,
+        page_last_log: &mut HashMap<PageId, LogPos>,
+    ) -> Result<(), WalError> {
+        if !self.log.is_deferred() {
+            return Ok(());
+        }
+        self.log.spill(txn, pool, |wl, i, rec| {
+            let w = &wl.writes()[i];
+            let pos = log.append_routed(w.route, txn, &rec)?;
+            page_last_log.insert(w.page(), pos);
+            Ok::<_, WalError>((pos.stream, pos.pos))
+        })
+    }
+}
+
 /// The parallel-logging database engine.
 pub struct WalDb {
     cfg: WalConfig,
     data: Disk,
     pool: BufferPool,
     log: ParallelLogManager,
-    locks: LockTable,
-    active: HashMap<TxnId, TxnState>,
+    txns: TxnTable<TxnState>,
     /// The back-end controller's page table: last fragment logged for each
     /// dirty page, consulted before any data-page write (WAL rule).
     page_last_log: HashMap<PageId, LogPos>,
-    next_txn: TxnId,
     next_lsn: u64,
     committed: u64,
     aborted: u64,
@@ -253,10 +289,8 @@ impl WalDb {
             data,
             pool: BufferPool::new(cfg.pool_frames),
             log,
-            locks: LockTable::new(),
-            active: HashMap::new(),
+            txns: TxnTable::new(next_txn),
             page_last_log: HashMap::new(),
-            next_txn,
             next_lsn,
             committed: 0,
             aborted: 0,
@@ -284,22 +318,16 @@ impl WalDb {
 
     /// Begin a transaction.
     pub fn begin(&mut self) -> TxnId {
-        let txn = self.next_txn;
-        self.next_txn += 1;
-        let home = self.log.pick_home(0, txn);
-        self.active.insert(
-            txn,
-            TxnState {
-                home,
-                log: WriteLog::new(self.cfg.logging, self.cfg.pool_frames),
-            },
-        );
-        txn
+        let (log, cfg) = (&mut self.log, &self.cfg);
+        self.txns.begin(|txn| TxnState {
+            home: log.pick_home(0, txn),
+            log: WriteLog::new(cfg.logging, cfg.pool_frames),
+        })
     }
 
     /// Transactions currently active.
     pub fn active_txns(&self) -> Vec<TxnId> {
-        let mut v: Vec<TxnId> = self.active.keys().copied().collect();
+        let mut v: Vec<TxnId> = self.txns.ids().collect();
         v.sort_unstable();
         v
     }
@@ -333,30 +361,6 @@ impl WalDb {
     /// The buffer pool (observability for tests/benches).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// Check an access of `len` bytes at `offset` of `page` by `txn`, then
-    /// lock the page in `mode`.
-    fn lock_access(
-        &mut self,
-        txn: TxnId,
-        page: u64,
-        offset: usize,
-        len: usize,
-        mode: LockMode,
-    ) -> Result<PageId, WalError> {
-        self.cfg.check_bounds(page, offset, len)?;
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        let id = PageId(page);
-        self.locks
-            .acquire(txn, id, mode)
-            .map_err(|c| WalError::LockConflict {
-                page: c.page,
-                holder: c.holder,
-            })?;
-        Ok(id)
     }
 
     /// Ensure `page` is resident; applies the WAL rule to any evicted
@@ -400,7 +404,9 @@ impl WalDb {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, WalError> {
-        let id = self.lock_access(txn, page, offset, len, LockMode::Shared)?;
+        self.cfg.check_bounds(page, offset, len)?;
+        self.txns.lock(txn, page, LockMode::Shared)?;
+        let id = PageId(page);
         self.fetch_spilling(id)?;
         let p = self.pool.get(id).expect("fetched page resident");
         Ok(p.read_at(offset, len).to_vec())
@@ -431,7 +437,9 @@ impl WalDb {
         offset: usize,
         delta: u64,
     ) -> Result<u64, WalError> {
-        let id = self.lock_access(txn, page, offset, 8, LockMode::Exclusive)?;
+        self.cfg.check_bounds(page, offset, 8)?;
+        self.txns.lock(txn, page, LockMode::Exclusive)?;
+        let id = PageId(page);
         self.fetch_spilling(id)?;
         let p = self.pool.get(id).expect("fetched page resident");
         let cur: [u8; 8] = p.read_at(offset, 8).try_into().expect("8 bytes");
@@ -452,10 +460,16 @@ impl WalDb {
         data: &[u8],
         add_delta: Option<u64>,
     ) -> Result<(), WalError> {
-        let id = self.lock_access(txn, page, offset, data.len(), LockMode::Exclusive)?;
+        let id = PageId(page);
         // a deferred txn pinning the whole pool would wedge every fetch —
         // convert it to fragment mode before its pins fill the last frame
-        if !self.active[&txn].log.admits(id) {
+        self.cfg.check_bounds(page, offset, data.len())?;
+        if !self
+            .txns
+            .lock(txn, page, LockMode::Exclusive)?
+            .log
+            .admits(id)
+        {
             self.spill_deferred(txn)?;
         }
         self.fetch_spilling(id)?;
@@ -465,7 +479,7 @@ impl WalDb {
         let p = self.pool.get(id).expect("fetched page resident");
         let mut w = Write::new(p, offset, data, add_delta, self.cfg.log_mode, new_lsn, qp);
 
-        let state = self.active.get_mut(&txn).expect("txn checked active");
+        let state = self.txns.get_mut(txn)?;
         if !state.log.is_deferred() {
             let pos = self.log.append_routed(qp, txn, &w.fragment(txn))?;
             self.page_last_log.insert(id, pos);
@@ -495,24 +509,10 @@ impl WalDb {
         }
     }
 
-    /// Convert a deferred transaction to fragment mode: [`WriteLog::spill`]
-    /// appends each write's fragment, routed through the qp recorded at
-    /// write time, and releases its pins. After this the
-    /// transaction commits/aborts exactly like a
-    /// [`LoggingPolicy::Fragments`] one.
+    /// [`TxnState::spill`] open transaction `txn`.
     fn spill_deferred(&mut self, txn: TxnId) -> Result<(), WalError> {
-        let Some(state) = self.active.get_mut(&txn) else {
-            return Ok(());
-        };
-        if !state.log.is_deferred() {
-            return Ok(());
-        }
-        state.log.spill(txn, &mut self.pool, |wl, i, rec| {
-            let w = &wl.writes()[i];
-            let pos = self.log.append_routed(w.route, txn, &rec)?;
-            self.page_last_log.insert(w.page(), pos);
-            Ok::<_, WalError>((pos.stream, pos.pos))
-        })
+        let state = self.txns.get_mut(txn)?;
+        state.spill(txn, &mut self.log, &mut self.pool, &mut self.page_last_log)
     }
 
     /// Spill every deferred transaction (checkpoint/flush prelude and the
@@ -543,39 +543,47 @@ impl WalDb {
     /// single [`LogRecord::Logical`] record (which *is* the commit record)
     /// when the policy picks command logging, or a spill to fragments plus
     /// the normal commit protocol otherwise.
+    ///
+    /// A failure before the commit record is appended leaves the
+    /// transaction open; a failure to append a command record abandons it,
+    /// as a deferred abort would. A failure once the commit record is
+    /// appended strands it ([`TxnTable::strand`]): recovery decides it.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), WalError> {
-        let state = self.active.get(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        let state = self.txns.get_mut(txn)?;
         let next_lsn = &mut self.next_lsn;
         let logical = state.log.command_record(txn, || {
             *next_lsn += 1;
             Lsn(*next_lsn - 1)
         });
-        if let Some(rec) = logical {
-            let mut state = self.active.remove(&txn).expect("checked active");
-            let pos = match self.log.append_to(state.home, &rec) {
-                Ok(pos) => pos,
-                Err(e) => {
-                    // nothing was logged: revert and unpin, as a deferred
-                    // abort would
-                    state.log.end_deferral(0, &mut self.pool);
-                    self.locks.release_all(txn);
-                    self.aborted += 1;
-                    return Err(e.into());
-                }
-            };
-            // pins drop before the force: page_last_log now names the
-            // logical record, so a later eviction re-forces under the WAL
-            // rule even if this force fails
-            for page in state.log.pinned() {
-                self.page_last_log.insert(page, pos);
-                self.pool.unpin(page);
+        let Some(rec) = logical else {
+            // the physical protocol is a group commit of one
+            return self.commit_group(&[txn]);
+        };
+        let home = state.home;
+        let pos = match self.log.append_to(home, &rec) {
+            Ok(pos) => pos,
+            Err(e) => {
+                // nothing was logged: revert and unpin, as a deferred
+                // abort would
+                state.log.end_deferral(0, &mut self.pool);
+                self.txns.end(txn)?;
+                self.aborted += 1;
+                return Err(e.into());
             }
-            self.log.force(state.home)?;
-            self.locks.release_all(txn);
-            return self.count_commits(1);
+        };
+        // pins drop before the force: page_last_log now names the
+        // logical record, so a later eviction re-forces under the WAL
+        // rule even if this force fails
+        for page in state.log.pinned() {
+            self.page_last_log.insert(page, pos);
+            self.pool.unpin(page);
         }
-        // the physical protocol is a group commit of one
-        self.commit_group(&[txn])
+        if let Err(e) = self.log.force(home) {
+            self.txns.strand(txn)?;
+            return Err(e.into());
+        }
+        self.txns.end(txn)?;
+        self.count_commits(1)
     }
 
     /// Count `n` new commits and honour [`WalConfig::ckpt_every_commits`]:
@@ -598,63 +606,72 @@ impl WalDb {
     /// stream-level analogue of the log processor's page assembly.
     ///
     /// All-or-nothing per transaction (not across the group): each listed
-    /// transaction must be active; the group shares the force work.
+    /// transaction must be active (an unknown id fails the call before any
+    /// force); the group shares the force work. Failure handling is
+    /// [`WalDb::commit`]'s, for every member.
     pub fn commit_group(&mut self, txns: &[TxnId]) -> Result<(), WalError> {
-        // validate first so a bad id does not half-commit the group
-        for txn in txns {
-            if !self.active.contains_key(txn) {
-                return Err(WalError::UnknownTxn(*txn));
-            }
-        }
         // group commit shares forces across physical commit records; spill
         // any deferred members so the whole group takes that path
-        for txn in txns {
-            self.spill_deferred(*txn)?;
-        }
-        let mut states = Vec::with_capacity(txns.len());
-        for txn in txns {
-            states.push((*txn, self.active.remove(txn).expect("validated")));
+        let mut streams: BTreeSet<usize> = BTreeSet::new();
+        let mut homes = Vec::with_capacity(txns.len());
+        for &txn in txns {
+            let state = self.txns.get_mut(txn)?;
+            state.spill(txn, &mut self.log, &mut self.pool, &mut self.page_last_log)?;
+            streams.extend(state.log.high_water().into_keys());
+            homes.push(state.home);
         }
         // one force per distinct fragment stream across the whole group
-        let mut streams: BTreeSet<usize> = BTreeSet::new();
-        for (_, state) in &states {
-            streams.extend(state.log.high_water().into_keys());
-        }
         for s in streams {
             self.log.force(s)?;
         }
-        // append all commit records, then force each home stream once
-        let mut homes: BTreeSet<usize> = BTreeSet::new();
-        for (txn, state) in &states {
-            self.log
-                .append_to(state.home, &LogRecord::Commit { txn: *txn })?;
-            homes.insert(state.home);
+        if let Err(e) = self.append_commits(txns, &homes) {
+            for &txn in txns {
+                self.txns.strand(txn)?;
+            }
+            return Err(e);
         }
-        for h in homes {
+        for &txn in txns {
+            self.txns.end(txn)?;
+        }
+        self.count_commits(txns.len() as u64)
+    }
+
+    /// The commit point of a group: append every member's commit record
+    /// on its home stream, then force each home stream once.
+    fn append_commits(&mut self, txns: &[TxnId], homes: &[usize]) -> Result<(), WalError> {
+        for (&txn, &home) in txns.iter().zip(homes) {
+            self.log.append_to(home, &LogRecord::Commit { txn })?;
+        }
+        for &h in homes.iter().collect::<BTreeSet<_>>() {
             self.log.force(h)?;
         }
-        for (txn, _) in &states {
-            self.locks.release_all(*txn);
-        }
-        self.count_commits(states.len() as u64)
+        Ok(())
     }
 
     /// Abort: undo the transaction's updates in reverse order, logging a
     /// compensation on the home stream for each, then append the abort
     /// record. No force is needed — if the tail is lost, recovery simply
-    /// re-undoes the remainder.
+    /// re-undoes the remainder. A failure part-way strands the
+    /// transaction: recovery finishes the undo.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), WalError> {
-        let mut state = self.active.remove(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        let state = self.txns.get_mut(txn)?;
         if state.log.is_deferred() {
             // Deferred abort: nothing was ever logged, so there is nothing
             // to compensate — restore the before-images in memory, release
             // the pins, and vanish without a trace in the log.
             state.log.end_deferral(0, &mut self.pool);
         } else {
-            self.compensate(txn, state.home, state.log.writes())?;
-            self.log.append_to(state.home, &LogRecord::Abort { txn })?;
+            let (home, writes) = (state.home, state.log.split_off(0));
+            let undone = self.compensate(txn, home, &writes).and_then(|()| {
+                self.log.append_to(home, &LogRecord::Abort { txn })?;
+                Ok(())
+            });
+            if let Err(e) = undone {
+                self.txns.strand(txn)?;
+                return Err(e);
+            }
         }
-        self.locks.release_all(txn);
+        self.txns.end(txn)?;
         self.aborted += 1;
         Ok(())
     }
@@ -723,7 +740,7 @@ impl WalDb {
     /// [`WalDb::rollback_to`] undoes everything the transaction did after
     /// this point while keeping the transaction (and its locks) alive.
     pub fn savepoint(&mut self, txn: TxnId) -> Result<Savepoint, WalError> {
-        let state = self.active.get(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        let state = self.txns.get(txn)?;
         Ok(Savepoint {
             txn,
             writes: state.log.len(),
@@ -736,7 +753,7 @@ impl WalDb {
     /// survive.
     pub fn rollback_to(&mut self, sp: Savepoint) -> Result<(), WalError> {
         let txn = sp.txn;
-        let state = self.active.get_mut(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        let state = self.txns.get_mut(txn)?;
         if sp.writes > state.log.len() {
             return Err(WalError::Storage(StorageError::Protocol(
                 "savepoint from a different transaction incarnation",
@@ -1288,7 +1305,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_decides_per_txn() {
+    fn adaptive_policy_command_logs_small_writes() {
         let cfg = WalConfig {
             logging: LoggingPolicy::Adaptive,
             ..tiny()
@@ -1304,19 +1321,22 @@ mod tests {
             count_recs(&db, |r| matches!(r, LogRecord::Logical { .. })),
             1
         );
-        // one one-byte write: the command record's fixed header (48 bytes
-        // in all) outweighs the 47-byte fragment, so it spills
-        let big = db.begin();
-        db.write(big, 2, 0, b"x").unwrap();
-        db.commit(big).unwrap();
+        // one one-byte write: the 48-byte command record replaces a
+        // 47-byte fragment and the 9-byte Commit record
+        let tiny = db.begin();
+        db.write(tiny, 2, 0, b"x").unwrap();
+        db.commit(tiny).unwrap();
         assert_eq!(
             count_recs(&db, |r| matches!(r, LogRecord::Logical { .. })),
-            1,
-            "one-byte write must spill to fragments"
+            2,
+            "a one-byte write is command-logged"
         );
         assert_eq!(
-            count_recs(&db, |r| matches!(r, LogRecord::Update { .. })),
-            1
+            count_recs(&db, |r| matches!(
+                r,
+                LogRecord::Update { .. } | LogRecord::Commit { .. }
+            )),
+            0
         );
         // both survive recovery
         let (mut db2, _) = WalDb::recover(db.crash_image(), cfg).unwrap();

@@ -21,14 +21,16 @@
 //! * [`select`] — the four log-processor selection policies studied in
 //!   Table 3 (cyclic, random, QP mod N, Txn mod N);
 //! * [`manager`] — the bank of N streams plus routing;
-//! * [`lock`] — the page-level strict two-phase lock table the paper's
-//!   back-end controller scheduler uses;
+//! * [`scheduler`] — the blocking back-end controller scheduler `ExecDb`
+//!   uses, over the page-level strict two-phase
+//!   [`LockTable`](rmdb_storage::LockTable) of `rmdb-storage`;
 //! * [`capture`] — the write-side vocabulary both engines share: the
 //!   `Update` fragment builder, undo entries, deferred capture (one pool
 //!   pin per distinct page, budget from the pool or shard size) with the
 //!   commit-time logging decision, and the doublewrite slot layout;
 //! * [`db`] — [`WalDb`], the user-facing engine: begin/read/write/commit/
-//!   abort/checkpoint plus crash images;
+//!   abort/checkpoint plus crash images; its transactions and no-wait page
+//!   locks live in a [`TxnTable`](rmdb_storage::TxnTable);
 //! * [`recovery`] — the one recovery engine: checkpoint-bounded analysis
 //!   over the distributed logs, repeat-history redo sharded by page across
 //!   K workers (fragment installs and command re-execution alike),
@@ -56,7 +58,6 @@
 pub mod backoff;
 pub mod capture;
 pub mod db;
-pub mod lock;
 pub mod manager;
 pub mod record;
 pub mod recovery;
@@ -66,10 +67,10 @@ pub mod stream;
 
 pub use backoff::Backoff;
 pub use db::{CrashImage, LogMode, LoggingPolicy, Savepoint, TxnId, WalConfig, WalDb, WalError};
-pub use lock::{LockMode, LockTable};
 pub use manager::ParallelLogManager;
 pub use record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
 pub use recovery::{recover_observed, RecoveryReport};
+pub use rmdb_storage::{LockMode, LockTable};
 pub use scheduler::{Decision, Scheduler, WaitStats};
 pub use select::SelectionPolicy;
 pub use stream::{IndexedRecord, LogStream, ScanStats};

@@ -44,41 +44,23 @@ pub enum LogicalOp {
         /// Wrapping increment.
         delta: u64,
     },
-    /// Fill `len` bytes at `offset` with `byte`.
-    Fill {
-        /// Written page.
-        page: PageId,
-        /// Page LSN the write produced.
-        lsn: Lsn,
-        /// Payload offset of the filled range.
-        offset: u32,
-        /// Length of the filled range.
-        len: u32,
-        /// Fill byte.
-        byte: u8,
-    },
 }
 
 const OP_PUT: u8 = 1;
 const OP_ADD_U64: u8 = 2;
-const OP_FILL: u8 = 3;
 
 impl LogicalOp {
     /// The page this op writes.
     pub fn page(&self) -> PageId {
         match *self {
-            LogicalOp::Put { page, .. }
-            | LogicalOp::AddU64 { page, .. }
-            | LogicalOp::Fill { page, .. } => page,
+            LogicalOp::Put { page, .. } | LogicalOp::AddU64 { page, .. } => page,
         }
     }
 
     /// The page LSN this op produced.
     pub fn lsn(&self) -> Lsn {
         match *self {
-            LogicalOp::Put { lsn, .. }
-            | LogicalOp::AddU64 { lsn, .. }
-            | LogicalOp::Fill { lsn, .. } => lsn,
+            LogicalOp::Put { lsn, .. } | LogicalOp::AddU64 { lsn, .. } => lsn,
         }
     }
 
@@ -102,15 +84,6 @@ impl LogicalOp {
                 cur.copy_from_slice(page.read_at(off, 8));
                 let next = u64::from_le_bytes(cur).wrapping_add(*delta);
                 page.write_at(off, &next.to_le_bytes());
-            }
-            LogicalOp::Fill {
-                offset, len, byte, ..
-            } => {
-                let (off, n) = (*offset as usize, *len as usize);
-                if off + n > PAYLOAD_SIZE {
-                    return Err(StorageError::Protocol("logical op exceeds page payload"));
-                }
-                page.payload_mut()[off..off + n].fill(*byte);
             }
         }
         Ok(())
@@ -143,20 +116,6 @@ impl LogicalOp {
                 out.put_u32_le(*offset);
                 out.put_u64_le(*delta);
             }
-            LogicalOp::Fill {
-                page,
-                lsn,
-                offset,
-                len,
-                byte,
-            } => {
-                out.put_u8(OP_FILL);
-                out.put_u64_le(page.0);
-                out.put_u64_le(lsn.0);
-                out.put_u32_le(*offset);
-                out.put_u32_le(*len);
-                out.put_u8(*byte);
-            }
         }
     }
 
@@ -165,7 +124,6 @@ impl LogicalOp {
         match self {
             LogicalOp::Put { data, .. } => 1 + 8 + 8 + 4 + 4 + data.len(),
             LogicalOp::AddU64 { .. } => 1 + 8 + 8 + 4 + 8,
-            LogicalOp::Fill { .. } => 1 + 8 + 8 + 4 + 4 + 1,
         }
     }
 
@@ -204,18 +162,6 @@ impl LogicalOp {
                     lsn: Lsn(b.get_u64_le()),
                     offset: b.get_u32_le(),
                     delta: b.get_u64_le(),
-                }
-            }
-            OP_FILL => {
-                if b.remaining() < 8 + 8 + 4 + 4 + 1 {
-                    return None;
-                }
-                LogicalOp::Fill {
-                    page: PageId(b.get_u64_le()),
-                    lsn: Lsn(b.get_u64_le()),
-                    offset: b.get_u32_le(),
-                    len: b.get_u32_le(),
-                    byte: b.get_u8(),
                 }
             }
             _ => return None,
@@ -604,13 +550,6 @@ mod tests {
                     offset: 0,
                     delta: u64::MAX,
                 },
-                LogicalOp::Fill {
-                    page: PageId(3),
-                    lsn: Lsn(92),
-                    offset: 64,
-                    len: 17,
-                    byte: 0xAB,
-                },
             ],
         });
         round_trip(&LogRecord::Logical {
@@ -652,16 +591,6 @@ mod tests {
         let mut cur = [0u8; 8];
         cur.copy_from_slice(page.read_at(0, 8));
         assert_eq!(u64::from_le_bytes(cur), 42);
-        LogicalOp::Fill {
-            page: PageId(1),
-            lsn: Lsn(4),
-            offset: 32,
-            len: 8,
-            byte: 0xCC,
-        }
-        .apply(&mut page)
-        .expect("fill applies");
-        assert_eq!(page.read_at(32, 8), &[0xCC; 8]);
         // every op kind rejects out-of-payload ranges instead of panicking
         for op in [
             LogicalOp::Put {
@@ -675,13 +604,6 @@ mod tests {
                 lsn: Lsn(6),
                 offset: PAYLOAD_SIZE as u32 - 4,
                 delta: 1,
-            },
-            LogicalOp::Fill {
-                page: PageId(1),
-                lsn: Lsn(7),
-                offset: PAYLOAD_SIZE as u32,
-                len: 1,
-                byte: 0,
             },
         ] {
             assert!(op.apply(&mut page).is_err(), "op {op:?} must bound-check");
@@ -779,10 +701,6 @@ mod tests {
                     (any::<u64>(), any::<u64>(), any::<u32>(), any::<u64>())
                         .prop_map(|(p, l, o, d)| LogicalOp::AddU64 {
                             page: PageId(p), lsn: Lsn(l), offset: o, delta: d,
-                        }),
-                    (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), any::<u8>())
-                        .prop_map(|(p, l, o, n, b)| LogicalOp::Fill {
-                            page: PageId(p), lsn: Lsn(l), offset: o, len: n, byte: b,
                         }),
                 ],
                 0..12,

@@ -2,14 +2,13 @@
 //! with FIFO wait queues and deadlock detection.
 //!
 //! The paper assumes "a scheduler, located in the back-end controller,
-//! which employs page-level locking". [`crate::lock::LockTable`] is the
+//! which employs page-level locking". [`rmdb_storage::LockTable`] is the
 //! non-blocking core; this module adds what a real scheduler needs on
 //! top: conflicting requests **wait** in FIFO order, grants cascade when
 //! locks are released, and a waits-for graph catches deadlocks so the
 //! controller can pick a victim instead of hanging the machine.
 
-use crate::lock::{LockMode, LockTable};
-use rmdb_storage::PageId;
+use rmdb_storage::{LockMode, LockTable, PageId};
 use std::collections::{HashMap, VecDeque};
 
 /// Outcome of a scheduled lock request.

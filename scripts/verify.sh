@@ -49,8 +49,9 @@
 # break the benchmark without failing this gate (the build writes to the
 # git-ignored perfbench/target/, and the committed perfbench/Cargo.lock is
 # put back after it). It fails if a retry budget constant is defined
-# outside rmdb-storage, or if non-test code outside rmdb-storage decodes
-# a frame itself with `Page::from_frame`. Last, it prints non-test LOC per crate
+# outside rmdb-storage, if non-test code outside rmdb-storage decodes
+# a frame itself with `Page::from_frame`, or if a lock table is defined
+# outside rmdb-storage. Last, it prints non-test LOC per crate
 # (scripts/loc.sh) for the record. A verify run leaves `git status` as
 # it found it. Run from anywhere inside the repo.
 set -euo pipefail
@@ -73,6 +74,13 @@ hand_decoded=$(find crates src examples perfbench/src -name '*.rs' -not -path 'c
 if [ -n "$hand_decoded" ]; then
     echo "$hand_decoded" >&2
     echo "verify: Page::from_frame used outside crates/storage" >&2
+    exit 1
+fi
+# one transaction table: the page lock table and the transaction table
+# live once, in rmdb-storage; a private lock table (a `*Locks` or
+# `LockTable` struct) anywhere else in the workspace fails here
+if grep -rnE 'struct ([A-Za-z0-9_]*Locks|LockTable)\b' crates src examples --include=*.rs | grep -v '^crates/storage/'; then
+    echo "verify: lock table defined outside crates/storage" >&2
     exit 1
 fi
 cargo build --release
